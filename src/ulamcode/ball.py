@@ -64,6 +64,11 @@ class BallTable:
     sizes: dict[int, int]
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes worth starting: no more than tasks or CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _count_lis_with_prefix(n: int, first: int) -> dict[int, int]:
     """LIS counts over all permutations of [n] starting with symbol ``first``."""
     rest = [v for v in range(1, n + 1) if v != first]
@@ -127,7 +132,7 @@ def lis_distribution_exact(
         firsts = list(range(1, n + 1))
         if workers > 1 and math.factorial(n) >= 40320:
             try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(max_workers=_pool_size(workers, n)) as pool:
                     parts = list(pool.map(_count_lis_with_prefix, [n] * n, firsts))
             except OSError:
                 parts = [_count_lis_with_prefix(n, f) for f in firsts]
@@ -253,7 +258,7 @@ def sample_lis_lengths(
     args = [(n, seed, i, sizes[i]) for i in range(nblocks)]
     if workers > 1 and nblocks > 1:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=_pool_size(workers, nblocks)) as pool:
                 parts = list(pool.map(_sample_block_star, args))
         except OSError:
             parts = [_sample_block(*a) for a in args]

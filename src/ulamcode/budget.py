@@ -14,6 +14,12 @@ class SearchBudget:
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise ValueError(f"max_seconds must be > 0, got {self.max_seconds}")
+
     def start(self) -> "BudgetClock":
         return BudgetClock(self)
 

@@ -200,6 +200,7 @@ class _Run:
         self.command = args.command
         self.seed = _effective_seed(args)
         self.threads = _threads(args)
+        self.budget = _budget(args)
         self.started = time.monotonic()
         self.status = "ok"
 
@@ -305,7 +306,7 @@ def _cmd_bounds(run: _Run) -> int:
         if params.d == 1:
             report.ip_upper = math.factorial(params.n)
         else:
-            sol = solve_ilp(build_model(params), _budget(args))
+            sol = solve_ilp(build_model(params), run.budget)
             report.ip_upper = min(report.singleton_upper, sol.objective_value)
             if sol.status == "bound_only":
                 run.status = "bounded"
@@ -337,7 +338,7 @@ def _cmd_bounds(run: _Run) -> int:
 def _cmd_search(run: _Run) -> int:
     args = run.args
     params = CodeParams(args.n, args.d)
-    budget = _budget(args)
+    budget = run.budget
     if args.singleton_only:
         res = find_singleton_optimal(params, budget, search_limit=args.search_limit)
         if res.status == "budget_exhausted":
@@ -425,7 +426,7 @@ def _cmd_tables(run: _Run) -> int:
     cells = reproduce_tables(
         n_values,
         d_values,
-        cell_budget=_budget(args),
+        cell_budget=run.budget,
         with_ip=args.with_ip,
         enum_limit=args.enum_limit,
         search_limit=args.search_limit,

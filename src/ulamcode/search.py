@@ -8,9 +8,11 @@ code uses every class exactly once.  Left-invariance lets the identity be
 fixed as the representative of its own class without losing generality.
 
 Candidate sets are bitmasks over S_n in lexicographic order.  The
-distance-at-least-d row of a permutation is computed on demand (one
-vectorized LIS sweep over all of S_n) and memoized, so the full pairwise
-graph is never materialized.
+distance-at-least-d row of a permutation sigma is computed on demand and
+memoized, so the full pairwise graph is never materialized.  One vectorized
+LIS sweep over S_n per search finds the identity's far set; by
+left-invariance the row of sigma is that set relabeled by sigma, ranked
+back into lexicographic positions.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the supplied
@@ -45,6 +47,10 @@ DEFAULT_SEARCH_LIMIT = 9
 # (n = 7 below d = 5, and all of n >= 8); lifted by long_runs or any
 # explicit budget.
 HARD_CELL_NODE_CAP = 200_000
+# Byte bound on a search's memo of far rows (n!/8 bytes each); a row that
+# would push the memo past it empties the memo first.  Rows are pure, so
+# this changes time, never results.
+ROW_CACHE_BYTES = 256 << 20
 
 FOUND = "found"
 NONE_EXISTS = "none_exists"
@@ -131,26 +137,49 @@ def class_partition(params: CodeParams) -> dict[Perm, list[Perm]]:
 
 
 class _SearchSpace:
-    """S_n indexed lexicographically, with memoized distance->=d bit rows."""
+    """S_n indexed lexicographically, with memoized distance->=d bit rows.
+
+    Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
+    sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
+    and the row of sigma is F relabeled by sigma.  Only the smaller of F and
+    its complement is kept, as a (k, n) word array; a row costs O(k n^2).
+    """
 
     def __init__(self, params: CodeParams):
         self.params = params
-        self.perms: list[Perm] = list(iter_symmetric_group(params.n))
+        n = params.n
+        self.perms: list[Perm] = list(iter_symmetric_group(n))
         self.index: dict[Perm, int] = {p: i for i, p in enumerate(self.perms)}
-        self._arr = np.array(self.perms, dtype=np.int64)
-        self._pos = np.argsort(self._arr, axis=1)
+        words = np.array(self.perms, dtype=np.int8) - 1
+        far = _lis_lengths_batch(words) <= n - params.d
+        self._complement = 2 * int(np.count_nonzero(far)) > len(self.perms)
+        self._base = words[~far if self._complement else far]
+        self._radix = np.array(
+            [math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64
+        )
+        self._row_nbytes = (len(self.perms) + 7) // 8
         self._rows: dict[int, int] = {}
 
     def far_row(self, gi: int) -> int:
         """Bitmask of every permutation at distance >= d from perms[gi]."""
         row = self._rows.get(gi)
         if row is None:
-            mapped = self._pos[gi][self._arr - 1]
-            lengths = _lis_lengths_batch(mapped)
-            bits = lengths <= (self.params.n - self.params.d)
+            words = np.array(self.perms[gi], dtype=np.int8)[self._base]
+            # Lex rank from the Lehmer code: sum of c_i (n-1-i)!, where c_i
+            # counts the later entries smaller than entry i.
+            ranks = np.zeros(len(words), dtype=np.int64)
+            for i in range(self.params.n - 1):
+                smaller = words[:, i + 1 :] < words[:, i, None]
+                ranks += np.count_nonzero(smaller, axis=1) * self._radix[i]
+            bits = np.zeros(len(self.perms), dtype=bool)
+            bits[ranks] = True
+            if self._complement:
+                np.logical_not(bits, out=bits)
             row = int.from_bytes(
                 np.packbits(bits, bitorder="little").tobytes(), "little"
             )
+            if (len(self._rows) + 1) * self._row_nbytes > ROW_CACHE_BYTES:
+                self._rows.clear()
             self._rows[gi] = row
         return row
 

@@ -1,12 +1,14 @@
 """Ball sizes, exact LIS distribution, Monte Carlo, and sphere bounds."""
 
 import math
+import os
 import statistics
 from fractions import Fraction
 
 import pytest
 
 from oracles import bfs_ball_sizes
+from ulamcode import ball
 from ulamcode.ball import (
     LisDistribution,
     ball_size,
@@ -226,6 +228,46 @@ class TestMonteCarlo:
             lis_prob_mc(5, 0, 10, 0)
         with pytest.raises(ValueError):
             sample_lis_lengths(5, 0, 0)
+
+
+class TestWorkerPools:
+    """Pool sizes are clamped to the task and CPU counts; no process starts."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(ball, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (16, 3)])
+    def test_sampling(self, pool_sizes, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        lengths = sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0, workers=1000)
+        assert pool_sizes == [expected]
+        assert (lengths == sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0)).all()
+
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 8)])
+    def test_exact_enumeration(self, pool_sizes, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(ball, "_EXACT_MEMO", {})
+        dist = lis_distribution_exact(8, workers=1000)
+        assert pool_sizes == [expected]
+        assert dist.total == math.factorial(8)
+        assert sum(dist.counts.values()) == math.factorial(8)
 
 
 class TestCltSamples:

@@ -158,6 +158,20 @@ class TestSearchAndVerify:
         assert data["status"] == "bounded"
         assert data["result"]["optimality"] == "lower_bound_only"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-nodes", "0", "max_nodes must be >= 1"),
+            ("--max-nodes", "-5", "max_nodes must be >= 1"),
+            ("--max-seconds", "-1", "max_seconds must be > 0"),
+        ],
+    )
+    def test_unmeetable_budget_rejected(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "search", "--n", "5", "--d", "3", flag, value)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestTables:
     def test_first_rows(self, capsys):

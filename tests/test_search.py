@@ -1,9 +1,11 @@
 """Color classes, code verification, and the exact clique searches."""
 
 import math
+import random
 
 import pytest
 
+from ulamcode import search
 from ulamcode.ball import sphere_packing_bounds
 from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
 from ulamcode.budget import SearchBudget
@@ -88,6 +90,49 @@ class TestVerifyCode:
         assert path.read_text().splitlines()[0] == "5 4"
 
 
+def brute_force_row(space, gi):
+    sigma = space.perms[gi]
+    row = 0
+    for j, tau in enumerate(space.perms):
+        if ulam_distance(sigma, tau) >= space.params.d:
+            row |= 1 << j
+    return row
+
+
+class TestFarRow:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_every_row_of_s5(self, d):
+        space = search._SearchSpace(CodeParams(5, d))
+        for gi in range(len(space.perms)):
+            assert space.far_row(gi) == brute_force_row(space, gi)
+
+    @pytest.mark.parametrize("d, complement", [(3, True), (5, False)])
+    def test_sampled_rows_of_s7(self, d, complement):
+        # (7,3) keeps the identity's near set, (7,5) its far set.
+        space = search._SearchSpace(CodeParams(7, d))
+        assert space._complement is complement
+        for gi in random.Random(d).sample(range(len(space.perms)), 6):
+            assert space.far_row(gi) == brute_force_row(space, gi)
+
+    def test_bounded_memo_changes_nothing(self, monkeypatch):
+        params = CodeParams(6, 3)
+        free = find_singleton_optimal(params)
+        spaces = []
+
+        class Recording(search._SearchSpace):
+            def __init__(self, params):
+                super().__init__(params)
+                spaces.append(self)
+
+        monkeypatch.setattr(search, "_SearchSpace", Recording)
+        monkeypatch.setattr(search, "ROW_CACHE_BYTES", 3 * (math.factorial(6) // 8))
+        bounded = find_singleton_optimal(params)
+        assert bounded.code.words == free.code.words
+        assert bounded.nodes_explored == free.nodes_explored > 3
+        (space,) = spaces
+        assert 1 <= len(space._rows) <= 3
+
+
 class TestSingletonOptimal:
     def test_6_3_exists(self):
         res = find_singleton_optimal(CodeParams(6, 3))
@@ -104,6 +149,12 @@ class TestSingletonOptimal:
             res = find_singleton_optimal(CodeParams(n, 2))
             assert res.status == "found"
             assert len(res.code.words) == math.factorial(n - 1)
+
+    def test_7_4_node_count_is_pinned(self):
+        # Any change to the DFS order or the rows shows up here.
+        res = find_singleton_optimal(CodeParams(7, 4))
+        assert res.status == "none_exists"
+        assert res.nodes_explored == 2_623
 
     def test_budget_exhaustion_is_distinct(self):
         res = find_singleton_optimal(CodeParams(6, 3), SearchBudget(max_nodes=3))
