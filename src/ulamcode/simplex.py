@@ -1,13 +1,16 @@
 """Exact two-phase simplex over rational numbers.
 
-Small and certificate-grade: every pivot is carried out in
-fractions.Fraction, so optimal values are exact and safe to use as bounds.
+Small and certificate-grade: every pivot is carried out in exact integer
+arithmetic (each tableau row is integer numerators over one common
+denominator), so optimal values are exact Fractions and safe to use as
+bounds.
 Bland's rule (smallest eligible column enters, smallest basic index leaves
 on ratio ties) guarantees termination and makes runs deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,17 +32,66 @@ class LpResult:
     x: Optional[list[Fraction]]
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one positive common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide a row and its denominator by their greatest common divisor."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
+def _eliminate(
+    row: list[int], den: int, prow: list[int], pc: int, c: int
+) -> tuple[list[int], int]:
+    """row/den minus row[c]/den times the pivot row prow/pc (prow[c] == pc)."""
+    f = row[c]
+    return _reduced([a * pc - f * b if b else a * pc for a, b in zip(row, prow)], den * pc)
+
+
 class _Tableau:
-    """Dense simplex tableau; row 0 holds reduced costs and the objective."""
+    """Dense simplex tableau; the objective row holds reduced costs.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
-        self.rows = rows          # m constraint rows, each length ncols + 1
+    Each row is kept fraction-free: a list of integer numerators over one
+    positive integer denominator per row, reduced by their gcd after every
+    pivot.  Entry k of row i is ``rows[i][k] / dens[i]``.  Signs and ratio
+    comparisons then need only integer arithmetic, and the pivots are the
+    same as with one Fraction per entry.
+    """
+
+    def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
+        self.ncols = ncols
+        self.rows: list[list[int]] = []   # m constraint rows, each ncols + 1
+        self.dens: list[int] = []
+        for row in rows:
+            nums, den = _scaled(row)
+            self.rows.append(nums)
+            self.dens.append(den)
         self.basis = basis        # basic column per constraint row
-        self.obj: list[Fraction] = []
+        self.obj: list[int] = []
+        self.obj_den = 1
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) - 1
+    def value(self, i: int, k: int) -> Fraction:
+        return Fraction(self.rows[i][k], self.dens[i])
+
+    def objective_value(self) -> Fraction:
+        return Fraction(self.obj[self.ncols], self.obj_den)
+
+    def drop_row(self, i: int) -> None:
+        del self.rows[i]
+        del self.dens[i]
+        del self.basis[i]
+
+    def truncate(self, ncols: int) -> None:
+        """Keep the first ncols columns and the right-hand side."""
+        rhs = self.ncols
+        self.rows = [row[:ncols] + [row[rhs]] for row in self.rows]
+        self.ncols = ncols
 
     def set_objective(self, costs: dict[int, Fraction]) -> None:
         """Load reduced costs for maximizing costs . x from the current basis."""
@@ -49,30 +101,28 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             cb = costs.get(b, _ZERO)
             if cb != 0:
-                row = self.rows[i]
-                for k, v in enumerate(row):
+                scale = cb / self.dens[i]
+                for k, v in enumerate(self.rows[i]):
                     if v != 0:
-                        obj[k] += cb * v
-        self.obj = obj
+                        obj[k] += scale * v
+        nums, den = _scaled(obj)
+        self.obj, self.obj_den = _reduced(nums, den)
 
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
-        piv = prow[c]
-        if piv != 1:
-            inv = _ONE / piv
-            self.rows[r] = prow = [v * inv if v != 0 else v for v in prow]
-        nz = [k for k, v in enumerate(prow) if v != 0]
-        for row in self.rows:
-            if row is prow:
-                continue
-            f = row[c]
-            if f != 0:
-                for k in nz:
-                    row[k] -= f * prow[k]
-        f = self.obj[c]
-        if f != 0:
-            for k in nz:
-                self.obj[k] -= f * prow[k]
+        pc = prow[c]
+        if pc < 0:
+            prow = [-v for v in prow]
+            pc = -pc
+        # Row r over denominator pc has a 1 in column c.
+        prow, pc = _reduced(prow, pc)
+        self.rows[r] = prow
+        self.dens[r] = pc
+        for i, row in enumerate(self.rows):
+            if i != r and row[c] != 0:
+                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, pc, c)
+        if self.obj[c] != 0:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, pc, c)
         self.basis[r] = c
 
     def optimize(self) -> str:
@@ -87,18 +137,19 @@ class _Tableau:
                     break
             if enter < 0:
                 return OPTIMAL
+            # Within a row the denominator cancels: the ratio is b / a.
             leave = -1
-            best: Optional[Fraction] = None
+            best_b = best_a = 0
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[rhs] / a
+                    b = row[rhs]
                     if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
+                        leave < 0
+                        or b * best_a < best_b * a
+                        or (b * best_a == best_b * a and self.basis[i] < self.basis[leave])
                     ):
-                        best = ratio
+                        best_b, best_a = b, a
                         leave = i
             if leave < 0:
                 return UNBOUNDED
@@ -164,7 +215,7 @@ def solve_lp(
             art_at += 1
         trows.append(row)
 
-    tab = _Tableau(trows, basis)
+    tab = _Tableau(trows, basis, ncols)
 
     if n_art:
         tab.set_objective({j: -_ONE for j in range(first_art, ncols)})
@@ -182,11 +233,9 @@ def solve_lp(
             if c >= 0:
                 tab.pivot(i, c)
             else:
-                del tab.rows[i]
-                del tab.basis[i]
+                tab.drop_row(i)
         # Artificial columns are contiguous at the end; slice them off.
-        for i, row in enumerate(tab.rows):
-            tab.rows[i] = row[:first_art] + [row[ncols]]
+        tab.truncate(first_art)
         ncols = first_art
 
     costs: dict[int, Fraction] = {}
@@ -202,6 +251,5 @@ def solve_lp(
     x = [_ZERO] * num_vars
     for i, b in enumerate(tab.basis):
         if b < num_vars:
-            x[b] = tab.rows[i][ncols]
-    value = tab.obj[ncols]
-    return LpResult(OPTIMAL, value, x)
+            x[b] = tab.value(i, ncols)
+    return LpResult(OPTIMAL, tab.objective_value(), x)

@@ -95,3 +95,16 @@ def test_fractional_data():
 def test_bad_sense_rejected():
     with pytest.raises(ValueError):
         solve_lp(1, [({0: 1}, "<", 1)], {0: 1})
+
+
+def test_all_rows_redundant():
+    # 0 = 0 is dropped after phase 1; what is left is max 0 over x >= 0.
+    res = solve_lp(1, [({0: 0}, EQ, 0)], {0: 0})
+    assert res.status == OPTIMAL
+    assert res.value == 0
+    assert res.x == [0]
+
+
+def test_no_rows():
+    assert solve_lp(2, [], {0: -1, 1: 0}).value == 0
+    assert solve_lp(2, [], {0: -1, 1: 1}).status == UNBOUNDED
