@@ -220,6 +220,33 @@ class TestMaxSearch:
         assert res.optimality == "proven_maximum"
         assert len(res.code.words) == 24
 
+    @pytest.mark.parametrize(
+        "n, d, kwargs, nodes, optimality, size, words",
+        [
+            (5, 3, {"fix_identity": False}, 2_094, "proven_maximum", 4, None),
+            (6, 4, {"class_order": "reversed"}, 143, "proven_maximum", 4,
+             ["123456", "321654", "463512", "562413"]),
+            (7, 5, {}, 136, "proven_maximum", 4, None),
+            (6, 3, {"max_nodes": 5_000}, 5_000, "lower_bound_only", 15, None),
+            (7, 3, {"max_nodes": 20_000}, 20_000, "lower_bound_only", 56, None),
+            (7, 4, {"max_nodes": 20_000}, 20_000, "lower_bound_only", 11, None),
+        ],
+    )
+    def test_dfs_order_is_pinned(self, n, d, kwargs, nodes, optimality, size, words):
+        # Any change to the DFS order, its pruning or the rows shows up here.
+        params = CodeParams(n, d)
+        kwargs = dict(kwargs)
+        if kwargs.get("class_order") == "reversed":
+            kwargs["class_order"] = list(reversed(list(class_partition(params))))
+        if "max_nodes" in kwargs:
+            kwargs["budget"] = SearchBudget(max_nodes=kwargs.pop("max_nodes"))
+        res = max_code_search(params, **kwargs)
+        assert res.nodes_explored == nodes
+        assert res.optimality == optimality
+        assert len(res.code.words) == size
+        if words is not None:
+            assert sorted("".join(map(str, w)) for w in res.code.words) == words
+
     def test_bad_class_order_rejected(self):
         with pytest.raises(ValueError):
             max_code_search(CodeParams(5, 3), class_order=[(1, 2, 3)])
