@@ -7,12 +7,16 @@ word, any valid code uses each class at most once, and a Singleton-optimal
 code uses every class exactly once.  Left-invariance lets the identity be
 fixed as the representative of its own class without losing generality.
 
-Candidate sets are bitmasks over S_n in lexicographic order.  The
+Candidate sets are bitmasks over S_n laid out class-major: each class owns
+a field of M = n!/(n-d+1)! consecutive bits, its members in lex order, so a
+DFS level's whole state is one int.  A child is the state with the current
+class's field cleared, ANDed with a far row, and the number of classes it
+still reaches is a few bigint operations on per-field masks.  The
 distance-at-least-d row of a permutation sigma is computed on demand and
 memoized, so the full pairwise graph is never materialized.  One vectorized
 LIS sweep over S_n per search finds the identity's far set; by
 left-invariance the row of sigma is that set relabeled by sigma, ranked
-back into lexicographic positions.
+back into bit positions.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the supplied
@@ -22,7 +26,6 @@ upper bound was met, and budget exhaustion is always an explicit status.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,7 +39,6 @@ from .errors import CapacityError, DistanceViolation
 from .perm import (
     Perm,
     format_permutation,
-    identity,
     iter_symmetric_group,
     parse_permutation,
     ulam_distance,
@@ -136,8 +138,51 @@ def class_partition(params: CodeParams) -> dict[Perm, list[Perm]]:
     return dict(sorted(groups.items()))
 
 
+def _lex_ranks(words: np.ndarray) -> np.ndarray:
+    """Lex rank of each row of words among the permutations of its entries.
+
+    From the Lehmer code: the sum of c_i (k-1-i)!, where c_i counts the
+    later entries smaller than entry i.
+    """
+    k = words.shape[1]
+    ranks = np.zeros(len(words), dtype=np.int64)
+    for i in range(k - 1):
+        smaller = words[:, i + 1 :] < words[:, i, None]
+        ranks += np.count_nonzero(smaller, axis=1) * math.factorial(k - 1 - i)
+    return ranks
+
+
+def _field_masks(width: int, count: int) -> tuple[int, int]:
+    """(low, top) for count fields of width bits: the low width-1 bits of
+    every field, and every field's top bit."""
+    ones = int(("0" * (width - 1) + "1") * count, 2)
+    return ones * ((1 << (width - 1)) - 1), ones << (width - 1)
+
+
+def _nonempty_fields(x: int, low: int, top: int) -> int:
+    """Number of non-empty fields of x, given the masks of _field_masks.
+
+    A field's low bits plus low stay below 2^width, so no carry reaches the
+    next field; the field's top bit ends up set iff the field had a bit set.
+    """
+    return ((((x & low) + low) | x) & top).bit_count()
+
+
+def _level(cand: int, base: int, width: int) -> list[int]:
+    """DFS level: [cand without its field at bit base, base, members to try]."""
+    todo = (cand >> base) & ((1 << width) - 1)
+    return [cand ^ (todo << base), base, todo]
+
+
 class _SearchSpace:
-    """S_n indexed lexicographically, with memoized distance->=d bit rows.
+    """S_n laid out class-major, with memoized distance->=d bit rows.
+
+    The class at position c of ``class_order`` (default: patterns in lex
+    order) owns bits [c M, (c+1) M) with M = n!/(n-d+1)! its size, and its
+    members keep lex order inside that field; ``perms[i]`` is the word at
+    bit i.  The identity is member 0 of its own class, at bit ``identity``.
+    ``_nonempty_fields(x, low, top)`` counts the classes a candidate set x
+    still reaches.
 
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
@@ -145,19 +190,29 @@ class _SearchSpace:
     its complement is kept, as a (k, n) word array; a row costs O(k n^2).
     """
 
-    def __init__(self, params: CodeParams):
+    def __init__(self, params: CodeParams, class_order: Optional[Sequence[Perm]] = None):
         self.params = params
-        n = params.n
-        self.perms: list[Perm] = list(iter_symmetric_group(n))
-        self.index: dict[Perm, int] = {p: i for i, p in enumerate(self.perms)}
-        words = np.array(self.perms, dtype=np.int8) - 1
+        n, m = params.n, params.n - params.d + 1
+        lex = list(iter_symmetric_group(n))
+        words = np.array(lex, dtype=np.int8) - 1
+        # A word's class is the lex rank of its symbols < m in order, then
+        # the class's position in class_order; a stable sort by position
+        # keeps each class's members in lex order.
+        classes = _lex_ranks(words[words < m].reshape(len(lex), m))
+        if class_order is not None:
+            if sorted(class_order) != list(iter_symmetric_group(m)):
+                raise ValueError("class_order must be a permutation of the patterns")
+            classes = np.argsort(_lex_ranks(np.array(class_order)))[classes]
+        order = np.argsort(classes, kind="stable")
+        self.perms: list[Perm] = [lex[i] for i in order]
+        self._position = np.argsort(order)  # lex rank -> bit
+        self.identity = int(self._position[0])
+        self.width = math.factorial(n) // math.factorial(m)
+        self.low, self.top = _field_masks(self.width, math.factorial(m))
         far = _lis_lengths_batch(words) <= n - params.d
-        self._complement = 2 * int(np.count_nonzero(far)) > len(self.perms)
+        self._complement = 2 * int(np.count_nonzero(far)) > len(lex)
         self._base = words[~far if self._complement else far]
-        self._radix = np.array(
-            [math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64
-        )
-        self._row_nbytes = (len(self.perms) + 7) // 8
+        self._row_nbytes = (len(lex) + 7) // 8
         self._rows: dict[int, int] = {}
 
     def far_row(self, gi: int) -> int:
@@ -165,14 +220,8 @@ class _SearchSpace:
         row = self._rows.get(gi)
         if row is None:
             words = np.array(self.perms[gi], dtype=np.int8)[self._base]
-            # Lex rank from the Lehmer code: sum of c_i (n-1-i)!, where c_i
-            # counts the later entries smaller than entry i.
-            ranks = np.zeros(len(words), dtype=np.int64)
-            for i in range(self.params.n - 1):
-                smaller = words[:, i + 1 :] < words[:, i, None]
-                ranks += np.count_nonzero(smaller, axis=1) * self._radix[i]
             bits = np.zeros(len(self.perms), dtype=bool)
-            bits[ranks] = True
+            bits[self._position[_lex_ranks(words)]] = True
             if self._complement:
                 np.logical_not(bits, out=bits)
             row = int.from_bytes(
@@ -183,19 +232,6 @@ class _SearchSpace:
             self._rows[gi] = row
         return row
 
-    def mask_of(self, words: Sequence[Perm]) -> int:
-        mask = 0
-        for w in words:
-            mask |= 1 << self.index[w]
-        return mask
-
-    def bits(self, mask: int):
-        """Yield set-bit indices in ascending (lexicographic) order."""
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
 
 def _check_limits(params: CodeParams, search_limit: int) -> None:
     if params.d < 2:
@@ -205,10 +241,6 @@ def _check_limits(params: CodeParams, search_limit: int) -> None:
             f"search over S_{params.n} exceeds the limit {search_limit}; "
             f"raise it explicitly to proceed"
         )
-
-
-class _BudgetStop(Exception):
-    pass
 
 
 def _is_hard_cell(n: int, d: int) -> bool:
@@ -244,65 +276,45 @@ def find_singleton_optimal(
     budget = _effective_budget(params, budget)
     clock = budget.start()
     space = _SearchSpace(params)
-    groups = class_partition(params)
-    patterns = list(groups)
-    if len(patterns) > 900:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(patterns) + 100))
-
-    e = identity(params.n)
-    id_pattern = tuple(range(1, params.n - params.d + 2))
-    rest = [p for p in patterns if p != id_pattern]
-    e_row = space.far_row(space.index[e])
-    candidates: dict[Perm, int] = {p: space.mask_of(groups[p]) & e_row for p in rest}
+    width, low, top = space.width, space.low, space.top
+    # The identity's class comes first in lex order, so the class filled at
+    # level L owns field L + 1.
+    depth = len(space.perms) // width - 1
+    chosen = [space.identity]
+    stack = [_level(space.far_row(space.identity), width, width)]
     nodes = 0
-    chosen: list[int] = [space.index[e]]
-    solution: Optional[list[int]] = None
-
-    def dfs(level: int) -> bool:
-        nonlocal nodes, solution
-        if level == len(rest):
-            solution = list(chosen)
-            return True
-        for gi in space.bits(candidates[rest[level]]):
-            nodes += 1
-            if clock.exhausted(nodes):
-                raise _BudgetStop
-            row = space.far_row(gi)
-            saved = []
-            dead = False
-            for q in rest[level + 1 :]:
-                filtered = candidates[q] & row
-                saved.append((q, candidates[q]))
-                candidates[q] = filtered
-                if not filtered:
-                    dead = True
-                    break
-            if not dead:
-                chosen.append(gi)
-                if dfs(level + 1):
-                    return True
+    status = NONE_EXISTS
+    while stack:
+        frame = stack[-1]
+        rest, base, todo = frame
+        if not todo:
+            stack.pop()
+            if stack:
                 chosen.pop()
-            for q, old in saved:
-                candidates[q] = old
-        return False
+            continue
+        bit = todo & -todo
+        frame[2] = todo ^ bit
+        nodes += 1
+        if clock.exhausted(nodes):
+            status = BUDGET_EXHAUSTED
+            break
+        gi = base + bit.bit_length() - 1
+        child = rest & space.far_row(gi)
+        # Keep the child only if every class still to fill has a candidate.
+        if _nonempty_fields(child, low, top) == depth - len(stack):
+            chosen.append(gi)
+            if len(stack) == depth:
+                status = FOUND
+                break
+            stack.append(_level(child, (len(stack) + 1) * width, width))
 
-    try:
-        found = dfs(0)
-    except _BudgetStop:
-        return SingletonSearchResult(
-            status=BUDGET_EXHAUSTED, code=None, nodes_explored=nodes,
-            elapsed=clock.elapsed(),
-        )
-    if not found:
-        return SingletonSearchResult(
-            status=NONE_EXISTS, code=None, nodes_explored=nodes,
-            elapsed=clock.elapsed(),
-        )
-    code = verify_code([space.perms[gi] for gi in solution], params)
-    if len(code.words) != singleton_upper(params):
-        raise AssertionError("singleton search returned a wrong-sized code")
+    code = None
+    if status == FOUND:
+        code = verify_code([space.perms[gi] for gi in chosen], params)
+        if len(code.words) != singleton_upper(params):
+            raise AssertionError("singleton search returned a wrong-sized code")
     return SingletonSearchResult(
-        status=FOUND, code=code, nodes_explored=nodes, elapsed=clock.elapsed()
+        status=status, code=code, nodes_explored=nodes, elapsed=clock.elapsed()
     )
 
 
@@ -325,75 +337,63 @@ def max_code_search(
     _check_limits(params, search_limit)
     budget = _effective_budget(params, budget)
     clock = budget.start()
-    space = _SearchSpace(params)
-    groups = class_partition(params)
-    patterns = list(groups)
-    if class_order is not None:
-        if sorted(class_order) != sorted(patterns):
-            raise ValueError("class_order must be a permutation of the patterns")
-        patterns = list(class_order)
-    if len(patterns) > 900:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(patterns) + 100))
+    space = _SearchSpace(params, class_order)
+    width, low, top = space.width, space.low, space.top
     ceiling = upper_bound if upper_bound is not None else singleton_upper(params)
-
-    e = identity(params.n)
-    id_pattern = tuple(range(1, params.n - params.d + 2))
     if fix_identity:
-        rest = [p for p in patterns if p != id_pattern]
-        chosen: list[int] = [space.index[e]]
-        e_row = space.far_row(space.index[e])
-        candidates = {p: space.mask_of(groups[p]) & e_row for p in rest}
+        chosen = [space.identity]
+        cand = space.far_row(space.identity)
     else:
-        rest = patterns
-        chosen = []
-        candidates = {p: space.mask_of(groups[p]) for p in rest}
+        chosen, cand = [], (1 << len(space.perms)) - 1
+    best = list(chosen)
 
-    best: list[int] = list(chosen)
+    def branch(cand: int, live: int) -> Optional[list[int]]:
+        # Level on the lowest class of cand with candidates, unless its
+        # ``live`` classes cannot lift this subtree past best.
+        if not live or len(chosen) + live <= len(best):
+            return None
+        base = (cand & -cand).bit_length() - 1
+        return _level(cand, base - base % width, width)
+
+    # A level tries each member of its class, then skips the class and
+    # branches on the next; the root starts as a level with nothing to try.
+    stack = [[cand, 0, 0]]
     nodes = 0
-    done = False
-
-    def dfs(level: int, live: list[Perm]) -> None:
-        # ``live`` holds the patterns at index >= level that still have
-        # candidates; its length bounds what this subtree can add.
-        nonlocal nodes, best, done
-        if len(chosen) > len(best):
-            best = list(chosen)
-            if len(best) >= ceiling:
-                done = True
-                return
-        if level == len(live) or len(chosen) + (len(live) - level) <= len(best):
-            return
-        for gi in space.bits(candidates[live[level]]):
-            nodes += 1
-            if clock.exhausted(nodes):
-                raise _BudgetStop
-            row = space.far_row(gi)
-            saved = []
-            sub_live = []
-            for q in live[level + 1 :]:
-                filtered = candidates[q] & row
-                saved.append((q, candidates[q]))
-                candidates[q] = filtered
-                if filtered:
-                    sub_live.append(q)
-            if len(chosen) + 1 + len(sub_live) > len(best):
-                chosen.append(gi)
-                dfs(0, sub_live)
-                chosen.pop()
-            for q, old in saved:
-                candidates[q] = old
-            if done:
-                return
-        dfs(level + 1, live)
-
     exhausted = False
-    try:
-        dfs(0, [p for p in rest if candidates[p]])
-    except _BudgetStop:
-        exhausted = True
+    while stack:
+        frame = stack[-1]
+        rest, base, todo = frame
+        if not todo:
+            stack.pop()
+            frame = branch(rest, _nonempty_fields(rest, low, top))
+            if frame:
+                stack.append(frame)
+            elif stack:
+                chosen.pop()
+            continue
+        bit = todo & -todo
+        frame[2] = todo ^ bit
+        nodes += 1
+        if clock.exhausted(nodes):
+            exhausted = True
+            break
+        gi = base + bit.bit_length() - 1
+        child = rest & space.far_row(gi)
+        live = _nonempty_fields(child, low, top)
+        if len(chosen) + 1 + live > len(best):
+            chosen.append(gi)
+            if len(chosen) > len(best):
+                best = list(chosen)
+                if len(best) >= ceiling:
+                    break
+            frame = branch(child, live)
+            if frame:
+                stack.append(frame)
+            else:
+                chosen.pop()
 
     code = verify_code([space.perms[gi] for gi in best], params)
-    optimality = LOWER_BOUND_ONLY if (exhausted and not done) else PROVEN_MAXIMUM
+    optimality = LOWER_BOUND_ONLY if exhausted else PROVEN_MAXIMUM
     return SearchResult(
         code=code,
         optimality=optimality,

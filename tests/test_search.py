@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -133,6 +134,24 @@ class TestFarRow:
         assert 1 <= len(space._rows) <= 3
 
 
+class TestFieldCount:
+    @pytest.mark.parametrize("width", [2, 3, 8, 64, 65])
+    def test_matches_a_per_field_loop(self, width):
+        count = 40
+        low, top = search._field_masks(width, count)
+        full = (1 << width) - 1
+        special = [0, full, 1, 1 << (width - 1)]  # empty, full, bit 0, top bit
+        rng = random.Random(width)
+        for _ in range(200):
+            fields = [
+                rng.choice(special) if rng.random() < 0.5 else rng.getrandbits(width)
+                for _ in range(count)
+            ]
+            x = sum(f << (i * width) for i, f in enumerate(fields))
+            expected = sum(1 for f in fields if f)
+            assert search._nonempty_fields(x, low, top) == expected
+
+
 class TestSingletonOptimal:
     def test_6_3_exists(self):
         res = find_singleton_optimal(CodeParams(6, 3))
@@ -227,9 +246,12 @@ class TestMaxSearch:
             (6, 4, {"class_order": "reversed"}, 143, "proven_maximum", 4,
              ["123456", "321654", "463512", "562413"]),
             (7, 5, {}, 136, "proven_maximum", 4, None),
-            (6, 3, {"max_nodes": 5_000}, 5_000, "lower_bound_only", 15, None),
-            (7, 3, {"max_nodes": 20_000}, 20_000, "lower_bound_only", 56, None),
-            (7, 4, {"max_nodes": 20_000}, 20_000, "lower_bound_only", 11, None),
+            (6, 3, {"budget": SearchBudget(max_nodes=5_000)}, 5_000,
+             "lower_bound_only", 15, None),
+            (7, 3, {"budget": SearchBudget(max_nodes=20_000)}, 20_000,
+             "lower_bound_only", 56, None),
+            (7, 4, {"budget": SearchBudget(max_nodes=20_000)}, 20_000,
+             "lower_bound_only", 11, None),
         ],
     )
     def test_dfs_order_is_pinned(self, n, d, kwargs, nodes, optimality, size, words):
@@ -238,8 +260,6 @@ class TestMaxSearch:
         kwargs = dict(kwargs)
         if kwargs.get("class_order") == "reversed":
             kwargs["class_order"] = list(reversed(list(class_partition(params))))
-        if "max_nodes" in kwargs:
-            kwargs["budget"] = SearchBudget(max_nodes=kwargs.pop("max_nodes"))
         res = max_code_search(params, **kwargs)
         assert res.nodes_explored == nodes
         assert res.optimality == optimality
@@ -250,6 +270,19 @@ class TestMaxSearch:
     def test_bad_class_order_rejected(self):
         with pytest.raises(ValueError):
             max_code_search(CodeParams(5, 3), class_order=[(1, 2, 3)])
+
+
+@pytest.mark.parametrize("searcher", [find_singleton_optimal, max_code_search])
+def test_deep_search_leaves_recursion_limit(searcher):
+    # (8,2) has 5,040 classes, so a DFS level per class runs far deeper
+    # than the interpreter's default recursion limit.
+    limit = sys.getrecursionlimit()
+    res = searcher(CodeParams(8, 2), SearchBudget(max_nodes=1_100))
+    assert res.nodes_explored == 1_100
+    assert sys.getrecursionlimit() == limit
+    if searcher is max_code_search:
+        assert res.optimality == "lower_bound_only"
+        assert len(res.code.words) == 1_100
 
 
 class TestTables:
