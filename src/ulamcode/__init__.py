@@ -8,9 +8,7 @@ from .ball import (
     clt_samples,
     lis_distribution_exact,
     lis_prob_mc,
-    load_distribution,
     sample_lis_lengths,
-    save_distribution,
     sphere_packing_bounds,
 )
 from .bounds import (

@@ -2,32 +2,34 @@
 
 The ball of radius r around the identity has size n! * P(LIS >= n - r), so
 everything here reduces to the distribution of the longest-increasing-
-subsequence length: exact by full enumeration of S_n (bounded by an
-explicit limit), or sampled.  Sampling is block-structured: the sample
-stream is split into fixed-size blocks, each block draws from its own
-numpy PCG64 stream derived from (seed, block index), and block results are
-merged by summation.  Totals are therefore reproducible for a given seed
-no matter how many workers run the blocks.
+subsequence length.  Exact counts come from Schensted's correspondence
+(1961): #{sigma in S_n : LIS(sigma) = k} is the sum of (f^lambda)^2 over the
+partitions lambda of n with first part k, and f^lambda comes from the
+hook-length formula of Frame, Robinson and Thrall (1954); they are offered
+up to n = EXACT_LIMIT.  Past that the distribution is sampled.  Sampling is
+block-structured: the sample stream is split into fixed-size blocks, each
+block draws from its own numpy PCG64 stream derived from (seed, block
+index), and block results are merged by summation.  Totals are therefore
+reproducible for a given seed no matter how many workers run the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .bounds import CodeParams
 from .errors import CapacityError
+from .perm import lis_length
 
-DEFAULT_ENUM_LIMIT = 9
+# One exact distribution takes about 0.17 s at n = 30 and 1.3 s at n = 40.
+EXACT_LIMIT = 30
 MC_BLOCK = 1 << 15
 # Rowwise-vectorized patience costs O(n^2) per sample; past this length the
 # per-sample bisect loop wins.
@@ -69,107 +71,41 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _count_lis_with_prefix(n: int, first: int) -> dict[int, int]:
-    """LIS counts over all permutations of [n] starting with symbol ``first``."""
-    rest = [v for v in range(1, n + 1) if v != first]
-    counts: dict[int, int] = {}
-    for tail in permutations(rest):
-        tails = [first]
-        for x in tail:
-            k = bisect_left(tails, x)
-            if k == len(tails):
-                tails.append(x)
-            else:
-                tails[k] = x
-        length = len(tails)
-        counts[length] = counts.get(length, 0) + 1
-    return counts
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most ``largest``, parts non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
-_EXACT_MEMO: dict[int, LisDistribution] = {}
+def lis_distribution_exact(n: int) -> LisDistribution:
+    """Exact LIS-length counts over all of S_n from the hook-length formula.
 
-
-def lis_distribution_exact(
-    n: int,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    cache_dir: Optional[str | Path] = None,
-    workers: int = 1,
-) -> LisDistribution:
-    """Exact LIS-length counts over all of S_n by full enumeration.
-
-    Permutations are generated one at a time (O(n) live memory).  The work
-    splits into n independent first-symbol ranges, so worker count never
-    changes the merged counts.  Raises CapacityError above ``limit``.
+    Raises CapacityError above EXACT_LIMIT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > limit:
+    if n > EXACT_LIMIT:
         raise CapacityError(
-            f"exact enumeration of S_{n} exceeds the limit {limit} "
-            f"({math.factorial(n)} permutations); use the Monte-Carlo estimator "
-            f"or raise the limit explicitly"
+            f"exact LIS distribution of S_{n} exceeds the limit {EXACT_LIMIT}; "
+            f"use the Monte-Carlo estimator"
         )
-    if n in _EXACT_MEMO:
-        dist = _EXACT_MEMO[n]
-        if cache_dir is not None:
-            path = Path(cache_dir) / f"lisdist_{n}.txt"
-            if not path.exists():
-                os.makedirs(cache_dir, exist_ok=True)
-                save_distribution(dist, path)
-        return dist
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"lisdist_{n}.txt"
-        if path.exists():
-            dist = load_distribution(path)
-            if dist.n != n:
-                raise ValueError(f"cache file {path} is for n={dist.n}, expected {n}")
-            _EXACT_MEMO[n] = dist
-            return dist
-
-    if n == 1:
-        counts = {1: 1}
-    else:
-        firsts = list(range(1, n + 1))
-        if workers > 1 and math.factorial(n) >= 40320:
-            try:
-                with ProcessPoolExecutor(max_workers=_pool_size(workers, n)) as pool:
-                    parts = list(pool.map(_count_lis_with_prefix, [n] * n, firsts))
-            except OSError:
-                parts = [_count_lis_with_prefix(n, f) for f in firsts]
-        else:
-            parts = [_count_lis_with_prefix(n, f) for f in firsts]
-        counts = {}
-        for part in parts:
-            for k, c in part.items():
-                counts[k] = counts.get(k, 0) + c
-
-    dist = LisDistribution(n=n, kind="exact", counts=counts, total=math.factorial(n))
-    _EXACT_MEMO[n] = dist
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_distribution(dist, Path(cache_dir) / f"lisdist_{n}.txt")
-    return dist
+    nfact = math.factorial(n)
+    counts = {k: 0 for k in range(1, n + 1)}
+    for shape in _partitions(n, n):
+        column = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):
+                hooks *= (row - j - 1) + (column[j] - i - 1) + 1  # arm + leg + 1
+        counts[shape[0]] += (nfact // hooks) ** 2
+    return LisDistribution(n=n, kind="exact", counts=counts, total=nfact)
 
 
-def save_distribution(dist: LisDistribution, path: str | Path) -> None:
-    """Write the plain-text cache format: "n total" then "k count" lines."""
-    lines = [f"{dist.n} {dist.total}"]
-    lines += [f"{k} {dist.counts[k]}" for k in sorted(dist.counts)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_distribution(path: str | Path) -> LisDistribution:
-    """Read the cache format written by save_distribution (exact kind)."""
-    lines = Path(path).read_text().split()
-    if len(lines) < 2 or len(lines) % 2 != 0:
-        raise ValueError(f"malformed distribution file {path}")
-    nums = [int(tok) for tok in lines]
-    n, total = nums[0], nums[1]
-    counts = {nums[i]: nums[i + 1] for i in range(2, len(nums), 2)}
-    return LisDistribution(n=n, kind="exact", counts=counts, total=total)
-
-
-def ball_size(n: int, r: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
+def ball_size(n: int, r: int) -> int:
     """|B(r)|: permutations at Ulam distance <= r from the identity.
 
     Computed from the exact LIS distribution via
@@ -177,25 +113,21 @@ def ball_size(n: int, r: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
     """
     if not 0 <= r <= n - 1:
         raise ValueError(f"radius must be in 0..{n - 1}, got {r}")
-    dist = lis_distribution_exact(n, limit=limit)
-    return sum(c for k, c in dist.counts.items() if k >= n - r)
+    return ball_table(n).sizes[r]
 
 
-def ball_table(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> BallTable:
+def ball_table(n: int) -> BallTable:
     """All ball sizes for radii 0..n-1."""
-    dist = lis_distribution_exact(n, limit=limit)
+    dist = lis_distribution_exact(n)
     sizes: dict[int, int] = {}
     running = 0
-    by_k = dist.counts
     for r in range(n):
-        running += by_k.get(n - r, 0)
+        running += dist.counts[n - r]
         sizes[r] = running
     return BallTable(n=n, sizes=sizes)
 
 
-def sphere_packing_bounds(
-    params: CodeParams, limit: int = DEFAULT_ENUM_LIMIT
-) -> tuple[int, int]:
+def sphere_packing_bounds(params: CodeParams) -> tuple[int, int]:
     """(lower, upper) sphere bounds on the maximum code size.
 
     lower = ceil(n! / |B(d-1)|) (covering), upper = floor(n! / |B(floor((d-1)/2))|)
@@ -204,9 +136,8 @@ def sphere_packing_bounds(
     n = params.n
     delta = params.delta
     nfact = math.factorial(n)
-    b_delta = ball_size(n, delta, limit=limit)
-    b_half = ball_size(n, delta // 2, limit=limit)
-    return -(-nfact // b_delta), nfact // b_half
+    sizes = ball_table(n).sizes
+    return -(-nfact // sizes[delta]), nfact // sizes[delta // 2]
 
 
 def _lis_lengths_batch(perms: np.ndarray) -> np.ndarray:
@@ -233,15 +164,7 @@ def _sample_block(n: int, seed: int, block_index: int, block_size: int) -> np.nd
         return _lis_lengths_batch(perms)
     lengths = np.empty(block_size, dtype=np.int64)
     for s in range(block_size):
-        perm = rng.permutation(n)
-        tails: list[int] = []
-        for x in perm.tolist():
-            k = bisect_left(tails, x)
-            if k == len(tails):
-                tails.append(x)
-            else:
-                tails[k] = x
-        lengths[s] = len(tails)
+        lengths[s] = lis_length(rng.permutation(n).tolist())
     return lengths
 
 

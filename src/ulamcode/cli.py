@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ball import (
-    DEFAULT_ENUM_LIMIT,
     ball_table,
     clt_samples,
     lis_distribution_exact,
@@ -94,7 +93,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--with-ip", action="store_true")
     p.add_argument("--with-sphere", action="store_true")
-    p.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     p.add_argument("--show-asymptotics", action="store_true",
                    help="append the constant-c log-scale bound lines")
 
@@ -105,7 +103,6 @@ def build_parser() -> _Parser:
                    help="only decide whether a Singleton-optimal code exists")
     p.add_argument("--with-ip", action="store_true",
                    help="tighten the pruning bound with the integer program")
-    p.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     p.add_argument("--search-limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--save-code", metavar="FILE", default=None,
                    help="also write the found code in the code-file format")
@@ -118,7 +115,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
     p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
     p.add_argument("--with-ip", action="store_true")
-    p.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     p.add_argument("--search-limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--long-runs", action="store_true",
                    help="attempt full proofs on the hard cells too")
@@ -126,14 +122,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ball", parents=[parent], help="Ulam ball sizes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("lisdist", parents=[parent],
                        help="exact LIS-length distribution over S_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("mc", parents=[parent],
                        help="Monte-Carlo estimate of P(LIS >= k)")
@@ -295,7 +287,7 @@ def _cmd_bounds(run: _Run) -> int:
         gv_lower=gv_lower(params),
     )
     if args.with_sphere:
-        lo, hi = sphere_packing_bounds(params, limit=args.enum_limit)
+        lo, hi = sphere_packing_bounds(params)
         report.sphere_lower = lo
         report.sphere_upper = hi
         if params.delta % 2 == 1:
@@ -364,7 +356,7 @@ def _cmd_search(run: _Run) -> int:
 
     ceiling = singleton_upper(params)
     try:
-        lo, hi = sphere_packing_bounds(params, limit=args.enum_limit)
+        lo, hi = sphere_packing_bounds(params)
         ceiling = min(ceiling, hi)
     except CapacityError:
         pass
@@ -428,7 +420,6 @@ def _cmd_tables(run: _Run) -> int:
         d_values,
         cell_budget=run.budget,
         with_ip=args.with_ip,
-        enum_limit=args.enum_limit,
         search_limit=args.search_limit,
         long_runs=args.long_runs,
     )
@@ -497,9 +488,7 @@ def _render_tables_text(cells) -> str:
 
 def _cmd_ball(run: _Run) -> int:
     args = run.args
-    table = ball_table(args.n, limit=args.enum_limit)
-    if args.cache_dir:
-        lis_distribution_exact(args.n, limit=args.enum_limit, cache_dir=args.cache_dir)
+    table = ball_table(args.n)
     if args.r is not None:
         if args.r not in table.sizes:
             raise ValueError(f"radius must be in 0..{args.n - 1}, got {args.r}")
@@ -515,10 +504,7 @@ def _cmd_ball(run: _Run) -> int:
 
 def _cmd_lisdist(run: _Run) -> int:
     args = run.args
-    dist = lis_distribution_exact(
-        args.n, limit=args.enum_limit, cache_dir=args.cache_dir,
-        workers=run.threads,
-    )
+    dist = lis_distribution_exact(args.n)
     counts = {str(k): dist.counts[k] for k in sorted(dist.counts)}
     result = {"n": dist.n, "total": dist.total, "counts": counts}
     text = "\n".join(f"{k} {c}" for k, c in counts.items())

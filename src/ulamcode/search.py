@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ball import DEFAULT_ENUM_LIMIT, _lis_lengths_batch, sphere_packing_bounds
+from .ball import EXACT_LIMIT, _lis_lengths_batch, sphere_packing_bounds
 from .bounds import CodeParams, gv_lower, singleton_upper
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
@@ -449,7 +449,6 @@ def reproduce_tables(
     d_values: Optional[Sequence[int]] = None,
     cell_budget: Optional[SearchBudget] = None,
     with_ip: bool = False,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
     search_limit: int = DEFAULT_SEARCH_LIMIT,
     long_runs: bool = False,
 ) -> list[TableCell]:
@@ -480,8 +479,8 @@ def reproduce_tables(
                 budget = _cap_budget(cell_budget, HARD_CELL_NODE_CAP)
 
             ceiling = singleton_upper(params)
-            if n <= enum_limit:
-                ceiling = min(ceiling, sphere_packing_bounds(params, limit=enum_limit)[1])
+            if n <= EXACT_LIMIT:
+                ceiling = min(ceiling, sphere_packing_bounds(params)[1])
             if with_ip:
                 from .ilp import ip_upper_bound
 

@@ -94,3 +94,13 @@ def left_move_one_line(n: int, i: int, j: int) -> Perm:
 
 def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in permutations(range(1, n + 1))]
+
+
+def enum_lis_counts(n: int) -> dict[int, int]:
+    """LIS-length counts over S_n: the LCS with the identity of every permutation."""
+    e = tuple(range(1, n + 1))
+    counts: dict[int, int] = {}
+    for sigma in all_perms(n):
+        k = dp_lcs(sigma, e)
+        counts[k] = counts.get(k, 0) + 1
+    return counts

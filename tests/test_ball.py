@@ -7,18 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bfs_ball_sizes
+from oracles import bfs_ball_sizes, enum_lis_counts
 from ulamcode import ball
 from ulamcode.ball import (
+    EXACT_LIMIT,
     LisDistribution,
     ball_size,
     ball_table,
     clt_samples,
     lis_distribution_exact,
     lis_prob_mc,
-    load_distribution,
     sample_lis_lengths,
-    save_distribution,
     sphere_packing_bounds,
 )
 from ulamcode.bounds import CodeParams, gv_lower
@@ -43,55 +42,27 @@ class TestExactDistribution:
             assert dist.counts[n] == 1
             assert dist.counts[1] == 1
 
+    def test_matches_enumeration_oracle(self):
+        for n in range(1, 9):
+            assert lis_distribution_exact(n).counts == enum_lis_counts(n)
+
+    def test_identities_up_to_limit(self):
+        for n in range(1, EXACT_LIMIT + 1):
+            counts = lis_distribution_exact(n).counts
+            assert sum(counts.values()) == math.factorial(n)
+            assert counts[1] == counts[n] == 1
+            # LIS <= 2 means 123-avoiding, counted by the Catalan numbers.
+            assert counts[1] + counts.get(2, 0) == math.comb(2 * n, n) // (n + 1)
+            if n >= 2:
+                assert counts[n - 1] == (n - 1) ** 2
+
     def test_capacity_error_advises_monte_carlo(self):
         with pytest.raises(CapacityError, match="Monte-Carlo"):
-            lis_distribution_exact(10)
-
-    def test_limit_override(self):
-        lis_distribution_exact(7, limit=7)
-        with pytest.raises(CapacityError):
-            lis_distribution_exact(8, limit=7)
-
-    def test_workers_do_not_change_counts(self):
-        import ulamcode.ball as ball_mod
-
-        seq = lis_distribution_exact(8, workers=1)
-        ball_mod._EXACT_MEMO.pop(8, None)
-        par = lis_distribution_exact(8, workers=2)
-        assert par.counts == seq.counts
+            lis_distribution_exact(EXACT_LIMIT + 1)
 
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
             LisDistribution(n=2, kind="exact", counts={1: 1, 2: 2}, total=2)
-
-
-class TestCacheFile:
-    def test_round_trip(self, tmp_path):
-        dist = lis_distribution_exact(5)
-        path = tmp_path / "d5.txt"
-        save_distribution(dist, path)
-        again = load_distribution(path)
-        assert again.counts == dist.counts
-        assert again.total == dist.total
-        text = path.read_text().splitlines()
-        assert text[0] == "5 120"
-        assert text[1].startswith("1 ")
-
-    def test_exact_with_cache_dir(self, tmp_path):
-        import ulamcode.ball as ball_mod
-
-        ball_mod._EXACT_MEMO.pop(4, None)
-        first = lis_distribution_exact(4, cache_dir=tmp_path)
-        assert (tmp_path / "lisdist_4.txt").exists()
-        ball_mod._EXACT_MEMO.pop(4, None)
-        second = lis_distribution_exact(4, cache_dir=tmp_path)
-        assert second.counts == first.counts
-
-    def test_malformed(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3\n")
-        with pytest.raises(ValueError):
-            load_distribution(path)
 
 
 class TestBallSizes:
@@ -109,7 +80,7 @@ class TestBallSizes:
             assert ball_table(n).sizes == bfs_ball_sizes(n)
 
     def test_radius_one_shell_formula(self):
-        for n in range(2, 8):
+        for n in range(2, EXACT_LIMIT + 1):
             assert ball_size(n, 1) == 1 + (n - 1) ** 2
 
     def test_identity_with_distribution(self):
@@ -259,15 +230,6 @@ class TestWorkerPools:
         lengths = sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0, workers=1000)
         assert pool_sizes == [expected]
         assert (lengths == sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0)).all()
-
-    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 8)])
-    def test_exact_enumeration(self, pool_sizes, monkeypatch, cpus, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(ball, "_EXACT_MEMO", {})
-        dist = lis_distribution_exact(8, workers=1000)
-        assert pool_sizes == [expected]
-        assert dist.total == math.factorial(8)
-        assert sum(dist.counts.values()) == math.factorial(8)
 
 
 class TestCltSamples:

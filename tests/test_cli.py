@@ -1,11 +1,13 @@
 """Command-line behavior: output formats, schema, determinism, exit codes."""
 
 import json
+import math
 from importlib import resources
 
 import pytest
 
 from ulamcode import cli
+from ulamcode.ball import EXACT_LIMIT
 from ulamcode.perm import random_permutation, ulam_distance
 
 
@@ -116,6 +118,11 @@ class TestBounds:
         assert data["result"]["best_lower"] == 24
         assert data["result"]["best_upper"] == 24
 
+    def test_sphere_past_enumeration_size(self, capsys):
+        # |B(1)| = 1 + 11^2 = 122 at n = 12.
+        data = run_json(capsys, "bounds", "--n", "12", "--d", "3", "--with-sphere")
+        assert data["result"]["sphere_upper"] == math.factorial(12) // 122
+
     def test_sphere_odd_delta_flagged(self, capsys):
         data = run_json(capsys, "bounds", "--n", "6", "--d", "4", "--with-sphere")
         assert any("odd" in note for note in data["result"]["notes"])
@@ -209,14 +216,9 @@ class TestBallAndDist:
         assert data["result"]["sizes"] == {"1": 5}
 
     def test_ball_capacity_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "ball", "--n", "12")
+        code, _, err = run_cli(capsys, "ball", "--n", str(EXACT_LIMIT + 1))
         assert code == 2
         assert "Monte-Carlo" in err
-
-    def test_cache_dir_writes_file(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "ball", "--n", "4", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert (tmp_path / "lisdist_4.txt").exists()
 
 
 class TestMcAndClt:
