@@ -175,6 +175,30 @@ class TestSingletonOptimal:
         assert res.status == "none_exists"
         assert res.nodes_explored == 2_623
 
+    @pytest.mark.parametrize(
+        "n, d, status, nodes",
+        [
+            (4, 3, "found", 1),
+            (5, 3, "none_exists", 8),
+            (5, 4, "found", 1),
+            (6, 3, "found", 341),
+            (6, 4, "none_exists", 14),
+            (6, 5, "found", 1),
+            (7, 3, "budget_exhausted", 30_000),
+            (7, 4, "none_exists", 2_623),
+            (7, 5, "none_exists", 42),
+            (7, 6, "found", 1),
+            (8, 6, "none_exists", 132),
+        ],
+    )
+    def test_dfs_order_is_pinned(self, n, d, status, nodes):
+        # Any change to the DFS order, its pruning or the rows shows up here.
+        # The n = 7 hard cells run under an explicit budget.
+        budget = SearchBudget(max_nodes=30_000) if (n, d) in ((7, 3), (7, 4)) else None
+        res = find_singleton_optimal(CodeParams(n, d), budget)
+        assert res.status == status
+        assert res.nodes_explored == nodes
+
     def test_budget_exhaustion_is_distinct(self):
         res = find_singleton_optimal(CodeParams(6, 3), SearchBudget(max_nodes=3))
         assert res.status == "budget_exhausted"
