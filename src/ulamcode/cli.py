@@ -41,12 +41,13 @@ from .bounds import (
 )
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import build_model, export_lp, ip_upper_bound, solve_ilp
+from .ilp import build_model, export_lp, solve_ilp
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
     DEFAULT_SEARCH_LIMIT,
     find_singleton_optimal,
     max_code_search,
+    pruning_ceiling,
     read_code_file,
     reproduce_tables,
     verify_code,
@@ -354,14 +355,7 @@ def _cmd_search(run: _Run) -> int:
         )
         return run.emit(result, text)
 
-    ceiling = singleton_upper(params)
-    try:
-        lo, hi = sphere_packing_bounds(params)
-        ceiling = min(ceiling, hi)
-    except CapacityError:
-        pass
-    if args.with_ip and params.d >= 2:
-        ceiling = min(ceiling, ip_upper_bound(params, budget))
+    ceiling = pruning_ceiling(params, args.with_ip, budget)
     res = max_code_search(
         params, budget, upper_bound=ceiling, search_limit=args.search_limit
     )

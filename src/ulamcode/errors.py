@@ -18,6 +18,3 @@ class DistanceViolation(ValueError):
             f"{' '.join(map(str, sigma))} vs {' '.join(map(str, tau))}"
         )
 
-
-class InternalError(AssertionError):
-    """An internal invariant failed; indicates a bug, not bad input."""

@@ -163,25 +163,6 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     budget = budget or SearchBudget()
     clock = budget.start()
 
-    root = _lp_result(model)
-    nodes = 1
-    if root.status == INFEASIBLE:
-        return IlpSolution(
-            status="infeasible",
-            objective_value=0,
-            assignment=None,
-            lp_relaxation_value=Fraction(0),
-            nodes_explored=nodes,
-            elapsed=clock.elapsed(),
-        )
-    root_value = root.value
-
-    # Feasible warm start: the constant matrix X[b][a] = m with the largest
-    # m every covering row allows.
-    mstar = min(rhs // sum(coeffs.values()) for coeffs, rhs in model.inequality_rows)
-    best_value = model.n * mstar
-    best_x: dict[Var, int] = {v: mstar for v in model.variables}
-
     def floor_of(value: Fraction) -> int:
         return value.numerator // value.denominator
 
@@ -200,9 +181,19 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             counter += 1
             heapq.heappush(heap, (-value, counter, bounds, x))
 
-    consider(root_value, root.x, {})
+    root = _lp_result(model)
+    nodes = 1
+    if root.status == INFEASIBLE:
+        status, root_value, best_value, best_x = INFEASIBLE, Fraction(0), 0, None
+    else:
+        status, root_value = OPTIMAL, root.value
+        # Feasible warm start: the constant matrix X[b][a] = m with the
+        # largest m every covering row allows.
+        mstar = min(rhs // sum(coeffs.values()) for coeffs, rhs in model.inequality_rows)
+        best_value = model.n * mstar
+        best_x = {v: mstar for v in model.variables}
+        consider(root_value, root.x, {})
 
-    status = OPTIMAL
     while heap:
         if clock.exhausted(nodes):
             status = BOUND_ONLY
@@ -239,18 +230,10 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             consider(res.value, res.x, child)
 
     if status == BOUND_ONLY:
-        open_bounds = [floor_of(-neg) for neg, _, _, _ in heap]
-        proven = max([best_value] + open_bounds)
-        return IlpSolution(
-            status=BOUND_ONLY,
-            objective_value=proven,
-            assignment=best_x,
-            lp_relaxation_value=root_value,
-            nodes_explored=nodes,
-            elapsed=clock.elapsed(),
-        )
+        # Every open node's floor is still a candidate for the optimum.
+        best_value = max([best_value] + [floor_of(-neg) for neg, _, _, _ in heap])
     return IlpSolution(
-        status=OPTIMAL,
+        status=status,
         objective_value=best_value,
         assignment=best_x,
         lp_relaxation_value=root_value,

@@ -7,6 +7,13 @@ word, any valid code uses each class at most once, and a Singleton-optimal
 code uses every class exactly once.  Left-invariance lets the identity be
 fixed as the representative of its own class without losing generality.
 
+Both questions asked of a cell, whether a Singleton-optimal code exists
+and how large the largest code is, run one branch-and-bound: it looks for
+a clique larger than a floor and stops at a ceiling.  The maximum search
+starts the floor at the size of its starting clique (the identity); the
+Singleton search sets it one below the number of classes, so a child
+survives only while every class still to fill has a candidate.
+
 Candidate sets are bitmasks over S_n laid out class-major: each class owns
 a field of M = n!/(n-d+1)! consecutive bits, its members in lex order, so a
 DFS level's whole state is one int.  A child is the state with the current
@@ -34,8 +41,9 @@ import numpy as np
 
 from .ball import EXACT_LIMIT, _lis_lengths_batch, sphere_packing_bounds
 from .bounds import CodeParams, gv_lower, singleton_upper
-from .budget import SearchBudget
+from .budget import BudgetClock, SearchBudget
 from .errors import CapacityError, DistanceViolation
+from .ilp import ip_upper_bound
 from .perm import (
     Perm,
     format_permutation,
@@ -45,9 +53,10 @@ from .perm import (
 )
 
 DEFAULT_SEARCH_LIMIT = 9
-# Default node cap for the cells the search cannot settle at desk scale
-# (n = 7 below d = 5, and all of n >= 8); lifted by long_runs or any
-# explicit budget.
+# Node cap for a search given no budget on the cells it cannot settle at
+# desk scale (n = 7 below d = 5, and all of n >= 8).  An explicit budget is
+# used as given, and reproduce_tables(long_runs=True) passes an unlimited
+# one.
 HARD_CELL_NODE_CAP = 200_000
 # Byte bound on a search's memo of far rows (n!/8 bytes each); a row that
 # would push the memo past it empties the memo first.  Rows are pure, so
@@ -168,21 +177,16 @@ def _nonempty_fields(x: int, low: int, top: int) -> int:
     return ((((x & low) + low) | x) & top).bit_count()
 
 
-def _level(cand: int, base: int, width: int) -> list[int]:
-    """DFS level: [cand without its field at bit base, base, members to try]."""
-    todo = (cand >> base) & ((1 << width) - 1)
-    return [cand ^ (todo << base), base, todo]
-
-
 class _SearchSpace:
     """S_n laid out class-major, with memoized distance->=d bit rows.
 
-    The class at position c of ``class_order`` (default: patterns in lex
-    order) owns bits [c M, (c+1) M) with M = n!/(n-d+1)! its size, and its
-    members keep lex order inside that field; ``perms[i]`` is the word at
-    bit i.  The identity is member 0 of its own class, at bit ``identity``.
-    ``_nonempty_fields(x, low, top)`` counts the classes a candidate set x
-    still reaches.
+    With S classes of M = n!/(n-d+1)! words each, the class at position c
+    of ``class_order`` (default: patterns in lex order) owns field S-1-c,
+    bits [(S-1-c) M, (S-c) M), so the next class in order is the highest
+    non-empty field; its members keep lex order from the field's low bit
+    up.  ``perms[i]`` is the word at bit i.  The identity is member 0 of
+    its own class, at bit ``identity``.  ``_nonempty_fields(x, low, top)``
+    counts the classes a candidate set x still reaches.
 
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
@@ -196,14 +200,14 @@ class _SearchSpace:
         lex = list(iter_symmetric_group(n))
         words = np.array(lex, dtype=np.int8) - 1
         # A word's class is the lex rank of its symbols < m in order, then
-        # the class's position in class_order; a stable sort by position
-        # keeps each class's members in lex order.
+        # the class's position in class_order; a stable sort by descending
+        # position keeps each class's members in lex order.
         classes = _lex_ranks(words[words < m].reshape(len(lex), m))
         if class_order is not None:
             if sorted(class_order) != list(iter_symmetric_group(m)):
                 raise ValueError("class_order must be a permutation of the patterns")
             classes = np.argsort(_lex_ranks(np.array(class_order)))[classes]
-        order = np.argsort(classes, kind="stable")
+        order = np.argsort(-classes, kind="stable")
         self.perms: list[Perm] = [lex[i] for i in order]
         self._position = np.argsort(order)  # lex rank -> bit
         self.identity = int(self._position[0])
@@ -243,22 +247,82 @@ def _check_limits(params: CodeParams, search_limit: int) -> None:
         )
 
 
-def _is_hard_cell(n: int, d: int) -> bool:
-    # Everything outside "n <= 6 any d" and "n = 7 with d >= 5" lacks a
-    # desk-scale proof; d = 2 at those sizes is settled by construction,
-    # so searching it is equally unbounded work.
-    return (n == 7 and d <= 4) or n >= 8
-
-
 def _effective_budget(
     params: CodeParams, budget: Optional[SearchBudget]
 ) -> SearchBudget:
-    """Unbudgeted runs on the known-hard cells default to bound-only mode."""
+    """An explicit budget as given; else the hard-cell cap, or no limit.
+
+    Everything outside "n <= 6 any d" and "n = 7 with d >= 5" lacks a
+    desk-scale proof; d = 2 at those sizes is settled by construction, so
+    searching it is equally unbounded work.
+    """
     if budget is not None:
         return budget
-    if _is_hard_cell(params.n, params.d):
+    if (params.n == 7 and params.d <= 4) or params.n >= 8:
         return SearchBudget(max_nodes=HARD_CELL_NODE_CAP)
     return SearchBudget()
+
+
+def _clique_search(
+    space: _SearchSpace,
+    clock: BudgetClock,
+    chosen: list[int],
+    cand: int,
+    floor: int,
+    ceiling: int,
+) -> tuple[list[int], int, bool]:
+    """Branch-and-bound for a clique larger than ``floor`` extending chosen.
+
+    Classes are filled in the space's order, each from the candidates in
+    cand: a level tries each member of its class, then skips the class.  A
+    child is kept only while len(chosen) + 1 + (classes it still reaches)
+    beats floor; each clique found raises floor to its size, and one of
+    size ``ceiling`` stops the search.  Returns (best, nodes, exhausted):
+    the largest clique found (chosen itself if none beat floor), the nodes
+    tried, and whether the budget ran out.
+    """
+    width, low, top, far_row = space.width, space.low, space.top, space.far_row
+    exhausted = clock.exhausted
+    field = (1 << width) - 1
+    best = list(chosen)
+    # A frame is [rest, base, todo, live]: the candidates outside the
+    # level's class, the class's first bit, its members left to try, and
+    # the classes rest reaches.  The root is a frame with nothing to try.
+    stack = [[cand, 0, 0, _nonempty_fields(cand, low, top)]]
+    nodes = 0
+    while stack:
+        frame = stack[-1]
+        rest, base, todo, live = frame
+        if todo:
+            bit = todo & -todo
+            frame[2] = todo ^ bit
+            nodes += 1
+            if exhausted(nodes):
+                return best, nodes, True
+            gi = base + bit.bit_length() - 1
+            rest &= far_row(gi)
+            live = _nonempty_fields(rest, low, top)
+            if len(chosen) + 1 + live <= floor:
+                continue
+            chosen.append(gi)
+            if len(chosen) > floor:
+                best = list(chosen)
+                floor = len(best)
+                if floor >= ceiling:
+                    break
+        else:
+            stack.pop()
+        # Level on the next class of rest (the kept child's candidates,
+        # or the candidates past a finished class), unless its live classes
+        # cannot beat floor; then take back the choice that led here.
+        if live and len(chosen) + live > floor:
+            base = rest.bit_length() - 1
+            base -= base % width
+            todo = (rest >> base) & field
+            stack.append([rest ^ (todo << base), base, todo, live - 1])
+        elif stack:
+            chosen.pop()
+    return best, nodes, False
 
 
 def find_singleton_optimal(
@@ -273,46 +337,23 @@ def find_singleton_optimal(
     cells with no desk-scale proof get a default node cap.
     """
     _check_limits(params, search_limit)
-    budget = _effective_budget(params, budget)
-    clock = budget.start()
+    clock = _effective_budget(params, budget).start()
     space = _SearchSpace(params)
-    width, low, top = space.width, space.low, space.top
-    # The identity's class comes first in lex order, so the class filled at
-    # level L owns field L + 1.
-    depth = len(space.perms) // width - 1
-    chosen = [space.identity]
-    stack = [_level(space.far_row(space.identity), width, width)]
-    nodes = 0
-    status = NONE_EXISTS
-    while stack:
-        frame = stack[-1]
-        rest, base, todo = frame
-        if not todo:
-            stack.pop()
-            if stack:
-                chosen.pop()
-            continue
-        bit = todo & -todo
-        frame[2] = todo ^ bit
-        nodes += 1
-        if clock.exhausted(nodes):
-            status = BUDGET_EXHAUSTED
-            break
-        gi = base + bit.bit_length() - 1
-        child = rest & space.far_row(gi)
-        # Keep the child only if every class still to fill has a candidate.
-        if _nonempty_fields(child, low, top) == depth - len(stack):
-            chosen.append(gi)
-            if len(stack) == depth:
-                status = FOUND
-                break
-            stack.append(_level(child, (len(stack) + 1) * width, width))
-
+    # With floor one below the class count, a child is kept only while
+    # every class still to fill has a candidate.
+    singleton = singleton_upper(params)
+    best, nodes, exhausted = _clique_search(
+        space, clock, [space.identity], space.far_row(space.identity),
+        singleton - 1, singleton,
+    )
     code = None
-    if status == FOUND:
-        code = verify_code([space.perms[gi] for gi in chosen], params)
-        if len(code.words) != singleton_upper(params):
-            raise AssertionError("singleton search returned a wrong-sized code")
+    if exhausted:
+        status = BUDGET_EXHAUSTED
+    elif len(best) == singleton:
+        status = FOUND
+        code = verify_code([space.perms[gi] for gi in best], params)
+    else:
+        status = NONE_EXISTS
     return SingletonSearchResult(
         status=status, code=code, nodes_explored=nodes, elapsed=clock.elapsed()
     )
@@ -335,63 +376,16 @@ def max_code_search(
     with no desk-scale proof get a default node cap.
     """
     _check_limits(params, search_limit)
-    budget = _effective_budget(params, budget)
-    clock = budget.start()
+    clock = _effective_budget(params, budget).start()
     space = _SearchSpace(params, class_order)
-    width, low, top = space.width, space.low, space.top
     ceiling = upper_bound if upper_bound is not None else singleton_upper(params)
     if fix_identity:
-        chosen = [space.identity]
-        cand = space.far_row(space.identity)
+        chosen, cand = [space.identity], space.far_row(space.identity)
     else:
         chosen, cand = [], (1 << len(space.perms)) - 1
-    best = list(chosen)
-
-    def branch(cand: int, live: int) -> Optional[list[int]]:
-        # Level on the lowest class of cand with candidates, unless its
-        # ``live`` classes cannot lift this subtree past best.
-        if not live or len(chosen) + live <= len(best):
-            return None
-        base = (cand & -cand).bit_length() - 1
-        return _level(cand, base - base % width, width)
-
-    # A level tries each member of its class, then skips the class and
-    # branches on the next; the root starts as a level with nothing to try.
-    stack = [[cand, 0, 0]]
-    nodes = 0
-    exhausted = False
-    while stack:
-        frame = stack[-1]
-        rest, base, todo = frame
-        if not todo:
-            stack.pop()
-            frame = branch(rest, _nonempty_fields(rest, low, top))
-            if frame:
-                stack.append(frame)
-            elif stack:
-                chosen.pop()
-            continue
-        bit = todo & -todo
-        frame[2] = todo ^ bit
-        nodes += 1
-        if clock.exhausted(nodes):
-            exhausted = True
-            break
-        gi = base + bit.bit_length() - 1
-        child = rest & space.far_row(gi)
-        live = _nonempty_fields(child, low, top)
-        if len(chosen) + 1 + live > len(best):
-            chosen.append(gi)
-            if len(chosen) > len(best):
-                best = list(chosen)
-                if len(best) >= ceiling:
-                    break
-            frame = branch(child, live)
-            if frame:
-                stack.append(frame)
-            else:
-                chosen.pop()
-
+    best, nodes, exhausted = _clique_search(
+        space, clock, chosen, cand, len(chosen), ceiling
+    )
     code = verify_code([space.perms[gi] for gi in best], params)
     optimality = LOWER_BOUND_ONLY if exhausted else PROVEN_MAXIMUM
     return SearchResult(
@@ -401,6 +395,23 @@ def max_code_search(
         nodes_explored=nodes,
         elapsed=clock.elapsed(),
     )
+
+
+def pruning_ceiling(
+    params: CodeParams, with_ip: bool, ip_budget: Optional[SearchBudget]
+) -> int:
+    """Upper bound for a maximum-code search to prune on.
+
+    The least of the Singleton bound, the sphere-packing bound when
+    n <= EXACT_LIMIT and, with ``with_ip``, the integer-program bound under
+    ``ip_budget``.
+    """
+    ceiling = singleton_upper(params)
+    if params.n <= EXACT_LIMIT:
+        ceiling = min(ceiling, sphere_packing_bounds(params)[1])
+    if with_ip:
+        ceiling = min(ceiling, ip_upper_bound(params, ip_budget))
+    return ceiling
 
 
 def write_code_file(code: Code, path: str | Path) -> None:
@@ -437,13 +448,6 @@ class TableCell:
     elapsed: float = 0.0
 
 
-def _cap_budget(budget: Optional[SearchBudget], cap: int) -> SearchBudget:
-    if budget is None:
-        return SearchBudget(max_nodes=cap)
-    nodes = cap if budget.max_nodes is None else min(cap, budget.max_nodes)
-    return SearchBudget(max_nodes=nodes, max_seconds=budget.max_seconds)
-
-
 def reproduce_tables(
     n_values: Sequence[int],
     d_values: Optional[Sequence[int]] = None,
@@ -474,20 +478,11 @@ def reproduce_tables(
                 )
                 continue
 
-            budget = cell_budget
-            if _is_hard_cell(n, d) and not long_runs:
-                budget = _cap_budget(cell_budget, HARD_CELL_NODE_CAP)
-
-            ceiling = singleton_upper(params)
-            if n <= EXACT_LIMIT:
-                ceiling = min(ceiling, sphere_packing_bounds(params)[1])
-            if with_ip:
-                from .ilp import ip_upper_bound
-
-                # Integer-program nodes cost orders of magnitude more than
-                # clique nodes; unbudgeted table runs get a tight cap.
-                ip_budget = budget if budget is not None else SearchBudget(max_nodes=500)
-                ceiling = min(ceiling, ip_upper_bound(params, ip_budget))
+            budget = SearchBudget() if long_runs and cell_budget is None else cell_budget
+            # Integer-program nodes cost orders of magnitude more than clique
+            # nodes; unbudgeted table runs get a tight cap.
+            ip_budget = cell_budget if cell_budget is not None else SearchBudget(max_nodes=500)
+            ceiling = pruning_ceiling(params, with_ip, ip_budget)
 
             try:
                 sres = find_singleton_optimal(params, budget, search_limit=search_limit)
@@ -516,18 +511,14 @@ def reproduce_tables(
             nodes += mres.nodes_explored
             elapsed += mres.elapsed
             size = len(mres.code.words)
-            if mres.optimality == PROVEN_MAXIMUM:
+            proven = mres.optimality == PROVEN_MAXIMUM
+            if proven:
                 # A proven maximum settles the existence question too.
                 verdict = "yes" if size == singleton_upper(params) else "no"
-                cells.append(
-                    TableCell(n=n, d=d, lower=size, upper=size, status="proven",
-                              singleton_optimal=verdict, method="search",
-                              nodes=nodes, elapsed=elapsed)
-                )
-            else:
-                cells.append(
-                    TableCell(n=n, d=d, lower=size, upper=ceiling, status="bounded",
-                              singleton_optimal=verdict, method="search",
-                              nodes=nodes, elapsed=elapsed)
-                )
+            cells.append(
+                TableCell(n=n, d=d, lower=size, upper=size if proven else ceiling,
+                          status="proven" if proven else "bounded",
+                          singleton_optimal=verdict, method="search",
+                          nodes=nodes, elapsed=elapsed)
+            )
     return cells

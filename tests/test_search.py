@@ -347,3 +347,71 @@ class TestTables:
         assert cell.status == "bounded"
         assert cell.singleton_optimal == "unknown"
         assert cell.lower <= cell.upper
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(4, 7) for d in range(3, n)])
+def test_singleton_search_agrees_with_max_search(n, d):
+    # The two searches answer the existence question independently.
+    params = CodeParams(n, d)
+    singleton = find_singleton_optimal(params)
+    maximum = max_code_search(params)
+    assert maximum.optimality == "proven_maximum"
+    assert (singleton.status == "found") == (
+        len(maximum.code.words) == singleton_upper(params)
+    )
+
+
+class TestBudgetRule:
+    """The budget each search and the integer program receive in tables.
+
+    The search engine and the integer-program bound are replaced by
+    recording fakes, so no search runs, bounded or not.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def engine(space, clock, chosen, cand, floor, ceiling):
+            kind = "singleton" if floor == singleton_upper(space.params) - 1 else "max"
+            calls.append((space.params.n, kind, clock.budget))
+            return list(chosen), 1, True
+
+        def ip(params, budget=None):
+            calls.append((params.n, "ip", budget))
+            return singleton_upper(params)
+
+        monkeypatch.setattr(search, "_clique_search", engine)
+        monkeypatch.setattr(search, "ip_upper_bound", ip)
+        return calls
+
+    def budgets(self, calls, n):
+        return {kind: budget for m, kind, budget in calls if m == n}
+
+    def test_default_caps_only_the_hard_cells(self, calls):
+        reproduce_tables([6, 7], [3], with_ip=True)
+        capped = SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP)
+        assert search.HARD_CELL_NODE_CAP == 200_000
+        assert self.budgets(calls, 7) == {
+            "ip": SearchBudget(max_nodes=500), "singleton": capped, "max": capped,
+        }
+        assert self.budgets(calls, 6) == {
+            "ip": SearchBudget(max_nodes=500),
+            "singleton": SearchBudget(),
+            "max": SearchBudget(),
+        }
+
+    def test_long_runs_lift_the_cap(self, calls):
+        reproduce_tables([7], [3], with_ip=True, long_runs=True)
+        assert self.budgets(calls, 7) == {
+            "ip": SearchBudget(max_nodes=500),
+            "singleton": SearchBudget(),
+            "max": SearchBudget(),
+        }
+
+    @pytest.mark.parametrize("long_runs", [False, True])
+    def test_explicit_budget_arrives_unchanged(self, calls, long_runs):
+        given = SearchBudget(max_nodes=250_000, max_seconds=60.0)
+        reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True, long_runs=long_runs)
+        assert len(calls) == 6
+        assert all(budget is given for _, _, budget in calls)
