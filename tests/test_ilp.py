@@ -75,12 +75,6 @@ class TestBuildModel:
         assert m.var_upper[(3, 1)] == 3   # 12 // 4 from the middle row
         assert m.var_upper[(5, 1)] == 2
 
-    def test_extension_hook_appends_rows(self):
-        extra = [({(1, 1): 1}, 0)]
-        m = build_model(CodeParams(5, 3), extra_rows=extra)
-        assert len(m.inequality_rows) == 5 * 3 + 1
-        assert m.inequality_rows[-1] == ({(1, 1): 1}, 0)
-
 
 class TestLpRelaxation:
     def test_zero_rhs_variant(self):

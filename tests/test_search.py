@@ -35,10 +35,6 @@ class TestColorClass:
     def test_worked_example(self):
         assert color_class((3, 1, 4, 2, 5), CodeParams(5, 3)).pattern == (3, 1, 2)
 
-    def test_d1_rejected(self):
-        with pytest.raises(ValueError):
-            color_class((1, 2, 3), CodeParams(3, 1))
-
     def test_class_sizes_5_3(self):
         groups = class_partition(CodeParams(5, 3))
         assert len(groups) == 6
@@ -226,18 +222,16 @@ class TestMaxSearch:
         assert len(res.code.words) == 2
 
     def test_identity_fixing_loses_nothing(self):
-        fixed = max_code_search(CodeParams(5, 3))
-        free = max_code_search(CodeParams(5, 3), fix_identity=False)
-        assert len(fixed.code.words) == len(free.code.words) == 4
-
-    def test_schedule_independence(self):
-        base = max_code_search(CodeParams(5, 3))
-        patterns = list(class_partition(CodeParams(5, 3)))
-        flipped = max_code_search(
-            CodeParams(5, 3), class_order=list(reversed(patterns))
+        # The engine with every word a candidate and no word fixed finds a
+        # code as large as the identity-fixed maximum search does.
+        params = CodeParams(5, 3)
+        space = search._SearchSpace(params)
+        best, nodes, exhausted = search._clique_search(
+            space, SearchBudget().start(), [], (1 << 120) - 1, 0, 6
         )
-        assert len(base.code.words) == len(flipped.code.words)
-        assert base.optimality == flipped.optimality == "proven_maximum"
+        assert (len(best), nodes, exhausted) == (4, 2_094, False)
+        verify_code([space.perms[gi] for gi in best], params)
+        assert len(max_code_search(params).code.words) == 4
 
     def test_codes_reverify(self):
         for n, d in [(5, 3), (6, 4), (6, 3)]:
@@ -263,37 +257,26 @@ class TestMaxSearch:
         assert res.optimality == "proven_maximum"
         assert len(res.code.words) == 24
 
+    # The ids are the ones these pins were first given.
     @pytest.mark.parametrize(
-        "n, d, kwargs, nodes, optimality, size, words",
+        "n, d, budget, nodes, optimality, size",
         [
-            (5, 3, {"fix_identity": False}, 2_094, "proven_maximum", 4, None),
-            (6, 4, {"class_order": "reversed"}, 143, "proven_maximum", 4,
-             ["123456", "321654", "463512", "562413"]),
-            (7, 5, {}, 136, "proven_maximum", 4, None),
-            (6, 3, {"budget": SearchBudget(max_nodes=5_000)}, 5_000,
-             "lower_bound_only", 15, None),
-            (7, 3, {"budget": SearchBudget(max_nodes=20_000)}, 20_000,
-             "lower_bound_only", 56, None),
-            (7, 4, {"budget": SearchBudget(max_nodes=20_000)}, 20_000,
-             "lower_bound_only", 11, None),
+            pytest.param(7, 5, None, 136, "proven_maximum", 4,
+                         id="7-5-kwargs2-136-proven_maximum-4-None"),
+            pytest.param(6, 3, SearchBudget(max_nodes=5_000), 5_000, "lower_bound_only", 15,
+                         id="6-3-kwargs3-5000-lower_bound_only-15-None"),
+            pytest.param(7, 3, SearchBudget(max_nodes=20_000), 20_000, "lower_bound_only", 56,
+                         id="7-3-kwargs4-20000-lower_bound_only-56-None"),
+            pytest.param(7, 4, SearchBudget(max_nodes=20_000), 20_000, "lower_bound_only", 11,
+                         id="7-4-kwargs5-20000-lower_bound_only-11-None"),
         ],
     )
-    def test_dfs_order_is_pinned(self, n, d, kwargs, nodes, optimality, size, words):
+    def test_dfs_order_is_pinned(self, n, d, budget, nodes, optimality, size):
         # Any change to the DFS order, its pruning or the rows shows up here.
-        params = CodeParams(n, d)
-        kwargs = dict(kwargs)
-        if kwargs.get("class_order") == "reversed":
-            kwargs["class_order"] = list(reversed(list(class_partition(params))))
-        res = max_code_search(params, **kwargs)
+        res = max_code_search(CodeParams(n, d), budget)
         assert res.nodes_explored == nodes
         assert res.optimality == optimality
         assert len(res.code.words) == size
-        if words is not None:
-            assert sorted("".join(map(str, w)) for w in res.code.words) == words
-
-    def test_bad_class_order_rejected(self):
-        with pytest.raises(ValueError):
-            max_code_search(CodeParams(5, 3), class_order=[(1, 2, 3)])
 
 
 @pytest.mark.parametrize("searcher", [find_singleton_optimal, max_code_search])
