@@ -22,7 +22,6 @@ from .bounds import (
     kim_tail_log,
     nat_entropy,
     rate_function,
-    rate_function_acosh,
     simple_tail_bound,
     singleton_upper,
 )
@@ -57,12 +56,9 @@ from .perm import (
 )
 from .search import (
     Code,
-    ColorClass,
     SearchResult,
     SingletonSearchResult,
     TableCell,
-    class_partition,
-    color_class,
     find_singleton_optimal,
     max_code_search,
     read_code_file,

@@ -20,7 +20,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -38,17 +37,13 @@ _BATCH_LIS_MAX_N = 32
 
 @dataclass(frozen=True)
 class LisDistribution:
-    """Counts of the LIS length over S_n (exact) or over a sample."""
+    """Exact counts of the LIS length over S_n."""
 
     n: int
-    kind: str  # "exact" | "sampled"
     counts: dict[int, int]
     total: int
-    seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("exact", "sampled"):
-            raise ValueError(f"kind must be 'exact' or 'sampled', got {self.kind!r}")
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
 
@@ -102,7 +97,7 @@ def lis_distribution_exact(n: int) -> LisDistribution:
             for j in range(row):
                 hooks *= (row - j - 1) + (column[j] - i - 1) + 1  # arm + leg + 1
         counts[shape[0]] += (nfact // hooks) ** 2
-    return LisDistribution(n=n, kind="exact", counts=counts, total=nfact)
+    return LisDistribution(n=n, counts=counts, total=nfact)
 
 
 def ball_size(n: int, r: int) -> int:

@@ -100,13 +100,6 @@ def rate_function(c: float) -> float:
     )
 
 
-def rate_function_acosh(c: float) -> float:
-    """Equivalent acosh form of rate_function, kept for cross-checking."""
-    if c < 2.0:
-        raise ValueError(f"rate function needs c >= 2, got {c}")
-    return 2.0 * c * math.acosh(c / 2.0) - 2.0 * math.sqrt(c * c - 4.0)
-
-
 def kim_tail_log(n: int, t: float) -> float:
     """Log of Kim's upper estimate for P(LIS - 2 sqrt(n) >= t n^(1/6)).
 

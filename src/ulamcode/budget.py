@@ -36,6 +36,3 @@ class BudgetClock:
         if b.max_seconds is not None and time.monotonic() - self.t0 >= b.max_seconds:
             return True
         return False
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.t0

@@ -14,6 +14,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -44,7 +45,6 @@ from .errors import CapacityError, DistanceViolation
 from .ilp import build_model, export_lp, solve_ilp
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
-    DEFAULT_SEARCH_LIMIT,
     find_singleton_optimal,
     max_code_search,
     pruning_ceiling,
@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
                    help="only decide whether a Singleton-optimal code exists")
     p.add_argument("--with-ip", action="store_true",
                    help="tighten the pruning bound with the integer program")
-    p.add_argument("--search-limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--save-code", metavar="FILE", default=None,
                    help="also write the found code in the code-file format")
 
@@ -116,7 +115,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
     p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
     p.add_argument("--with-ip", action="store_true")
-    p.add_argument("--search-limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--long-runs", action="store_true",
                    help="attempt full proofs on the hard cells too")
 
@@ -333,7 +331,7 @@ def _cmd_search(run: _Run) -> int:
     params = CodeParams(args.n, args.d)
     budget = run.budget
     if args.singleton_only:
-        res = find_singleton_optimal(params, budget, search_limit=args.search_limit)
+        res = find_singleton_optimal(params, budget)
         if res.status == "budget_exhausted":
             run.status = "bounded"
         if res.code is not None and args.save_code:
@@ -356,9 +354,7 @@ def _cmd_search(run: _Run) -> int:
         return run.emit(result, text)
 
     ceiling = pruning_ceiling(params, args.with_ip, budget)
-    res = max_code_search(
-        params, budget, upper_bound=ceiling, search_limit=args.search_limit
-    )
+    res = max_code_search(params, budget, upper_bound=ceiling)
     if res.optimality == "lower_bound_only":
         run.status = "bounded"
     if args.save_code:
@@ -414,26 +410,11 @@ def _cmd_tables(run: _Run) -> int:
         d_values,
         cell_budget=run.budget,
         with_ip=args.with_ip,
-        search_limit=args.search_limit,
         long_runs=args.long_runs,
     )
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
-    result = {
-        "cells": [
-            {
-                "n": c.n,
-                "d": c.d,
-                "lower": c.lower,
-                "upper": c.upper,
-                "status": c.status,
-                "singleton_optimal": c.singleton_optimal,
-                "method": c.method,
-                "nodes": c.nodes,
-            }
-            for c in cells
-        ]
-    }
+    result = {"cells": [dataclasses.asdict(c) for c in cells]}
     csv_rows = [["n", "d", "lower", "upper", "status", "singleton_optimal", "method"]]
     csv_rows += [
         [c.n, c.d, c.lower, c.upper, c.status, c.singleton_optimal, c.method]

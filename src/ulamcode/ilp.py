@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bounds import CodeParams, singleton_upper
 from .budget import SearchBudget
@@ -33,12 +33,7 @@ BOUND_ONLY = "bound_only"
 
 @dataclass
 class IlpModel:
-    """The position-count program for one (n, d) pair.
-
-    ``extra_rows`` is an extension hook: callers may append additional
-    valid inequality rows (e.g. joint position-pair counts) before solving;
-    nothing in this package generates them.
-    """
+    """The position-count program for one (n, d) pair."""
 
     n: int
     d: int
@@ -57,12 +52,9 @@ class IlpSolution:
     assignment: Optional[dict[Var, int]]
     lp_relaxation_value: Fraction
     nodes_explored: int = 0
-    elapsed: float = 0.0
 
 
-def build_model(
-    params: CodeParams, extra_rows: Optional[Iterable[Row]] = None
-) -> IlpModel:
+def build_model(params: CodeParams) -> IlpModel:
     """Build the program: for every symbol a and split l in 0..n-d,
 
         sum_b C(b-1, l) C(n-b, n-d-l) X[b][a]  <=  (n-1)!/(d-1)!
@@ -88,10 +80,6 @@ def build_model(
                     coeffs[(b, a)] = c
             ineq.append((coeffs, rhs))
             meta.append((a, l))
-    if extra_rows is not None:
-        for coeffs, b in extra_rows:
-            ineq.append((dict(coeffs), b))
-            meta.append((-1, -1))
 
     eq: list[Row] = []
     for b in range(1, n):
@@ -238,7 +226,6 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
         assignment=best_x,
         lp_relaxation_value=root_value,
         nodes_explored=nodes,
-        elapsed=clock.elapsed(),
     )
 
 
@@ -280,8 +267,7 @@ def export_lp(model: IlpModel) -> str:
     lines.append(f" obj: {linear(model.objective)}")
     lines.append("Subject To")
     for (coeffs, rhs), (a, l) in zip(model.inequality_rows, model.row_meta):
-        name = f"cover_a{a}_l{l}" if a > 0 else "extra"
-        lines.append(f" {name}: {linear(coeffs)} <= {rhs}")
+        lines.append(f" cover_a{a}_l{l}: {linear(coeffs)} <= {rhs}")
     for b, (coeffs, rhs) in enumerate(model.equality_rows, start=1):
         lines.append(f" link_b{b}: {linear(coeffs)} = {rhs}")
     lines.append("Bounds")

@@ -52,7 +52,9 @@ from .perm import (
     ulam_distance,
 )
 
-DEFAULT_SEARCH_LIMIT = 9
+# Largest n a search accepts, checked before S_n is built: S_9 has 362,880
+# words, and one far row of it is 45 KB.
+SEARCH_LIMIT = 9
 # Node cap for a search given no budget on the cells it cannot settle at
 # desk scale (n = 7 below d = 5, and all of n >= 8).  An explicit budget is
 # used as given, and reproduce_tables(long_runs=True) passes an unlimited
@@ -71,13 +73,6 @@ LOWER_BOUND_ONLY = "lower_bound_only"
 
 
 @dataclass(frozen=True)
-class ColorClass:
-    """Relative order of the symbols 1..n-d+1 inside a one-line word."""
-
-    pattern: Perm
-
-
-@dataclass(frozen=True)
 class Code:
     params: CodeParams
     words: frozenset[Perm]
@@ -90,7 +85,6 @@ class SearchResult:
     optimality: str  # "proven_maximum" | "lower_bound_only"
     upper_bound_used: int
     nodes_explored: int
-    elapsed: float
 
 
 @dataclass
@@ -98,17 +92,6 @@ class SingletonSearchResult:
     status: str  # "found" | "none_exists" | "budget_exhausted"
     code: Optional[Code]
     nodes_explored: int
-    elapsed: float
-
-
-def color_class(sigma: Perm, params: CodeParams) -> ColorClass:
-    """Class of sigma: its symbols <= n-d+1 in order of appearance."""
-    if params.d < 2:
-        raise ValueError("color classes need d >= 2 (at d = 1 every class is trivial)")
-    if len(sigma) != params.n:
-        raise ValueError(f"permutation has length {len(sigma)}, expected {params.n}")
-    m = params.n - params.d + 1
-    return ColorClass(pattern=tuple(v for v in sigma if v <= m))
 
 
 def verify_code(words: Sequence[Perm] | frozenset[Perm], params: CodeParams) -> Code:
@@ -135,16 +118,6 @@ def verify_code(words: Sequence[Perm] | frozenset[Perm], params: CodeParams) -> 
         assert closest is not None
         raise DistanceViolation(closest[0], closest[1], min_d, params.d)
     return Code(params=params, words=frozenset(wordlist), min_distance=min_d)
-
-
-def class_partition(params: CodeParams) -> dict[Perm, list[Perm]]:
-    """All of S_n grouped by class pattern; patterns and members in lex order."""
-    m = params.n - params.d + 1
-    groups: dict[Perm, list[Perm]] = {}
-    for sigma in iter_symmetric_group(params.n):
-        pattern = tuple(v for v in sigma if v <= m)
-        groups.setdefault(pattern, []).append(sigma)
-    return dict(sorted(groups.items()))
 
 
 def _lex_ranks(words: np.ndarray) -> np.ndarray:
@@ -180,13 +153,13 @@ def _nonempty_fields(x: int, low: int, top: int) -> int:
 class _SearchSpace:
     """S_n laid out class-major, with memoized distance->=d bit rows.
 
-    With S classes of M = n!/(n-d+1)! words each, the class at position c
-    of ``class_order`` (default: patterns in lex order) owns field S-1-c,
-    bits [(S-1-c) M, (S-c) M), so the next class in order is the highest
-    non-empty field; its members keep lex order from the field's low bit
-    up.  ``perms[i]`` is the word at bit i.  The identity is member 0 of
-    its own class, at bit ``identity``.  ``_nonempty_fields(x, low, top)``
-    counts the classes a candidate set x still reaches.
+    With S classes of M = n!/(n-d+1)! words each, the class whose pattern
+    has lex rank c owns field S-1-c, bits [(S-1-c) M, (S-c) M), so the next
+    class in lex order is the highest non-empty field; its members keep lex
+    order from the field's low bit up.  ``perms[i]`` is the word at bit i.
+    The identity is member 0 of its own class, at bit ``identity``.
+    ``_nonempty_fields(x, low, top)`` counts the classes a candidate set x
+    still reaches.
 
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
@@ -194,19 +167,15 @@ class _SearchSpace:
     its complement is kept, as a (k, n) word array; a row costs O(k n^2).
     """
 
-    def __init__(self, params: CodeParams, class_order: Optional[Sequence[Perm]] = None):
+    def __init__(self, params: CodeParams):
         self.params = params
         n, m = params.n, params.n - params.d + 1
         lex = list(iter_symmetric_group(n))
         words = np.array(lex, dtype=np.int8) - 1
-        # A word's class is the lex rank of its symbols < m in order, then
-        # the class's position in class_order; a stable sort by descending
-        # position keeps each class's members in lex order.
+        # A word's class is the lex rank of its symbols < m in order; a
+        # stable sort by descending class keeps each class's members in lex
+        # order.
         classes = _lex_ranks(words[words < m].reshape(len(lex), m))
-        if class_order is not None:
-            if sorted(class_order) != list(iter_symmetric_group(m)):
-                raise ValueError("class_order must be a permutation of the patterns")
-            classes = np.argsort(_lex_ranks(np.array(class_order)))[classes]
         order = np.argsort(-classes, kind="stable")
         self.perms: list[Perm] = [lex[i] for i in order]
         self._position = np.argsort(order)  # lex rank -> bit
@@ -237,13 +206,12 @@ class _SearchSpace:
         return row
 
 
-def _check_limits(params: CodeParams, search_limit: int) -> None:
+def _check_limits(params: CodeParams) -> None:
     if params.d < 2:
         raise ValueError("search needs d >= 2; A(n, 1) = n! holds trivially")
-    if params.n > search_limit:
+    if params.n > SEARCH_LIMIT:
         raise CapacityError(
-            f"search over S_{params.n} exceeds the limit {search_limit}; "
-            f"raise it explicitly to proceed"
+            f"search over S_{params.n} exceeds the limit {SEARCH_LIMIT}"
         )
 
 
@@ -328,7 +296,6 @@ def _clique_search(
 def find_singleton_optimal(
     params: CodeParams,
     budget: Optional[SearchBudget] = None,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> SingletonSearchResult:
     """Search for a code meeting the Singleton bound: one word per class.
 
@@ -336,7 +303,7 @@ def find_singleton_optimal(
     distinct status "budget_exhausted".  Without an explicit budget, the
     cells with no desk-scale proof get a default node cap.
     """
-    _check_limits(params, search_limit)
+    _check_limits(params)
     clock = _effective_budget(params, budget).start()
     space = _SearchSpace(params)
     # With floor one below the class count, a child is kept only while
@@ -354,18 +321,13 @@ def find_singleton_optimal(
         code = verify_code([space.perms[gi] for gi in best], params)
     else:
         status = NONE_EXISTS
-    return SingletonSearchResult(
-        status=status, code=code, nodes_explored=nodes, elapsed=clock.elapsed()
-    )
+    return SingletonSearchResult(status=status, code=code, nodes_explored=nodes)
 
 
 def max_code_search(
     params: CodeParams,
     budget: Optional[SearchBudget] = None,
     upper_bound: Optional[int] = None,
-    fix_identity: bool = True,
-    class_order: Optional[Sequence[Perm]] = None,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> SearchResult:
     """Best code found by branch-and-bound over classes (at most one each).
 
@@ -375,16 +337,12 @@ def max_code_search(
     is met, else "lower_bound_only".  Without an explicit budget, the cells
     with no desk-scale proof get a default node cap.
     """
-    _check_limits(params, search_limit)
+    _check_limits(params)
     clock = _effective_budget(params, budget).start()
-    space = _SearchSpace(params, class_order)
+    space = _SearchSpace(params)
     ceiling = upper_bound if upper_bound is not None else singleton_upper(params)
-    if fix_identity:
-        chosen, cand = [space.identity], space.far_row(space.identity)
-    else:
-        chosen, cand = [], (1 << len(space.perms)) - 1
     best, nodes, exhausted = _clique_search(
-        space, clock, chosen, cand, len(chosen), ceiling
+        space, clock, [space.identity], space.far_row(space.identity), 1, ceiling
     )
     code = verify_code([space.perms[gi] for gi in best], params)
     optimality = LOWER_BOUND_ONLY if exhausted else PROVEN_MAXIMUM
@@ -393,7 +351,6 @@ def max_code_search(
         optimality=optimality,
         upper_bound_used=ceiling,
         nodes_explored=nodes,
-        elapsed=clock.elapsed(),
     )
 
 
@@ -445,7 +402,6 @@ class TableCell:
     singleton_optimal: str  # "yes" | "no" | "unknown"
     method: str  # "construction" | "search" | "bounds"
     nodes: int = 0
-    elapsed: float = 0.0
 
 
 def reproduce_tables(
@@ -453,15 +409,16 @@ def reproduce_tables(
     d_values: Optional[Sequence[int]] = None,
     cell_budget: Optional[SearchBudget] = None,
     with_ip: bool = False,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
     long_runs: bool = False,
 ) -> list[TableCell]:
     """Computed A(n, d) values (or bounds) and Singleton-optimality verdicts.
 
     d = 2 cells come from the known construction (size (n-1)!, always
     Singleton-optimal).  Other cells run the Singleton-existence search and,
-    when that fails, the maximum-code search.  Cells whose budget runs out
-    are explicitly "bounded" or "skipped", never silently wrong.
+    when that fails, the maximum-code search; a tree exhausted without a
+    Singleton-optimal code caps the cell one below the Singleton bound.
+    Cells whose budget runs out are explicitly "bounded" or "skipped", never
+    silently wrong.
     """
     cells: list[TableCell] = []
     for n in sorted(n_values):
@@ -485,7 +442,7 @@ def reproduce_tables(
             ceiling = pruning_ceiling(params, with_ip, ip_budget)
 
             try:
-                sres = find_singleton_optimal(params, budget, search_limit=search_limit)
+                sres = find_singleton_optimal(params, budget)
             except CapacityError:
                 cells.append(
                     TableCell(n=n, d=d, lower=max(gv_lower(params), 2), upper=ceiling,
@@ -494,22 +451,20 @@ def reproduce_tables(
                 )
                 continue
             nodes = sres.nodes_explored
-            elapsed = sres.elapsed
             if sres.status == FOUND:
                 size = len(sres.code.words)
                 cells.append(
                     TableCell(n=n, d=d, lower=size, upper=size, status="proven",
-                              singleton_optimal="yes", method="search",
-                              nodes=nodes, elapsed=elapsed)
+                              singleton_optimal="yes", method="search", nodes=nodes)
                 )
                 continue
-            verdict = "no" if sres.status == NONE_EXISTS else "unknown"
+            verdict = "unknown"
+            if sres.status == NONE_EXISTS:
+                verdict = "no"
+                ceiling = min(ceiling, singleton_upper(params) - 1)
 
-            mres = max_code_search(
-                params, budget, upper_bound=ceiling, search_limit=search_limit
-            )
+            mres = max_code_search(params, budget, upper_bound=ceiling)
             nodes += mres.nodes_explored
-            elapsed += mres.elapsed
             size = len(mres.code.words)
             proven = mres.optimality == PROVEN_MAXIMUM
             if proven:
@@ -518,7 +473,6 @@ def reproduce_tables(
             cells.append(
                 TableCell(n=n, d=d, lower=size, upper=size if proven else ceiling,
                           status="proven" if proven else "bounded",
-                          singleton_optimal=verdict, method="search",
-                          nodes=nodes, elapsed=elapsed)
+                          singleton_optimal=verdict, method="search", nodes=nodes)
             )
     return cells

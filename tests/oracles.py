@@ -6,6 +6,7 @@ algorithms so the two sides can disagree when one is wrong.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations, permutations
 
@@ -104,3 +105,21 @@ def enum_lis_counts(n: int) -> dict[int, int]:
         k = dp_lcs(sigma, e)
         counts[k] = counts.get(k, 0) + 1
     return counts
+
+
+def color_class(sigma: Perm, params) -> Perm:
+    """Class pattern of sigma: its symbols <= n-d+1 in order of appearance."""
+    return tuple(v for v in sigma if v <= params.n - params.d + 1)
+
+
+def class_partition(params) -> dict[Perm, list[Perm]]:
+    """All of S_n grouped by class pattern; patterns and members in lex order."""
+    groups: dict[Perm, list[Perm]] = {}
+    for sigma in all_perms(params.n):
+        groups.setdefault(color_class(sigma, params), []).append(sigma)
+    return dict(sorted(groups.items()))
+
+
+def rate_function_acosh(c: float) -> float:
+    """The acosh form 2c acosh(c/2) - 2 sqrt(c^2 - 4) of the LIS rate function."""
+    return 2.0 * c * math.acosh(c / 2.0) - 2.0 * math.sqrt(c * c - 4.0)

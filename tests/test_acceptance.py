@@ -8,9 +8,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import all_perms, bfs_ball_sizes, bfs_distances
+from oracles import all_perms, bfs_ball_sizes, bfs_distances, rate_function_acosh
 from ulamcode.ball import ball_table, lis_distribution_exact, lis_prob_mc
-from ulamcode.bounds import CodeParams, rate_function, rate_function_acosh, singleton_upper
+from ulamcode.bounds import CodeParams, rate_function, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.ilp import build_model, ip_upper_bound
 from ulamcode.perm import ulam_distance

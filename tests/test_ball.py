@@ -62,7 +62,7 @@ class TestExactDistribution:
 
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
-            LisDistribution(n=2, kind="exact", counts={1: 1, 2: 2}, total=2)
+            LisDistribution(n=2, counts={1: 1, 2: 2}, total=2)
 
 
 class TestBallSizes:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rate_function_acosh
 from ulamcode.ball import lis_distribution_exact
 from ulamcode.bounds import (
     CodeParams,
@@ -18,7 +19,6 @@ from ulamcode.bounds import (
     log_of_big,
     nat_entropy,
     rate_function,
-    rate_function_acosh,
     simple_tail_bound,
     singleton_upper,
 )

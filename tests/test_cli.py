@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, schema, determinism, exit codes."""
 
+import argparse
 import json
 import math
 from importlib import resources
@@ -179,6 +180,18 @@ class TestSearchAndVerify:
         assert out == ""
         assert message in err
 
+    def test_past_search_limit_exits_2_before_searching(self, capsys):
+        # S_31 could never be held in memory; the fixed limit stops it first.
+        code, out, err = run_cli(capsys, "search", "--n", "31", "--d", "3", "--max-nodes", "1")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit 9" in err
+
+    def test_search_limit_is_not_an_option(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--n", "6", "--d", "3", "--search-limit", "10")
+        assert code == 1
+        assert "--search-limit" in err
+
 
 class TestTables:
     def test_first_rows(self, capsys):
@@ -202,6 +215,13 @@ class TestTables:
         (cell,) = data["result"]["cells"]
         assert cell["status"] == "proven"
         assert cell["lower"] == 4
+
+    def test_past_search_limit_is_skipped(self, capsys):
+        data = run_json(capsys, "tables", "--n", "10", "--d", "3")
+        (cell,) = data["result"]["cells"]
+        assert cell["status"] == "skipped"
+        assert cell["method"] == "bounds"
+        assert data["status"] == "bounded"
 
 
 class TestBallAndDist:
@@ -307,3 +327,35 @@ class TestEnvelope:
         code, _, err = run_cli(capsys, "bounds", "--n", "5", "--d", "5")
         assert code == 1
         assert "d must satisfy" in err
+
+
+def test_long_options_of_every_subcommand():
+    # Adding or dropping a flag has to change this list.
+    common = {"--format", "--out", "--seed", "--threads", "--max-nodes",
+              "--max-seconds", "--strict", "--help"}
+    own = {
+        "distance": set(),
+        "bounds": {"--n", "--d", "--with-ip", "--with-sphere", "--show-asymptotics"},
+        "search": {"--n", "--d", "--singleton-only", "--with-ip", "--save-code"},
+        "verify": set(),
+        "tables": {"--n", "--d", "--with-ip", "--long-runs"},
+        "ball": {"--n", "--r"},
+        "lisdist": {"--n"},
+        "mc": {"--n", "--k", "--samples"},
+        "clt": {"--n", "--samples"},
+        "export-lp": {"--n", "--d"},
+    }
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    found = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        for name, parser in subparsers.choices.items()
+    }
+    assert found == {name: common | options for name, options in own.items()}

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from oracles import class_partition, color_class
 from ulamcode import search
 from ulamcode.ball import sphere_packing_bounds
 from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
@@ -13,8 +14,6 @@ from ulamcode.budget import SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
 from ulamcode.perm import identity, reversal, ulam_distance
 from ulamcode.search import (
-    class_partition,
-    color_class,
     find_singleton_optimal,
     max_code_search,
     read_code_file,
@@ -28,12 +27,10 @@ class TestColorClass:
     def test_identity_pattern(self):
         for n, d in [(5, 3), (6, 3), (7, 5)]:
             p = CodeParams(n, d)
-            assert color_class(identity(n), p).pattern == tuple(
-                range(1, n - d + 2)
-            )
+            assert color_class(identity(n), p) == tuple(range(1, n - d + 2))
 
     def test_worked_example(self):
-        assert color_class((3, 1, 4, 2, 5), CodeParams(5, 3)).pattern == (3, 1, 2)
+        assert color_class((3, 1, 4, 2, 5), CodeParams(5, 3)) == (3, 1, 2)
 
     def test_class_sizes_5_3(self):
         groups = class_partition(CodeParams(5, 3))
@@ -202,7 +199,7 @@ class TestSingletonOptimal:
 
     def test_search_limit(self):
         with pytest.raises(CapacityError):
-            find_singleton_optimal(CodeParams(10, 3), search_limit=9)
+            find_singleton_optimal(CodeParams(search.SEARCH_LIMIT + 1, 3))
 
 
 class TestMaxSearch:
@@ -323,6 +320,13 @@ class TestTables:
     def test_invalid_cells_skipped(self):
         cells = reproduce_tables([4], [5, 6])
         assert cells == []
+
+    def test_exhausted_singleton_search_caps_the_cell(self):
+        # No Singleton-optimal code at (7,4), so A(7,4) <= 4! - 1.
+        (cell,) = reproduce_tables([7], [4], cell_budget=SearchBudget(max_nodes=30_000))
+        assert cell.upper == 23
+        assert cell.singleton_optimal == "no"
+        assert cell.status == "bounded"
 
     def test_budget_marks_cells(self):
         cells = reproduce_tables([6], [3], cell_budget=SearchBudget(max_nodes=2))
