@@ -15,7 +15,7 @@ from .bounds import (
     BoundReport,
     CodeParams,
     asymptotic_lower_log,
-    basic_report,
+    bound_report,
     entropy_lower_log,
     gv_lower,
     kim_rate_log,
@@ -63,6 +63,7 @@ from .search import (
     max_code_search,
     read_code_file,
     reproduce_tables,
+    solve_cell,
     verify_code,
     write_code_file,
 )

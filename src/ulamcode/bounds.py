@@ -216,10 +216,26 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def basic_report(params: CodeParams) -> BoundReport:
-    """BoundReport with the closed-form bounds only (no IP, no spheres)."""
-    return BoundReport(
+def bound_report(
+    params: CodeParams,
+    sphere: Optional[tuple[int, int]] = None,
+    ip_upper: Optional[int] = None,
+) -> BoundReport:
+    """The closed-form bounds folded with whatever else is known.
+
+    ``sphere`` is the (lower, upper) pair of ``ball.sphere_packing_bounds``
+    and ``ip_upper`` an integer-program bound, each already computed.
+    """
+    report = BoundReport(
         params=params,
         singleton_upper=singleton_upper(params),
         gv_lower=gv_lower(params),
-    ).finalize()
+        ip_upper=ip_upper,
+    )
+    if sphere is not None:
+        report.sphere_lower, report.sphere_upper = sphere
+        if params.delta % 2 == 1:
+            report.notes.append(
+                "sphere upper bound uses radius floor((d-1)/2) because d-1 is odd"
+            )
+    return report.finalize()

@@ -32,24 +32,22 @@ from .ball import (
     sphere_packing_bounds,
 )
 from .bounds import (
-    BoundReport,
     CodeParams,
     asymptotic_lower_log,
-    gv_lower,
+    bound_report,
     kim_rate_log,
     rate_function,
     singleton_upper,
 )
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import build_model, export_lp, solve_ilp
+from .ilp import IP_NODE_CAP, build_model, export_lp, solve_ilp
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
     find_singleton_optimal,
-    max_code_search,
-    pruning_ceiling,
     read_code_file,
     reproduce_tables,
+    solve_cell,
     verify_code,
     write_code_file,
 )
@@ -103,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--singleton-only", action="store_true",
                    help="only decide whether a Singleton-optimal code exists")
     p.add_argument("--with-ip", action="store_true",
-                   help="tighten the pruning bound with the integer program")
+                   help="bound a cell the searches leave open with the integer program")
     p.add_argument("--save-code", metavar="FILE", default=None,
                    help="also write the found code in the code-file format")
 
@@ -280,29 +278,20 @@ def _cmd_distance(run: _Run) -> int:
 def _cmd_bounds(run: _Run) -> int:
     args = run.args
     params = CodeParams(args.n, args.d)
-    report = BoundReport(
-        params=params,
-        singleton_upper=singleton_upper(params),
-        gv_lower=gv_lower(params),
-    )
-    if args.with_sphere:
-        lo, hi = sphere_packing_bounds(params)
-        report.sphere_lower = lo
-        report.sphere_upper = hi
-        if params.delta % 2 == 1:
-            report.notes.append(
-                "sphere upper bound uses radius floor((d-1)/2) because d-1 is odd"
-            )
+    sphere = sphere_packing_bounds(params) if args.with_sphere else None
+    ip_upper, ip_bounded = None, False
     if args.with_ip:
         if params.d == 1:
-            report.ip_upper = math.factorial(params.n)
+            ip_upper = math.factorial(params.n)
         else:
-            sol = solve_ilp(build_model(params), run.budget)
-            report.ip_upper = min(report.singleton_upper, sol.objective_value)
-            if sol.status == "bound_only":
-                run.status = "bounded"
-                report.notes.append("integer program hit its budget; bound not tight")
-    report.finalize()
+            budget = run.budget or SearchBudget(max_nodes=IP_NODE_CAP)
+            sol = solve_ilp(build_model(params), budget)
+            ip_upper = min(singleton_upper(params), sol.objective_value)
+            ip_bounded = sol.status == "bound_only"
+    report = bound_report(params, sphere, ip_upper)
+    if ip_bounded:
+        run.status = "bounded"
+        report.notes.append("integer program hit its budget; bound not tight")
     result = report.to_dict()
     text = report.to_text()
     if args.show_asymptotics:
@@ -353,8 +342,7 @@ def _cmd_search(run: _Run) -> int:
         )
         return run.emit(result, text)
 
-    ceiling = pruning_ceiling(params, args.with_ip, budget)
-    res = max_code_search(params, budget, upper_bound=ceiling)
+    res, _ = solve_cell(params, budget, args.with_ip, budget)
     if res.optimality == "lower_bound_only":
         run.status = "bounded"
     if args.save_code:

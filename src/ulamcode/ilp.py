@@ -29,6 +29,10 @@ Row = tuple[dict[Var, int], int]
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
+# Node cap for the integer program when a command or solve_cell is given no
+# budget: its nodes cost orders of magnitude more than clique nodes.  An
+# explicit budget is used as given, and solve_ilp alone has no cap.
+IP_NODE_CAP = 500
 
 
 @dataclass

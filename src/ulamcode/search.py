@@ -25,6 +25,10 @@ LIS sweep over S_n per search finds the identity's far set; by
 left-invariance the row of sigma is that set relabeled by sigma, ranked
 back into bit positions.
 
+solve_cell, which ``search`` and ``tables`` share, answers a cell: the
+Singleton search, then the maximum search under the best upper bound, then
+the integer-program bound if asked for and still needed.
+
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the supplied
 upper bound was met, and budget exhaustion is always an explicit status.
@@ -40,10 +44,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ball import EXACT_LIMIT, _lis_lengths_batch, sphere_packing_bounds
-from .bounds import CodeParams, gv_lower, singleton_upper
+from .bounds import BoundReport, CodeParams, bound_report, singleton_upper
 from .budget import BudgetClock, SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import ip_upper_bound
+from .ilp import IP_NODE_CAP, ip_upper_bound
 from .perm import (
     Perm,
     format_permutation,
@@ -206,31 +210,6 @@ class _SearchSpace:
         return row
 
 
-def _check_limits(params: CodeParams) -> None:
-    if params.d < 2:
-        raise ValueError("search needs d >= 2; A(n, 1) = n! holds trivially")
-    if params.n > SEARCH_LIMIT:
-        raise CapacityError(
-            f"search over S_{params.n} exceeds the limit {SEARCH_LIMIT}"
-        )
-
-
-def _effective_budget(
-    params: CodeParams, budget: Optional[SearchBudget]
-) -> SearchBudget:
-    """An explicit budget as given; else the hard-cell cap, or no limit.
-
-    Everything outside "n <= 6 any d" and "n = 7 with d >= 5" lacks a
-    desk-scale proof; d = 2 at those sizes is settled by construction, so
-    searching it is equally unbounded work.
-    """
-    if budget is not None:
-        return budget
-    if (params.n == 7 and params.d <= 4) or params.n >= 8:
-        return SearchBudget(max_nodes=HARD_CELL_NODE_CAP)
-    return SearchBudget()
-
-
 def _clique_search(
     space: _SearchSpace,
     clock: BudgetClock,
@@ -293,6 +272,31 @@ def _clique_search(
     return best, nodes, False
 
 
+def _search_from_identity(
+    params: CodeParams, budget: Optional[SearchBudget], floor: int, ceiling: int
+) -> tuple[Code, int, bool]:
+    """(verified best code, nodes, exhausted) of _clique_search from the
+    identity.  Without an explicit budget, the cells with no desk-scale
+    proof (n = 7 below d = 5, and all of n >= 8, d = 2 included) get
+    HARD_CELL_NODE_CAP nodes.
+    """
+    if params.d < 2:
+        raise ValueError("search needs d >= 2; A(n, 1) = n! holds trivially")
+    if params.n > SEARCH_LIMIT:
+        raise CapacityError(
+            f"search over S_{params.n} exceeds the limit {SEARCH_LIMIT}"
+        )
+    if budget is None:
+        hard = (params.n == 7 and params.d <= 4) or params.n >= 8
+        budget = SearchBudget(max_nodes=HARD_CELL_NODE_CAP if hard else None)
+    space = _SearchSpace(params)
+    best, nodes, exhausted = _clique_search(
+        space, budget.start(), [space.identity], space.far_row(space.identity),
+        floor, ceiling,
+    )
+    return verify_code([space.perms[gi] for gi in best], params), nodes, exhausted
+
+
 def find_singleton_optimal(
     params: CodeParams,
     budget: Optional[SearchBudget] = None,
@@ -303,25 +307,16 @@ def find_singleton_optimal(
     distinct status "budget_exhausted".  Without an explicit budget, the
     cells with no desk-scale proof get a default node cap.
     """
-    _check_limits(params)
-    clock = _effective_budget(params, budget).start()
-    space = _SearchSpace(params)
     # With floor one below the class count, a child is kept only while
     # every class still to fill has a candidate.
     singleton = singleton_upper(params)
-    best, nodes, exhausted = _clique_search(
-        space, clock, [space.identity], space.far_row(space.identity),
-        singleton - 1, singleton,
+    code, nodes, exhausted = _search_from_identity(
+        params, budget, singleton - 1, singleton
     )
-    code = None
-    if exhausted:
-        status = BUDGET_EXHAUSTED
-    elif len(best) == singleton:
-        status = FOUND
-        code = verify_code([space.perms[gi] for gi in best], params)
-    else:
-        status = NONE_EXISTS
-    return SingletonSearchResult(status=status, code=code, nodes_explored=nodes)
+    if exhausted or len(code.words) < singleton:
+        status = BUDGET_EXHAUSTED if exhausted else NONE_EXISTS
+        return SingletonSearchResult(status, None, nodes)
+    return SingletonSearchResult(FOUND, code, nodes)
 
 
 def max_code_search(
@@ -337,38 +332,55 @@ def max_code_search(
     is met, else "lower_bound_only".  Without an explicit budget, the cells
     with no desk-scale proof get a default node cap.
     """
-    _check_limits(params)
-    clock = _effective_budget(params, budget).start()
-    space = _SearchSpace(params)
     ceiling = upper_bound if upper_bound is not None else singleton_upper(params)
-    best, nodes, exhausted = _clique_search(
-        space, clock, [space.identity], space.far_row(space.identity), 1, ceiling
-    )
-    code = verify_code([space.perms[gi] for gi in best], params)
+    code, nodes, exhausted = _search_from_identity(params, budget, 1, ceiling)
     optimality = LOWER_BOUND_ONLY if exhausted else PROVEN_MAXIMUM
-    return SearchResult(
-        code=code,
-        optimality=optimality,
-        upper_bound_used=ceiling,
-        nodes_explored=nodes,
-    )
+    return SearchResult(code, optimality, ceiling, nodes)
 
 
-def pruning_ceiling(
-    params: CodeParams, with_ip: bool, ip_budget: Optional[SearchBudget]
-) -> int:
-    """Upper bound for a maximum-code search to prune on.
+def _bound_report(params: CodeParams) -> BoundReport:
+    """The closed-form bounds, with the sphere bounds where they are exact."""
+    sphere = sphere_packing_bounds(params) if params.n <= EXACT_LIMIT else None
+    return bound_report(params, sphere)
 
-    The least of the Singleton bound, the sphere-packing bound when
-    n <= EXACT_LIMIT and, with ``with_ip``, the integer-program bound under
-    ``ip_budget``.
+
+def solve_cell(
+    params: CodeParams,
+    budget: Optional[SearchBudget] = None,
+    with_ip: bool = False,
+    ip_budget: Optional[SearchBudget] = None,
+) -> tuple[SearchResult, str]:
+    """Best code for one cell and its Singleton-optimality verdict.
+
+    The Singleton search runs first; a code it finds is a proven maximum.
+    Otherwise the maximum search runs under the best upper bound, capped one
+    below the Singleton bound when the Singleton search exhausted its tree.
+    With ``with_ip``, a cell the maximum search leaves unproven gets the
+    integer-program bound under ``ip_budget`` (IP_NODE_CAP nodes if None),
+    and a code that meets it is proven.  Each search gets ``budget``, and
+    ``nodes_explored`` counts both.  The verdict is "yes", "no" or
+    "unknown".
     """
-    ceiling = singleton_upper(params)
-    if params.n <= EXACT_LIMIT:
-        ceiling = min(ceiling, sphere_packing_bounds(params)[1])
-    if with_ip:
-        ceiling = min(ceiling, ip_upper_bound(params, ip_budget))
-    return ceiling
+    singleton = singleton_upper(params)
+    sres = find_singleton_optimal(params, budget)
+    if sres.status == FOUND:
+        res = SearchResult(sres.code, PROVEN_MAXIMUM, singleton, sres.nodes_explored)
+        return res, "yes"
+    ceiling = _bound_report(params).best_upper
+    if sres.status == NONE_EXISTS:
+        ceiling = min(ceiling, singleton - 1)
+    res = max_code_search(params, budget, upper_bound=ceiling)
+    res.nodes_explored += sres.nodes_explored
+    size = len(res.code.words)
+    if with_ip and res.optimality != PROVEN_MAXIMUM:
+        ip = ip_upper_bound(params, ip_budget or SearchBudget(max_nodes=IP_NODE_CAP))
+        res.upper_bound_used = min(ceiling, ip)
+        if size == res.upper_bound_used:
+            res.optimality = PROVEN_MAXIMUM
+    if res.optimality == PROVEN_MAXIMUM:
+        # A proven maximum settles the existence question too.
+        return res, "yes" if size == singleton else "no"
+    return res, "no" if sres.status == NONE_EXISTS else "unknown"
 
 
 def write_code_file(code: Code, path: str | Path) -> None:
@@ -414,12 +426,11 @@ def reproduce_tables(
     """Computed A(n, d) values (or bounds) and Singleton-optimality verdicts.
 
     d = 2 cells come from the known construction (size (n-1)!, always
-    Singleton-optimal).  Other cells run the Singleton-existence search and,
-    when that fails, the maximum-code search; a tree exhausted without a
-    Singleton-optimal code caps the cell one below the Singleton bound.
-    Cells whose budget runs out are explicitly "bounded" or "skipped", never
-    silently wrong.
+    Singleton-optimal), cells past SEARCH_LIMIT report their bounds as
+    "skipped", and every other cell is solve_cell's answer.  Cells whose
+    budget runs out are explicitly "bounded", never silently wrong.
     """
+    budget = SearchBudget() if long_runs and cell_budget is None else cell_budget
     cells: list[TableCell] = []
     for n in sorted(n_values):
         ds = sorted(d_values) if d_values is not None else range(2, n)
@@ -433,46 +444,22 @@ def reproduce_tables(
                     TableCell(n=n, d=d, lower=size, upper=size, status="proven",
                               singleton_optimal="yes", method="construction")
                 )
-                continue
-
-            budget = SearchBudget() if long_runs and cell_budget is None else cell_budget
-            # Integer-program nodes cost orders of magnitude more than clique
-            # nodes; unbudgeted table runs get a tight cap.
-            ip_budget = cell_budget if cell_budget is not None else SearchBudget(max_nodes=500)
-            ceiling = pruning_ceiling(params, with_ip, ip_budget)
-
-            try:
-                sres = find_singleton_optimal(params, budget)
-            except CapacityError:
+            elif n > SEARCH_LIMIT:
+                report = _bound_report(params)
                 cells.append(
-                    TableCell(n=n, d=d, lower=max(gv_lower(params), 2), upper=ceiling,
-                              status="skipped", singleton_optimal="unknown",
-                              method="bounds")
+                    TableCell(n=n, d=d, lower=report.best_lower,
+                              upper=report.best_upper, status="skipped",
+                              singleton_optimal="unknown", method="bounds")
                 )
-                continue
-            nodes = sres.nodes_explored
-            if sres.status == FOUND:
-                size = len(sres.code.words)
+            else:
+                res, verdict = solve_cell(params, budget, with_ip, cell_budget)
+                size = len(res.code.words)
+                proven = res.optimality == PROVEN_MAXIMUM
                 cells.append(
-                    TableCell(n=n, d=d, lower=size, upper=size, status="proven",
-                              singleton_optimal="yes", method="search", nodes=nodes)
+                    TableCell(n=n, d=d, lower=size,
+                              upper=size if proven else res.upper_bound_used,
+                              status="proven" if proven else "bounded",
+                              singleton_optimal=verdict, method="search",
+                              nodes=res.nodes_explored)
                 )
-                continue
-            verdict = "unknown"
-            if sres.status == NONE_EXISTS:
-                verdict = "no"
-                ceiling = min(ceiling, singleton_upper(params) - 1)
-
-            mres = max_code_search(params, budget, upper_bound=ceiling)
-            nodes += mres.nodes_explored
-            size = len(mres.code.words)
-            proven = mres.optimality == PROVEN_MAXIMUM
-            if proven:
-                # A proven maximum settles the existence question too.
-                verdict = "yes" if size == singleton_upper(params) else "no"
-            cells.append(
-                TableCell(n=n, d=d, lower=size, upper=size if proven else ceiling,
-                          status="proven" if proven else "bounded",
-                          singleton_optimal=verdict, method="search", nodes=nodes)
-            )
     return cells

@@ -11,7 +11,7 @@ from ulamcode.ball import lis_distribution_exact
 from ulamcode.bounds import (
     CodeParams,
     asymptotic_lower_log,
-    basic_report,
+    bound_report,
     entropy_lower_log,
     gv_lower,
     kim_rate_log,
@@ -221,7 +221,7 @@ class TestSimpleTailBound:
 
 class TestBoundReport:
     def test_finalize_and_fields(self):
-        report = basic_report(CodeParams(5, 3))
+        report = bound_report(CodeParams(5, 3))
         assert report.singleton_upper == 6
         assert report.gv_lower == 1
         assert report.best_lower == 2  # trivial {identity, reversal} code
@@ -242,12 +242,12 @@ class TestBoundReport:
     def test_invariants_over_grid(self):
         for n in range(2, 11):
             for d in range(1, n):
-                report = basic_report(CodeParams(n, d))
+                report = bound_report(CodeParams(n, d))
                 assert 1 <= report.best_lower <= report.best_upper
                 assert report.gv_lower <= report.singleton_upper
 
     def test_text_is_aligned(self):
-        text = basic_report(CodeParams(6, 3)).to_text()
+        text = bound_report(CodeParams(6, 3)).to_text()
         lines = text.splitlines()
         assert any(line.startswith("singleton_upper") for line in lines)
         assert any(line.endswith("24") for line in lines)

@@ -224,6 +224,71 @@ class TestTables:
         assert data["status"] == "bounded"
 
 
+    def test_skipped_cells_report_the_bounds(self, capsys):
+        data = run_json(capsys, "tables", "--n", "10..12")
+        skipped = [c for c in data["result"]["cells"] if c["status"] == "skipped"]
+        assert len(skipped) == 7 + 8 + 9  # d = 3..n-1
+        for cell in skipped:
+            report = run_json(
+                capsys, "bounds", "--n", str(cell["n"]), "--d", str(cell["d"]),
+                "--with-sphere",
+            )["result"]
+            assert (cell["lower"], cell["upper"]) == (
+                report["best_lower"], report["best_upper"]
+            )
+        (cell,) = [c for c in skipped if (c["n"], c["d"]) == (10, 3)]
+        assert cell["lower"] == 1_395  # the covering bound
+
+    def test_with_ip_changes_no_settled_cell(self, capsys):
+        plain = run_json(capsys, "tables", "--n", "5..6")
+        with_ip = run_json(capsys, "tables", "--n", "5..6", "--with-ip")
+        assert with_ip["result"] == plain["result"]
+        assert with_ip["status"] == plain["status"]
+
+
+class TestSearchIsATablesCell:
+    """search answers a cell exactly as tables does."""
+
+    @pytest.mark.parametrize(
+        "n, d, budget",
+        [
+            pytest.param(n, d, (), id=f"{n}-{d}")
+            for n, d in [(n, d) for n in range(4, 7) for d in range(3, n)]
+            + [(7, 5), (7, 6), (8, 6)]
+        ]
+        + [pytest.param(7, 4, ("--max-nodes", "30000"), id="7-4-max-nodes-30000")],
+    )
+    def test_agrees_with_tables(self, capsys, n, d, budget):
+        cell_args = ("--n", str(n), "--d", str(d)) + budget
+        res = run_json(capsys, "search", *cell_args)["result"]
+        (cell,) = run_json(capsys, "tables", *cell_args)["result"]["cells"]
+        assert res["size"] == cell["lower"]
+        assert (res["optimality"] == "proven_maximum") == (cell["status"] == "proven")
+        assert res["nodes_explored"] == cell["nodes"]
+        if cell["status"] == "bounded":
+            assert res["upper_bound_used"] == cell["upper"]
+
+    @pytest.mark.parametrize(
+        "n, d, max_nodes, size, optimality, upper, nodes",
+        [
+            # The Singleton search finds these codes; the maximum search
+            # alone ran out of budget at 104 and 15 words.
+            (6, 2, 10_000, 120, "proven_maximum", 120, 2_629),
+            (6, 3, 5_000, 24, "proven_maximum", 24, 341),
+            # 2,623 Singleton nodes prove A(7,4) <= 4! - 1, then 30,000
+            # maximum-search nodes.
+            (7, 4, 30_000, 11, "lower_bound_only", 23, 32_623),
+        ],
+    )
+    def test_singleton_search_runs_first(
+        self, capsys, n, d, max_nodes, size, optimality, upper, nodes
+    ):
+        argv = ("--n", str(n), "--d", str(d), "--max-nodes", str(max_nodes))
+        res = run_json(capsys, "search", *argv)["result"]
+        assert (res["size"], res["optimality"]) == (size, optimality)
+        assert (res["upper_bound_used"], res["nodes_explored"]) == (upper, nodes)
+
+
 class TestBallAndDist:
     def test_lisdist_n3(self, capsys):
         code, out, _ = run_cli(capsys, "lisdist", "--n", "3")

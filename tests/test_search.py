@@ -3,15 +3,17 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from oracles import class_partition, color_class
-from ulamcode import search
+from ulamcode import cli, ilp, search
 from ulamcode.ball import sphere_packing_bounds
 from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
+from ulamcode.ilp import IlpSolution
 from ulamcode.perm import identity, reversal, ulam_distance
 from ulamcode.search import (
     find_singleton_optimal,
@@ -336,6 +338,22 @@ class TestTables:
         assert cell.lower <= cell.upper
 
 
+    @pytest.mark.parametrize("n, ds", [(6, [3, 4]), (7, [5])])
+    def test_ip_runs_only_for_unsettled_cells(self, monkeypatch, n, ds):
+        # The searches settle these cells, so the integer program is not
+        # asked for a bound it cannot improve.
+        calls = []
+
+        def ip(params, budget=None):
+            calls.append(params)
+            return singleton_upper(params)
+
+        monkeypatch.setattr(search, "ip_upper_bound", ip)
+        cells = reproduce_tables([n], ds, with_ip=True)
+        assert all(cell.status == "proven" for cell in cells)
+        assert calls == []
+
+
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(4, 7) for d in range(3, n)])
 def test_singleton_search_agrees_with_max_search(n, d):
     # The two searches answer the existence question independently.
@@ -349,7 +367,8 @@ def test_singleton_search_agrees_with_max_search(n, d):
 
 
 class TestBudgetRule:
-    """The budget each search and the integer program receive in tables.
+    """The budget each search and the integer program receive in tables,
+    and the integer program's budget in every command that runs it.
 
     The search engine and the integer-program bound are replaced by
     recording fakes, so no search runs, bounded or not.
@@ -402,3 +421,27 @@ class TestBudgetRule:
         reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True, long_runs=long_runs)
         assert len(calls) == 6
         assert all(budget is given for _, _, budget in calls)
+
+    @pytest.mark.parametrize(
+        "budget_args, expected",
+        [
+            ((), SearchBudget(max_nodes=500)),
+            (("--max-nodes", "8"), SearchBudget(max_nodes=8)),
+        ],
+    )
+    def test_one_ip_budget_rule_in_every_command(
+        self, calls, monkeypatch, capsys, budget_args, expected
+    ):
+        def solve(model, budget=None):
+            calls.append((model.n, "ip", budget))
+            value = singleton_upper(CodeParams(model.n, model.d))
+            return IlpSolution("optimal", value, None, Fraction(value))
+
+        monkeypatch.setattr(cli, "solve_ilp", solve)
+        assert ilp.IP_NODE_CAP == 500
+        for command in ("bounds", "search", "tables"):
+            calls.clear()
+            argv = [command, "--n", "6", "--d", "3", "--with-ip", *budget_args]
+            assert cli.main(argv + ["--format", "json"]) == 0
+            assert [budget for _, kind, budget in calls if kind == "ip"] == [expected]
+        capsys.readouterr()
