@@ -136,10 +136,10 @@ def sphere_packing_bounds(params: CodeParams) -> tuple[int, int]:
 
 
 def _lis_lengths_batch(perms: np.ndarray) -> np.ndarray:
-    """Patience lengths for every row of a (B, n) array of permutations."""
+    """Patience lengths of each row of a (B, n) permutation array, in its dtype."""
     nblock, n = perms.shape
-    sentinel = np.iinfo(np.int64).max
-    tails = np.full((nblock, n), sentinel, dtype=np.int64)
+    sentinel = np.iinfo(perms.dtype).max
+    tails = np.full((nblock, n), sentinel, dtype=perms.dtype)
     lengths = np.zeros(nblock, dtype=np.int64)
     rows = np.arange(nblock)
     for j in range(n):

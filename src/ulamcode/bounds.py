@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -183,36 +183,18 @@ class BoundReport:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "params": {"n": self.params.n, "d": self.params.d},
-            "singleton_upper": self.singleton_upper,
-            "gv_lower": self.gv_lower,
-            "ip_upper": self.ip_upper,
-            "sphere_lower": self.sphere_lower,
-            "sphere_upper": self.sphere_upper,
-            "best_lower": self.best_lower,
-            "best_upper": self.best_upper,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def to_text(self) -> str:
-        rows = [
-            ("n", self.params.n),
-            ("d", self.params.d),
-            ("singleton_upper", self.singleton_upper),
-            ("gv_lower", self.gv_lower),
-            ("ip_upper", "-" if self.ip_upper is None else self.ip_upper),
-            ("sphere_lower", "-" if self.sphere_lower is None else self.sphere_lower),
-            ("sphere_upper", "-" if self.sphere_upper is None else self.sphere_upper),
-            ("best_lower", self.best_lower),
-            ("best_upper", self.best_upper),
-        ]
+        values = self.to_dict()
+        notes = values.pop("notes")
+        rows = [*values.pop("params").items(), *values.items()]
         width = max(len(name) for name, _ in rows)
-        lines = [f"{name:<{width}}  {value}" for name, value in rows]
-        lines += [f"note: {note}" for note in self.notes]
+        lines = [f"{name:<{width}}  {'-' if v is None else v}" for name, v in rows]
+        lines += [f"note: {note}" for note in notes]
         return "\n".join(lines)
 
 

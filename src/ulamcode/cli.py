@@ -429,23 +429,17 @@ def _render_tables_text(cells) -> str:
     width = max(
         [len(_cell_label(c)) for c in cells] + [len(str(d)) for d in ds] + [3]
     )
-    lines = ["maximum code sizes"]
     head = "  n\\d " + " ".join(f"{d:>{width}}" for d in ds)
-    lines.append(head)
-    for n in ns:
-        row = [f"{n:>5} "]
-        for d in ds:
-            cell = by_pos.get((n, d))
-            row.append(f"{_cell_label(cell) if cell else '--':>{width}}")
-        lines.append(" ".join(row))
-    lines.append("singleton-optimal codes")
-    lines.append(head)
-    for n in ns:
-        row = [f"{n:>5} "]
-        for d in ds:
-            cell = by_pos.get((n, d))
-            row.append(f"{cell.singleton_optimal if cell else '--':>{width}}")
-        lines.append(" ".join(row))
+    lines = []
+    for title, label in (("maximum code sizes", _cell_label),
+                         ("singleton-optimal codes", lambda c: c.singleton_optimal)):
+        lines += [title, head]
+        for n in ns:
+            row = [f"{n:>5} "]
+            for d in ds:
+                cell = by_pos.get((n, d))
+                row.append(f"{label(cell) if cell else '--':>{width}}")
+            lines.append(" ".join(row))
     return "\n".join(lines)
 
 

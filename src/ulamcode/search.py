@@ -30,14 +30,16 @@ Singleton search, then the maximum search under the best upper bound, then
 the integer-program bound if asked for and still needed.
 
 Everything returned is certified: codes re-verify by exact pairwise
-distance, "proven maximum" means the tree was exhausted or the supplied
-upper bound was met, and budget exhaustion is always an explicit status.
+distance, "proven maximum" means the tree was exhausted or the code meets
+a certified upper bound (never one a caller merely supplies), and budget
+exhaustion is always an explicit status.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -160,7 +162,8 @@ class _SearchSpace:
     With S classes of M = n!/(n-d+1)! words each, the class whose pattern
     has lex rank c owns field S-1-c, bits [(S-1-c) M, (S-c) M), so the next
     class in lex order is the highest non-empty field; its members keep lex
-    order from the field's low bit up.  ``perms[i]`` is the word at bit i.
+    order from the field's low bit up.  ``words``, the only copy of S_n, is
+    one (n!, n) int8 array of 0-based words, row i the word at bit i.
     The identity is member 0 of its own class, at bit ``identity``.
     ``_nonempty_fields(x, low, top)`` counts the classes a candidate set x
     still reaches.
@@ -174,30 +177,34 @@ class _SearchSpace:
     def __init__(self, params: CodeParams):
         self.params = params
         n, m = params.n, params.n - params.d + 1
-        lex = list(iter_symmetric_group(n))
-        words = np.array(lex, dtype=np.int8) - 1
+        size = math.factorial(n)
+        lex = np.fromiter(
+            chain.from_iterable(iter_symmetric_group(n)), np.int8, size * n
+        ).reshape(size, n)
+        lex -= 1
         # A word's class is the lex rank of its symbols < m in order; a
         # stable sort by descending class keeps each class's members in lex
         # order.
-        classes = _lex_ranks(words[words < m].reshape(len(lex), m))
+        classes = _lex_ranks(lex[lex < m].reshape(size, m))
         order = np.argsort(-classes, kind="stable")
-        self.perms: list[Perm] = [lex[i] for i in order]
+        self.words = lex[order]
+        del lex
         self._position = np.argsort(order)  # lex rank -> bit
         self.identity = int(self._position[0])
-        self.width = math.factorial(n) // math.factorial(m)
+        self.width = size // math.factorial(m)
         self.low, self.top = _field_masks(self.width, math.factorial(m))
-        far = _lis_lengths_batch(words) <= n - params.d
-        self._complement = 2 * int(np.count_nonzero(far)) > len(lex)
-        self._base = words[~far if self._complement else far]
-        self._row_nbytes = (len(lex) + 7) // 8
+        far = _lis_lengths_batch(self.words) <= n - params.d
+        self._complement = 2 * int(np.count_nonzero(far)) > size
+        self._base = self.words[~far if self._complement else far]
+        self._row_nbytes = (size + 7) // 8
         self._rows: dict[int, int] = {}
 
     def far_row(self, gi: int) -> int:
-        """Bitmask of every permutation at distance >= d from perms[gi]."""
+        """Bitmask of every permutation at distance >= d from words[gi]."""
         row = self._rows.get(gi)
         if row is None:
-            words = np.array(self.perms[gi], dtype=np.int8)[self._base]
-            bits = np.zeros(len(self.perms), dtype=bool)
+            words = self.words[gi][self._base]
+            bits = np.zeros(len(self.words), dtype=bool)
             bits[self._position[_lex_ranks(words)]] = True
             if self._complement:
                 np.logical_not(bits, out=bits)
@@ -294,7 +301,8 @@ def _search_from_identity(
         space, budget.start(), [space.identity], space.far_row(space.identity),
         floor, ceiling,
     )
-    return verify_code([space.perms[gi] for gi in best], params), nodes, exhausted
+    words = [tuple(w) for w in (space.words[best] + 1).tolist()]
+    return verify_code(words, params), nodes, exhausted
 
 
 def find_singleton_optimal(
@@ -328,13 +336,19 @@ def max_code_search(
 
     Prunes on the remaining-class count and on ``upper_bound`` (pass the
     best precomputed analytic/IP bound; defaults to the Singleton bound).
-    Optimality is "proven_maximum" when the tree is exhausted or the bound
-    is met, else "lower_bound_only".  Without an explicit budget, the cells
-    with no desk-scale proof get a default node cap.
+    Optimality is "proven_maximum" when the tree is exhausted or the code
+    meets the Singleton bound, else "lower_bound_only": a met
+    ``upper_bound`` stops the search but certifies nothing, since it is
+    trusted, not checked.  Without an explicit budget, the cells with no
+    desk-scale proof get a default node cap.
     """
-    ceiling = upper_bound if upper_bound is not None else singleton_upper(params)
+    singleton = singleton_upper(params)
+    ceiling = upper_bound if upper_bound is not None else singleton
     code, nodes, exhausted = _search_from_identity(params, budget, 1, ceiling)
-    optimality = LOWER_BOUND_ONLY if exhausted else PROVEN_MAXIMUM
+    size = len(code.words)
+    # Below the ceiling and within budget, the search ended with its tree.
+    proven = (not exhausted and size < ceiling) or size == singleton
+    optimality = PROVEN_MAXIMUM if proven else LOWER_BOUND_ONLY
     return SearchResult(code, optimality, ceiling, nodes)
 
 
@@ -355,11 +369,11 @@ def solve_cell(
     The Singleton search runs first; a code it finds is a proven maximum.
     Otherwise the maximum search runs under the best upper bound, capped one
     below the Singleton bound when the Singleton search exhausted its tree.
-    With ``with_ip``, a cell the maximum search leaves unproven gets the
-    integer-program bound under ``ip_budget`` (IP_NODE_CAP nodes if None),
-    and a code that meets it is proven.  Each search gets ``budget``, and
-    ``nodes_explored`` counts both.  The verdict is "yes", "no" or
-    "unknown".
+    With ``with_ip``, a code the maximum search leaves unproven and below
+    the ceiling gets the integer-program bound under ``ip_budget``
+    (IP_NODE_CAP nodes if None).  A code that meets the bound used is
+    proven.  Each search gets ``budget``, and ``nodes_explored`` counts
+    both.  The verdict is "yes", "no" or "unknown".
     """
     singleton = singleton_upper(params)
     sres = find_singleton_optimal(params, budget)
@@ -372,11 +386,13 @@ def solve_cell(
     res = max_code_search(params, budget, upper_bound=ceiling)
     res.nodes_explored += sres.nodes_explored
     size = len(res.code.words)
-    if with_ip and res.optimality != PROVEN_MAXIMUM:
+    if with_ip and res.optimality != PROVEN_MAXIMUM and size < ceiling:
         ip = ip_upper_bound(params, ip_budget or SearchBudget(max_nodes=IP_NODE_CAP))
         res.upper_bound_used = min(ceiling, ip)
-        if size == res.upper_bound_used:
-            res.optimality = PROVEN_MAXIMUM
+    # Every bound behind the ceiling is certified: Singleton, sphere,
+    # Singleton - 1 after an exhausted Singleton tree, and the IP.
+    if size == res.upper_bound_used:
+        res.optimality = PROVEN_MAXIMUM
     if res.optimality == PROVEN_MAXIMUM:
         # A proven maximum settles the existence question too.
         return res, "yes" if size == singleton else "no"

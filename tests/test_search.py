@@ -3,13 +3,15 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import class_partition, color_class
 from ulamcode import cli, ilp, search
-from ulamcode.ball import sphere_packing_bounds
+from ulamcode.ball import _lis_lengths_batch, sphere_packing_bounds
 from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
@@ -86,10 +88,16 @@ class TestVerifyCode:
         assert path.read_text().splitlines()[0] == "5 4"
 
 
+def space_words(space):
+    """The space's words as 1-based tuples, in bit order."""
+    return [tuple(w) for w in (space.words + 1).tolist()]
+
+
 def brute_force_row(space, gi):
-    sigma = space.perms[gi]
+    words = space_words(space)
+    sigma = words[gi]
     row = 0
-    for j, tau in enumerate(space.perms):
+    for j, tau in enumerate(words):
         if ulam_distance(sigma, tau) >= space.params.d:
             row |= 1 << j
     return row
@@ -99,7 +107,7 @@ class TestFarRow:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_every_row_of_s5(self, d):
         space = search._SearchSpace(CodeParams(5, d))
-        for gi in range(len(space.perms)):
+        for gi in range(len(space.words)):
             assert space.far_row(gi) == brute_force_row(space, gi)
 
     @pytest.mark.parametrize("d, complement", [(3, True), (5, False)])
@@ -107,7 +115,7 @@ class TestFarRow:
         # (7,3) keeps the identity's near set, (7,5) its far set.
         space = search._SearchSpace(CodeParams(7, d))
         assert space._complement is complement
-        for gi in random.Random(d).sample(range(len(space.perms)), 6):
+        for gi in random.Random(d).sample(range(len(space.words)), 6):
             assert space.far_row(gi) == brute_force_row(space, gi)
 
     def test_bounded_memo_changes_nothing(self, monkeypatch):
@@ -127,6 +135,27 @@ class TestFarRow:
         assert bounded.nodes_explored == free.nodes_explored > 3
         (space,) = spaces
         assert 1 <= len(space._rows) <= 3
+
+
+class TestOneCopyOfSn:
+    def test_space_retains_one_int8_array(self):
+        # S_8 as int8 words is 322 KB, and the bit positions as much again;
+        # a tuple per word would take several MB.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = search._SearchSpace(CodeParams(8, 6))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.5e6
+        assert space.words.dtype == np.int8
+        assert space.words.shape == (math.factorial(8), 8)
+
+    def test_int8_sweep_matches_int64(self):
+        space = search._SearchSpace(CodeParams(7, 3))
+        wide = space.words.astype(np.int64)
+        assert np.array_equal(_lis_lengths_batch(space.words), _lis_lengths_batch(wide))
 
 
 class TestFieldCount:
@@ -210,6 +239,13 @@ class TestMaxSearch:
         assert res.optimality == "proven_maximum"
         assert len(res.code.words) == 4
 
+    def test_met_caller_bound_certifies_nothing(self):
+        # The search stops at a supplied bound it cannot check; A(6,3) = 24.
+        res = max_code_search(CodeParams(6, 3), upper_bound=3)
+        assert len(res.code.words) == 3
+        assert res.optimality == "lower_bound_only"
+        assert res.upper_bound_used == 3
+
     def test_6_4(self):
         res = max_code_search(CodeParams(6, 4))
         assert res.optimality == "proven_maximum"
@@ -229,7 +265,7 @@ class TestMaxSearch:
             space, SearchBudget().start(), [], (1 << 120) - 1, 0, 6
         )
         assert (len(best), nodes, exhausted) == (4, 2_094, False)
-        verify_code([space.perms[gi] for gi in best], params)
+        verify_code([space_words(space)[gi] for gi in best], params)
         assert len(max_code_search(params).code.words) == 4
 
     def test_codes_reverify(self):
