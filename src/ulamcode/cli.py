@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .ball import (
@@ -41,7 +41,7 @@ from .bounds import (
 )
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import IP_NODE_CAP, build_model, export_lp, solve_ilp
+from .ilp import build_model, export_lp, ip_upper_bound
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
     find_singleton_optimal,
@@ -220,8 +220,14 @@ class _Run:
             "result": result,
         }
 
-    def emit(self, result: dict, text_body: str, csv_rows: list[list] | None = None,
+    def emit(self, result: dict, text_body: str | Callable[[], str],
+             csv_rows: Callable[[], Iterable[Sequence]] | None = None,
              raw_text: bool = False) -> int:
+        """Write the run in the requested format.
+
+        A long text body may be passed as a function, and ``csv_rows`` is
+        one, so only the requested format's body is built.
+        """
         args = self.args
         if args.format == "json":
             payload = json.dumps(self.envelope(result), indent=2) + "\n"
@@ -229,11 +235,13 @@ class _Run:
             buf = io.StringIO()
             for line in self.header_lines():
                 buf.write(line + "\n")
-            rows = csv_rows if csv_rows is not None else _dict_to_csv_rows(result)
+            rows = csv_rows() if csv_rows is not None else _dict_to_csv_rows(result)
             for row in rows:
                 buf.write(",".join(str(v) for v in row) + "\n")
             payload = buf.getvalue()
         else:
+            if callable(text_body):
+                text_body = text_body()
             if raw_text:
                 payload = text_body
             else:
@@ -279,15 +287,9 @@ def _cmd_bounds(run: _Run) -> int:
     args = run.args
     params = CodeParams(args.n, args.d)
     sphere = sphere_packing_bounds(params) if args.with_sphere else None
-    ip_upper, ip_bounded = None, False
-    if args.with_ip:
-        if params.d == 1:
-            ip_upper = math.factorial(params.n)
-        else:
-            budget = run.budget or SearchBudget(max_nodes=IP_NODE_CAP)
-            sol = solve_ilp(build_model(params), budget)
-            ip_upper = min(singleton_upper(params), sol.objective_value)
-            ip_bounded = sol.status == "bound_only"
+    ip_upper, ip_bounded = (
+        ip_upper_bound(params, run.budget) if args.with_ip else (None, False)
+    )
     report = bound_report(params, sphere, ip_upper)
     if ip_bounded:
         run.status = "bounded"
@@ -403,13 +405,13 @@ def _cmd_tables(run: _Run) -> int:
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
     result = {"cells": [dataclasses.asdict(c) for c in cells]}
-    csv_rows = [["n", "d", "lower", "upper", "status", "singleton_optimal", "method"]]
-    csv_rows += [
-        [c.n, c.d, c.lower, c.upper, c.status, c.singleton_optimal, c.method]
-        for c in cells
-    ]
-    text = _render_tables_text(cells)
-    return run.emit(result, text, csv_rows=csv_rows)
+
+    def csv_rows():
+        yield ["n", "d", "lower", "upper", "status", "singleton_optimal", "method"]
+        for c in cells:
+            yield [c.n, c.d, c.lower, c.upper, c.status, c.singleton_optimal, c.method]
+
+    return run.emit(result, lambda: _render_tables_text(cells), csv_rows=csv_rows)
 
 
 def _cell_label(cell) -> str:
@@ -446,17 +448,17 @@ def _render_tables_text(cells) -> str:
 def _cmd_ball(run: _Run) -> int:
     args = run.args
     table = ball_table(args.n)
+    sizes = sorted(table.sizes.items())
     if args.r is not None:
         if args.r not in table.sizes:
             raise ValueError(f"radius must be in 0..{args.n - 1}, got {args.r}")
-        result = {"n": args.n, "sizes": {str(args.r): table.sizes[args.r]}}
-        text = f"{args.r} {table.sizes[args.r]}"
-        csv_rows = [["r", "size"], [args.r, table.sizes[args.r]]]
-    else:
-        result = {"n": args.n, "sizes": {str(r): s for r, s in table.sizes.items()}}
-        text = "\n".join(f"{r} {s}" for r, s in sorted(table.sizes.items()))
-        csv_rows = [["r", "size"]] + [[r, s] for r, s in sorted(table.sizes.items())]
-    return run.emit(result, text, csv_rows=csv_rows)
+        sizes = [(args.r, table.sizes[args.r])]
+    result = {"n": args.n, "sizes": {str(r): s for r, s in sizes}}
+    return run.emit(
+        result,
+        lambda: "\n".join(f"{r} {s}" for r, s in sizes),
+        csv_rows=lambda: [["r", "size"], *sizes],
+    )
 
 
 def _cmd_lisdist(run: _Run) -> int:
@@ -464,9 +466,11 @@ def _cmd_lisdist(run: _Run) -> int:
     dist = lis_distribution_exact(args.n)
     counts = {str(k): dist.counts[k] for k in sorted(dist.counts)}
     result = {"n": dist.n, "total": dist.total, "counts": counts}
-    text = "\n".join(f"{k} {c}" for k, c in counts.items())
-    csv_rows = [["k", "count"]] + [[k, c] for k, c in counts.items()]
-    return run.emit(result, text, csv_rows=csv_rows)
+    return run.emit(
+        result,
+        lambda: "\n".join(f"{k} {c}" for k, c in counts.items()),
+        csv_rows=lambda: [["k", "count"], *counts.items()],
+    )
 
 
 def _cmd_mc(run: _Run) -> int:
@@ -489,9 +493,12 @@ def _cmd_clt(run: _Run) -> int:
     args = run.args
     values = clt_samples(args.n, args.samples, run.seed, workers=run.threads)
     result = {"n": args.n, "samples": args.samples, "values": values}
-    text = "\n".join(repr(v) for v in values)
-    csv_rows = [["value"]] + [[repr(v)] for v in values]
-    return run.emit(result, text, csv_rows=csv_rows)
+    # str of a float is its repr.
+    return run.emit(
+        result,
+        lambda: "\n".join(map(repr, values)),
+        csv_rows=lambda: [["value"], *([v] for v in values)],
+    )
 
 
 def _cmd_export_lp(run: _Run) -> int:

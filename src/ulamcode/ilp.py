@@ -29,9 +29,9 @@ Row = tuple[dict[Var, int], int]
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
-# Node cap for the integer program when a command or solve_cell is given no
-# budget: its nodes cost orders of magnitude more than clique nodes.  An
-# explicit budget is used as given, and solve_ilp alone has no cap.
+# Node cap for the integer program when ip_upper_bound is given no budget:
+# its nodes cost orders of magnitude more than clique nodes.  An explicit
+# budget is used as given, and solve_ilp alone has no cap.
 IP_NODE_CAP = 500
 
 
@@ -233,13 +233,17 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     )
 
 
-def ip_upper_bound(params: CodeParams, budget: Optional[SearchBudget] = None) -> int:
-    """min(Singleton, proven integer-program bound); valid for any budget."""
-    cap = singleton_upper(params)
+def ip_upper_bound(
+    params: CodeParams, budget: Optional[SearchBudget] = None
+) -> tuple[int, bool]:
+    """(min(Singleton, proven integer-program bound), whether the program
+    hit its budget).  The bound is valid for any budget; with none the
+    program gets IP_NODE_CAP nodes.
+    """
     if params.d == 1:
-        return math.factorial(params.n)
-    sol = solve_ilp(build_model(params), budget)
-    return min(cap, sol.objective_value)
+        return math.factorial(params.n), False
+    sol = solve_ilp(build_model(params), budget or SearchBudget(max_nodes=IP_NODE_CAP))
+    return min(singleton_upper(params), sol.objective_value), sol.status == BOUND_ONLY
 
 
 def export_lp(model: IlpModel) -> str:

@@ -49,7 +49,7 @@ from .ball import EXACT_LIMIT, _lis_lengths_batch, sphere_packing_bounds
 from .bounds import BoundReport, CodeParams, bound_report, singleton_upper
 from .budget import BudgetClock, SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import IP_NODE_CAP, ip_upper_bound
+from .ilp import ip_upper_bound
 from .perm import (
     Perm,
     format_permutation,
@@ -189,7 +189,9 @@ class _SearchSpace:
         order = np.argsort(-classes, kind="stable")
         self.words = lex[order]
         del lex
-        self._position = np.argsort(order)  # lex rank -> bit
+        # lex rank -> bit; int32 holds the bits of S_n up to n = 12.
+        self._position = np.empty(size, dtype=np.int32)
+        self._position[order] = np.arange(size, dtype=np.int32)
         self.identity = int(self._position[0])
         self.width = size // math.factorial(m)
         self.low, self.top = _field_masks(self.width, math.factorial(m))
@@ -387,7 +389,7 @@ def solve_cell(
     res.nodes_explored += sres.nodes_explored
     size = len(res.code.words)
     if with_ip and res.optimality != PROVEN_MAXIMUM and size < ceiling:
-        ip = ip_upper_bound(params, ip_budget or SearchBudget(max_nodes=IP_NODE_CAP))
+        ip, _ = ip_upper_bound(params, ip_budget)
         res.upper_bound_used = min(ceiling, ip)
     # Every bound behind the ceiling is certified: Singleton, sphere,
     # Singleton - 1 after an exhausted Singleton tree, and the IP.

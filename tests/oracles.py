@@ -10,7 +10,9 @@ import math
 from collections import deque
 from itertools import combinations, permutations
 
-from ulamcode.perm import Perm
+import numpy as np
+
+from ulamcode.perm import Perm, lis_length
 
 
 def brute_lis(sigma) -> int:
@@ -123,3 +125,14 @@ def class_partition(params) -> dict[Perm, list[Perm]]:
 def rate_function_acosh(c: float) -> float:
     """The acosh form 2c acosh(c/2) - 2 sqrt(c^2 - 4) of the LIS rate function."""
     return 2.0 * c * math.acosh(c / 2.0) - 2.0 * math.sqrt(c * c - 4.0)
+
+
+def sample_lis_reference(n: int, samples: int, seed: int, block: int) -> list[int]:
+    """LIS lengths of one ``rng.permutation(n)`` per sample, ``block`` samples
+    per stream, stream b seeded by SeedSequence(seed, spawn_key=(b,))."""
+    lengths: list[int] = []
+    for b in range(-(-samples // block)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        for _ in range(min(block, samples - b * block)):
+            lengths.append(lis_length(rng.permutation(n).tolist()))
+    return lengths

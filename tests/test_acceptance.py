@@ -57,7 +57,7 @@ def test_01_worked_example_ip_bound():
             ([0, 0, 1, 3, 6], 12),
         ]
         assert singleton_upper(CodeParams(5, 3)) == 6
-        assert ip_upper_bound(CodeParams(5, 3)) == 5
+        assert ip_upper_bound(CodeParams(5, 3)) == (5, False)
         assert time.monotonic() - start < 5.0
 
 
@@ -182,7 +182,7 @@ def test_10_ilp_soundness_sweep():
     with criterion(10, "IP bound sandwiched by A(n,d) and Singleton; codes feasible"):
         for (n, d), known in KNOWN_SIZES.items():
             params = CodeParams(n, d)
-            bound = ip_upper_bound(params)
+            bound, _ = ip_upper_bound(params)
             assert known <= bound <= singleton_upper(params), (n, d)
 
             if d == 2:

@@ -4,13 +4,16 @@ import math
 import os
 import statistics
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
-from oracles import bfs_ball_sizes, enum_lis_counts
+from oracles import bfs_ball_sizes, enum_lis_counts, sample_lis_reference
 from ulamcode import ball
 from ulamcode.ball import (
     EXACT_LIMIT,
+    MC_BLOCK,
     LisDistribution,
     ball_size,
     ball_table,
@@ -22,6 +25,7 @@ from ulamcode.ball import (
 )
 from ulamcode.bounds import CodeParams, gv_lower
 from ulamcode.errors import CapacityError
+from ulamcode.perm import lis_length
 
 
 class TestExactDistribution:
@@ -186,11 +190,35 @@ class TestMonteCarlo:
         b = sample_lis_lengths(6, 70_000, 3, workers=2)
         assert (a == b).all()
 
-    def test_large_n_uses_scalar_path(self):
-        # n above the batch threshold takes the per-sample bisect loop.
-        lengths = sample_lis_lengths(50, 64, 0)
-        assert len(lengths) == 64
-        assert all(1 <= v <= 50 for v in lengths)
+    def test_large_n_uses_scalar_path(self, monkeypatch):
+        # Past n = 47,700 the open piles cost more than a bisect at any
+        # number of rows, so every chunk takes the per-row loop.
+        def batch(perms):
+            raise AssertionError("batched kernel called")
+
+        monkeypatch.setattr(ball, "_lis_lengths_batch", batch)
+        n = 50_000
+        assert not ball._batch_wins(10**9, n)
+        lengths = sample_lis_lengths(n, 8, 0)
+        assert len(lengths) == 8
+        assert all(1 <= v <= n for v in lengths)
+
+    @pytest.mark.parametrize("n", [5, 32, 33, 100])
+    def test_stream_matches_per_sample_reference(self, n):
+        # One rng.permutation(n) per sample, as every n drew before the draw
+        # was batched: no sample moved, on either side of the old n = 32
+        # boundary, nor in the short last block.
+        samples = MC_BLOCK + 5
+        got = sample_lis_lengths(n, samples, 11)
+        assert got.tolist() == sample_lis_reference(n, samples, 11, MC_BLOCK)
+
+    def test_stream_does_not_depend_on_chunks(self, monkeypatch):
+        # Chunks of 70 int16 rows take the kernel; the last 20 rows take the
+        # loop, drawn in int64 as chunks of 17 and 3 rows.
+        n, samples = 33, 1000
+        monkeypatch.setattr(ball, "_CHUNK_BYTES", 70 * n * 2)
+        got = sample_lis_lengths(n, samples, 5)
+        assert got.tolist() == sample_lis_reference(n, samples, 5, MC_BLOCK)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,6 +227,55 @@ class TestMonteCarlo:
             lis_prob_mc(5, 0, 10, 0)
         with pytest.raises(ValueError):
             sample_lis_lengths(5, 0, 0)
+
+
+class TestLisKernel:
+    """The batched patience kernel against the bisect lis_length per row."""
+
+    @staticmethod
+    def per_row(perms):
+        return [lis_length(row) for row in perms.tolist()]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_of_sn_in_int8(self, n):
+        perms = np.array(list(permutations(range(n))), dtype=np.int8)
+        assert ball._lis_lengths_batch(perms).tolist() == self.per_row(perms)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    @pytest.mark.parametrize("n", [1, 2, 33, 200, 1000])
+    def test_random_rows(self, n, dtype):
+        perms = np.tile(np.arange(n, dtype=dtype), (40, 1))
+        np.random.default_rng(n).permuted(perms, axis=1, out=perms)
+        lengths = ball._lis_lengths_batch(perms)
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == self.per_row(perms)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_identity_and_reversal_rows(self, dtype):
+        # The identity row opens a pile at every step, so the open width
+        # reaches n + 1 while the other rows stay short.
+        n = 100
+        rng = np.random.default_rng(0)
+        rows = [np.arange(n), np.arange(n)[::-1], rng.permutation(n), rng.permutation(n)]
+        perms = np.array(rows, dtype=dtype)
+        lengths = ball._lis_lengths_batch(perms).tolist()
+        assert lengths[:2] == [n, 1]
+        assert lengths == self.per_row(perms)
+        assert ball._lis_lengths_batch(perms[:2]).tolist() == [n, 1]
+
+    def test_evaluators_agree_on_one_draw(self, monkeypatch):
+        # Forcing either evaluator (and so either dtype) moves no sample.
+        results = []
+        for batch in (True, False):
+            monkeypatch.setattr(ball, "_batch_wins", lambda rows, n, batch=batch: batch)
+            results.append(sample_lis_lengths(40, 500, 3))
+        assert np.array_equal(*results)
+
+
+def test_evaluator_rule():
+    # Short chunks go to the bisect loop (see _batch_wins).
+    assert ball._batch_wins(64, 33) and not ball._batch_wins(32, 33)
+    assert ball._batch_wins(128, 10_000) and not ball._batch_wins(64, 10_000)
 
 
 class TestWorkerPools:

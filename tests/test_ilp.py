@@ -172,22 +172,29 @@ class TestSolveIlp:
 
 class TestIpUpperBound:
     def test_worked_example(self):
-        assert ip_upper_bound(CodeParams(5, 3)) == 5
+        assert ip_upper_bound(CodeParams(5, 3)) == (5, False)
 
     def test_d1_short_circuits(self):
-        assert ip_upper_bound(CodeParams(4, 1)) == 24
+        assert ip_upper_bound(CodeParams(4, 1)) == (24, False)
 
     def test_4_3_consistency(self):
-        value = ip_upper_bound(CodeParams(4, 3))
+        value, bounded = ip_upper_bound(CodeParams(4, 3))
         assert value >= 2  # the true maximum size
         assert value == 2  # frozen: min(Singleton 2, program 2)
+        assert not bounded
 
     def test_never_exceeds_singleton(self):
         budget = SearchBudget(max_nodes=10)
         for n in range(4, 8):
             for d in range(2, n):
                 p = CodeParams(n, d)
-                assert ip_upper_bound(p, budget) <= singleton_upper(p)
+                assert ip_upper_bound(p, budget)[0] <= singleton_upper(p)
+
+    def test_budget_hit_is_reported(self):
+        # (5,3) needs 107 nodes; with 10 the bound is still valid but loose.
+        value, bounded = ip_upper_bound(CodeParams(5, 3), SearchBudget(max_nodes=10))
+        assert bounded
+        assert 5 <= value <= singleton_upper(CodeParams(5, 3))
 
 
 class TestExportLp:

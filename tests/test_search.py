@@ -139,8 +139,8 @@ class TestFarRow:
 
 class TestOneCopyOfSn:
     def test_space_retains_one_int8_array(self):
-        # S_8 as int8 words is 322 KB, and the bit positions as much again;
-        # a tuple per word would take several MB.
+        # S_8 as int8 words is 322 KB and the int32 bit positions half that;
+        # int64 positions would take 0.67 MB and a tuple per word several MB.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -148,9 +148,16 @@ class TestOneCopyOfSn:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained < 1.5e6
+        assert retained < 0.6e6
         assert space.words.dtype == np.int8
         assert space.words.shape == (math.factorial(8), 8)
+
+    def test_bit_positions_are_int32(self):
+        space = search._SearchSpace(CodeParams(6, 3))
+        assert space._position.dtype == np.int32
+        # A permutation of the bits: lex rank r sits at bit _position[r].
+        assert np.array_equal(np.sort(space._position), np.arange(math.factorial(6)))
+        assert space.words[space.identity].tolist() == list(range(6))
 
     def test_int8_sweep_matches_int64(self):
         space = search._SearchSpace(CodeParams(7, 3))
@@ -382,7 +389,7 @@ class TestTables:
 
         def ip(params, budget=None):
             calls.append(params)
-            return singleton_upper(params)
+            return singleton_upper(params), False
 
         monkeypatch.setattr(search, "ip_upper_bound", ip)
         cells = reproduce_tables([n], ds, with_ip=True)
@@ -406,7 +413,7 @@ class TestBudgetRule:
     """The budget each search and the integer program receive in tables,
     and the integer program's budget in every command that runs it.
 
-    The search engine and the integer-program bound are replaced by
+    The search engine and the integer-program solver are replaced by
     recording fakes, so no search runs, bounded or not.
     """
 
@@ -419,12 +426,13 @@ class TestBudgetRule:
             calls.append((space.params.n, kind, clock.budget))
             return list(chosen), 1, True
 
-        def ip(params, budget=None):
-            calls.append((params.n, "ip", budget))
-            return singleton_upper(params)
+        def solve(model, budget=None):
+            calls.append((model.n, "ip", budget))
+            value = singleton_upper(CodeParams(model.n, model.d))
+            return IlpSolution("optimal", value, None, Fraction(value))
 
         monkeypatch.setattr(search, "_clique_search", engine)
-        monkeypatch.setattr(search, "ip_upper_bound", ip)
+        monkeypatch.setattr(ilp, "solve_ilp", solve)
         return calls
 
     def budgets(self, calls, n):
@@ -466,14 +474,8 @@ class TestBudgetRule:
         ],
     )
     def test_one_ip_budget_rule_in_every_command(
-        self, calls, monkeypatch, capsys, budget_args, expected
+        self, calls, capsys, budget_args, expected
     ):
-        def solve(model, budget=None):
-            calls.append((model.n, "ip", budget))
-            value = singleton_upper(CodeParams(model.n, model.d))
-            return IlpSolution("optimal", value, None, Fraction(value))
-
-        monkeypatch.setattr(cli, "solve_ilp", solve)
         assert ilp.IP_NODE_CAP == 500
         for command in ("bounds", "search", "tables"):
             calls.clear()
