@@ -217,20 +217,16 @@ def sample_lis_lengths(
         raise ValueError("samples must be >= 1")
     nblocks = -(-samples // MC_BLOCK)
     sizes = [MC_BLOCK] * (nblocks - 1) + [samples - MC_BLOCK * (nblocks - 1)]
-    args = [(n, seed, i, sizes[i]) for i in range(nblocks)]
+    columns = ([n] * nblocks, [seed] * nblocks, range(nblocks), sizes)
     if workers > 1 and nblocks > 1:
         try:
             with ProcessPoolExecutor(max_workers=_pool_size(workers, nblocks)) as pool:
-                parts = list(pool.map(_sample_block_star, args))
+                parts = list(pool.map(_sample_block, *columns))
         except OSError:
-            parts = [_sample_block(*a) for a in args]
+            parts = list(map(_sample_block, *columns))
     else:
-        parts = [_sample_block(*a) for a in args]
+        parts = list(map(_sample_block, *columns))
     return np.concatenate(parts)
-
-
-def _sample_block_star(args: tuple[int, int, int, int]) -> np.ndarray:
-    return _sample_block(*args)
 
 
 def lis_prob_mc(

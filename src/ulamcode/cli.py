@@ -273,10 +273,6 @@ def _cmd_distance(run: _Run) -> int:
     args = run.args
     sigma = parse_permutation(args.sigma)
     tau = parse_permutation(args.tau)
-    if len(sigma) != len(tau):
-        raise ValueError(
-            f"permutations have different lengths {len(sigma)} and {len(tau)}"
-        )
     lcs = lcs_length(sigma, tau)
     result = {"n": len(sigma), "lcs_length": lcs, "distance": len(sigma) - lcs}
     text = f"n {len(sigma)}\nlcs_length {lcs}\ndistance {len(sigma) - lcs}"
@@ -320,56 +316,36 @@ def _cmd_bounds(run: _Run) -> int:
 def _cmd_search(run: _Run) -> int:
     args = run.args
     params = CodeParams(args.n, args.d)
-    budget = run.budget
     if args.singleton_only:
-        res = find_singleton_optimal(params, budget)
-        if res.status == "budget_exhausted":
-            run.status = "bounded"
-        if res.code is not None and args.save_code:
-            write_code_file(res.code, args.save_code)
+        res = find_singleton_optimal(params, run.budget)
+        code, bounded = res.code, res.status == "budget_exhausted"
         result = {
             "n": params.n,
             "d": params.d,
             "singleton_status": res.status,
             "target_size": singleton_upper(params),
-            "size": len(res.code.words) if res.code else 0,
-            "nodes_explored": res.nodes_explored,
-            "words": sorted(format_permutation(w) for w in res.code.words)
-            if res.code
-            else [],
+            "size": len(code.words) if code else 0,
         }
-        text = "\n".join(
-            [f"singleton_status {res.status}", f"nodes {res.nodes_explored}"]
-            + result["words"]
-        )
-        return run.emit(result, text)
-
-    res, _ = solve_cell(params, budget, args.with_ip, budget)
-    if res.optimality == "lower_bound_only":
+        lines = [f"singleton_status {res.status}"]
+    else:
+        res, _ = solve_cell(params, run.budget, args.with_ip, run.budget)
+        code, bounded = res.code, res.optimality == "lower_bound_only"
+        result = {
+            "n": params.n,
+            "d": params.d,
+            "size": len(code.words),
+            "min_distance": code.min_distance,
+            "optimality": res.optimality,
+            "upper_bound_used": res.upper_bound_used,
+        }
+        lines = [f"{key} {result[key]}" for key in list(result)[2:]]
+    if bounded:
         run.status = "bounded"
-    if args.save_code:
-        write_code_file(res.code, args.save_code)
-    words = sorted(format_permutation(w) for w in res.code.words)
-    result = {
-        "n": params.n,
-        "d": params.d,
-        "size": len(res.code.words),
-        "min_distance": res.code.min_distance,
-        "optimality": res.optimality,
-        "upper_bound_used": res.upper_bound_used,
-        "nodes_explored": res.nodes_explored,
-        "words": words,
-    }
-    text = "\n".join(
-        [
-            f"size {len(res.code.words)}",
-            f"min_distance {res.code.min_distance}",
-            f"optimality {res.optimality}",
-            f"upper_bound_used {res.upper_bound_used}",
-            f"nodes {res.nodes_explored}",
-        ]
-        + words
-    )
+    if code is not None and args.save_code:
+        write_code_file(code, args.save_code)
+    result["nodes_explored"] = res.nodes_explored
+    result["words"] = sorted(format_permutation(w) for w in code.words) if code else []
+    text = "\n".join(lines + [f"nodes {res.nodes_explored}"] + result["words"])
     return run.emit(result, text)
 
 

@@ -155,21 +155,18 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     budget = budget or SearchBudget()
     clock = budget.start()
 
-    def floor_of(value: Fraction) -> int:
-        return value.numerator // value.denominator
-
     counter = 0
     heap: list[tuple[Fraction, int, dict, list[Fraction]]] = []
 
     def consider(value: Fraction, x: list[Fraction], bounds: dict) -> None:
         nonlocal best_value, best_x, counter
         if _is_integral(x):
-            iv = floor_of(value)
+            iv = math.floor(value)
             if iv > best_value:
                 best_value = iv
                 best_x = {v: int(x[k]) for k, v in enumerate(model.variables)}
             return
-        if floor_of(value) > best_value:
+        if math.floor(value) > best_value:
             counter += 1
             heapq.heappush(heap, (-value, counter, bounds, x))
 
@@ -192,7 +189,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             break
         neg, _, bounds, x = heapq.heappop(heap)
         lp_value = -neg
-        if floor_of(lp_value) <= best_value:
+        if math.floor(lp_value) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
             heap.clear()
             break
@@ -200,7 +197,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
         branch_frac = Fraction(-1)
         branch_val = Fraction(0)
         for k, v in enumerate(model.variables):
-            f = x[k] - (x[k].numerator // x[k].denominator)
+            f = x[k] - math.floor(x[k])
             if f == 0:
                 continue
             score = min(f, 1 - f)
@@ -211,7 +208,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
         if branch_var is None:
             raise AssertionError("non-integral node without fractional variable")
         lo0, hi0 = bounds.get(branch_var, (0, None))
-        fl = branch_val.numerator // branch_val.denominator
+        fl = math.floor(branch_val)
         for new in ((lo0, fl), (fl + 1, hi0)):
             child = dict(bounds)
             child[branch_var] = new
@@ -223,7 +220,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
 
     if status == BOUND_ONLY:
         # Every open node's floor is still a candidate for the optimum.
-        best_value = max([best_value] + [floor_of(-neg) for neg, _, _, _ in heap])
+        best_value = max([best_value] + [math.floor(-neg) for neg, _, _, _ in heap])
     return IlpSolution(
         status=status,
         objective_value=best_value,

@@ -100,16 +100,7 @@ class Translocation:
         Composing on the right (``compose(sigma, t.one_line(n))``) performs
         the move on sigma's one-line word.
         """
-        if self.j > n:
-            raise ValueError(f"index j={self.j} out of range for n={n}")
-        word = list(range(1, n + 1))
-        if self.kind == "right":
-            sym = word.pop(self.i - 1)
-            word.insert(self.j - 1, sym)
-        else:
-            sym = word.pop(self.j - 1)
-            word.insert(self.i - 1, sym)
-        return tuple(word)
+        return apply_translocation(identity(n), self)
 
 
 def apply_translocation(sigma: Perm, t: Translocation) -> Perm:

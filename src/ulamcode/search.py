@@ -52,6 +52,7 @@ from .errors import CapacityError, DistanceViolation
 from .ilp import ip_upper_bound
 from .perm import (
     Perm,
+    check_permutation,
     format_permutation,
     iter_symmetric_group,
     parse_permutation,
@@ -103,23 +104,39 @@ class SingletonSearchResult:
 def verify_code(words: Sequence[Perm] | frozenset[Perm], params: CodeParams) -> Code:
     """Check all pairwise distances and return a certified Code.
 
-    Raises DistanceViolation naming a closest offending pair when some pair
-    sits at distance < d.  min_distance is n for codes with <= 1 word.
+    Words must be permutations of 1..n (ValueError otherwise).  Raises
+    DistanceViolation naming the closest pair, the first in sorted order,
+    when some pair sits at distance < d; a repeated word is a pair at
+    distance 0.  min_distance is n for codes with <= 1 word.
+
+    The LCS of words u and w is the LIS of w relabeled by u's inverse, so
+    each word's distances to the later words are one call of the batched
+    patience kernel.  The closest pair's distance is recomputed by
+    ulam_distance; a mismatch is an internal error.
     """
-    wordlist = sorted(set(words))
+    wordlist = sorted(words)
     if not wordlist:
         raise ValueError("a code needs at least one word")
+    n = params.n
     for w in wordlist:
-        if len(w) != params.n:
-            raise ValueError(f"word of length {len(w)} in a length-{params.n} code")
-    min_d = params.n
+        if len(w) != n:
+            raise ValueError(f"word of length {len(w)} in a length-{n} code")
+        check_permutation(w)
+    # The kernel's sentinel, the dtype's maximum, must exceed every symbol.
+    dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
+    arr = np.array(wordlist, dtype=dtype) - 1
+    min_d = n
     closest: Optional[tuple[Perm, Perm]] = None
-    for i, u in enumerate(wordlist):
-        for w in wordlist[i + 1 :]:
-            dist = ulam_distance(u, w)
-            if dist < min_d:
-                min_d = dist
-                closest = (u, w)
+    for i in range(len(wordlist) - 1):
+        lcs = _lis_lengths_batch(np.argsort(arr[i]).astype(dtype)[arr[i + 1 :]])
+        j = int(np.argmax(lcs))
+        if n - int(lcs[j]) < min_d:
+            min_d = n - int(lcs[j])
+            closest = (wordlist[i], wordlist[i + 1 + j])
+    if closest is not None and ulam_distance(*closest) != min_d:
+        raise AssertionError(
+            f"batched distance {min_d} disagrees with ulam_distance at {closest}"
+        )
     if min_d < params.d:
         assert closest is not None
         raise DistanceViolation(closest[0], closest[1], min_d, params.d)

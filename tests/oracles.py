@@ -136,3 +136,17 @@ def sample_lis_reference(n: int, samples: int, seed: int, block: int) -> list[in
         for _ in range(min(block, samples - b * block)):
             lengths.append(lis_length(rng.permutation(n).tolist()))
     return lengths
+
+
+def closest_pair(words) -> tuple[int, tuple[Perm, Perm] | None]:
+    """(minimum distance, first pair in sorted order at it) over every pair
+    of the sorted words, from the dp_lcs table; (n, None) for one word."""
+    ws = sorted(words)
+    n = len(ws[0])
+    best, pair = n, None
+    for i, u in enumerate(ws):
+        for w in ws[i + 1 :]:
+            dist = n - dp_lcs(u, w)
+            if dist < best:
+                best, pair = dist, (u, w)
+    return best, pair

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from ulamcode import cli
+from ulamcode import cli, search
 from ulamcode.ball import EXACT_LIMIT
 from ulamcode.perm import random_permutation, ulam_distance
 
@@ -101,6 +101,11 @@ class TestDistance:
         assert code == 1
         assert "2" in err
 
+    def test_different_lengths_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "distance", "1 2 3", "1 2 3 4")
+        assert code == 1
+        assert "lengths 3 and 4" in err
+
 
 class TestBounds:
     def test_worked_example_with_ip(self, capsys):
@@ -158,6 +163,28 @@ class TestSearchAndVerify:
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert "distance 1" in err
+
+    @pytest.mark.parametrize("body, message", [
+        ("1 2 3\n1 2 3\n3 2 1\n", "distance 0 < 2: 1 2 3 vs 1 2 3"),
+        ("1 2 3\n1 1 2\n", "symbol 1 appears more than once"),
+        ("1 2 3\n1 2\n", "word of length 2"),
+    ])
+    def test_verify_rejects_repeated_and_malformed_words(
+        self, capsys, tmp_path, body, message
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n" + body)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_verify_cross_check_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(search, "ulam_distance", lambda u, w: 0)
+        path = tmp_path / "code.txt"
+        path.write_text("3 2\n1 2 3\n3 2 1\n")
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 3
+        assert "internal invariant violation" in err
 
     def test_budget_exhaustion_exits_zero_with_bounded_status(self, capsys):
         data = run_json(

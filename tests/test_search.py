@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import class_partition, color_class
+from oracles import class_partition, closest_pair, color_class, move_neighbors
 from ulamcode import cli, ilp, search
 from ulamcode.ball import _lis_lengths_batch, sphere_packing_bounds
 from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
@@ -77,6 +77,69 @@ class TestVerifyCode:
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             verify_code([(1, 2, 3), (1, 2, 3, 4)], CodeParams(3, 2))
+
+    def test_repeated_word_is_a_pair_at_distance_0(self):
+        with pytest.raises(DistanceViolation) as err:
+            verify_code([(1, 2, 3), (1, 2, 3), (3, 2, 1)], CodeParams(3, 2))
+        assert err.value.distance == 0
+        assert err.value.sigma == err.value.tau == (1, 2, 3)
+
+    def test_rejects_non_permutations(self):
+        with pytest.raises(ValueError, match="appears more than once"):
+            verify_code([(1, 1, 1), (2, 2, 2), (3, 3, 3)], CodeParams(3, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            verify_code([(1, 2, 3), (1, 2, 4)], CodeParams(3, 2))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_pairwise_reference(self, n):
+        # Random codes of 2-40 words, some with a repeated word, checked at
+        # their own minimum distance (valid) and one above it (invalid).
+        rng = random.Random(n)
+        for _ in range(30):
+            words = [tuple(rng.sample(range(1, n + 1), n))
+                     for _ in range(rng.randint(2, 40))]
+            if rng.random() < 0.2:
+                words.append(rng.choice(words))
+            dist, pair = closest_pair(words)
+            for d in (dist, dist + 1):
+                if not 1 <= d <= n - 1:
+                    continue
+                params = CodeParams(n, d)
+                if d <= dist:
+                    code = verify_code(words, params)
+                    assert code.min_distance == dist
+                    assert code.words == frozenset(words)
+                else:
+                    with pytest.raises(DistanceViolation) as err:
+                        verify_code(words, params)
+                    got = (err.value.distance, (err.value.sigma, err.value.tau))
+                    assert got == (dist, pair)
+
+    def test_large_search_code(self):
+        # The 1,100-word (8,2) code: no pair one move apart, and its closest
+        # pair, two moves apart, is found from single-move neighbourhoods.
+        words = sorted(
+            max_code_search(CodeParams(8, 2), SearchBudget(max_nodes=1_100)).code.words
+        )
+        assert len(words) == 1_100
+        later = set(words)
+        pair = None
+        for u in words:
+            later.discard(u)
+            assert not move_neighbors(u) & set(words)
+            if pair is None:
+                two = set().union(*map(move_neighbors, move_neighbors(u)))
+                if two & later:
+                    pair = (u, min(two & later))
+        assert verify_code(words, CodeParams(8, 2)).min_distance == 2
+        with pytest.raises(DistanceViolation) as err:
+            verify_code(words, CodeParams(8, 3))
+        assert (err.value.distance, err.value.sigma, err.value.tau) == (2, *pair)
+
+    def test_kernel_is_checked_against_ulam_distance(self, monkeypatch):
+        monkeypatch.setattr(search, "ulam_distance", lambda u, w: 0)
+        with pytest.raises(AssertionError, match="disagrees"):
+            verify_code([identity(5), reversal(5)], CodeParams(5, 4))
 
     def test_file_round_trip(self, tmp_path):
         code = verify_code([identity(5), reversal(5)], CodeParams(5, 4))
