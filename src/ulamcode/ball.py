@@ -143,6 +143,12 @@ def sphere_packing_bounds(params: CodeParams) -> tuple[int, int]:
     return -(-nfact // sizes[delta]), nfact // sizes[delta // 2]
 
 
+def _kernel_dtype(n: int) -> np.dtype:
+    """Smallest dtype in which _lis_lengths_batch takes permutations of
+    0..n-1: its maximum, the kernel's sentinel, must exceed every symbol."""
+    return np.dtype(np.int16 if n < np.iinfo(np.int16).max else np.int32)
+
+
 def _lis_lengths_batch(perms: np.ndarray) -> np.ndarray:
     """Patience lengths of each row of a (B, n) permutation array.
 
@@ -186,7 +192,7 @@ def _batch_wins(rows: int, n: int) -> bool:
 def _sample_block(n: int, seed: int, block_index: int, block_size: int) -> np.ndarray:
     """LIS lengths of ``block_size`` uniform permutations from block stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
-    small = np.dtype(np.int16 if n < np.iinfo(np.int16).max else np.int32)
+    small = _kernel_dtype(n)
     parts = []
     done = 0
     while done < block_size:

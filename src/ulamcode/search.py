@@ -9,10 +9,10 @@ fixed as the representative of its own class without losing generality.
 
 Both questions asked of a cell, whether a Singleton-optimal code exists
 and how large the largest code is, run one branch-and-bound: it looks for
-a clique larger than a floor and stops at a ceiling.  The maximum search
-starts the floor at the size of its starting clique (the identity); the
-Singleton search sets it one below the number of classes, so a child
-survives only while every class still to fill has a candidate.
+a clique larger than a floor and stops at a ceiling.  The Singleton phase
+sets the floor one below the number of classes, so a child survives only
+while every class still to fill has a candidate; the maximum phase starts
+the floor at the size of its starting clique (the identity).
 
 Candidate sets are bitmasks over S_n laid out class-major: each class owns
 a field of M = n!/(n-d+1)! consecutive bits, its members in lex order, so a
@@ -21,18 +21,20 @@ class's field cleared, ANDed with a far row, and the number of classes it
 still reaches is a few bigint operations on per-field masks.  The
 distance-at-least-d row of a permutation sigma is computed on demand and
 memoized, so the full pairwise graph is never materialized.  One vectorized
-LIS sweep over S_n per search finds the identity's far set; by
+LIS sweep over S_n per cell finds the identity's far set; by
 left-invariance the row of sigma is that set relabeled by sigma, ranked
 back into bit positions.
 
-solve_cell, which ``search`` and ``tables`` share, answers a cell: the
-Singleton search, then the maximum search under the best upper bound, then
-the integer-program bound if asked for and still needed.
+max_code_search is the search of a cell: on one S_n, the Singleton phase,
+then, if it finds no code, the maximum phase under the Singleton bound, or
+one below it once the Singleton tree is exhausted.  solve_cell, which
+``search`` and ``tables`` share, adds the integer-program bound if asked
+for and still needed, and the Singleton-optimality verdict.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the code meets
-a certified upper bound (never one a caller merely supplies), and budget
-exhaustion is always an explicit status.
+a certified upper bound (no entry point takes one from its caller), and
+budget exhaustion is always an explicit status.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ball import EXACT_LIMIT, _lis_lengths_batch, sphere_packing_bounds
-from .bounds import BoundReport, CodeParams, bound_report, singleton_upper
+from .ball import EXACT_LIMIT, _kernel_dtype, _lis_lengths_batch, sphere_packing_bounds
+from .bounds import CodeParams, bound_report, singleton_upper
 from .budget import BudgetClock, SearchBudget
 from .errors import CapacityError, DistanceViolation
 from .ilp import ip_upper_bound
@@ -122,8 +124,7 @@ def verify_code(words: Sequence[Perm] | frozenset[Perm], params: CodeParams) -> 
         if len(w) != n:
             raise ValueError(f"word of length {len(w)} in a length-{n} code")
         check_permutation(w)
-    # The kernel's sentinel, the dtype's maximum, must exceed every symbol.
-    dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
+    dtype = _kernel_dtype(n)
     arr = np.array(wordlist, dtype=dtype) - 1
     min_d = n
     closest: Optional[tuple[Perm, Perm]] = None
@@ -192,6 +193,12 @@ class _SearchSpace:
     """
 
     def __init__(self, params: CodeParams):
+        if params.d < 2:
+            raise ValueError("search needs d >= 2; A(n, 1) = n! holds trivially")
+        if params.n > SEARCH_LIMIT:
+            raise CapacityError(
+                f"search over S_{params.n} exceeds the limit {SEARCH_LIMIT}"
+            )
         self.params = params
         n, m = params.n, params.n - params.d + 1
         size = math.factorial(n)
@@ -299,29 +306,38 @@ def _clique_search(
 
 
 def _search_from_identity(
-    params: CodeParams, budget: Optional[SearchBudget], floor: int, ceiling: int
+    space: _SearchSpace, budget: Optional[SearchBudget], floor: int, ceiling: int
 ) -> tuple[Code, int, bool]:
     """(verified best code, nodes, exhausted) of _clique_search from the
     identity.  Without an explicit budget, the cells with no desk-scale
     proof (n = 7 below d = 5, and all of n >= 8, d = 2 included) get
     HARD_CELL_NODE_CAP nodes.
     """
-    if params.d < 2:
-        raise ValueError("search needs d >= 2; A(n, 1) = n! holds trivially")
-    if params.n > SEARCH_LIMIT:
-        raise CapacityError(
-            f"search over S_{params.n} exceeds the limit {SEARCH_LIMIT}"
-        )
+    params = space.params
     if budget is None:
         hard = (params.n == 7 and params.d <= 4) or params.n >= 8
         budget = SearchBudget(max_nodes=HARD_CELL_NODE_CAP if hard else None)
-    space = _SearchSpace(params)
     best, nodes, exhausted = _clique_search(
         space, budget.start(), [space.identity], space.far_row(space.identity),
         floor, ceiling,
     )
     words = [tuple(w) for w in (space.words[best] + 1).tolist()]
     return verify_code(words, params), nodes, exhausted
+
+
+def _singleton_phase(
+    space: _SearchSpace, budget: Optional[SearchBudget]
+) -> SingletonSearchResult:
+    # With floor one below the class count, a child is kept only while
+    # every class still to fill has a candidate.
+    singleton = singleton_upper(space.params)
+    code, nodes, exhausted = _search_from_identity(
+        space, budget, singleton - 1, singleton
+    )
+    if exhausted or len(code.words) < singleton:
+        status = BUDGET_EXHAUSTED if exhausted else NONE_EXISTS
+        return SingletonSearchResult(status, None, nodes)
+    return SingletonSearchResult(FOUND, code, nodes)
 
 
 def find_singleton_optimal(
@@ -334,47 +350,33 @@ def find_singleton_optimal(
     distinct status "budget_exhausted".  Without an explicit budget, the
     cells with no desk-scale proof get a default node cap.
     """
-    # With floor one below the class count, a child is kept only while
-    # every class still to fill has a candidate.
-    singleton = singleton_upper(params)
-    code, nodes, exhausted = _search_from_identity(
-        params, budget, singleton - 1, singleton
-    )
-    if exhausted or len(code.words) < singleton:
-        status = BUDGET_EXHAUSTED if exhausted else NONE_EXISTS
-        return SingletonSearchResult(status, None, nodes)
-    return SingletonSearchResult(FOUND, code, nodes)
+    return _singleton_phase(_SearchSpace(params), budget)
 
 
 def max_code_search(
-    params: CodeParams,
-    budget: Optional[SearchBudget] = None,
-    upper_bound: Optional[int] = None,
+    params: CodeParams, budget: Optional[SearchBudget] = None
 ) -> SearchResult:
-    """Best code found by branch-and-bound over classes (at most one each).
+    """Best code of a cell, by branch-and-bound over classes (at most one
+    word each) on one S_n.
 
-    Prunes on the remaining-class count and on ``upper_bound`` (pass the
-    best precomputed analytic/IP bound; defaults to the Singleton bound).
+    The Singleton phase runs first; a code it finds is a proven maximum.
+    Otherwise the maximum phase runs under a certified ceiling: the
+    Singleton bound, or one below it once the Singleton tree is exhausted.
     Optimality is "proven_maximum" when the tree is exhausted or the code
-    meets the Singleton bound, else "lower_bound_only": a met
-    ``upper_bound`` stops the search but certifies nothing, since it is
-    trusted, not checked.  Without an explicit budget, the cells with no
-    desk-scale proof get a default node cap.
+    meets the ceiling, else "lower_bound_only".  Each phase gets
+    ``budget``, and ``nodes_explored`` counts both.  Without an explicit
+    budget, the cells with no desk-scale proof get a default node cap.
     """
+    space = _SearchSpace(params)
     singleton = singleton_upper(params)
-    ceiling = upper_bound if upper_bound is not None else singleton
-    code, nodes, exhausted = _search_from_identity(params, budget, 1, ceiling)
-    size = len(code.words)
-    # Below the ceiling and within budget, the search ended with its tree.
-    proven = (not exhausted and size < ceiling) or size == singleton
+    first = _singleton_phase(space, budget)
+    if first.status == FOUND:
+        return SearchResult(first.code, PROVEN_MAXIMUM, singleton, first.nodes_explored)
+    ceiling = singleton - 1 if first.status == NONE_EXISTS else singleton
+    code, nodes, exhausted = _search_from_identity(space, budget, 1, ceiling)
+    proven = not exhausted or len(code.words) == ceiling
     optimality = PROVEN_MAXIMUM if proven else LOWER_BOUND_ONLY
-    return SearchResult(code, optimality, ceiling, nodes)
-
-
-def _bound_report(params: CodeParams) -> BoundReport:
-    """The closed-form bounds, with the sphere bounds where they are exact."""
-    sphere = sphere_packing_bounds(params) if params.n <= EXACT_LIMIT else None
-    return bound_report(params, sphere)
+    return SearchResult(code, optimality, ceiling, first.nodes_explored + nodes)
 
 
 def solve_cell(
@@ -383,39 +385,28 @@ def solve_cell(
     with_ip: bool = False,
     ip_budget: Optional[SearchBudget] = None,
 ) -> tuple[SearchResult, str]:
-    """Best code for one cell and its Singleton-optimality verdict.
+    """max_code_search's answer for one cell and its Singleton-optimality
+    verdict, "yes", "no" or "unknown".
 
-    The Singleton search runs first; a code it finds is a proven maximum.
-    Otherwise the maximum search runs under the best upper bound, capped one
-    below the Singleton bound when the Singleton search exhausted its tree.
-    With ``with_ip``, a code the maximum search leaves unproven and below
-    the ceiling gets the integer-program bound under ``ip_budget``
-    (IP_NODE_CAP nodes if None).  A code that meets the bound used is
-    proven.  Each search gets ``budget``, and ``nodes_explored`` counts
-    both.  The verdict is "yes", "no" or "unknown".
+    With ``with_ip``, a code the search leaves unproven gets the
+    integer-program bound under ``ip_budget`` (IP_NODE_CAP nodes if None),
+    and is proven if it meets that bound.
     """
+    res = max_code_search(params, budget)
     singleton = singleton_upper(params)
-    sres = find_singleton_optimal(params, budget)
-    if sres.status == FOUND:
-        res = SearchResult(sres.code, PROVEN_MAXIMUM, singleton, sres.nodes_explored)
-        return res, "yes"
-    ceiling = _bound_report(params).best_upper
-    if sres.status == NONE_EXISTS:
-        ceiling = min(ceiling, singleton - 1)
-    res = max_code_search(params, budget, upper_bound=ceiling)
-    res.nodes_explored += sres.nodes_explored
+    # The search's ceiling is below the Singleton bound only once the
+    # Singleton tree is exhausted.
+    none_exists = res.upper_bound_used < singleton
     size = len(res.code.words)
-    if with_ip and res.optimality != PROVEN_MAXIMUM and size < ceiling:
+    if with_ip and res.optimality != PROVEN_MAXIMUM:
         ip, _ = ip_upper_bound(params, ip_budget)
-        res.upper_bound_used = min(ceiling, ip)
-    # Every bound behind the ceiling is certified: Singleton, sphere,
-    # Singleton - 1 after an exhausted Singleton tree, and the IP.
-    if size == res.upper_bound_used:
-        res.optimality = PROVEN_MAXIMUM
-    if res.optimality == PROVEN_MAXIMUM:
-        # A proven maximum settles the existence question too.
-        return res, "yes" if size == singleton else "no"
-    return res, "no" if sres.status == NONE_EXISTS else "unknown"
+        res.upper_bound_used = min(res.upper_bound_used, ip)
+        if size == res.upper_bound_used:
+            res.optimality = PROVEN_MAXIMUM
+    if size == singleton:
+        return res, "yes"
+    # A proven maximum below the Singleton bound settles the question too.
+    return res, "no" if none_exists or res.optimality == PROVEN_MAXIMUM else "unknown"
 
 
 def write_code_file(code: Code, path: str | Path) -> None:
@@ -480,7 +471,8 @@ def reproduce_tables(
                               singleton_optimal="yes", method="construction")
                 )
             elif n > SEARCH_LIMIT:
-                report = _bound_report(params)
+                sphere = sphere_packing_bounds(params) if n <= EXACT_LIMIT else None
+                report = bound_report(params, sphere)
                 cells.append(
                     TableCell(n=n, d=d, lower=report.best_lower,
                               upper=report.best_upper, status="skipped",

@@ -86,9 +86,7 @@ def test_03_table1_n7():
         assert time.monotonic() - start < 1800.0
         # Known hard cell: the default budget must still find the size-12
         # code; full exhaustion stays behind the long-run flag.
-        res = max_code_search(
-            CodeParams(7, 4), SearchBudget(max_nodes=200_000), upper_bound=24
-        )
+        res = max_code_search(CodeParams(7, 4), SearchBudget(max_nodes=200_000))
         assert len(res.code.words) == 12
         assert res.code.min_distance >= 4
         assert res.optimality in ("proven_maximum", "lower_bound_only")
@@ -190,7 +188,7 @@ def test_10_ilp_soundness_sweep():
                 assert found.status == "found"
                 code = found.code
             else:
-                code = max_code_search(params, upper_bound=bound).code
+                code = max_code_search(params).code
             assert len(code.words) == known, (n, d)
 
             # The counting argument behind the model, made executable: the

@@ -263,6 +263,13 @@ class TestLisKernel:
         assert lengths == self.per_row(perms)
         assert ball._lis_lengths_batch(perms[:2]).tolist() == [n, 1]
 
+    def test_kernel_dtype_sentinel_exceeds_every_symbol(self):
+        sizes = [1, 100, 32_766, 32_767, 10**6]
+        dtypes = [ball._kernel_dtype(n) for n in sizes]
+        assert dtypes == [np.int16] * 3 + [np.int32] * 2
+        for n, dtype in zip(sizes, dtypes):
+            assert np.iinfo(dtype).max > n - 1
+
     def test_evaluators_agree_on_one_draw(self, monkeypatch):
         # Forcing either evaluator (and so either dtype) moves no sample.
         results = []

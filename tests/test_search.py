@@ -1,5 +1,6 @@
 """Color classes, code verification, and the exact clique searches."""
 
+import inspect
 import math
 import random
 import sys
@@ -305,16 +306,20 @@ class TestSingletonOptimal:
 
 class TestMaxSearch:
     def test_5_3(self):
-        res = max_code_search(CodeParams(5, 3), upper_bound=5)
+        res = max_code_search(CodeParams(5, 3))
         assert res.optimality == "proven_maximum"
         assert len(res.code.words) == 4
 
-    def test_met_caller_bound_certifies_nothing(self):
-        # The search stops at a supplied bound it cannot check; A(6,3) = 24.
-        res = max_code_search(CodeParams(6, 3), upper_bound=3)
-        assert len(res.code.words) == 3
-        assert res.optimality == "lower_bound_only"
-        assert res.upper_bound_used == 3
+    def test_no_search_takes_a_caller_bound(self):
+        # Every ceiling a search certifies from is one it derived itself.
+        public = [
+            fn for name, fn in inspect.getmembers(search, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == search.__name__
+        ]
+        assert max_code_search in public and search.solve_cell in public
+        for fn in public:
+            assert not any("bound" in name for name in inspect.signature(fn).parameters)
+        assert list(inspect.signature(max_code_search).parameters) == ["params", "budget"]
 
     def test_6_4(self):
         res = max_code_search(CodeParams(6, 4))
@@ -357,10 +362,12 @@ class TestMaxSearch:
         assert res.code.min_distance >= 3
 
     def test_bound_meeting_stops_early(self):
-        # (6,3) meets the Singleton ceiling, no exhaustion needed.
+        # (6,3) meets the Singleton ceiling in the Singleton phase, no
+        # exhaustion needed.
         res = max_code_search(CodeParams(6, 3))
         assert res.optimality == "proven_maximum"
         assert len(res.code.words) == 24
+        assert res.nodes_explored == 341
 
     # The ids are the ones these pins were first given.
     @pytest.mark.parametrize(
@@ -377,8 +384,33 @@ class TestMaxSearch:
         ],
     )
     def test_dfs_order_is_pinned(self, n, d, budget, nodes, optimality, size):
-        # Any change to the DFS order, its pruning or the rows shows up here.
-        res = max_code_search(CodeParams(n, d), budget)
+        # The maximum phase's order at the engine: from the identity, floor
+        # 1, ceiling the Singleton bound.  Any change to the DFS order, its
+        # pruning or the rows shows up here.
+        params = CodeParams(n, d)
+        space = search._SearchSpace(params)
+        best, explored, exhausted = search._clique_search(
+            space, (budget or SearchBudget()).start(), [space.identity],
+            space.far_row(space.identity), 1, singleton_upper(params),
+        )
+        assert explored == nodes
+        assert exhausted == (optimality == "lower_bound_only")
+        assert len(best) == size
+
+    @pytest.mark.parametrize(
+        "n, d, max_nodes, nodes, optimality, size",
+        [
+            (7, 5, None, 178, "proven_maximum", 4),
+            (6, 3, 5_000, 341, "proven_maximum", 24),
+            (7, 3, 20_000, 40_000, "lower_bound_only", 56),
+            (7, 4, 20_000, 22_623, "lower_bound_only", 11),
+            (8, 2, 1_100, 2_200, "lower_bound_only", 1_100),
+        ],
+    )
+    def test_cell_totals_are_pinned(self, n, d, max_nodes, nodes, optimality, size):
+        # Both phases, each under the budget: (7,5) and (7,4) add the
+        # exhausted Singleton tree (42 and 2,623 nodes) to the maximum phase.
+        res = max_code_search(CodeParams(n, d), SearchBudget(max_nodes=max_nodes))
         assert res.nodes_explored == nodes
         assert res.optimality == optimality
         assert len(res.code.words) == size
@@ -390,7 +422,8 @@ def test_deep_search_leaves_recursion_limit(searcher):
     # than the interpreter's default recursion limit.
     limit = sys.getrecursionlimit()
     res = searcher(CodeParams(8, 2), SearchBudget(max_nodes=1_100))
-    assert res.nodes_explored == 1_100
+    # The cell's search runs both phases under the budget.
+    assert res.nodes_explored == (2_200 if searcher is max_code_search else 1_100)
     assert sys.getrecursionlimit() == limit
     if searcher is max_code_search:
         assert res.optimality == "lower_bound_only"
@@ -462,14 +495,51 @@ class TestTables:
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(4, 7) for d in range(3, n)])
 def test_singleton_search_agrees_with_max_search(n, d):
-    # The two searches answer the existence question independently.
+    # The Singleton search and a maximum search from floor 1, which never
+    # runs the Singleton phase, answer the existence question independently.
     params = CodeParams(n, d)
     singleton = find_singleton_optimal(params)
-    maximum = max_code_search(params)
-    assert maximum.optimality == "proven_maximum"
-    assert (singleton.status == "found") == (
-        len(maximum.code.words) == singleton_upper(params)
+    space = search._SearchSpace(params)
+    best, _, exhausted = search._clique_search(
+        space, SearchBudget().start(), [space.identity],
+        space.far_row(space.identity), 1, singleton_upper(params),
     )
+    assert not exhausted
+    assert (singleton.status == "found") == (len(best) == singleton_upper(params))
+    assert len(max_code_search(params).code.words) == len(best)
+
+
+@pytest.mark.parametrize("n", range(3, search.SEARCH_LIMIT + 1))
+def test_sphere_bound_never_lowers_the_ceiling(n):
+    # The cell's search takes the Singleton bound as its ceiling; in the
+    # search range no sphere bound is below it.
+    for d in range(2, n):
+        params = CodeParams(n, d)
+        assert sphere_packing_bounds(params)[1] >= singleton_upper(params)
+
+
+@pytest.mark.parametrize(
+    "n, d, max_nodes, with_ip",
+    [(6, 3, None, False), (7, 5, None, True), (7, 4, 3_000, True), (8, 2, 50, False)],
+)
+def test_one_search_space_per_cell(monkeypatch, n, d, max_nodes, with_ip):
+    # The Singleton phase found, exhausted or cut, then the maximum phase
+    # and the integer program: S_n is built once.
+    spaces = []
+
+    class Counting(search._SearchSpace):
+        def __init__(self, params):
+            super().__init__(params)
+            spaces.append(params)
+
+    def ip(params, budget=None):
+        return singleton_upper(params), True
+
+    monkeypatch.setattr(search, "_SearchSpace", Counting)
+    monkeypatch.setattr(search, "ip_upper_bound", ip)
+    budget = SearchBudget(max_nodes=max_nodes)
+    search.solve_cell(CodeParams(n, d), budget, with_ip)
+    assert spaces == [CodeParams(n, d)]
 
 
 class TestBudgetRule:
