@@ -9,7 +9,9 @@ those caps yields an upper bound on the code size.
 
 The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
-certificates, never float artifacts.
+certificates, never float artifacts.  Only the root relaxation is a cold
+two-phase solve; every child is re-optimized from its parent's tableau by
+the dual simplex (see solve_ilp).
 """
 
 from __future__ import annotations
@@ -112,22 +114,13 @@ def build_model(params: CodeParams) -> IlpModel:
     )
 
 
-def _lp_result(
-    model: IlpModel, var_bounds: Optional[dict[Var, tuple[int, Optional[int]]]] = None
-) -> LpResult:
+def _lp_result(model: IlpModel) -> LpResult:
     index = {v: k for k, v in enumerate(model.variables)}
     rows: list[tuple[dict[int, int], str, int]] = []
     for coeffs, rhs in model.inequality_rows:
         rows.append(({index[v]: c for v, c in coeffs.items()}, LE, rhs))
     for coeffs, rhs in model.equality_rows:
         rows.append(({index[v]: c for v, c in coeffs.items()}, EQ, rhs))
-    if var_bounds:
-        for v in sorted(var_bounds):
-            lo, hi = var_bounds[v]
-            if lo > 0:
-                rows.append(({index[v]: 1}, GE, lo))
-            if hi is not None:
-                rows.append(({index[v]: 1}, LE, hi))
     objective = {index[v]: c for v, c in model.objective.items()}
     return solve_lp(len(model.variables), rows, objective)
 
@@ -151,15 +144,22 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     explores nodes best-bound-first with FIFO tie-break, and prunes with
     exact rational relaxation values.  With an exhausted budget the result
     is a proven upper bound (status "bound_only"), never a silent guess.
+
+    The root relaxation is solved cold by the two-phase simplex.  An open
+    node keeps only its path of bound rows and its optimal basis; when it
+    is popped, its tableau is rebuilt from the root's, and each child is
+    that tableau plus one bound row, re-optimized by the dual simplex.
     """
     budget = budget or SearchBudget()
     clock = budget.start()
+    num_vars = len(model.variables)
 
     counter = 0
-    heap: list[tuple[Fraction, int, dict, list[Fraction]]] = []
+    heap: list[tuple[Fraction, int, tuple, tuple[int, ...]]] = []
 
-    def consider(value: Fraction, x: list[Fraction], bounds: dict) -> None:
+    def consider(tab, path: tuple) -> None:
         nonlocal best_value, best_x, counter
+        value, x = tab.objective_value(), tab.point(num_vars)
         if _is_integral(x):
             iv = math.floor(value)
             if iv > best_value:
@@ -168,7 +168,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             return
         if math.floor(value) > best_value:
             counter += 1
-            heapq.heappush(heap, (-value, counter, bounds, x))
+            heapq.heappush(heap, (-value, counter, path, tuple(tab.basis)))
 
     root = _lp_result(model)
     nodes = 1
@@ -181,42 +181,39 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
         mstar = min(rhs // sum(coeffs.values()) for coeffs, rhs in model.inequality_rows)
         best_value = model.n * mstar
         best_x = {v: mstar for v in model.variables}
-        consider(root_value, root.x, {})
+        consider(root.tableau, ())
 
     while heap:
         if clock.exhausted(nodes):
             status = BOUND_ONLY
             break
-        neg, _, bounds, x = heapq.heappop(heap)
-        lp_value = -neg
-        if math.floor(lp_value) <= best_value:
+        neg, _, path, basis = heapq.heappop(heap)
+        if math.floor(-neg) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
             heap.clear()
             break
-        branch_var = None
+        tab = root.tableau.rebuilt(path, basis)
+        x = tab.point(num_vars)
+        branch_k = -1
         branch_frac = Fraction(-1)
-        branch_val = Fraction(0)
-        for k, v in enumerate(model.variables):
-            f = x[k] - math.floor(x[k])
+        for k, xk in enumerate(x):
+            f = xk - math.floor(xk)
             if f == 0:
                 continue
             score = min(f, 1 - f)
             if score > branch_frac:
                 branch_frac = score
-                branch_var = v
-                branch_val = x[k]
-        if branch_var is None:
+                branch_k = k
+        if branch_k < 0:
             raise AssertionError("non-integral node without fractional variable")
-        lo0, hi0 = bounds.get(branch_var, (0, None))
-        fl = math.floor(branch_val)
-        for new in ((lo0, fl), (fl + 1, hi0)):
-            child = dict(bounds)
-            child[branch_var] = new
-            res = _lp_result(model, child)
+        fl = math.floor(x[branch_k])
+        for bound in ((branch_k, LE, fl), (branch_k, GE, fl + 1)):
+            child = tab.copy()
+            child.add_bound(*bound)
             nodes += 1
-            if res.status == INFEASIBLE:
+            if child.dual_optimize() == INFEASIBLE:
                 continue
-            consider(res.value, res.x, child)
+            consider(child, path + (bound,))
 
     if status == BOUND_ONLY:
         # Every open node's floor is still a candidate for the optimum.

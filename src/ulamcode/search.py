@@ -305,34 +305,37 @@ def _clique_search(
     return best, nodes, False
 
 
-def _search_from_identity(
-    space: _SearchSpace, budget: Optional[SearchBudget], floor: int, ceiling: int
-) -> tuple[Code, int, bool]:
-    """(verified best code, nodes, exhausted) of _clique_search from the
-    identity.  Without an explicit budget, the cells with no desk-scale
-    proof (n = 7 below d = 5, and all of n >= 8, d = 2 included) get
-    HARD_CELL_NODE_CAP nodes.
+def _start_clock(params: CodeParams, budget: Optional[SearchBudget]) -> BudgetClock:
+    """One clock for a cell's search.  Without an explicit budget, the
+    cells with no desk-scale proof (n = 7 below d = 5, and all of n >= 8,
+    d = 2 included) get HARD_CELL_NODE_CAP nodes per phase.
     """
-    params = space.params
     if budget is None:
         hard = (params.n == 7 and params.d <= 4) or params.n >= 8
         budget = SearchBudget(max_nodes=HARD_CELL_NODE_CAP if hard else None)
+    return budget.start()
+
+
+def _search_from_identity(
+    space: _SearchSpace, clock: BudgetClock, floor: int, ceiling: int
+) -> tuple[Code, int, bool]:
+    """(verified best code, nodes, exhausted) of _clique_search from the
+    identity; the node count, and so the node cap, is this phase's alone.
+    """
     best, nodes, exhausted = _clique_search(
-        space, budget.start(), [space.identity], space.far_row(space.identity),
+        space, clock, [space.identity], space.far_row(space.identity),
         floor, ceiling,
     )
     words = [tuple(w) for w in (space.words[best] + 1).tolist()]
-    return verify_code(words, params), nodes, exhausted
+    return verify_code(words, space.params), nodes, exhausted
 
 
-def _singleton_phase(
-    space: _SearchSpace, budget: Optional[SearchBudget]
-) -> SingletonSearchResult:
+def _singleton_phase(space: _SearchSpace, clock: BudgetClock) -> SingletonSearchResult:
     # With floor one below the class count, a child is kept only while
     # every class still to fill has a candidate.
     singleton = singleton_upper(space.params)
     code, nodes, exhausted = _search_from_identity(
-        space, budget, singleton - 1, singleton
+        space, clock, singleton - 1, singleton
     )
     if exhausted or len(code.words) < singleton:
         status = BUDGET_EXHAUSTED if exhausted else NONE_EXISTS
@@ -350,7 +353,7 @@ def find_singleton_optimal(
     distinct status "budget_exhausted".  Without an explicit budget, the
     cells with no desk-scale proof get a default node cap.
     """
-    return _singleton_phase(_SearchSpace(params), budget)
+    return _singleton_phase(_SearchSpace(params), _start_clock(params, budget))
 
 
 def max_code_search(
@@ -363,17 +366,20 @@ def max_code_search(
     Otherwise the maximum phase runs under a certified ceiling: the
     Singleton bound, or one below it once the Singleton tree is exhausted.
     Optimality is "proven_maximum" when the tree is exhausted or the code
-    meets the ceiling, else "lower_bound_only".  Each phase gets
-    ``budget``, and ``nodes_explored`` counts both.  Without an explicit
-    budget, the cells with no desk-scale proof get a default node cap.
+    meets the ceiling, else "lower_bound_only".  Both phases run on one
+    clock, so ``budget.max_seconds`` caps the whole search, while
+    ``budget.max_nodes`` caps each phase; ``nodes_explored`` counts both.
+    Without an explicit budget, the cells with no desk-scale proof get a
+    default node cap.
     """
     space = _SearchSpace(params)
     singleton = singleton_upper(params)
-    first = _singleton_phase(space, budget)
+    clock = _start_clock(params, budget)
+    first = _singleton_phase(space, clock)
     if first.status == FOUND:
         return SearchResult(first.code, PROVEN_MAXIMUM, singleton, first.nodes_explored)
     ceiling = singleton - 1 if first.status == NONE_EXISTS else singleton
-    code, nodes, exhausted = _search_from_identity(space, budget, 1, ceiling)
+    code, nodes, exhausted = _search_from_identity(space, clock, 1, ceiling)
     proven = not exhausted or len(code.words) == ceiling
     optimality = PROVEN_MAXIMUM if proven else LOWER_BOUND_ONLY
     return SearchResult(code, optimality, ceiling, first.nodes_explored + nodes)

@@ -1,4 +1,5 @@
-"""Exact two-phase simplex over rational numbers.
+"""Exact two-phase simplex over rational numbers, with dual-simplex
+re-optimization under added variable bounds.
 
 Small and certificate-grade: every pivot is carried out in exact integer
 arithmetic (each tableau row is integer numerators over one common
@@ -6,10 +7,18 @@ denominator), so optimal values are exact Fractions and safe to use as
 bounds.
 Bland's rule (smallest eligible column enters, smallest basic index leaves
 on ratio ties) guarantees termination and makes runs deterministic.
+
+``solve_lp`` returns the optimal tableau with its result.  A bound
+``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
+feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
+restores optimality in a few pivots: this is how branch-and-bound children
+are solved.  ``rebuilt`` recreates such a tableau from the root, the bound
+rows and the optimal basis alone, so callers need not keep tableaux.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +39,8 @@ class LpResult:
     status: str
     value: Optional[Fraction]
     x: Optional[list[Fraction]]
+    # The optimal tableau, for re-optimizing under added bounds.
+    tableau: Optional["_Tableau"] = None
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -81,6 +92,21 @@ class _Tableau:
 
     def objective_value(self) -> Fraction:
         return Fraction(self.obj[self.ncols], self.obj_den)
+
+    def point(self, num_vars: int) -> list[Fraction]:
+        """The basic solution's first num_vars coordinates."""
+        x = [_ZERO] * num_vars
+        for i, b in enumerate(self.basis):
+            if b < num_vars:
+                x[b] = self.value(i, self.ncols)
+        return x
+
+    def copy(self) -> "_Tableau":
+        # Pivots replace rows rather than write into them, so the copy
+        # may share the row lists.
+        tab = copy.copy(self)
+        tab.rows, tab.dens, tab.basis = self.rows[:], self.dens[:], self.basis[:]
+        return tab
 
     def drop_row(self, i: int) -> None:
         del self.rows[i]
@@ -154,6 +180,92 @@ class _Tableau:
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
+
+    def add_bound(self, var: int, sense: str, bound: int) -> None:
+        """Add x_var <= bound (LE) or x_var >= bound (GE) as a new row whose
+        new slack column is basic, written in the current basis.
+
+        Reduced costs do not change, so an optimal tableau stays dual
+        feasible; only the new row's right-hand side may turn negative.
+        """
+        rhs = self.ncols
+        self.rows = [row[:rhs] + [0, row[rhs]] for row in self.rows]
+        self.obj = self.obj[:rhs] + [0, self.obj[rhs]]
+        self.ncols = rhs + 1
+        # LE reads x_var + s = bound, GE reads -x_var + s = -bound.
+        sign = 1 if sense == LE else -1
+        if var in self.basis:
+            # Substitute the basic row x_var = (b - sum a_j x_j) / den.
+            i = self.basis.index(var)
+            src, den = self.rows[i], self.dens[i]
+            row = [-sign * v for v in src]
+            row[var] = 0
+            row[rhs + 1] = sign * (bound * den - src[rhs + 1])
+        else:
+            den = 1
+            row = [0] * (rhs + 2)
+            row[var] = sign
+            row[rhs + 1] = sign * bound
+        row[rhs] = den
+        row, den = _reduced(row, den)
+        self.rows.append(row)
+        self.dens.append(den)
+        self.basis.append(rhs)
+
+    def dual_optimize(self) -> str:
+        """From a dual-feasible tableau, pivot until no right-hand side is
+        negative: OPTIMAL, or INFEASIBLE when a negative row has no
+        negative entry.  Bland's rule: the smallest basic index among the
+        negative rows leaves, and the smallest column on ratio ties enters.
+        """
+        rhs = self.ncols
+        while True:
+            leave = -1
+            for i, row in enumerate(self.rows):
+                if row[rhs] < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
+                    leave = i
+            if leave < 0:
+                return OPTIMAL
+            # The ratio obj[j] / -row[j] over row[j] < 0; both denominators
+            # are positive and shared by every column, so they cancel.
+            row, obj = self.rows[leave], self.obj
+            enter = -1
+            for j in range(rhs):
+                a = row[j]
+                if a < 0 and (enter < 0 or obj[j] * -row[enter] < obj[enter] * -a):
+                    enter = j
+            if enter < 0:
+                return INFEASIBLE
+            self.pivot(leave, enter)
+
+    def rebuilt(
+        self, bounds: Sequence[tuple[int, str, int]], basis: Sequence[int]
+    ) -> "_Tableau":
+        """This tableau plus the bound rows (var, sense, bound), in order,
+        pivoted to ``basis`` with its rows in that order.
+
+        Rows are gcd-reduced over positive denominators, so the result
+        equals, entry for entry, any tableau of the same program with the
+        same basis in the same row order.
+        """
+        tab = self.copy()
+        for var, sense, bound in bounds:
+            tab.add_bound(var, sense, bound)
+        target = set(basis)
+        for c in basis:
+            if c in tab.basis:
+                continue
+            # Some row whose basic column leaves has a nonzero entry in c,
+            # because the target basis is nonsingular.
+            r = next(
+                i for i, b in enumerate(tab.basis) if b not in target and tab.rows[i][c]
+            )
+            tab.pivot(r, c)
+        at = {b: i for i, b in enumerate(tab.basis)}
+        tab.rows = [tab.rows[at[b]] for b in basis]
+        tab.dens = [tab.dens[at[b]] for b in basis]
+        tab.basis = list(basis)
+        return tab
 
 
 def solve_lp(
@@ -248,8 +360,4 @@ def solve_lp(
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
 
-    x = [_ZERO] * num_vars
-    for i, b in enumerate(tab.basis):
-        if b < num_vars:
-            x[b] = tab.value(i, ncols)
-    return LpResult(OPTIMAL, tab.objective_value(), x)
+    return LpResult(OPTIMAL, tab.objective_value(), tab.point(num_vars), tab)

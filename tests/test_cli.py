@@ -114,6 +114,12 @@ class TestBounds:
         assert result["singleton_upper"] == 6
         assert result["ip_upper"] == 5
 
+    def test_ip_closes_7_5_within_the_default_budget(self, capsys):
+        data = run_json(capsys, "bounds", "--n", "7", "--d", "5", "--with-ip")
+        assert data["status"] == "ok"
+        assert data["result"]["ip_upper"] == 6
+        assert data["result"]["notes"] == []
+
     def test_6_3(self, capsys):
         data = run_json(capsys, "bounds", "--n", "6", "--d", "3")
         assert data["result"]["gv_lower"] == 2

@@ -9,6 +9,7 @@ import pytest
 from ulamcode.bounds import CodeParams, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.ilp import (
+    IP_NODE_CAP,
     IlpModel,
     build_model,
     export_lp,
@@ -16,7 +17,8 @@ from ulamcode.ilp import (
     solve_ilp,
     solve_lp_relaxation,
 )
-from ulamcode.simplex import EQ, LE, solve_lp
+from ulamcode import simplex
+from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
 
 
 def row_vector(model, row_idx, a):
@@ -132,28 +134,33 @@ class TestSolveIlp:
 
     def test_frozen_small_grid(self):
         # Exact integer optima of the program itself (before the Singleton
-        # min); regression values from this solver, cross-checked against
-        # the known maximum code sizes they must dominate.
+        # min), with the nodes the solver takes; regression values from
+        # this solver, cross-checked against the known maximum code sizes
+        # they must dominate.  Both n = 7 cells close under IP_NODE_CAP.
         expected = {
-            (4, 2): 6,
-            (4, 3): 2,
-            (5, 2): 24,
-            (5, 3): 5,
-            (5, 4): 2,
-            (6, 2): 120,
-            (6, 3): 24,
-            (6, 4): 6,
-            (6, 5): 2,
+            (4, 2): (6, 1),
+            (4, 3): (2, 1),
+            (5, 2): (24, 1),
+            (5, 3): (5, 131),
+            (5, 4): (2, 1),
+            (6, 2): (120, 1),
+            (6, 3): (24, 1),
+            (6, 4): (6, 1),
+            (6, 5): (2, 1),
+            (7, 4): (24, 217),
+            (7, 5): (6, 257),
         }
-        for (n, d), value in expected.items():
+        for (n, d), (value, nodes) in expected.items():
             sol = solve_ilp(build_model(CodeParams(n, d)))
             assert sol.status == "optimal"
-            assert sol.objective_value == value
+            assert (sol.objective_value, sol.nodes_explored) == (value, nodes)
+            assert nodes <= IP_NODE_CAP
 
     def test_deterministic_node_count(self):
         a = solve_ilp(build_model(CodeParams(5, 3)))
         b = solve_ilp(build_model(CodeParams(5, 3)))
-        assert a.nodes_explored == b.nodes_explored == 107
+        # At most the 200 nodes the benchmark gives (5,3).
+        assert a.nodes_explored == b.nodes_explored == 131
         assert a.objective_value == b.objective_value
 
     def test_lp_dominates_ilp(self):
@@ -168,6 +175,92 @@ class TestSolveIlp:
         assert sol.status == "bound_only"
         assert sol.objective_value >= 5  # never below the true optimum
         assert sol.objective_value <= 6  # never above the relaxation floor
+
+
+class _Recorder:
+    """Records what solve_ilp asks of the simplex: each child's bound path,
+    dual-simplex status and final tableau, and each tableau rebuilt for a
+    popped node.  A tableau's path rides along as an attribute that
+    add_bound extends and copies inherit."""
+
+    def __init__(self, monkeypatch):
+        self.children = []  # (path, status, snapshot)
+        self.rebuilt = []   # (path, snapshot)
+        tab_cls = simplex._Tableau
+        add_bound, dual_optimize, rebuilt = (
+            tab_cls.add_bound, tab_cls.dual_optimize, tab_cls.rebuilt
+        )
+
+        def add_bound_spy(tab, var, sense, bound):
+            add_bound(tab, var, sense, bound)
+            tab.path = getattr(tab, "path", ()) + ((var, sense, bound),)
+
+        def dual_optimize_spy(tab):
+            status = dual_optimize(tab)
+            self.children.append((tab.path, status, _snapshot(tab)))
+            return status
+
+        def rebuilt_spy(tab, bounds, basis):
+            out = rebuilt(tab, bounds, basis)
+            self.rebuilt.append((tuple(bounds), _snapshot(out)))
+            return out
+
+        monkeypatch.setattr(tab_cls, "add_bound", add_bound_spy)
+        monkeypatch.setattr(tab_cls, "dual_optimize", dual_optimize_spy)
+        monkeypatch.setattr(tab_cls, "rebuilt", rebuilt_spy)
+
+
+def _snapshot(tab):
+    return tab.ncols, list(tab.basis), list(tab.rows), list(tab.dens), tab.obj, tab.obj_den
+
+
+def _cold_lp(model, path):
+    """The deleted cold path, kept as the oracle: the relaxation with each
+    bound of the path as an explicit row, solved cold."""
+    index = {v: k for k, v in enumerate(model.variables)}
+    rows = [
+        ({index[v]: c for v, c in coeffs.items()}, LE, rhs)
+        for coeffs, rhs in model.inequality_rows
+    ]
+    rows += [
+        ({index[v]: c for v, c in coeffs.items()}, EQ, rhs)
+        for coeffs, rhs in model.equality_rows
+    ]
+    rows += [({k: 1}, sense, bound) for k, sense, bound in path]
+    objective = {index[v]: c for v, c in model.objective.items()}
+    return solve_lp(len(model.variables), rows, objective)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("cell, budget, at_least", [((5, 3), None, 100), ((7, 5), 31, 30)])
+    def test_children_match_cold_solves(self, monkeypatch, cell, budget, at_least):
+        model = build_model(CodeParams(*cell))
+        rec = _Recorder(monkeypatch)
+        solve_ilp(model, SearchBudget(max_nodes=budget) if budget else None)
+        assert len(rec.children) >= at_least
+        statuses = set()
+        for path, status, (ncols, basis, rows, dens, obj, obj_den) in rec.children:
+            cold = _cold_lp(model, path)
+            statuses.add(status)
+            assert status == cold.status
+            if status == OPTIMAL:
+                assert Fraction(obj[ncols], obj_den) == cold.value
+        assert statuses == {OPTIMAL, INFEASIBLE}  # the oracle checks both kinds
+
+    def test_rebuilt_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
+        model = build_model(CodeParams(5, 3))
+        root = _snapshot(_cold_lp(model, ()).tableau)
+        rec = _Recorder(monkeypatch)
+        solve_ilp(model)
+        solved = {path: snap for path, status, snap in rec.children if status == OPTIMAL}
+        solved[()] = root
+        assert len(rec.rebuilt) > 50
+        for path, (ncols, basis, rows, dens, obj, obj_den) in rec.rebuilt:
+            want_ncols, want_basis, want_rows, want_dens, want_obj, want_den = solved[path]
+            assert (ncols, obj, obj_den) == (want_ncols, want_obj, want_den)
+            got = {b: (r, q) for b, r, q in zip(basis, rows, dens)}
+            assert got == {b: (r, q) for b, r, q in zip(want_basis, want_rows, want_dens)}
+            assert basis == want_basis
 
 
 class TestIpUpperBound:
@@ -191,7 +284,7 @@ class TestIpUpperBound:
                 assert ip_upper_bound(p, budget)[0] <= singleton_upper(p)
 
     def test_budget_hit_is_reported(self):
-        # (5,3) needs 107 nodes; with 10 the bound is still valid but loose.
+        # (5,3) needs 131 nodes; with 10 the bound is still valid but loose.
         value, bounded = ip_upper_bound(CodeParams(5, 3), SearchBudget(max_nodes=10))
         assert bounded
         assert 5 <= value <= singleton_upper(CodeParams(5, 3))

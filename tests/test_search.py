@@ -6,11 +6,13 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import class_partition, closest_pair, color_class, move_neighbors
+from ulamcode import budget as budget_module
 from ulamcode import cli, ilp, search
 from ulamcode.ball import _lis_lengths_batch, sphere_packing_bounds
 from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
@@ -540,6 +542,19 @@ def test_one_search_space_per_cell(monkeypatch, n, d, max_nodes, with_ip):
     budget = SearchBudget(max_nodes=max_nodes)
     search.solve_cell(CodeParams(n, d), budget, with_ip)
     assert spaces == [CodeParams(n, d)]
+
+
+def test_both_phases_share_one_clock(monkeypatch):
+    # A fake clock that reads one second later at every call.  The
+    # Singleton phase at (6,3) stops on its 5th node, at second 5; on the
+    # same clock the maximum phase stops on its first node, at second 6.
+    # A fresh clock for that phase would let it run 5 nodes.
+    ticks = iter(range(1_000))
+    monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=5))
+    assert res.optimality == "lower_bound_only"
+    assert res.nodes_explored == 5 + 1
+    assert next(ticks) == 7  # the start and one reading per node
 
 
 class TestBudgetRule:
