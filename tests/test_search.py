@@ -1,5 +1,6 @@
 """Color classes, code verification, and the exact clique searches."""
 
+import hashlib
 import inspect
 import math
 import random
@@ -398,6 +399,24 @@ class TestMaxSearch:
         assert explored == nodes
         assert exhausted == (optimality == "lower_bound_only")
         assert len(best) == size
+
+    @pytest.mark.parametrize(
+        "n, d, size, digest",
+        [(8, 3, 270, "d6d3ce422d10a212"), (8, 4, 38, "9b0e64aa624e2857")],
+    )
+    def test_dfs_order_is_pinned_at_n8(self, n, d, size, digest):
+        # As above, under 20,000 nodes, on fields of 56 and 336 bits: wide
+        # enough that the masks the live count runs on span several fields.
+        # The digest is of the sorted 1-based words.
+        params = CodeParams(n, d)
+        space = search._SearchSpace(params)
+        best, explored, exhausted = search._clique_search(
+            space, SearchBudget(max_nodes=20_000).start(), [space.identity],
+            space.far_row(space.identity), 1, singleton_upper(params),
+        )
+        assert (len(best), explored, exhausted) == (size, 20_000, True)
+        words = sorted(tuple(w) for w in (space.words[best] + 1).tolist())
+        assert hashlib.sha256(repr(words).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
         "n, d, max_nodes, nodes, optimality, size",
