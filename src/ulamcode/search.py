@@ -18,12 +18,12 @@ Candidate sets are bitmasks over S_n laid out class-major: each class owns
 a field of M = n!/(n-d+1)! consecutive bits, its members in lex order, so a
 DFS level's whole state is one int.  A child is the state with the current
 class's field cleared, ANDed with a far row, and the number of classes it
-still reaches is a few bigint operations on per-field masks.  The
-distance-at-least-d row of a permutation sigma is computed on demand and
-memoized, so the full pairwise graph is never materialized.  One vectorized
-LIS sweep over S_n per cell finds the identity's far set; by
-left-invariance the row of sigma is that set relabeled by sigma, ranked
-back into bit positions.
+still reaches is a few bigint operations on per-field masks cut just above
+its top bit.  The distance-at-least-d row of a permutation sigma is
+computed on demand and memoized, so the full pairwise graph is never
+materialized.  One vectorized LIS sweep over S_n per cell finds the
+identity's far set; by left-invariance the row of sigma is that set
+relabeled by sigma, ranked back into bit positions.
 
 max_code_search is the search of a cell: on one S_n, the Singleton phase,
 then, if it finds no code, the maximum phase under the Singleton bound, or
@@ -145,33 +145,44 @@ def verify_code(words: Sequence[Perm] | frozenset[Perm], params: CodeParams) -> 
 
 
 def _lex_ranks(words: np.ndarray) -> np.ndarray:
-    """Lex rank of each row of words among the permutations of its entries.
+    """Lex rank of each column of words among the permutations of its
+    entries; words is a (k, count) array, one word per column.
 
     From the Lehmer code: the sum of c_i (k-1-i)!, where c_i counts the
-    later entries smaller than entry i.
+    later entries smaller than entry i, summed by Horner's rule.  Each
+    count runs down a column, over the k rows of one contiguous array.
     """
-    k = words.shape[1]
-    ranks = np.zeros(len(words), dtype=np.int64)
+    k = words.shape[0]
+    ranks = np.zeros(words.shape[1], dtype=np.int64)
     for i in range(k - 1):
-        smaller = words[:, i + 1 :] < words[:, i, None]
-        ranks += np.count_nonzero(smaller, axis=1) * math.factorial(k - 1 - i)
+        ranks *= k - i
+        ranks += (words[i + 1 :] < words[i]).sum(axis=0, dtype=np.int8)
     return ranks
 
 
-def _field_masks(width: int, count: int) -> tuple[int, int]:
-    """(low, top) for count fields of width bits: the low width-1 bits of
-    every field, and every field's top bit."""
-    ones = int(("0" * (width - 1) + "1") * count, 2)
-    return ones * ((1 << (width - 1)) - 1), ones << (width - 1)
+# Cuts per _field_masks call.  Its two lists hold about FIELD_CUTS / 2
+# n!-bit masks each, 2.9 MB in all at n = 9.
+FIELD_CUTS = 64
 
 
-def _nonempty_fields(x: int, low: int, top: int) -> int:
-    """Number of non-empty fields of x, given the masks of _field_masks.
+def _field_masks(width: int, count: int) -> tuple[int, list[int], list[int]]:
+    """(span, lows, tops): per-field masks over count fields of width bits,
+    cut at every span bits.
 
-    A field's low bits plus low stay below 2^width, so no carry reaches the
-    next field; the field's top bit ends up set iff the field had a bit set.
+    lows[j] holds the low width-1 bits and tops[j] the top bit of each
+    field below bit j*span, with j from 0 up to the cut that covers every
+    field; at most FIELD_CUTS + 1 cuts.  For x < 2^(j*span) the number of
+    non-empty fields of x is ((((x & lows[j]) + lows[j]) | x) & tops[j])
+    .bit_count(): a field's low bits plus lows stay below 2^width, so no
+    carry reaches the next field, and its top bit ends up set iff the field
+    had a bit set.  Masks cut at x's top bit cost as much as x, not n!.
     """
-    return ((((x & low) + low) | x) & top).bit_count()
+    ones = int(("0" * (width - 1) + "1") * count, 2)
+    low, top = ones * ((1 << (width - 1)) - 1), ones << (width - 1)
+    span = width * -(-count // FIELD_CUTS)
+    ends = [min(j * span, width * count) for j in range(-(-count * width // span) + 1)]
+    cuts = [(1 << e) - 1 for e in ends]
+    return span, [low & cut for cut in cuts], [top & cut for cut in cuts]
 
 
 class _SearchSpace:
@@ -183,13 +194,13 @@ class _SearchSpace:
     order from the field's low bit up.  ``words``, the only copy of S_n, is
     one (n!, n) int8 array of 0-based words, row i the word at bit i.
     The identity is member 0 of its own class, at bit ``identity``.
-    ``_nonempty_fields(x, low, top)`` counts the classes a candidate set x
-    still reaches.
 
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
     and the row of sigma is F relabeled by sigma.  Only the smaller of F and
-    its complement is kept, as a (k, n) word array; a row costs O(k n^2).
+    its complement is kept, as an (n, k) array with one word per column, so
+    a row is n^2/2 vectorized compares down k columns and a scatter of k
+    bits.
     """
 
     def __init__(self, params: CodeParams):
@@ -209,7 +220,7 @@ class _SearchSpace:
         # A word's class is the lex rank of its symbols < m in order; a
         # stable sort by descending class keeps each class's members in lex
         # order.
-        classes = _lex_ranks(lex[lex < m].reshape(size, m))
+        classes = _lex_ranks(np.ascontiguousarray(lex[lex < m].reshape(size, m).T))
         order = np.argsort(-classes, kind="stable")
         self.words = lex[order]
         del lex
@@ -218,10 +229,10 @@ class _SearchSpace:
         self._position[order] = np.arange(size, dtype=np.int32)
         self.identity = int(self._position[0])
         self.width = size // math.factorial(m)
-        self.low, self.top = _field_masks(self.width, math.factorial(m))
         far = _lis_lengths_batch(self.words) <= n - params.d
         self._complement = 2 * int(np.count_nonzero(far)) > size
-        self._base = self.words[~far if self._complement else far]
+        kept = ~far if self._complement else far
+        self._base = np.ascontiguousarray(self.words[kept].T)
         self._row_nbytes = (size + 7) // 8
         self._rows: dict[int, int] = {}
 
@@ -229,7 +240,7 @@ class _SearchSpace:
         """Bitmask of every permutation at distance >= d from words[gi]."""
         row = self._rows.get(gi)
         if row is None:
-            words = self.words[gi][self._base]
+            words = self.words[gi].take(self._base)
             bits = np.zeros(len(self.words), dtype=bool)
             bits[self._position[_lex_ranks(words)]] = True
             if self._complement:
@@ -261,14 +272,19 @@ def _clique_search(
     the largest clique found (chosen itself if none beat floor), the nodes
     tried, and whether the budget ran out.
     """
-    width, low, top, far_row = space.width, space.low, space.top, space.far_row
-    exhausted = clock.exhausted
+    width, rows, far_row = space.width, space._rows, space.far_row
+    span, lows, tops = _field_masks(width, len(space.words) // width)
     field = (1 << width) - 1
+    # A node budget is at least 1 and nodes count from 1: cap 0 never hits.
+    cap = clock.budget.max_nodes or 0
+    timed = clock.budget.max_seconds is not None
+    exhausted = clock.exhausted
     best = list(chosen)
     # A frame is [rest, base, todo, live]: the candidates outside the
     # level's class, the class's first bit, its members left to try, and
-    # the classes rest reaches.  The root is a frame with nothing to try.
-    stack = [[cand, 0, 0, _nonempty_fields(cand, low, top)]]
+    # the classes rest reaches.  The root is a frame with nothing to try
+    # whose classes are not counted yet (live -1).
+    stack = [[cand, 0, 0, -1]]
     nodes = 0
     while stack:
         frame = stack[-1]
@@ -277,11 +293,21 @@ def _clique_search(
             bit = todo & -todo
             frame[2] = todo ^ bit
             nodes += 1
-            if exhausted(nodes):
+            if nodes == cap or timed and exhausted(nodes):
                 return best, nodes, True
             gi = base + bit.bit_length() - 1
-            rest &= far_row(gi)
-            live = _nonempty_fields(rest, low, top)
+            row = rows.get(gi)
+            rest &= far_row(gi) if row is None else row
+            live = -1
+        else:
+            stack.pop()
+        if live < 0:
+            # The classes a child or the root reaches.  Fields above rest's
+            # top bit are empty, so masks cut there count the same.
+            cut = -(-rest.bit_length() // span)
+            low = lows[cut]
+            live = ((((rest & low) + low) | rest) & tops[cut]).bit_count()
+        if todo:
             if len(chosen) + 1 + live <= floor:
                 continue
             chosen.append(gi)
@@ -290,8 +316,6 @@ def _clique_search(
                 floor = len(best)
                 if floor >= ceiling:
                     break
-        else:
-            stack.pop()
         # Level on the next class of rest (the kept child's candidates,
         # or the candidates past a finished class), unless its live classes
         # cannot beat floor; then take back the choice that led here.

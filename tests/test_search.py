@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -177,6 +178,11 @@ class TestFarRow:
         for gi in range(len(space.words)):
             assert space.far_row(gi) == brute_force_row(space, gi)
 
+    def test_every_row_of_s6_at_d3(self):
+        space = search._SearchSpace(CodeParams(6, 3))
+        for gi in range(len(space.words)):
+            assert space.far_row(gi) == brute_force_row(space, gi)
+
     @pytest.mark.parametrize("d, complement", [(3, True), (5, False)])
     def test_sampled_rows_of_s7(self, d, complement):
         # (7,3) keeps the identity's near set, (7,5) its far set.
@@ -202,6 +208,15 @@ class TestFarRow:
         assert bounded.nodes_explored == free.nodes_explored > 3
         (space,) = spaces
         assert 1 <= len(space._rows) <= 3
+
+
+class TestLexRanks:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ranks_are_permutations_order(self, n):
+        # One word per column, as _SearchSpace holds its far set.
+        words = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        ranks = search._lex_ranks(np.ascontiguousarray(words.T))
+        assert np.array_equal(ranks, np.arange(math.factorial(n)))
 
 
 class TestOneCopyOfSn:
@@ -232,22 +247,47 @@ class TestOneCopyOfSn:
         assert np.array_equal(_lis_lengths_batch(space.words), _lis_lengths_batch(wide))
 
 
+def live_count(x, lows, tops, cut):
+    """The clique loop's count of x's non-empty fields, on cut masks."""
+    low = lows[cut]
+    return ((((x & low) + low) | x) & tops[cut]).bit_count()
+
+
 class TestFieldCount:
     @pytest.mark.parametrize("width", [2, 3, 8, 64, 65])
     def test_matches_a_per_field_loop(self, width):
-        count = 40
-        low, top = search._field_masks(width, count)
+        # 130 fields make cuts of 3 fields each (search.FIELD_CUTS = 64),
+        # the last one short.  At every cut point, x fills the fields below
+        # it, and the masks at that cut and at the one the loop picks from
+        # x's top bit both count what a per-field loop counts.
+        count = 130
+        span, lows, tops = search._field_masks(width, count)
+        assert span == 3 * width and len(lows) == len(tops) == 45
         full = (1 << width) - 1
         special = [0, full, 1, 1 << (width - 1)]  # empty, full, bit 0, top bit
         rng = random.Random(width)
-        for _ in range(200):
-            fields = [
-                rng.choice(special) if rng.random() < 0.5 else rng.getrandbits(width)
-                for _ in range(count)
-            ]
-            x = sum(f << (i * width) for i, f in enumerate(fields))
-            expected = sum(1 for f in fields if f)
-            assert search._nonempty_fields(x, low, top) == expected
+        for cut in range(len(lows)):
+            below = min(cut * span // width, count)
+            for _ in range(20):
+                fields = [
+                    rng.choice(special) if rng.random() < 0.5 else rng.getrandbits(width)
+                    for _ in range(below)
+                ]
+                x = sum(f << (i * width) for i, f in enumerate(fields))
+                expected = sum(1 for f in fields if f)
+                assert live_count(x, lows, tops, cut) == expected
+                assert live_count(x, lows, tops, -(-x.bit_length() // span)) == expected
+
+    def test_cut_lists_stay_bounded(self):
+        # (9,3): 5,040 classes of 72 words, S_9 not built.  One cut per
+        # field would hold 5,040 masks of up to 9! bits in each list.
+        width, count = 72, 5_040
+        span, lows, tops = search._field_masks(width, count)
+        assert len(lows) == len(tops) <= 65
+        assert tops[-1].bit_length() == width * count == math.factorial(9)
+        assert tops[-1].bit_count() == count
+        assert lows[-1].bit_count() == count * (width - 1)
+        assert sum(x.bit_length() for x in lows + tops) < 70 * math.factorial(9)
 
 
 class TestSingletonOptimal:
