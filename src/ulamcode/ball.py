@@ -241,6 +241,8 @@ def lis_prob_mc(
     """Monte-Carlo estimate of P(LIS >= k) with its binomial standard error."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if k == 1:
         return 1.0, 0.0
     lengths = sample_lis_lengths(n, samples, seed, workers=workers)

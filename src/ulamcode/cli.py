@@ -1,10 +1,15 @@
 """Command-line front end.
 
 Every subcommand emits a reproducibility header (tool version, seed,
-budgets, thread count) and supports text, JSON, and CSV output.  JSON runs
-are wrapped in a stable envelope described by data/cli-output.schema.json;
-identical configurations produce byte-identical JSON apart from the
-elapsed-seconds field.
+budgets, thread count) and supports text and JSON output, and all but
+export-lp CSV.  JSON runs are wrapped in a stable envelope described by
+data/cli-output.schema.json; identical configurations produce
+byte-identical JSON apart from the elapsed-seconds field.
+
+A subcommand takes only the common options it reads (--seed and --strict
+on mc and clt, --max-nodes and --max-seconds on bounds, search and tables);
+header fields it has no option for are null, and option combinations that
+would drop an option exit 1.
 
 Exit codes: 0 success (budget-exhausted results included, with status
 "bounded"), 1 usage or data error, 2 capacity error, 3 internal invariant
@@ -52,8 +57,6 @@ from .search import (
     write_code_file,
 )
 
-RANDOMIZED_COMMANDS = {"mc", "clt"}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with exit code 1 on usage errors (default is 2)."""
@@ -63,31 +66,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parent.add_argument("--out", metavar="FILE", default=None)
-    parent.add_argument("--seed", type=int, default=None)
-    parent.add_argument("--threads", type=int, default=None)
-    parent.add_argument("--max-nodes", type=int, default=None)
-    parent.add_argument("--max-seconds", type=float, default=None)
-    parent.add_argument("--strict", action="store_true",
-                        help="require an explicit --seed on randomized subcommands")
-    return parent
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ulamcode", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ulamcode {__version__}")
-    parent = _common_parent()
+    # The envelope's budget fields exist for every subcommand.
+    parser.set_defaults(max_nodes=None, max_seconds=None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    common.add_argument("--out", metavar="FILE", default=None)
+    common.add_argument("--threads", type=int, default=None)
+    randomized = argparse.ArgumentParser(add_help=False)
+    randomized.add_argument("--seed", type=int, default=None)
+    randomized.add_argument("--strict", action="store_true",
+                            help="require an explicit --seed")
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--max-nodes", type=int, default=None)
+    budgeted.add_argument("--max-seconds", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distance", parents=[parent],
+    p = sub.add_parser("distance", parents=[common],
                        help="Ulam distance between two permutations")
     p.add_argument("sigma", help='first permutation, e.g. "2 3 1 5 4"')
     p.add_argument("tau", help="second permutation")
 
-    p = sub.add_parser("bounds", parents=[parent], help="bound report for (n, d)")
+    p = sub.add_parser("bounds", parents=[common, budgeted],
+                       help="bound report for (n, d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--with-ip", action="store_true")
@@ -95,47 +98,48 @@ def build_parser() -> _Parser:
     p.add_argument("--show-asymptotics", action="store_true",
                    help="append the constant-c log-scale bound lines")
 
-    p = sub.add_parser("search", parents=[parent], help="exact code search")
+    p = sub.add_parser("search", parents=[common, budgeted], help="exact code search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--singleton-only", action="store_true",
-                   help="only decide whether a Singleton-optimal code exists")
-    p.add_argument("--with-ip", action="store_true",
-                   help="bound a cell the searches leave open with the integer program")
+    phases = p.add_mutually_exclusive_group()
+    phases.add_argument("--singleton-only", action="store_true",
+                        help="only decide whether a Singleton-optimal code exists")
+    phases.add_argument("--with-ip", action="store_true",
+                        help="bound a cell the searches leave open with the integer program")
     p.add_argument("--save-code", metavar="FILE", default=None,
                    help="also write the found code in the code-file format")
 
-    p = sub.add_parser("verify", parents=[parent], help="verify a code file")
+    p = sub.add_parser("verify", parents=[common], help="verify a code file")
     p.add_argument("file", help='code file: first line "n d", one word per line')
 
-    p = sub.add_parser("tables", parents=[parent],
+    p = sub.add_parser("tables", parents=[common, budgeted],
                        help="reproduce the size and Singleton-optimality tables")
     p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
     p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
     p.add_argument("--with-ip", action="store_true")
     p.add_argument("--long-runs", action="store_true",
-                   help="attempt full proofs on the hard cells too")
+                   help="run the searches without the default node cap")
 
-    p = sub.add_parser("ball", parents=[parent], help="Ulam ball sizes")
+    p = sub.add_parser("ball", parents=[common], help="Ulam ball sizes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
 
-    p = sub.add_parser("lisdist", parents=[parent],
+    p = sub.add_parser("lisdist", parents=[common],
                        help="exact LIS-length distribution over S_n")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("mc", parents=[parent],
+    p = sub.add_parser("mc", parents=[common, randomized],
                        help="Monte-Carlo estimate of P(LIS >= k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("clt", parents=[parent],
+    p = sub.add_parser("clt", parents=[common, randomized],
                        help="emit centered/scaled LIS samples, one per line")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("export-lp", parents=[parent],
+    p = sub.add_parser("export-lp", parents=[common],
                        help="write the (n, d) integer program in LP format")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -159,18 +163,18 @@ def _parse_range(text: str) -> list[int]:
 
 def _budget(args) -> Optional[SearchBudget]:
     if args.max_nodes is None and args.max_seconds is None:
-        return None  # let hard cells fall back to their bound-only default
+        return None  # the solvers' default node caps
     return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
-def _effective_seed(args) -> Optional[int]:
-    if args.command in RANDOMIZED_COMMANDS:
-        if args.seed is None:
-            if args.strict:
-                raise ValueError("--strict requires an explicit --seed here")
-            return 0
-        return args.seed
-    return args.seed
+def _seed(args) -> Optional[int]:
+    """--seed of mc and clt, 0 if not given unless --strict; None for the
+    subcommands that draw no random numbers."""
+    if "seed" not in args:
+        return None
+    if args.seed is None and args.strict:
+        raise ValueError("--strict requires an explicit --seed here")
+    return 0 if args.seed is None else args.seed
 
 
 def _threads(args) -> int:
@@ -187,7 +191,7 @@ class _Run:
     def __init__(self, args):
         self.args = args
         self.command = args.command
-        self.seed = _effective_seed(args)
+        self.seed = _seed(args)
         self.threads = _threads(args)
         self.budget = _budget(args)
         self.started = time.monotonic()
@@ -281,6 +285,9 @@ def _cmd_distance(run: _Run) -> int:
 
 def _cmd_bounds(run: _Run) -> int:
     args = run.args
+    if run.budget is not None and not args.with_ip:
+        raise ValueError("--max-nodes and --max-seconds budget the integer program; "
+                         "they need --with-ip")
     params = CodeParams(args.n, args.d)
     sphere = sphere_packing_bounds(params) if args.with_sphere else None
     ip_upper, ip_bounded = (
@@ -341,7 +348,10 @@ def _cmd_search(run: _Run) -> int:
         lines = [f"{key} {result[key]}" for key in list(result)[2:]]
     if bounded:
         run.status = "bounded"
-    if code is not None and args.save_code:
+    if args.save_code and code is None:
+        print(f"ulamcode: no code found ({res.status}); {args.save_code} not written",
+              file=sys.stderr)
+    elif args.save_code:
         write_code_file(code, args.save_code)
     result["nodes_explored"] = res.nodes_explored
     result["words"] = sorted(format_permutation(w) for w in code.words) if code else []
@@ -369,6 +379,9 @@ def _cmd_verify(run: _Run) -> int:
 
 def _cmd_tables(run: _Run) -> int:
     args = run.args
+    if args.long_runs and run.budget is not None:
+        raise ValueError("--long-runs lifts the node cap; it takes no "
+                         "--max-nodes or --max-seconds")
     n_values = _parse_range(args.n)
     d_values = _parse_range(args.d) if args.d else None
     cells = reproduce_tables(
@@ -479,6 +492,8 @@ def _cmd_clt(run: _Run) -> int:
 
 def _cmd_export_lp(run: _Run) -> int:
     args = run.args
+    if args.format == "csv":
+        raise ValueError("export-lp writes LP text or JSON, not CSV")
     params = CodeParams(args.n, args.d)
     text = export_lp(build_model(params))
     result = {"n": args.n, "d": args.d, "lp": text}

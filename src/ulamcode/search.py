@@ -27,9 +27,11 @@ relabeled by sigma, ranked back into bit positions.
 
 max_code_search is the search of a cell: on one S_n, the Singleton phase,
 then, if it finds no code, the maximum phase under the Singleton bound, or
-one below it once the Singleton tree is exhausted.  solve_cell, which
-``search`` and ``tables`` share, adds the integer-program bound if asked
-for and still needed, and the Singleton-optimality verdict.
+one below it once the Singleton tree is exhausted.  Without an explicit
+budget each phase gets HARD_CELL_NODE_CAP nodes, as the integer program
+gets IP_NODE_CAP.  solve_cell, which ``search`` and ``tables`` share, adds
+the integer-program bound if asked for and still needed, and the
+Singleton-optimality verdict.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the code meets
@@ -64,10 +66,10 @@ from .perm import (
 # Largest n a search accepts, checked before S_n is built: S_9 has 362,880
 # words, and one far row of it is 45 KB.
 SEARCH_LIMIT = 9
-# Node cap for a search given no budget on the cells it cannot settle at
-# desk scale (n = 7 below d = 5, and all of n >= 8).  An explicit budget is
-# used as given, and reproduce_tables(long_runs=True) passes an unlimited
-# one.
+# Node cap of each phase of a search given no budget.  Only the cells with
+# no desk-scale proof (n = 7 below d = 5, and n >= 8) reach it; every other
+# cell settles each phase within 2,629 nodes.  reproduce_tables(long_runs=
+# True) passes an unlimited budget instead.
 HARD_CELL_NODE_CAP = 200_000
 # Byte bound on a search's memo of far rows (n!/8 bytes each); a row that
 # would push the memo past it empties the memo first.  Rows are pure, so
@@ -329,14 +331,11 @@ def _clique_search(
     return best, nodes, False
 
 
-def _start_clock(params: CodeParams, budget: Optional[SearchBudget]) -> BudgetClock:
-    """One clock for a cell's search.  Without an explicit budget, the
-    cells with no desk-scale proof (n = 7 below d = 5, and all of n >= 8,
-    d = 2 included) get HARD_CELL_NODE_CAP nodes per phase.
-    """
+def _start_clock(budget: Optional[SearchBudget]) -> BudgetClock:
+    """One clock for a cell's search; without an explicit budget, each
+    phase gets HARD_CELL_NODE_CAP nodes."""
     if budget is None:
-        hard = (params.n == 7 and params.d <= 4) or params.n >= 8
-        budget = SearchBudget(max_nodes=HARD_CELL_NODE_CAP if hard else None)
+        budget = SearchBudget(max_nodes=HARD_CELL_NODE_CAP)
     return budget.start()
 
 
@@ -375,9 +374,9 @@ def find_singleton_optimal(
 
     Exhausting the tree proves non-existence; running out of budget is the
     distinct status "budget_exhausted".  Without an explicit budget, the
-    cells with no desk-scale proof get a default node cap.
+    search gets HARD_CELL_NODE_CAP nodes.
     """
-    return _singleton_phase(_SearchSpace(params), _start_clock(params, budget))
+    return _singleton_phase(_SearchSpace(params), _start_clock(budget))
 
 
 def max_code_search(
@@ -393,12 +392,11 @@ def max_code_search(
     meets the ceiling, else "lower_bound_only".  Both phases run on one
     clock, so ``budget.max_seconds`` caps the whole search, while
     ``budget.max_nodes`` caps each phase; ``nodes_explored`` counts both.
-    Without an explicit budget, the cells with no desk-scale proof get a
-    default node cap.
+    Without an explicit budget, each phase gets HARD_CELL_NODE_CAP nodes.
     """
     space = _SearchSpace(params)
     singleton = singleton_upper(params)
-    clock = _start_clock(params, budget)
+    clock = _start_clock(budget)
     first = _singleton_phase(space, clock)
     if first.status == FOUND:
         return SearchResult(first.code, PROVEN_MAXIMUM, singleton, first.nodes_explored)
@@ -420,7 +418,8 @@ def solve_cell(
 
     With ``with_ip``, a code the search leaves unproven gets the
     integer-program bound under ``ip_budget`` (IP_NODE_CAP nodes if None),
-    and is proven if it meets that bound.
+    and is proven if it meets that bound; a bound below the verified code's
+    size is an AssertionError.
     """
     res = max_code_search(params, budget)
     singleton = singleton_upper(params)
@@ -430,6 +429,10 @@ def solve_cell(
     size = len(res.code.words)
     if with_ip and res.optimality != PROVEN_MAXIMUM:
         ip, _ = ip_upper_bound(params, ip_budget)
+        if ip < size:
+            raise AssertionError(
+                f"integer-program bound {ip} is below the verified code's size {size}"
+            )
         res.upper_bound_used = min(res.upper_bound_used, ip)
         if size == res.upper_bound_used:
             res.optimality = PROVEN_MAXIMUM

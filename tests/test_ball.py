@@ -227,6 +227,9 @@ class TestMonteCarlo:
             lis_prob_mc(5, 0, 10, 0)
         with pytest.raises(ValueError):
             sample_lis_lengths(5, 0, 0)
+        # k = 1 has an exact answer, but the sample count is checked first.
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            lis_prob_mc(5, 1, -3, 0)
 
 
 class TestLisKernel:

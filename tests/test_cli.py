@@ -192,6 +192,26 @@ class TestSearchAndVerify:
         assert code == 3
         assert "internal invariant violation" in err
 
+    def test_singleton_only_without_a_code_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "code.txt"
+        code, out, err = run_cli(
+            capsys, "search", "--n", "5", "--d", "3", "--singleton-only",
+            "--save-code", str(path),
+        )
+        assert code == 0
+        assert "singleton_status none_exists" in out
+        assert f"no code found (none_exists); {path} not written" in err
+        assert not path.exists()
+
+    def test_ip_bound_below_the_code_exits_3(self, capsys, monkeypatch):
+        # The search keeps a verified 5-word code; a bound of 1 contradicts it.
+        monkeypatch.setattr(search, "ip_upper_bound", lambda params, budget: (1, False))
+        code, out, err = run_cli(
+            capsys, "search", "--n", "6", "--d", "3", "--max-nodes", "5", "--with-ip"
+        )
+        assert (code, out) == (3, "")
+        assert "integer-program bound 1 is below the verified code's size 5" in err
+
     def test_budget_exhaustion_exits_zero_with_bounded_status(self, capsys):
         data = run_json(
             capsys, "search", "--n", "6", "--d", "3", "--max-nodes", "4"
@@ -358,6 +378,12 @@ class TestMcAndClt:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_mc_negative_sample_count_exits_1(self, capsys, k):
+        code, out, err = run_cli(capsys, "mc", "--n", "5", "--k", k, "--samples", "-3")
+        assert (code, out) == (1, "")
+        assert "samples must be >= 1" in err
+
     def test_clt_text_one_value_per_line(self, capsys):
         code, out, _ = run_cli(capsys, "clt", "--n", "1", "--samples", "3")
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
@@ -415,6 +441,32 @@ class TestEnvelope:
         b = run_json(capsys, *argv)
         assert json.dumps(strip_elapsed(a)) == json.dumps(strip_elapsed(b))
 
+    @pytest.mark.parametrize("argv, message", [
+        # Options a subcommand does not read.
+        (("tables", "--n", "5", "--seed", "7"), "unrecognized arguments: --seed"),
+        (("bounds", "--n", "5", "--d", "3", "--strict"), "unrecognized arguments: --strict"),
+        (("search", "--n", "5", "--d", "3", "--seed", "1"), "unrecognized arguments: --seed"),
+        (("ball", "--n", "5", "--max-nodes", "3"), "unrecognized arguments: --max-nodes"),
+        (("lisdist", "--n", "5", "--max-seconds", "1"), "unrecognized arguments"),
+        (("distance", "1 2", "2 1", "--strict"), "unrecognized arguments: --strict"),
+        (("verify", "code.txt", "--max-nodes", "3"), "unrecognized arguments"),
+        (("mc", "--n", "5", "--k", "2", "--max-nodes", "3"), "unrecognized arguments"),
+        (("clt", "--n", "5", "--max-seconds", "1"), "unrecognized arguments"),
+        (("export-lp", "--n", "4", "--d", "3", "--seed", "1"), "unrecognized arguments"),
+        # Combinations that would drop an option.
+        (("search", "--n", "6", "--d", "3", "--singleton-only", "--with-ip"),
+         "not allowed with argument"),
+        (("tables", "--n", "5", "--long-runs", "--max-nodes", "10"), "--long-runs"),
+        (("tables", "--n", "5", "--long-runs", "--max-seconds", "10"), "--long-runs"),
+        (("bounds", "--n", "5", "--d", "3", "--max-nodes", "8"), "need --with-ip"),
+        (("bounds", "--n", "5", "--d", "3", "--max-seconds", "1"), "need --with-ip"),
+        (("export-lp", "--n", "4", "--d", "3", "--format", "csv"), "not CSV"),
+    ])
+    def test_dropped_options_and_combinations_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_usage_error_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--n", "5")  # missing --d
         assert code == 1
@@ -429,18 +481,21 @@ class TestEnvelope:
 
 def test_long_options_of_every_subcommand():
     # Adding or dropping a flag has to change this list.
-    common = {"--format", "--out", "--seed", "--threads", "--max-nodes",
-              "--max-seconds", "--strict", "--help"}
+    common = {"--format", "--out", "--threads", "--help"}
+    seeded = {"--seed", "--strict"}
+    budgeted = {"--max-nodes", "--max-seconds"}
     own = {
         "distance": set(),
-        "bounds": {"--n", "--d", "--with-ip", "--with-sphere", "--show-asymptotics"},
-        "search": {"--n", "--d", "--singleton-only", "--with-ip", "--save-code"},
+        "bounds": {"--n", "--d", "--with-ip", "--with-sphere", "--show-asymptotics"}
+        | budgeted,
+        "search": {"--n", "--d", "--singleton-only", "--with-ip", "--save-code"}
+        | budgeted,
         "verify": set(),
-        "tables": {"--n", "--d", "--with-ip", "--long-runs"},
+        "tables": {"--n", "--d", "--with-ip", "--long-runs"} | budgeted,
         "ball": {"--n", "--r"},
         "lisdist": {"--n"},
-        "mc": {"--n", "--k", "--samples"},
-        "clt": {"--n", "--samples"},
+        "mc": {"--n", "--k", "--samples"} | seeded,
+        "clt": {"--n", "--samples"} | seeded,
         "export-lp": {"--n", "--d"},
     }
     (subparsers,) = [

@@ -620,8 +620,9 @@ class TestBudgetRule:
     """The budget each search and the integer program receive in tables,
     and the integer program's budget in every command that runs it.
 
-    The search engine and the integer-program solver are replaced by
-    recording fakes, so no search runs, bounded or not.
+    The ``calls`` fixture replaces the search engine and the
+    integer-program solver by recording fakes, so no search runs, bounded
+    or not; the pin of the default budget's per-phase nodes runs real ones.
     """
 
     @pytest.fixture
@@ -645,18 +646,39 @@ class TestBudgetRule:
     def budgets(self, calls, n):
         return {kind: budget for m, kind, budget in calls if m == n}
 
-    def test_default_caps_only_the_hard_cells(self, calls):
-        reproduce_tables([6, 7], [3], with_ip=True)
+    def test_default_caps_every_phase(self, calls):
+        reproduce_tables([5, 6, 7], [3], with_ip=True)
         capped = SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP)
         assert search.HARD_CELL_NODE_CAP == 200_000
-        assert self.budgets(calls, 7) == {
-            "ip": SearchBudget(max_nodes=500), "singleton": capped, "max": capped,
+        for n in (5, 6, 7):
+            assert self.budgets(calls, n) == {
+                "ip": SearchBudget(max_nodes=500), "singleton": capped, "max": capped,
+            }
+
+    def test_default_cap_binds_no_cell_outside_the_hard_ones(self, monkeypatch):
+        # Per-phase nodes with no budget, on every cell up to n = 6 and the
+        # n = 7 cells from d = 5: all far below HARD_CELL_NODE_CAP.
+        phase_nodes = {
+            (3, 2): [1], (4, 2): [5], (4, 3): [1], (5, 2): [23], (5, 3): [8, 46],
+            (5, 4): [1], (6, 2): [2_629], (6, 3): [341], (6, 4): [14, 59],
+            (6, 5): [1], (7, 5): [42, 136], (7, 6): [1],
         }
-        assert self.budgets(calls, 6) == {
-            "ip": SearchBudget(max_nodes=500),
-            "singleton": SearchBudget(),
-            "max": SearchBudget(),
-        }
+        engine, phases = search._clique_search, []
+
+        def recording(*args):
+            best, nodes, exhausted = engine(*args)
+            phases.append(nodes)
+            assert not exhausted
+            return best, nodes, exhausted
+
+        monkeypatch.setattr(search, "_clique_search", recording)
+        found = {}
+        for n, d in phase_nodes:
+            phases.clear()
+            assert max_code_search(CodeParams(n, d)).optimality == "proven_maximum"
+            found[n, d] = list(phases)
+        assert found == phase_nodes
+        assert max(itertools.chain.from_iterable(found.values())) < 3_000
 
     def test_long_runs_lift_the_cap(self, calls):
         reproduce_tables([7], [3], with_ip=True, long_runs=True)
