@@ -11,7 +11,9 @@ The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
 certificates, never float artifacts.  Only the root relaxation is a cold
 two-phase solve; every child is re-optimized from its parent's tableau by
-the dual simplex (see solve_ilp).
+the dual simplex (see solve_ilp).  Integrality and the branching variable
+are read off the tableau's integer matrix (int64, or object dtype once an
+entry reaches 2**30; see simplex.py), and values leave as int and Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bounds import CodeParams, singleton_upper
 from .budget import SearchBudget
@@ -133,10 +135,6 @@ def solve_lp_relaxation(model: IlpModel) -> Fraction:
     return res.value
 
 
-def _is_integral(x: Sequence[Fraction]) -> bool:
-    return all(v.denominator == 1 for v in x)
-
-
 def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolution:
     """Exact integer optimum by best-bound branch-and-bound.
 
@@ -159,11 +157,12 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
 
     def consider(tab, path: tuple) -> None:
         nonlocal best_value, best_x, counter
-        value, x = tab.objective_value(), tab.point(num_vars)
-        if _is_integral(x):
+        value = tab.objective_value()
+        if tab.most_fractional(num_vars) is None:
             iv = math.floor(value)
             if iv > best_value:
                 best_value = iv
+                x = tab.point(num_vars)
                 best_x = {v: int(x[k]) for k, v in enumerate(model.variables)}
             return
         if math.floor(value) > best_value:
@@ -193,20 +192,10 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             heap.clear()
             break
         tab = root.tableau.rebuilt(path, basis)
-        x = tab.point(num_vars)
-        branch_k = -1
-        branch_frac = Fraction(-1)
-        for k, xk in enumerate(x):
-            f = xk - math.floor(xk)
-            if f == 0:
-                continue
-            score = min(f, 1 - f)
-            if score > branch_frac:
-                branch_frac = score
-                branch_k = k
-        if branch_k < 0:
+        branch = tab.most_fractional(num_vars)
+        if branch is None:
             raise AssertionError("non-integral node without fractional variable")
-        fl = math.floor(x[branch_k])
+        branch_k, fl = branch
         for bound in ((branch_k, LE, fl), (branch_k, GE, fl + 1)):
             child = tab.copy()
             child.add_bound(*bound)

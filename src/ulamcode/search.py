@@ -488,8 +488,11 @@ def reproduce_tables(
     Singleton-optimal), cells past SEARCH_LIMIT report their bounds as
     "skipped", and every other cell is solve_cell's answer.  Cells whose
     budget runs out are explicitly "bounded", never silently wrong.
+    ``long_runs`` lifts the node cap, so it takes no ``cell_budget``.
     """
-    budget = SearchBudget() if long_runs and cell_budget is None else cell_budget
+    if long_runs and cell_budget is not None:
+        raise ValueError("long_runs lifts the node cap; it takes no cell_budget")
+    budget = SearchBudget() if long_runs else cell_budget
     cells: list[TableCell] = []
     for n in sorted(n_values):
         ds = sorted(d_values) if d_values is not None else range(2, n)

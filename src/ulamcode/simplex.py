@@ -2,9 +2,14 @@
 re-optimization under added variable bounds.
 
 Small and certificate-grade: every pivot is carried out in exact integer
-arithmetic (each tableau row is integer numerators over one common
-denominator), so optimal values are exact Fractions and safe to use as
-bounds.
+arithmetic, so optimal values are exact Fractions and safe to use as
+bounds.  The tableau is one 2-D numpy integer matrix, the constraint rows
+followed by the objective row, over a vector of positive row denominators;
+each row is reduced by the gcd of its entries and its denominator after
+every pivot.  The matrix is int64 while every entry and denominator stays
+below 2**30 in magnitude, so that a pivot's ``a*pc - f*b`` stays below
+2**61; once one reaches 2**30 the tableau widens to object dtype (exact
+Python ints, the same expressions) for good.
 Bland's rule (smallest eligible column enters, smallest basic index leaves
 on ratio ties) guarantees termination and makes runs deterministic.
 
@@ -24,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 LE, GE, EQ = "<=", ">=", "="
 
 OPTIMAL = "optimal"
@@ -32,6 +39,8 @@ UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# int64 entries and denominators stay below this; past it, object dtype.
+_INT64_LIMIT = 1 << 30
 
 
 @dataclass
@@ -44,54 +53,45 @@ class LpResult:
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one positive common denominator."""
+    """Integer numerators over their least (so coprime) common denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """Divide a row and its denominator by their greatest common divisor."""
-    g = math.gcd(den, *row)
-    if g > 1:
-        return [v // g for v in row], den // g
-    return row, den
-
-
-def _eliminate(
-    row: list[int], den: int, prow: list[int], pc: int, c: int
-) -> tuple[list[int], int]:
-    """row/den minus row[c]/den times the pivot row prow/pc (prow[c] == pc)."""
-    f = row[c]
-    return _reduced([a * pc - f * b if b else a * pc for a, b in zip(row, prow)], den * pc)
+def _fits(*arrays: np.ndarray) -> bool:
+    return all(a.size == 0 or int(np.abs(a).max()) < _INT64_LIMIT for a in arrays)
 
 
 class _Tableau:
     """Dense simplex tableau; the objective row holds reduced costs.
 
-    Each row is kept fraction-free: a list of integer numerators over one
-    positive integer denominator per row, reduced by their gcd after every
-    pivot.  Entry k of row i is ``rows[i][k] / dens[i]``.  Signs and ratio
-    comparisons then need only integer arithmetic, and the pivots are the
-    same as with one Fraction per entry.
+    ``mat`` holds the m constraint rows and then the objective row, each
+    ncols + 1 integer numerators (the last is the right-hand side), over
+    the positive denominators ``dens``; entry k of row i is
+    ``mat[i, k] / dens[i]``.  Signs and ratio comparisons then need only
+    integer arithmetic, and the pivots are the same as with one Fraction
+    per entry.
     """
 
     def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
         self.ncols = ncols
-        self.rows: list[list[int]] = []   # m constraint rows, each ncols + 1
-        self.dens: list[int] = []
-        for row in rows:
-            nums, den = _scaled(row)
-            self.rows.append(nums)
-            self.dens.append(den)
         self.basis = basis        # basic column per constraint row
-        self.obj: list[int] = []
-        self.obj_den = 1
+        scaled = [_scaled(row) for row in rows] + [([0] * (ncols + 1), 1)]
+        self.mat = np.array([nums for nums, _ in scaled], dtype=object)
+        self.dens = np.array([den for _, den in scaled], dtype=object)
+        if _fits(self.mat, self.dens):
+            self.mat, self.dens = self.mat.astype(np.int64), self.dens.astype(np.int64)
+
+    def _widen_past_limit(self, *arrays: np.ndarray) -> None:
+        """Switch to object dtype for good once entries reach the limit."""
+        if self.mat.dtype != object and not _fits(*arrays):
+            self.mat, self.dens = self.mat.astype(object), self.dens.astype(object)
 
     def value(self, i: int, k: int) -> Fraction:
-        return Fraction(self.rows[i][k], self.dens[i])
+        return Fraction(int(self.mat[i, k]), int(self.dens[i]))
 
     def objective_value(self) -> Fraction:
-        return Fraction(self.obj[self.ncols], self.obj_den)
+        return self.value(-1, self.ncols)
 
     def point(self, num_vars: int) -> list[Fraction]:
         """The basic solution's first num_vars coordinates."""
@@ -101,22 +101,35 @@ class _Tableau:
                 x[b] = self.value(i, self.ncols)
         return x
 
+    def most_fractional(self, num_vars: int) -> Optional[tuple[int, int]]:
+        """(k, floor of x_k) for the most-fractional x_k with k < num_vars,
+        ties to the smallest k; None when all are integral.  Basic x_k =
+        rhs / den has fractional part (rhs mod den) / den; the rest are 0.
+        """
+        m, rhs = len(self.basis), self.ncols
+        nums, dens = self.mat[:m, rhs], self.dens[:m]
+        rows = zip(self.basis, (nums % dens).tolist(), nums.tolist(), dens.tolist())
+        best = None
+        best_s = best_den = 0
+        for k, r, num, den in sorted(row for row in rows if row[0] < num_vars and row[1]):
+            s = min(r, den - r)  # min(f, 1 - f) is s / den
+            if best is None or s * best_den > best_s * den:
+                best, best_s, best_den = (k, num // den), s, den
+        return best
+
     def copy(self) -> "_Tableau":
-        # Pivots replace rows rather than write into them, so the copy
-        # may share the row lists.
         tab = copy.copy(self)
-        tab.rows, tab.dens, tab.basis = self.rows[:], self.dens[:], self.basis[:]
+        tab.mat, tab.dens, tab.basis = self.mat.copy(), self.dens.copy(), self.basis[:]
         return tab
 
     def drop_row(self, i: int) -> None:
-        del self.rows[i]
-        del self.dens[i]
+        self.mat = np.delete(self.mat, i, axis=0)
+        self.dens = np.delete(self.dens, i)
         del self.basis[i]
 
     def truncate(self, ncols: int) -> None:
         """Keep the first ncols columns and the right-hand side."""
-        rhs = self.ncols
-        self.rows = [row[:ncols] + [row[rhs]] for row in self.rows]
+        self.mat = np.delete(self.mat, np.s_[ncols:self.ncols], axis=1)
         self.ncols = ncols
 
     def set_objective(self, costs: dict[int, Fraction]) -> None:
@@ -127,56 +140,55 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             cb = costs.get(b, _ZERO)
             if cb != 0:
-                scale = cb / self.dens[i]
-                for k, v in enumerate(self.rows[i]):
+                scale = cb / int(self.dens[i])
+                for k, v in enumerate(self.mat[i].tolist()):
                     if v != 0:
                         obj[k] += scale * v
         nums, den = _scaled(obj)
-        self.obj, self.obj_den = _reduced(nums, den)
+        self._widen_past_limit(np.array(nums + [den], dtype=object))
+        self.mat[-1], self.dens[-1] = nums, den
 
     def pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
-        pc = prow[c]
+        mat, dens = self.mat, self.dens
+        prow, pc = mat[r], mat[r, c]
         if pc < 0:
-            prow = [-v for v in prow]
-            pc = -pc
+            prow, pc = -prow, -pc
         # Row r over denominator pc has a 1 in column c.
-        prow, pc = _reduced(prow, pc)
-        self.rows[r] = prow
-        self.dens[r] = pc
-        for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
-                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, pc, c)
-        if self.obj[c] != 0:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, pc, c)
+        g = math.gcd(int(np.gcd.reduce(prow)), int(pc))
+        prow, pc = prow // g, pc // g
+        mat[r], dens[r] = prow, pc
+        rows = mat[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        # Each row minus its column-c entry times the pivot row, over den * pc.
+        new = mat[rows]
+        new = new * pc - new[:, c, None] * prow
+        den = dens[rows] * pc
+        g = np.gcd(np.gcd.reduce(new, axis=1), den)
+        mat[rows], dens[rows] = new // g[:, None], den // g
+        self._widen_past_limit(mat[rows], dens[rows])
         self.basis[r] = c
 
     def optimize(self) -> str:
         """Pivot until no reduced cost is negative.  Bland's rule throughout."""
-        rhs = self.ncols
+        rhs, m = self.ncols, len(self.basis)
         while True:
-            obj = self.obj
-            enter = -1
-            for j in range(rhs):
-                if obj[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            negative = np.flatnonzero(self.mat[-1, :rhs] < 0)
+            if not negative.size:
                 return OPTIMAL
+            enter = int(negative[0])
             # Within a row the denominator cancels: the ratio is b / a.
+            rows = np.flatnonzero(self.mat[:m, enter] > 0)
+            sub = self.mat[rows][:, [enter, rhs]].T.tolist()
             leave = -1
             best_b = best_a = 0
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    b = row[rhs]
-                    if (
-                        leave < 0
-                        or b * best_a < best_b * a
-                        or (b * best_a == best_b * a and self.basis[i] < self.basis[leave])
-                    ):
-                        best_b, best_a = b, a
-                        leave = i
+            for i, a, b in zip(rows.tolist(), *sub):
+                if (
+                    leave < 0
+                    or b * best_a < best_b * a
+                    or (b * best_a == best_b * a and self.basis[i] < self.basis[leave])
+                ):
+                    best_b, best_a = b, a
+                    leave = i
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
@@ -188,28 +200,27 @@ class _Tableau:
         Reduced costs do not change, so an optimal tableau stays dual
         feasible; only the new row's right-hand side may turn negative.
         """
-        rhs = self.ncols
-        self.rows = [row[:rhs] + [0, row[rhs]] for row in self.rows]
-        self.obj = self.obj[:rhs] + [0, self.obj[rhs]]
-        self.ncols = rhs + 1
+        rhs, m = self.ncols, len(self.basis)
         # LE reads x_var + s = bound, GE reads -x_var + s = -bound.
         sign = 1 if sense == LE else -1
         if var in self.basis:
             # Substitute the basic row x_var = (b - sum a_j x_j) / den.
             i = self.basis.index(var)
-            src, den = self.rows[i], self.dens[i]
-            row = [-sign * v for v in src]
+            src, den = self.mat[i].tolist(), int(self.dens[i])
+            row = [-sign * v for v in src[:rhs]] + [den, sign * (bound * den - src[rhs])]
             row[var] = 0
-            row[rhs + 1] = sign * (bound * den - src[rhs + 1])
         else:
             den = 1
             row = [0] * (rhs + 2)
-            row[var] = sign
-            row[rhs + 1] = sign * bound
-        row[rhs] = den
-        row, den = _reduced(row, den)
-        self.rows.append(row)
-        self.dens.append(den)
+            row[var], row[rhs], row[rhs + 1] = sign, 1, sign * bound
+        g = math.gcd(den, *row)
+        row = np.array([v // g for v in row] + [den // g], dtype=object)
+        self._widen_past_limit(row)
+        row, mat = row.astype(self.mat.dtype), self.mat
+        mat = np.concatenate((mat[:, :rhs], np.zeros_like(mat[:, :1]), mat[:, rhs:]), axis=1)
+        self.mat = np.concatenate((mat[:m], row[None, :-1], mat[m:]))
+        self.dens = np.concatenate((self.dens[:m], row[-1:], self.dens[m:]))
+        self.ncols = rhs + 1
         self.basis.append(rhs)
 
     def dual_optimize(self) -> str:
@@ -218,21 +229,21 @@ class _Tableau:
         negative entry.  Bland's rule: the smallest basic index among the
         negative rows leaves, and the smallest column on ratio ties enters.
         """
-        rhs = self.ncols
+        rhs, m = self.ncols, len(self.basis)
         while True:
-            leave = -1
-            for i, row in enumerate(self.rows):
-                if row[rhs] < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
-                    leave = i
-            if leave < 0:
+            negative = np.flatnonzero(self.mat[:m, rhs] < 0).tolist()
+            if not negative:
                 return OPTIMAL
+            leave = min(negative, key=self.basis.__getitem__)
             # The ratio obj[j] / -row[j] over row[j] < 0; both denominators
             # are positive and shared by every column, so they cancel.
-            row, obj = self.rows[leave], self.obj
+            cols = np.flatnonzero(self.mat[leave, :rhs] < 0)
+            sub = self.mat[[leave, -1]][:, cols].tolist()
             enter = -1
-            for j in range(rhs):
-                a = row[j]
-                if a < 0 and (enter < 0 or obj[j] * -row[enter] < obj[enter] * -a):
+            best_o = best_a = 0
+            for j, a, o in zip(cols.tolist(), *sub):
+                if enter < 0 or o * -best_a < best_o * -a:
+                    best_o, best_a = o, a
                     enter = j
             if enter < 0:
                 return INFEASIBLE
@@ -257,14 +268,12 @@ class _Tableau:
                 continue
             # Some row whose basic column leaves has a nonzero entry in c,
             # because the target basis is nonsingular.
-            r = next(
-                i for i, b in enumerate(tab.basis) if b not in target and tab.rows[i][c]
-            )
+            col = tab.mat[:, c].tolist()
+            r = next(i for i, b in enumerate(tab.basis) if b not in target and col[i])
             tab.pivot(r, c)
         at = {b: i for i, b in enumerate(tab.basis)}
-        tab.rows = [tab.rows[at[b]] for b in basis]
-        tab.dens = [tab.dens[at[b]] for b in basis]
-        tab.basis = list(basis)
+        order = [at[b] for b in basis] + [len(basis)]
+        tab.mat, tab.dens, tab.basis = tab.mat[order], tab.dens[order], list(basis)
         return tab
 
 
@@ -334,16 +343,15 @@ def solve_lp(
         status = tab.optimize()
         if status != OPTIMAL:
             raise AssertionError("phase 1 cannot be unbounded")
-        if tab.obj[ncols] != 0:  # maximized -(sum of artificials) below zero
+        if tab.mat[-1, ncols] != 0:  # maximized -(sum of artificials) below zero
             return LpResult(INFEASIBLE, None, None)
         # Drive leftover zero-valued artificials out, dropping redundant rows.
-        for i in range(len(tab.rows) - 1, -1, -1):
+        for i in range(len(tab.basis) - 1, -1, -1):
             if tab.basis[i] < first_art:
                 continue
-            row = tab.rows[i]
-            c = next((j for j in range(first_art) if row[j] != 0), -1)
-            if c >= 0:
-                tab.pivot(i, c)
+            nonzero = np.flatnonzero(tab.mat[i, :first_art])
+            if nonzero.size:
+                tab.pivot(i, int(nonzero[0]))
             else:
                 tab.drop_row(i)
         # Artificial columns are contiguous at the end; slice them off.

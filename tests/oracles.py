@@ -1,4 +1,5 @@
-"""Independent test oracles: brute force, dynamic programming, and BFS.
+"""Independent test oracles: brute force, dynamic programming, BFS, and
+vertex enumeration.
 
 Everything here is deliberately dumb and separate from the library's
 algorithms so the two sides can disagree when one is wrong.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -150,3 +152,57 @@ def closest_pair(words) -> tuple[int, tuple[Perm, Perm] | None]:
             if dist < best:
                 best, pair = dist, (u, w)
     return best, pair
+
+
+def _solve_square(a, b):
+    """The solution of the square system a x = b by Fraction Gaussian
+    elimination, or None when a is singular."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(a, b)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col] / m[col][col]
+                m[i] = [u - f * v for u, v in zip(m[i], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _best_vertex(num_vars, rows, objective):
+    """Largest objective value over the vertices of {x >= 0 : rows}, or None
+    when there is none: every choice of num_vars constraints (rows and
+    x_j >= 0) held with equality, solved, and kept when feasible."""
+    dense = [([coeffs.get(j, 0) for j in range(num_vars)], sense, rhs)
+             for coeffs, sense, rhs in rows]
+    planes = [(a, rhs) for a, _, rhs in dense]
+    planes += [([int(j == k) for j in range(num_vars)], 0) for k in range(num_vars)]
+    holds = {"<=": lambda u, v: u <= v, ">=": lambda u, v: u >= v, "=": lambda u, v: u == v}
+    best = None
+    for pick in combinations(planes, num_vars):
+        x = _solve_square([a for a, _ in pick], [r for _, r in pick])
+        if x is None or min(x) < 0:
+            continue
+        if all(holds[s](sum(c * v for c, v in zip(a, x)), r) for a, s, r in dense):
+            value = sum(Fraction(c) * x[j] for j, c in objective.items())
+            best = value if best is None else max(best, value)
+    return best
+
+
+def lp_by_vertices(num_vars, rows, objective):
+    """(status, value) of max objective . x over x >= 0 and rows, each row
+    (coefficients by variable, "<=" | ">=" | "=", rhs), by enumerating
+    vertices.  The feasible set has a vertex whenever it is not empty, and
+    the program is unbounded exactly when some ray d >= 0, sum d = 1, of its
+    recession cone has objective . d > 0; that set is a polytope too."""
+    best = _best_vertex(num_vars, rows, objective)
+    if best is None:
+        return "infeasible", None
+    cone = [(coeffs, sense, 0) for coeffs, sense, _ in rows]
+    cone.append(({j: 1 for j in range(num_vars)}, "=", 1))
+    ray = _best_vertex(num_vars, cone, objective)
+    if ray is not None and ray > 0:
+        return "unbounded", None
+    return "optimal", best

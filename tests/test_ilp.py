@@ -1,9 +1,11 @@
 """Integer-program model building, exact solving, and LP export."""
 
+import json
 import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ulamcode.bounds import CodeParams, singleton_upper
@@ -17,7 +19,7 @@ from ulamcode.ilp import (
     solve_ilp,
     solve_lp_relaxation,
 )
-from ulamcode import simplex
+from ulamcode import cli, simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
 
 
@@ -186,6 +188,7 @@ class _Recorder:
     def __init__(self, monkeypatch):
         self.children = []  # (path, status, snapshot)
         self.rebuilt = []   # (path, snapshot)
+        self.dtypes = set()  # of every child's matrix
         tab_cls = simplex._Tableau
         add_bound, dual_optimize, rebuilt = (
             tab_cls.add_bound, tab_cls.dual_optimize, tab_cls.rebuilt
@@ -197,6 +200,7 @@ class _Recorder:
 
         def dual_optimize_spy(tab):
             status = dual_optimize(tab)
+            self.dtypes.add(tab.mat.dtype)
             self.children.append((tab.path, status, _snapshot(tab)))
             return status
 
@@ -211,7 +215,10 @@ class _Recorder:
 
 
 def _snapshot(tab):
-    return tab.ncols, list(tab.basis), list(tab.rows), list(tab.dens), tab.obj, tab.obj_den
+    """(ncols, basis, constraint rows, their denominators, objective row,
+    its denominator), as nested Python ints so that == compares every entry."""
+    mat, dens = tab.mat.tolist(), tab.dens.tolist()
+    return tab.ncols, list(tab.basis), mat[:-1], dens[:-1], mat[-1], dens[-1]
 
 
 def _cold_lp(model, path):
@@ -288,6 +295,44 @@ class TestIpUpperBound:
         value, bounded = ip_upper_bound(CodeParams(5, 3), SearchBudget(max_nodes=10))
         assert bounded
         assert 5 <= value <= singleton_upper(CodeParams(5, 3))
+
+
+class TestTypesAtTheBoundary:
+    """Values leaving the solver are Python ints and Fractions, never numpy
+    scalars, whatever dtype the tableau holds."""
+
+    @pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=10)])
+    def test_solution_fields(self, budget):
+        sol = solve_ilp(build_model(CodeParams(5, 3)), budget)
+        assert sol.status == ("optimal" if budget is None else "bound_only")
+        assert type(sol.objective_value) is int
+        assert all(type(v) is int for v in sol.assignment.values())
+        value = sol.lp_relaxation_value
+        assert type(value) is Fraction and type(value.numerator) is int
+        assert type(value.denominator) is int
+
+    def test_object_dtype_from_the_start(self, monkeypatch):
+        # With no int64 headroom every tableau is object dtype from the
+        # start; the search must take the same nodes to the same answer.
+        monkeypatch.setattr(simplex, "_INT64_LIMIT", 0)
+        rec = _Recorder(monkeypatch)
+        sol = solve_ilp(build_model(CodeParams(5, 3)))
+        assert (sol.status, sol.objective_value, sol.nodes_explored) == ("optimal", 5, 131)
+        assert type(sol.objective_value) is int
+        assert all(type(v) is int for v in sol.assignment.values())
+        assert rec.dtypes == {np.dtype(object)}
+
+    def test_ip_upper_bound(self):
+        bound, bounded = ip_upper_bound(CodeParams(5, 3))
+        assert (type(bound), type(bounded)) == (int, bool)
+
+    def test_bounds_json_serializes(self, capsys):
+        # At (5,3) the program's 5 is below Singleton's 6, so ip_upper is
+        # the program's value.
+        argv = ["bounds", "--n", "5", "--d", "3", "--with-ip", "--format", "json"]
+        assert cli.main(argv + ["--threads", "1"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["ip_upper"], result["singleton_upper"]) == (5, 6)
 
 
 class TestExportLp:

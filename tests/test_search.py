@@ -688,12 +688,18 @@ class TestBudgetRule:
             "max": SearchBudget(),
         }
 
-    @pytest.mark.parametrize("long_runs", [False, True])
-    def test_explicit_budget_arrives_unchanged(self, calls, long_runs):
+    def test_explicit_budget_arrives_unchanged(self, calls):
         given = SearchBudget(max_nodes=250_000, max_seconds=60.0)
-        reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True, long_runs=long_runs)
+        reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True)
         assert len(calls) == 6
         assert all(budget is given for _, _, budget in calls)
+
+    def test_long_runs_with_a_budget_rejected(self, calls):
+        # long_runs lifts the cap, so a budget beside it would be dropped.
+        given = SearchBudget(max_nodes=250_000)
+        with pytest.raises(ValueError, match="long_runs"):
+            reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True, long_runs=True)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "budget_args, expected",

@@ -1,11 +1,21 @@
 """Exact rational simplex on small hand-checked programs, and the dual
 simplex that re-optimizes them under added bounds."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import lp_by_vertices
+from ulamcode import simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp
+
+
+def _exact(v):
+    """A Fraction of two Python ints, never of numpy scalars."""
+    return type(v) is Fraction and type(v.numerator) is int and type(v.denominator) is int
 
 
 def test_two_variable_optimum_is_exact():
@@ -18,6 +28,7 @@ def test_two_variable_optimum_is_exact():
     assert res.status == OPTIMAL
     assert res.value == Fraction(14, 5)
     assert res.x == [Fraction(8, 5), Fraction(6, 5)]
+    assert all(_exact(v) for v in [res.value, *res.x])
 
 
 def test_infeasible():
@@ -107,7 +118,9 @@ def test_all_rows_redundant():
 
 
 def test_no_rows():
-    assert solve_lp(2, [], {0: -1, 1: 0}).value == 0
+    res = solve_lp(2, [], {0: -1, 1: 0})
+    assert res.value == 0
+    assert res.tableau.mat.shape == (1, 3)  # no constraint row, then the objective
     assert solve_lp(2, [], {0: -1, 1: 1}).status == UNBOUNDED
 
 
@@ -188,7 +201,7 @@ def test_infeasible_rows_leave_smallest_basic_index_first():
     tab.add_bound(0, LE, 2)
     tab.add_bound(1, LE, 1)
     assert tab.basis == [0, 1, 4, 5]
-    assert [row[tab.ncols] for row in tab.rows] == [3, 3, -1, -2]
+    assert tab.mat[:-1, tab.ncols].tolist() == [3, 3, -1, -2]
     pivots = []
     pivot = tab.pivot
     tab.pivot = lambda r, c: (pivots.append((r, c)), pivot(r, c))
@@ -205,5 +218,95 @@ def test_rebuilt_tableau_equals_the_dual_simplex_tableau():
     assert status == OPTIMAL
     assert _cold(2, rows, objective, *bounds).value == warm.objective_value() == 2
     again = root.rebuilt(bounds, warm.basis)
-    assert (again.basis, again.rows, again.dens) == (warm.basis, warm.rows, warm.dens)
-    assert (again.obj, again.obj_den, again.ncols) == (warm.obj, warm.obj_den, warm.ncols)
+    assert _snapshot(again) == _snapshot(warm)
+
+
+def _snapshot(tab):
+    """The tableau as nested Python ints, so that == compares every entry."""
+    return tab.ncols, list(tab.basis), tab.mat.tolist(), tab.dens.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Wide entries: the int64 matrix widens to object dtype, with the same answers.
+
+TWO_VARIABLES = ([({0: 1, 1: 2}, LE, 4), ({0: 3, 1: 1}, LE, 6)], {0: 1, 1: 1})
+# max x + 2y  s.t.  x + y = 3,  x >= 1  ->  (1, 2), value 5; needs phase 1.
+MIXED = ([({0: 1, 1: 1}, EQ, 3), ({0: 1}, GE, 1)], {0: 1, 1: 2})
+
+
+def _scale_rows(rows, factors):
+    return [
+        ({j: f * v for j, v in coeffs.items()}, sense, f * b)
+        for (coeffs, sense, b), f in zip(rows, factors)
+    ]
+
+
+@pytest.mark.parametrize("program, value, x", [
+    (TWO_VARIABLES, Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)]),
+    (MIXED, 5, [1, 2]),
+])
+@pytest.mark.parametrize("factors, first_dtype", [
+    # Every entry is past 2**30 from the start.
+    ((2**40, 2**40), object),
+    # Entries below 2**19 at the start; the first pivot takes them past 2**30.
+    ((65521, 65519), np.int64),
+])
+def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
+                                               factors, first_dtype):
+    rows, objective = program
+    small = solve_lp(2, rows, objective)
+    dtypes = []
+    pivot = simplex._Tableau.pivot
+    monkeypatch.setattr(
+        simplex._Tableau, "pivot",
+        lambda tab, r, c: (dtypes.append(tab.mat.dtype), pivot(tab, r, c)),
+    )
+    wide = solve_lp(2, _scale_rows(rows, factors), objective)
+    assert (wide.status, wide.value, wide.x) == (small.status, small.value, small.x)
+    assert (wide.status, wide.value, wide.x) == (OPTIMAL, value, x)
+    assert all(_exact(v) for v in [wide.value, *wide.x])
+    assert small.tableau.mat.dtype == np.int64
+    assert dtypes[0] == first_dtype and dtypes[-1] == object
+    assert wide.tableau.mat.dtype == wide.tableau.dens.dtype == object
+    # The widened tableau warm-starts like the narrow one.
+    for tab in (small.tableau, wide.tableau):
+        tab.add_bound(1, LE, 1)
+        assert tab.dual_optimize() == OPTIMAL
+    assert small.tableau.objective_value() == wide.tableau.objective_value()
+    assert small.tableau.point(2) == wide.tableau.point(2)
+    assert wide.tableau.mat.dtype == object
+
+
+# ---------------------------------------------------------------------------
+# An independent oracle: vertex enumeration in Fractions.
+
+
+def _random_lp(rng):
+    """At most 4 variables and 4 rows, mixed senses, small integers."""
+    num_vars = rng.randint(1, 4)
+    rows = []
+    if rng.random() < 0.5:  # a box, so that more of the programs are bounded
+        rows.append(({j: 1 for j in range(num_vars)}, LE, rng.randint(0, 6)))
+    for _ in range(rng.randint(1, 4 - len(rows))):
+        coeffs = {j: rng.randint(-3, 3) for j in range(num_vars)}
+        rows.append((coeffs, rng.choice((LE, GE, EQ)), rng.randint(-4, 6)))
+    objective = {j: rng.randint(-3, 3) for j in range(num_vars)}
+    return num_vars, rows, objective
+
+
+def test_agrees_with_vertex_enumeration():
+    rng = random.Random(2015)
+    statuses = Counter()
+    holds = {LE: lambda u, v: u <= v, GE: lambda u, v: u >= v, EQ: lambda u, v: u == v}
+    for _ in range(200):
+        num_vars, rows, objective = _random_lp(rng)
+        res = solve_lp(num_vars, rows, objective)
+        assert (res.status, res.value) == lp_by_vertices(num_vars, rows, objective)
+        statuses[res.status] += 1
+        if res.status == OPTIMAL:
+            # The returned point is feasible and attains the value.
+            assert min(res.x) >= 0
+            for coeffs, sense, b in rows:
+                assert holds[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
+            assert sum(c * res.x[j] for j, c in objective.items()) == res.value
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 15
