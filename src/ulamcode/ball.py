@@ -12,14 +12,16 @@ block draws from its own numpy PCG64 stream derived from (seed, block
 index), and block results are merged by summation.  Totals are therefore
 reproducible for a given seed no matter how many workers run the blocks.
 
-Every n takes one draw path: a block is drawn by ``rng.permuted`` on row
-chunks of at most _CHUNK_BYTES, and the rows are exactly the draws of
-successive ``rng.permutation(n)`` calls, whatever the dtype or the
-chunking.  A chunk's LIS lengths come from the batched patience kernel, in
-int16 (int32 from n = 32,767 on), where _batch_wins predicts it faster
-from the chunk's (rows, n), and otherwise row by row from
-``perm.lis_length`` on an int64 draw; both read the same draw, so the
-choice never moves a sample.
+Every n takes one draw path: a block is cut into chunks of at most
+_CHUNK_BYTES in the kernel's dtype, and each chunk is drawn by
+``rng.permuted`` in int64 slices of at most _SLICE_BYTES, whose rows are
+exactly the draws of successive ``rng.permutation(n)`` calls, whatever the
+chunking.  Where _batch_wins predicts it faster from the chunk's (rows, n),
+the slices are copied one column per row into an (n, rows) array in int16
+(int32 from n = 32,767 on), and the batched patience kernel reads its
+transpose without a copy.  Otherwise the lengths come row by row from
+``perm.lis_length``; both read the same draw, so the choice never moves a
+sample.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .perm import lis_length
 # One exact distribution takes about 0.17 s at n = 30 and 1.3 s at n = 40.
 EXACT_LIMIT = 30
 MC_BLOCK = 1 << 15
-# Largest drawn chunk: 4M int16 entries for the kernel, 1M int64 for the loop.
+# Largest chunk one evaluator takes: 4M int16 entries (2M int32) for the
+# kernel.  Every chunk is drawn in int64 slices of at most _SLICE_BYTES.
 _CHUNK_BYTES = 8 << 20
+_SLICE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -161,11 +165,13 @@ def _lis_lengths_batch(perms: np.ndarray) -> np.ndarray:
     # Only the opened piles plus one empty pile are ever written.
     piles = np.empty((n + 1, nrows), dtype=perms.dtype)
     piles[0] = sentinel
+    flat = piles.reshape(-1)
     rows = np.arange(nrows)
     width = 1
     for x in np.ascontiguousarray(perms.T):
-        idx = (piles[:width] < x).sum(axis=0)
-        piles[idx, rows] = x
+        # Fewer than n piles lie below x, so the count fits the dtype.
+        idx = (piles[:width] < x).sum(axis=0, dtype=perms.dtype)
+        flat[np.multiply(idx, nrows, dtype=np.intp) + rows] = x
         if idx.max() == width - 1:
             piles[width] = sentinel
             width += 1
@@ -175,40 +181,47 @@ def _lis_lengths_batch(perms: np.ndarray) -> np.ndarray:
 def _batch_wins(rows: int, n: int) -> bool:
     """Whether the batched kernel beats the bisect loop on a (rows, n) chunk.
 
-    Costs are in units of the bisect loop's time per element, 0.21 us at
-    n = 33 to 0.41 us at n = 4 * 10^4 on a 2-CPU machine.  A kernel step
-    costs about 50 units of numpy overhead plus, per row, 0.06 + sqrt(n)/260
-    units for the comparisons against the about 2 sqrt(n) open piles.  The
-    kernel is chosen where that predicts at most 0.9 of the loop's time:
-    from 62 rows at n = 33, 70 at n = 1000, 110 at n = 10^4, and never
-    past n = 47,700.  Measured against the loop, it takes 0.88 / 0.53 /
-    0.16 of the time at 64 / 128 / 1024 rows for n = 33, 0.90 / 0.24 at
-    64 / 1024 rows for n = 1000, 1.03 / 0.70 at 64 / 128 rows for
-    n = 10^4, and 1.52 at 64 rows for n = 4 * 10^4.
+    Costs are in units of the bisect loop's time per element, 0.19 us at
+    n = 33 to 0.35 us at n = 6 * 10^4 on a 2-CPU machine.  A kernel step
+    costs about 50 units of numpy overhead plus, per row, 0.08 + sqrt(n)/c
+    units for the comparisons against the about 2 sqrt(n) open piles, with
+    c = 2000 in int16 and 450 in int32.  The kernel is chosen where that
+    predicts at most 0.9 of the loop's time: from 62 rows at n = 33, 63 at
+    n = 1000, 65 at n = 10^4 and 69 at n = 32,766; in int32 from 120 rows,
+    more than a chunk then holds, and never past n = 136,160.  Measured
+    against the loop, it takes 1.17 / 0.91 / 0.64 of the time at 56 / 64 /
+    96 rows for n = 33, 0.67-0.81 / 0.42 / 0.15 at 64 / 128 / 1024 rows for
+    n = 1000, 0.78-1.06 / 0.71 / 0.51 at 64 / 72 / 128 rows for n = 10^4,
+    0.85 / 0.76 at 64 / 96 rows for n = 3 * 10^4, and 1.37 / 0.92 / 0.77
+    at 64 / 96 / 128 rows for n = 4 * 10^4.
     """
-    return rows * (0.84 - math.sqrt(n) / 260) > 50
+    c = 2000 if _kernel_dtype(n) == np.int16 else 450
+    return rows * (0.82 - math.sqrt(n) / c) > 50
 
 
 def _sample_block(n: int, seed: int, block_index: int, block_size: int) -> np.ndarray:
     """LIS lengths of ``block_size`` uniform permutations from block stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
     small = _kernel_dtype(n)
+    step = max(1, _SLICE_BYTES // (8 * n))
     parts = []
     done = 0
     while done < block_size:
         rows = min(block_size - done, max(1, _CHUNK_BYTES // (small.itemsize * n)))
         batch = _batch_wins(rows, n)
-        # The kernel compares fastest in the small dtype, but numpy shuffles
-        # 8-byte items about 1.5x faster, which the bisect loop can use.
-        dtype = small if batch else np.dtype(np.int64)
-        rows = min(rows, max(1, _CHUNK_BYTES // (dtype.itemsize * n)))
-        tile = np.empty((rows, n), dtype=dtype)
-        tile[:] = np.arange(n, dtype=dtype)
-        rng.permuted(tile, axis=1, out=tile)
-        if batch:
-            parts.append(_lis_lengths_batch(tile))
-        else:
-            parts.append(np.array([lis_length(row.tolist()) for row in tile], dtype=np.int64))
+        cols = np.empty((n, rows), dtype=small) if batch else None
+        lengths = []
+        # numpy shuffles 8-byte items fastest, so each slice is drawn in
+        # int64; the kernel's chunk is filled one column per row.
+        for start in range(0, rows, step):
+            tile = np.empty((min(step, rows - start), n), dtype=np.int64)
+            tile[:] = np.arange(n)
+            rng.permuted(tile, axis=1, out=tile)
+            if batch:
+                cols[:, start : start + len(tile)] = tile.T
+            else:
+                lengths += [lis_length(row) for row in tile.tolist()]
+        parts.append(_lis_lengths_batch(cols.T) if batch else np.array(lengths, dtype=np.int64))
         done += rows
     return np.concatenate(parts)
 
@@ -239,6 +252,8 @@ def lis_prob_mc(
     n: int, k: int, samples: int, seed: int, workers: int = 1
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of P(LIS >= k) with its binomial standard error."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if samples < 1:

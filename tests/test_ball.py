@@ -191,14 +191,17 @@ class TestMonteCarlo:
         assert (a == b).all()
 
     def test_large_n_uses_scalar_path(self, monkeypatch):
-        # Past n = 47,700 the open piles cost more than a bisect at any
-        # number of rows, so every chunk takes the per-row loop.
+        # From n = 32,767 on the kernel runs in int32, which needs at least
+        # 120 rows to win, and a chunk holds at most 64, so every chunk
+        # takes the per-row loop.
         def batch(perms):
             raise AssertionError("batched kernel called")
 
         monkeypatch.setattr(ball, "_lis_lengths_batch", batch)
+        for n in (32_767, 50_000, 10**6):
+            assert ball._kernel_dtype(n) == np.int32
+            assert not ball._batch_wins(ball._CHUNK_BYTES // (4 * n), n)
         n = 50_000
-        assert not ball._batch_wins(10**9, n)
         lengths = sample_lis_lengths(n, 8, 0)
         assert len(lengths) == 8
         assert all(1 <= v <= n for v in lengths)
@@ -214,15 +217,29 @@ class TestMonteCarlo:
 
     def test_stream_does_not_depend_on_chunks(self, monkeypatch):
         # Chunks of 70 int16 rows take the kernel; the last 20 rows take the
-        # loop, drawn in int64 as chunks of 17 and 3 rows.
+        # loop.  Every chunk is drawn as one int64 slice.
         n, samples = 33, 1000
         monkeypatch.setattr(ball, "_CHUNK_BYTES", 70 * n * 2)
+        got = sample_lis_lengths(n, samples, 5)
+        assert got.tolist() == sample_lis_reference(n, samples, 5, MC_BLOCK)
+
+    @pytest.mark.parametrize("slice_rows", [1, 13])
+    def test_stream_does_not_depend_on_slices(self, monkeypatch, slice_rows):
+        # Slices of one row, or of 13 rows, which split each 70-row kernel
+        # chunk into five slices and a short one, and the 20-row loop tail
+        # into 13 and 7.
+        n, samples = 33, 1000
+        monkeypatch.setattr(ball, "_CHUNK_BYTES", 70 * n * 2)
+        monkeypatch.setattr(ball, "_SLICE_BYTES", slice_rows * n * 8)
         got = sample_lis_lengths(n, samples, 5)
         assert got.tolist() == sample_lis_reference(n, samples, 5, MC_BLOCK)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             lis_prob_mc(5, 6, 10, 0)
+        # n is checked before k, so n = 0 is not reported as a bad k.
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lis_prob_mc(0, 1, 10, 0)
         with pytest.raises(ValueError):
             lis_prob_mc(5, 0, 10, 0)
         with pytest.raises(ValueError):
@@ -266,6 +283,26 @@ class TestLisKernel:
         assert lengths == self.per_row(perms)
         assert ball._lis_lengths_batch(perms[:2]).tolist() == [n, 1]
 
+    def test_int8_at_its_largest_n(self):
+        # n = 127 is the int8 maximum, the sentinel.  The identity row opens
+        # a pile at every step, so its counts climb to 126 piles below the
+        # last symbol and its length to 127.
+        n = 127
+        rng = np.random.default_rng(1)
+        rows = [np.arange(n), np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(6)]
+        perms = np.array(rows, dtype=np.int8)
+        lengths = ball._lis_lengths_batch(perms).tolist()
+        assert lengths[:2] == [n, 1]
+        assert lengths == self.per_row(perms)
+
+    @pytest.mark.parametrize("n", [1, 12, 33, 1000])
+    def test_column_major_input(self, n):
+        # The sampler hands the kernel the transpose of an (n, rows) array.
+        perms = np.tile(np.arange(n, dtype=np.int16), (50, 1))
+        np.random.default_rng(n).permuted(perms, axis=1, out=perms)
+        cols = np.ascontiguousarray(perms.T)
+        assert np.array_equal(ball._lis_lengths_batch(cols.T), ball._lis_lengths_batch(perms))
+
     def test_kernel_dtype_sentinel_exceeds_every_symbol(self):
         sizes = [1, 100, 32_766, 32_767, 10**6]
         dtypes = [ball._kernel_dtype(n) for n in sizes]
@@ -283,9 +320,11 @@ class TestLisKernel:
 
 
 def test_evaluator_rule():
-    # Short chunks go to the bisect loop (see _batch_wins).
-    assert ball._batch_wins(64, 33) and not ball._batch_wins(32, 33)
-    assert ball._batch_wins(128, 10_000) and not ball._batch_wins(64, 10_000)
+    # The kernel takes chunks from the first row count below on; shorter
+    # ones go to the bisect loop (see _batch_wins).
+    for n, rows in [(33, 62), (1000, 63), (10_000, 65), (32_766, 69), (32_767, 120)]:
+        assert ball._batch_wins(rows, n) and not ball._batch_wins(rows - 1, n)
+    assert ball._batch_wins(10**9, 136_160) and not ball._batch_wins(10**9, 136_161)
 
 
 class TestWorkerPools:

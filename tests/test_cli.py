@@ -384,6 +384,12 @@ class TestMcAndClt:
         assert (code, out) == (1, "")
         assert "samples must be >= 1" in err
 
+    @pytest.mark.parametrize("cmd", [("mc", "--k", "1"), ("clt",)])
+    def test_mc_and_clt_check_n_first(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd[0], "--n", "0", *cmd[1:])
+        assert (code, out) == (1, "")
+        assert "n must be >= 1" in err
+
     def test_clt_text_one_value_per_line(self, capsys):
         code, out, _ = run_cli(capsys, "clt", "--n", "1", "--samples", "3")
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
