@@ -24,6 +24,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "tables_n4-6": ["tables", "--n", "4..6"],
     "tables_n7_d5-6": ["tables", "--n", "7", "--d", "5..6"],
+    "tables_n7_d3-4": ["tables", "--n", "7", "--d", "3..4"],
     "tables_n10_d3-4": ["tables", "--n", "10", "--d", "3..4"],
     "tables_n5-6_with_ip": ["tables", "--n", "5..6", "--with-ip"],
     "search_7_4_max_nodes": ["search", "--n", "7", "--d", "4", "--max-nodes", "20000"],
