@@ -391,6 +391,9 @@ def _cmd_tables(run: _Run) -> int:
         with_ip=args.with_ip,
         long_runs=args.long_runs,
     )
+    if not cells:
+        request = f"--n {args.n}" + (f" --d {args.d}" if args.d else "")
+        raise ValueError(f"{request} selects no cell; tables needs 2 <= d <= n-1")
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
     result = {"cells": [dataclasses.asdict(c) for c in cells]}

@@ -15,15 +15,18 @@ while every class still to fill has a candidate; the maximum phase starts
 the floor at the size of its starting clique (the identity).
 
 Candidate sets are bitmasks over S_n laid out class-major: each class owns
-a field of M = n!/(n-d+1)! consecutive bits, its members in lex order, so a
-DFS level's whole state is one int.  A child is the state with the current
-class's field cleared, ANDed with a far row, and the number of classes it
-still reaches is a few bigint operations on per-field masks cut just above
-its top bit.  The distance-at-least-d row of a permutation sigma is
-computed on demand and memoized, so the full pairwise graph is never
-materialized.  One vectorized LIS sweep over S_n per cell finds the
-identity's far set; by left-invariance the row of sigma is that set
-relabeled by sigma, ranked back into bit positions.
+a field of M = n!/(n-d+1)! consecutive bits, its members in lex order, and
+an always-zero guard bit above them, so a DFS level's whole state is one
+int.  Two words of one class are within d-1 of each other, so a far row
+never meets its own class: a child, the level's candidates ANDed with a
+far row, lies below the level's field, and the number of classes it still
+reaches is three bigint operations (add, AND, popcount) on per-field masks
+cut once per level.  The DFS keeps each level in flat per-depth slots and
+tries a level's members in an inner loop.  The distance-at-least-d row of
+a permutation sigma is computed on demand and memoized, so the full
+pairwise graph is never materialized.  One vectorized LIS sweep over S_n
+per cell finds the identity's far set; by left-invariance the row of sigma
+is that set relabeled by sigma, ranked back into bit positions.
 
 max_code_search is the search of a cell: on one S_n, the Singleton phase,
 then, if it finds no code, the maximum phase under the Singleton bound, or
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,7 +60,6 @@ from .perm import (
     Perm,
     check_permutation,
     format_permutation,
-    iter_symmetric_group,
     parse_permutation,
     ulam_distance,
 )
@@ -71,9 +72,9 @@ SEARCH_LIMIT = 9
 # cell settles each phase within 2,629 nodes.  reproduce_tables(long_runs=
 # True) passes an unlimited budget instead.
 HARD_CELL_NODE_CAP = 200_000
-# Byte bound on a search's memo of far rows (n!/8 bytes each); a row that
-# would push the memo past it empties the memo first.  Rows are pure, so
-# this changes time, never results.
+# Byte bound on a search's memo of far rows (about n!/8 bytes each, beside
+# one list slot per bit); a row that would push the memo past it empties
+# the memo first.  Rows are pure, so this changes time, never results.
 ROW_CACHE_BYTES = 256 << 20
 
 FOUND = "found"
@@ -163,46 +164,70 @@ def _lex_ranks(words: np.ndarray) -> np.ndarray:
 
 
 # Cuts per _field_masks call.  Its two lists hold about FIELD_CUTS / 2
-# n!-bit masks each, 2.9 MB in all at n = 9.
+# masks of up to n! + (n-d+1)! bits each, about 3 MB in all at n = 9.
 FIELD_CUTS = 64
 
 
 def _field_masks(width: int, count: int) -> tuple[int, list[int], list[int]]:
-    """(span, lows, tops): per-field masks over count fields of width bits,
-    cut at every span bits.
+    """(span, lows, guards): per-field masks over count fields of width
+    bits and a guard bit each, cut at every span bits.
 
-    lows[j] holds the low width-1 bits and tops[j] the top bit of each
-    field below bit j*span, with j from 0 up to the cut that covers every
-    field; at most FIELD_CUTS + 1 cuts.  For x < 2^(j*span) the number of
-    non-empty fields of x is ((((x & lows[j]) + lows[j]) | x) & tops[j])
-    .bit_count(): a field's low bits plus lows stay below 2^width, so no
-    carry reaches the next field, and its top bit ends up set iff the field
-    had a bit set.  Masks cut at x's top bit cost as much as x, not n!.
+    Field c holds bits [c (width+1), c (width+1) + width) and its guard bit
+    c (width+1) + width.  lows[j] holds the width low bits and guards[j] the
+    guard bit of each field below bit j*span, with j from 0 up to the cut
+    that covers every field; at most FIELD_CUTS + 1 cuts.  For x < 2^(j*span)
+    with every guard bit clear, the number of non-empty fields of x is
+    ((x + lows[j]) & guards[j]).bit_count(): a field plus its low bits stays
+    below 2^(width+1), so no carry leaves the field, and reaches the guard
+    bit iff the field had a bit set.  Masks cut just above x cost as much as
+    x, not n!.
     """
-    ones = int(("0" * (width - 1) + "1") * count, 2)
-    low, top = ones * ((1 << (width - 1)) - 1), ones << (width - 1)
-    span = width * -(-count // FIELD_CUTS)
-    ends = [min(j * span, width * count) for j in range(-(-count * width // span) + 1)]
+    stride = width + 1
+    ones = int(("0" * width + "1") * count, 2)
+    low, guard = ones * ((1 << width) - 1), ones << width
+    span = stride * -(-count // FIELD_CUTS)
+    ends = [min(j * span, stride * count) for j in range(-(-count * stride // span) + 1)]
     cuts = [(1 << e) - 1 for e in ends]
-    return span, [low & cut for cut in cuts], [top & cut for cut in cuts]
+    return span, [low & cut for cut in cuts], [guard & cut for cut in cuts]
+
+
+def _lex_permutations(n: int) -> np.ndarray:
+    """S_n as an (n!, n) int8 array of 0-based words in lex order.
+
+    The block of S_k with first symbol f is S_(k-1) relabeled by
+    p -> p + (p >= f), an order-preserving map onto the other symbols.
+    """
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        rows = len(perms)
+        out = np.empty((k * rows, k), dtype=np.int8)
+        for f in range(k):
+            block = out[f * rows : (f + 1) * rows]
+            block[:, 0] = f
+            block[:, 1:] = perms + (perms >= f)
+        perms = out
+    return perms
 
 
 class _SearchSpace:
     """S_n laid out class-major, with memoized distance->=d bit rows.
 
     With S classes of M = n!/(n-d+1)! words each, the class whose pattern
-    has lex rank c owns field S-1-c, bits [(S-1-c) M, (S-c) M), so the next
-    class in lex order is the highest non-empty field; its members keep lex
-    order from the field's low bit up.  ``words``, the only copy of S_n, is
-    one (n!, n) int8 array of 0-based words, row i the word at bit i.
-    The identity is member 0 of its own class, at bit ``identity``.
+    has lex rank c owns field f = S-1-c: bits [f (M+1), f (M+1) + M) and an
+    always-zero guard bit above them, so the next class in lex order is the
+    highest non-empty field; its members keep lex order from the field's
+    low bit up.  ``words``, the only copy of S_n, is one (n!, n) int8 array
+    of 0-based words in field order, row f M + j the word at bit
+    f (M+1) + j; ``word_row`` maps bits back to rows.  The identity is
+    member 0 of its own class, at bit ``identity``.
 
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
     and the row of sigma is F relabeled by sigma.  Only the smaller of F and
     its complement is kept, as an (n, k) array with one word per column, so
     a row is n^2/2 vectorized compares down k columns and a scatter of k
-    bits.
+    bits.  A row never meets its own class: two words of one class share
+    the order of symbols 1..n-d+1, so they are within d-1 of each other.
     """
 
     def __init__(self, params: CodeParams):
@@ -215,10 +240,7 @@ class _SearchSpace:
         self.params = params
         n, m = params.n, params.n - params.d + 1
         size = math.factorial(n)
-        lex = np.fromiter(
-            chain.from_iterable(iter_symmetric_group(n)), np.int8, size * n
-        ).reshape(size, n)
-        lex -= 1
+        lex = _lex_permutations(n)
         # A word's class is the lex rank of its symbols < m in order; a
         # stable sort by descending class keeps each class's members in lex
         # order.
@@ -226,33 +248,53 @@ class _SearchSpace:
         order = np.argsort(-classes, kind="stable")
         self.words = lex[order]
         del lex
+        self.classes = math.factorial(m)
+        self.width = size // self.classes
+        self.stride = self.width + 1
         # lex rank -> bit; int32 holds the bits of S_n up to n = 12.
+        row_ids = np.arange(size, dtype=np.int32)
         self._position = np.empty(size, dtype=np.int32)
-        self._position[order] = np.arange(size, dtype=np.int32)
+        self._position[order] = row_ids + row_ids // self.width
         self.identity = int(self._position[0])
-        self.width = size // math.factorial(m)
         far = _lis_lengths_batch(self.words) <= n - params.d
         self._complement = 2 * int(np.count_nonzero(far)) > size
         kept = ~far if self._complement else far
         self._base = np.ascontiguousarray(self.words[kept].T)
-        self._row_nbytes = (size + 7) // 8
-        self._rows: dict[int, int] = {}
+        self._nbits = self.classes * self.stride
+        self._row_nbytes = (self._nbits + 7) // 8
+        # Far rows by bit, allocated by the first row; _cached counts them.
+        self._rows: list[Optional[int]] = []
+        self._cached = 0
 
-    def far_row(self, gi: int) -> int:
-        """Bitmask of every permutation at distance >= d from words[gi]."""
-        row = self._rows.get(gi)
+    def word_row(self, bit):
+        """Row of ``words`` at a bit (an int or an array of them)."""
+        return bit - bit // self.stride
+
+    def row_memo(self) -> list[Optional[int]]:
+        """The memo of far rows, one slot per bit, None until computed."""
+        if not self._rows:
+            self._rows.extend([None] * self._nbits)
+        return self._rows
+
+    def far_row(self, bit: int) -> int:
+        """Bitmask of every permutation at distance >= d from the word at bit."""
+        rows = self.row_memo()
+        row = rows[bit]
         if row is None:
-            words = self.words[gi].take(self._base)
-            bits = np.zeros(len(self.words), dtype=bool)
+            words = self.words[self.word_row(bit)].take(self._base)
+            bits = np.zeros(self._nbits, dtype=bool)
             bits[self._position[_lex_ranks(words)]] = True
             if self._complement:
                 np.logical_not(bits, out=bits)
+                bits[self.width :: self.stride] = False
             row = int.from_bytes(
                 np.packbits(bits, bitorder="little").tobytes(), "little"
             )
-            if (len(self._rows) + 1) * self._row_nbytes > ROW_CACHE_BYTES:
-                self._rows.clear()
-            self._rows[gi] = row
+            if (self._cached + 1) * self._row_nbytes > ROW_CACHE_BYTES:
+                rows[:] = [None] * self._nbits
+                self._cached = 0
+            rows[bit] = row
+            self._cached += 1
         return row
 
 
@@ -266,69 +308,86 @@ def _clique_search(
 ) -> tuple[list[int], int, bool]:
     """Branch-and-bound for a clique larger than ``floor`` extending chosen.
 
-    Classes are filled in the space's order, each from the candidates in
-    cand: a level tries each member of its class, then skips the class.  A
-    child is kept only while len(chosen) + 1 + (classes it still reaches)
-    beats floor; each clique found raises floor to its size, and one of
-    size ``ceiling`` stops the search.  Returns (best, nodes, exhausted):
-    the largest clique found (chosen itself if none beat floor), the nodes
-    tried, and whether the budget ran out.
+    chosen and cand are bits of space.  Classes are filled in the space's
+    order, each from the candidates in cand: a level tries each member of
+    its class, then skips the class.  A child is kept only while
+    len(chosen) + 1 + (classes it still reaches) beats floor; each clique
+    found raises floor to its size, and one of size ``ceiling`` stops the
+    search.  Returns (best, nodes, exhausted): the bits of the largest
+    clique found (chosen itself if none beat floor), the nodes tried, and
+    whether the budget ran out.
     """
-    width, rows, far_row = space.width, space._rows, space.far_row
-    span, lows, tops = _field_masks(width, len(space.words) // width)
-    field = (1 << width) - 1
+    stride, far_row, rows = space.stride, space.far_row, space.row_memo()
+    span, lows, guards = _field_masks(space.width, space.classes)
+    # A level on field f counts its children on the masks cut at f's first
+    # bit; these lists map f to them.
+    cuts = [-(-f * stride // span) for f in range(space.classes)]
+    field_lows, field_guards = [lows[c] for c in cuts], [guards[c] for c in cuts]
     # A node budget is at least 1 and nodes count from 1: cap 0 never hits.
     cap = clock.budget.max_nodes or 0
     timed = clock.budget.max_seconds is not None
     exhausted = clock.exhausted
     best = list(chosen)
-    # A frame is [rest, base, todo, live]: the candidates outside the
-    # level's class, the class's first bit, its members left to try, and
-    # the classes rest reaches.  The root is a frame with nothing to try
-    # whose classes are not counted yet (live -1).
-    stack = [[cand, 0, 0, -1]]
-    nodes = 0
-    while stack:
-        frame = stack[-1]
-        rest, base, todo, live = frame
-        if todo:
-            bit = todo & -todo
-            frame[2] = todo ^ bit
-            nodes += 1
-            if nodes == cap or timed and exhausted(nodes):
-                return best, nodes, True
-            gi = base + bit.bit_length() - 1
-            row = rows.get(gi)
-            rest &= far_row(gi) if row is None else row
-            live = -1
-        else:
-            stack.pop()
-        if live < 0:
-            # The classes a child or the root reaches.  Fields above rest's
-            # top bit are empty, so masks cut there count the same.
-            cut = -(-rest.bit_length() // span)
-            low = lows[cut]
-            live = ((((rest & low) + low) | rest) & tops[cut]).bit_count()
-        if todo:
-            if len(chosen) + 1 + live <= floor:
-                continue
-            chosen.append(gi)
-            if len(chosen) > floor:
-                best = list(chosen)
-                floor = len(best)
-                if floor >= ceiling:
+    # Level t fills the top class of rest, the candidates it was opened on,
+    # from bit base: todo holds the members left (as rest >> base) and live
+    # the classes rest reaches.  The current level lives in locals; while a
+    # deeper level runs, levels[t] holds (rest, base, todo, live) and
+    # picks[t] the member whose child opened level t + 1.
+    levels, picks = [None] * space.classes, [0] * space.classes
+    size = len(chosen)  # the clique a child of the current level extends
+    rest, nodes, t = cand, 0, 0
+    live = ((rest + lows[-1]) & guards[-1]).bit_count()
+    if not (live and size + live > floor):
+        return best, nodes, False
+    while True:
+        # Open a level on rest's top class.  A row never meets its own
+        # class, so every child lies below base and is counted on masks
+        # cut there.
+        f = (rest.bit_length() - 1) // stride
+        base = f * stride
+        todo = rest >> base
+        low, guard = field_lows[f], field_guards[f]
+        while True:
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                nodes += 1
+                if nodes == cap or timed and exhausted(nodes):
+                    return best, nodes, True
+                b = base + bit.bit_length() - 1
+                row = rows[b]
+                child = rest & (far_row(b) if row is None else row)
+                reach = ((child + low) & guard).bit_count()
+                if size + 1 + reach <= floor:
+                    continue
+                picks[t] = b
+                if size + 1 > floor:
+                    best = chosen + picks[: t + 1]
+                    floor = len(best)
+                    if floor >= ceiling:
+                        return best, nodes, False
+                # The child beat floor, or raised it to size + 1: it can
+                # still grow iff it reaches a class.
+                if reach:
+                    levels[t] = rest, base, todo, live
+                    t, size, rest, live = t + 1, size + 1, child, reach
                     break
-        # Level on the next class of rest (the kept child's candidates,
-        # or the candidates past a finished class), unless its live classes
-        # cannot beat floor; then take back the choice that led here.
-        if live and len(chosen) + live > floor:
-            base = rest.bit_length() - 1
-            base -= base % width
-            todo = (rest >> base) & field
-            stack.append([rest ^ (todo << base), base, todo, live - 1])
-        elif stack:
-            chosen.pop()
-    return best, nodes, False
+            else:
+                # The class is done: skip it, on the same level if the
+                # classes left can still beat floor, else close the level
+                # and resume its parent's members.
+                rest &= (1 << base) - 1
+                live -= 1
+                if not (live and size + live > floor):
+                    if not t:
+                        return best, nodes, False
+                    t -= 1
+                    size -= 1
+                    rest, base, todo, live = levels[t]
+                    f = base // stride
+                    low, guard = field_lows[f], field_guards[f]
+                    continue
+            break
 
 
 def _start_clock(budget: Optional[SearchBudget]) -> BudgetClock:
@@ -349,7 +408,8 @@ def _search_from_identity(
         space, clock, [space.identity], space.far_row(space.identity),
         floor, ceiling,
     )
-    words = [tuple(w) for w in (space.words[best] + 1).tolist()]
+    rows = space.word_row(np.array(best))
+    words = [tuple(w) for w in (space.words[rows] + 1).tolist()]
     return verify_code(words, space.params), nodes, exhausted
 
 
@@ -494,8 +554,8 @@ def reproduce_tables(
         raise ValueError("long_runs lifts the node cap; it takes no cell_budget")
     budget = SearchBudget() if long_runs else cell_budget
     cells: list[TableCell] = []
-    for n in sorted(n_values):
-        ds = sorted(d_values) if d_values is not None else range(2, n)
+    for n in sorted(set(n_values)):
+        ds = sorted(set(d_values)) if d_values is not None else range(2, n)
         for d in ds:
             if not 2 <= d <= n - 1:
                 continue

@@ -1,5 +1,5 @@
-"""Independent test oracles: brute force, dynamic programming, BFS, and
-vertex enumeration.
+"""Independent test oracles: brute force, dynamic programming, BFS, vertex
+enumeration, and a clique search on Python sets.
 
 Everything here is deliberately dumb and separate from the library's
 algorithms so the two sides can disagree when one is wrong.
@@ -206,3 +206,90 @@ def lp_by_vertices(num_vars, rows, objective):
     if ray is not None and ray > 0:
         return "unbounded", None
     return "optimal", best
+
+
+
+class _Stop(Exception):
+    def __init__(self, exhausted: bool):
+        self.exhausted = exhausted
+
+
+class ReferenceCliqueSearch:
+    """The clique search's branch-and-bound on word indices and Python sets
+    instead of bit fields.
+
+    Words are S_n in lex order, classes come in class_partition order and
+    members in lex order.  A level takes the first class with a candidate,
+    tries each of its candidates as a child (one node each), then skips the
+    class.  A child is kept while len(chosen) + 1 + (classes it still
+    reaches) beats floor; a clique larger than floor raises floor to its
+    size, and one of size ceiling stops the search.  The budget is asked
+    ``clock.exhausted(nodes)`` at every node.  Rows come from
+    left-invariance: the far set of sigma is sigma composed with the
+    permutations whose LIS is at most n - d; they are kept across runs.
+    """
+
+    def __init__(self, params):
+        self.words = all_perms(params.n)
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.classes = [
+            {self.index[w] for w in members} for members in class_partition(params).values()
+        ]
+        self.far_of_identity = [
+            w for w in self.words if lis_length(w) <= params.n - params.d
+        ]
+        self.rows: dict[int, set[int]] = {}
+
+    def far(self, i: int) -> set[int]:
+        if i not in self.rows:
+            sigma = self.words[i]
+            self.rows[i] = {
+                self.index[tuple(sigma[p - 1] for p in pi)] for pi in self.far_of_identity
+            }
+        return self.rows[i]
+
+    def live(self, rest: set[int]) -> int:
+        """The number of classes with a member in rest, one class at a time."""
+        return sum(1 for members in self.classes if not rest.isdisjoint(members))
+
+    def run(self, chosen, cand, floor: int, ceiling: int, clock):
+        """(sorted best words, nodes, exhausted) of the search for a clique
+        larger than floor extending the words chosen, from the words cand."""
+        clique = [self.index[w] for w in chosen]
+        state = {"nodes": 0, "floor": floor, "best": list(clique)}
+
+        def level(rest):
+            while True:
+                members = next(m for m in self.classes if not rest.isdisjoint(m))
+                others = rest - members
+                for j in sorted(rest & members):
+                    state["nodes"] += 1
+                    if clock.exhausted(state["nodes"]):
+                        raise _Stop(True)
+                    child = others & self.far(j)
+                    reach = self.live(child)
+                    if len(clique) + 1 + reach <= state["floor"]:
+                        continue
+                    clique.append(j)
+                    if len(clique) > state["floor"]:
+                        state["best"] = list(clique)
+                        state["floor"] = len(clique)
+                        if state["floor"] >= ceiling:
+                            raise _Stop(False)
+                    if reach and len(clique) + reach > state["floor"]:
+                        level(child)
+                    clique.pop()
+                rest = others
+                left = self.live(rest)
+                if not (left and len(clique) + left > state["floor"]):
+                    return
+
+        rest = {self.index[w] for w in cand}
+        live = self.live(rest)
+        exhausted = False
+        try:
+            if live and len(clique) + live > floor:
+                level(rest)
+        except _Stop as stop:
+            exhausted = stop.exhausted
+        return sorted(self.words[i] for i in state["best"]), state["nodes"], exhausted

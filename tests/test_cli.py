@@ -292,6 +292,23 @@ class TestTables:
         (cell,) = [c for c in skipped if (c["n"], c["d"]) == (10, 3)]
         assert cell["lower"] == 1_395  # the covering bound
 
+    @pytest.mark.parametrize(
+        "argv", [("--n", "0"), ("--n", "-3"), ("--n", "1..2"), ("--n", "4", "--d", "9")]
+    )
+    def test_request_with_no_cell_fails(self, capsys, argv):
+        code, out, err = run_cli(capsys, "tables", *argv)
+        assert (code, out) == (1, "")
+        assert "selects no cell" in err and "2 <= d <= n-1" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("--n", "4", "--d", "3,3"), [(4, 3)]),
+        (("--n", "4,4", "--d", "3"), [(4, 3)]),
+        (("--n", "5,4,5", "--d", "3..4,3"), [(4, 3), (5, 3), (5, 4)]),
+    ])
+    def test_repeated_values_compute_a_cell_once(self, capsys, argv, expected):
+        cells = run_json(capsys, "tables", *argv)["result"]["cells"]
+        assert [(c["n"], c["d"]) for c in cells] == expected
+
     def test_with_ip_changes_no_settled_cell(self, capsys):
         plain = run_json(capsys, "tables", "--n", "5..6")
         with_ip = run_json(capsys, "tables", "--n", "5..6", "--with-ip")

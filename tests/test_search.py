@@ -13,7 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import class_partition, closest_pair, color_class, move_neighbors
+from oracles import (
+    ReferenceCliqueSearch,
+    class_partition,
+    closest_pair,
+    color_class,
+    move_neighbors,
+)
 from ulamcode import budget as budget_module
 from ulamcode import cli, ilp, search
 from ulamcode.ball import _lis_lengths_batch, sphere_packing_bounds
@@ -157,17 +163,22 @@ class TestVerifyCode:
 
 
 def space_words(space):
-    """The space's words as 1-based tuples, in bit order."""
+    """The space's words as 1-based tuples, in row order."""
     return [tuple(w) for w in (space.words + 1).tolist()]
+
+
+def word_bits(space):
+    """The bit of each word, in row order: the bits that are not guard bits."""
+    return [b for b in range(space.classes * space.stride) if b % space.stride != space.width]
 
 
 def brute_force_row(space, gi):
     words = space_words(space)
-    sigma = words[gi]
+    sigma = words[space.word_row(gi)]
     row = 0
-    for j, tau in enumerate(words):
+    for bit, tau in zip(word_bits(space), words):
         if ulam_distance(sigma, tau) >= space.params.d:
-            row |= 1 << j
+            row |= 1 << bit
     return row
 
 
@@ -175,12 +186,12 @@ class TestFarRow:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_every_row_of_s5(self, d):
         space = search._SearchSpace(CodeParams(5, d))
-        for gi in range(len(space.words)):
+        for gi in word_bits(space):
             assert space.far_row(gi) == brute_force_row(space, gi)
 
     def test_every_row_of_s6_at_d3(self):
         space = search._SearchSpace(CodeParams(6, 3))
-        for gi in range(len(space.words)):
+        for gi in word_bits(space):
             assert space.far_row(gi) == brute_force_row(space, gi)
 
     @pytest.mark.parametrize("d, complement", [(3, True), (5, False)])
@@ -188,7 +199,7 @@ class TestFarRow:
         # (7,3) keeps the identity's near set, (7,5) its far set.
         space = search._SearchSpace(CodeParams(7, d))
         assert space._complement is complement
-        for gi in random.Random(d).sample(range(len(space.words)), 6):
+        for gi in random.Random(d).sample(word_bits(space), 6):
             assert space.far_row(gi) == brute_force_row(space, gi)
 
     def test_bounded_memo_changes_nothing(self, monkeypatch):
@@ -201,13 +212,14 @@ class TestFarRow:
                 super().__init__(params)
                 spaces.append(self)
 
+        row_bytes = search._SearchSpace(params)._row_nbytes
         monkeypatch.setattr(search, "_SearchSpace", Recording)
-        monkeypatch.setattr(search, "ROW_CACHE_BYTES", 3 * (math.factorial(6) // 8))
+        monkeypatch.setattr(search, "ROW_CACHE_BYTES", 3 * row_bytes)
         bounded = find_singleton_optimal(params)
         assert bounded.code.words == free.code.words
         assert bounded.nodes_explored == free.nodes_explored > 3
         (space,) = spaces
-        assert 1 <= len(space._rows) <= 3
+        assert 1 <= sum(row is not None for row in space._rows) <= 3
 
 
 class TestLexRanks:
@@ -217,6 +229,23 @@ class TestLexRanks:
         words = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
         ranks = search._lex_ranks(np.ascontiguousarray(words.T))
         assert np.array_equal(ranks, np.arange(math.factorial(n)))
+
+
+class TestLexPermutations:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_itertools_order(self, n):
+        expected = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        perms = search._lex_permutations(n)
+        assert perms.dtype == np.int8
+        assert np.array_equal(perms, expected.reshape(math.factorial(n), n))
+
+    def test_n9_has_every_word_once(self):
+        perms = search._lex_permutations(9)
+        assert perms.shape == (math.factorial(9), 9)
+        # Every row a permutation of 0..8, and their lex ranks 0..9!-1 in order.
+        assert (np.sort(perms, axis=1) == np.arange(9)).all()
+        ranks = search._lex_ranks(np.ascontiguousarray(perms.T))
+        assert np.array_equal(ranks, np.arange(math.factorial(9)))
 
 
 class TestOneCopyOfSn:
@@ -237,9 +266,12 @@ class TestOneCopyOfSn:
     def test_bit_positions_are_int32(self):
         space = search._SearchSpace(CodeParams(6, 3))
         assert space._position.dtype == np.int32
-        # A permutation of the bits: lex rank r sits at bit _position[r].
-        assert np.array_equal(np.sort(space._position), np.arange(math.factorial(6)))
-        assert space.words[space.identity].tolist() == list(range(6))
+        # A permutation of the word bits: lex rank r sits at bit _position[r].
+        assert np.array_equal(np.sort(space._position), word_bits(space))
+        assert np.array_equal(
+            np.sort(space.word_row(space._position)), np.arange(math.factorial(6))
+        )
+        assert space.words[space.word_row(space.identity)].tolist() == list(range(6))
 
     def test_int8_sweep_matches_int64(self):
         space = search._SearchSpace(CodeParams(7, 3))
@@ -247,47 +279,48 @@ class TestOneCopyOfSn:
         assert np.array_equal(_lis_lengths_batch(space.words), _lis_lengths_batch(wide))
 
 
-def live_count(x, lows, tops, cut):
+def live_count(x, lows, guards, cut):
     """The clique loop's count of x's non-empty fields, on cut masks."""
-    low = lows[cut]
-    return ((((x & low) + low) | x) & tops[cut]).bit_count()
+    return ((x + lows[cut]) & guards[cut]).bit_count()
 
 
 class TestFieldCount:
     @pytest.mark.parametrize("width", [2, 3, 8, 64, 65])
     def test_matches_a_per_field_loop(self, width):
-        # 130 fields make cuts of 3 fields each (search.FIELD_CUTS = 64),
-        # the last one short.  At every cut point, x fills the fields below
-        # it, and the masks at that cut and at the one the loop picks from
-        # x's top bit both count what a per-field loop counts.
-        count = 130
-        span, lows, tops = search._field_masks(width, count)
-        assert span == 3 * width and len(lows) == len(tops) == 45
+        # 130 fields of width bits and a guard bit make cuts of 3 fields
+        # each (search.FIELD_CUTS = 64), the last one short.  At every cut
+        # point, x fills the fields below it, and the masks at that cut and
+        # at the one picked from x's top bit both count what a per-field
+        # loop counts.
+        count, stride = 130, width + 1
+        span, lows, guards = search._field_masks(width, count)
+        assert span == 3 * stride and len(lows) == len(guards) == 45
         full = (1 << width) - 1
         special = [0, full, 1, 1 << (width - 1)]  # empty, full, bit 0, top bit
         rng = random.Random(width)
         for cut in range(len(lows)):
-            below = min(cut * span // width, count)
+            below = min(cut * span // stride, count)
             for _ in range(20):
                 fields = [
                     rng.choice(special) if rng.random() < 0.5 else rng.getrandbits(width)
                     for _ in range(below)
                 ]
-                x = sum(f << (i * width) for i, f in enumerate(fields))
+                x = sum(f << (i * stride) for i, f in enumerate(fields))
                 expected = sum(1 for f in fields if f)
-                assert live_count(x, lows, tops, cut) == expected
-                assert live_count(x, lows, tops, -(-x.bit_length() // span)) == expected
+                assert live_count(x, lows, guards, cut) == expected
+                assert live_count(x, lows, guards, -(-x.bit_length() // span)) == expected
 
     def test_cut_lists_stay_bounded(self):
         # (9,3): 5,040 classes of 72 words, S_9 not built.  One cut per
-        # field would hold 5,040 masks of up to 9! bits in each list.
+        # field would hold 5,040 masks of up to 9! + 5,040 bits in each list.
         width, count = 72, 5_040
-        span, lows, tops = search._field_masks(width, count)
-        assert len(lows) == len(tops) <= 65
-        assert tops[-1].bit_length() == width * count == math.factorial(9)
-        assert tops[-1].bit_count() == count
-        assert lows[-1].bit_count() == count * (width - 1)
-        assert sum(x.bit_length() for x in lows + tops) < 70 * math.factorial(9)
+        bits = (width + 1) * count
+        span, lows, guards = search._field_masks(width, count)
+        assert len(lows) == len(guards) <= 65
+        assert guards[-1].bit_length() == bits == math.factorial(9) + count
+        assert guards[-1].bit_count() == count
+        assert lows[-1].bit_count() == count * width == math.factorial(9)
+        assert sum(x.bit_length() for x in lows + guards) < 70 * bits
 
 
 class TestSingletonOptimal:
@@ -379,11 +412,12 @@ class TestMaxSearch:
         # code as large as the identity-fixed maximum search does.
         params = CodeParams(5, 3)
         space = search._SearchSpace(params)
+        every_word = sum(1 << bit for bit in word_bits(space))
         best, nodes, exhausted = search._clique_search(
-            space, SearchBudget().start(), [], (1 << 120) - 1, 0, 6
+            space, SearchBudget().start(), [], every_word, 0, 6
         )
         assert (len(best), nodes, exhausted) == (4, 2_094, False)
-        verify_code([space_words(space)[gi] for gi in best], params)
+        verify_code([space_words(space)[space.word_row(gi)] for gi in best], params)
         assert len(max_code_search(params).code.words) == 4
 
     def test_codes_reverify(self):
@@ -455,7 +489,8 @@ class TestMaxSearch:
             space.far_row(space.identity), 1, singleton_upper(params),
         )
         assert (len(best), explored, exhausted) == (size, 20_000, True)
-        words = sorted(tuple(w) for w in (space.words[best] + 1).tolist())
+        rows = space.word_row(np.array(best))
+        words = sorted(tuple(w) for w in (space.words[rows] + 1).tolist())
         assert hashlib.sha256(repr(words).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
@@ -475,6 +510,68 @@ class TestMaxSearch:
         assert res.nodes_explored == nodes
         assert res.optimality == optimality
         assert len(res.code.words) == size
+
+
+def engine_words(space, clock, chosen, cand, floor, ceiling):
+    """_clique_search as (sorted 1-based words, nodes, exhausted)."""
+    best, nodes, exhausted = search._clique_search(space, clock, chosen, cand, floor, ceiling)
+    rows = space.word_row(np.array(best, dtype=np.int64))
+    return sorted(tuple(w) for w in (space.words[rows] + 1).tolist()), nodes, exhausted
+
+
+class TestReferenceSearch:
+    """The engine against a layout-free DFS on word indices (oracles.py):
+    the same code, node count and exhaustion, so the same tree node for
+    node up to every cap."""
+
+    @pytest.mark.parametrize(
+        "n, d, caps",
+        [pytest.param(n, d, (1, 2, 3, 7, 50, 1_000, 3_000), id=f"{n}-{d}")
+         for n in range(3, 7) for d in range(2, n)]
+        + [pytest.param(7, d, (1, 2, 3, 7, 50), id=f"7-{d}") for d in range(2, 7)],
+    )
+    def test_both_phases_under_caps(self, n, d, caps):
+        # The Singleton phase's floor and ceiling, then the maximum phase's
+        # under either ceiling, from the identity as the searches start.
+        params = CodeParams(n, d)
+        space = search._SearchSpace(params)
+        oracle = ReferenceCliqueSearch(params)
+        start = identity(n)
+        cand = [w for w in oracle.words if ulam_distance(start, w) >= d]
+        singleton = singleton_upper(params)
+        for floor, ceiling in [(singleton - 1, singleton), (1, singleton), (1, singleton - 1)]:
+            for cap in caps:
+                budget = SearchBudget(max_nodes=cap)
+                assert engine_words(
+                    space, budget.start(), [space.identity],
+                    space.far_row(space.identity), floor, ceiling,
+                ) == oracle.run([start], cand, floor, ceiling, budget.start())
+
+    def test_time_budget(self, monkeypatch):
+        # A fake clock one second later at every reading: both stop at
+        # node 40 of the (6,3) maximum phase.
+        ticks = itertools.count()
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        params = CodeParams(6, 3)
+        space = search._SearchSpace(params)
+        oracle = ReferenceCliqueSearch(params)
+        cand = [w for w in oracle.words if ulam_distance(identity(6), w) >= 3]
+        budget = SearchBudget(max_seconds=40)
+        found = engine_words(
+            space, budget.start(), [space.identity], space.far_row(space.identity), 1, 24
+        )
+        assert found == oracle.run([identity(6)], cand, 1, 24, budget.start())
+        assert found[1:] == (40, True)
+
+    def test_no_word_fixed(self):
+        # Every word a candidate, none chosen, as in
+        # test_identity_fixing_loses_nothing.
+        params = CodeParams(5, 3)
+        space = search._SearchSpace(params)
+        oracle = ReferenceCliqueSearch(params)
+        every_word = sum(1 << bit for bit in word_bits(space))
+        found = engine_words(space, SearchBudget().start(), [], every_word, 0, 6)
+        assert found == oracle.run([], oracle.words, 0, 6, SearchBudget().start())
 
 
 @pytest.mark.parametrize("searcher", [find_singleton_optimal, max_code_search])
