@@ -63,7 +63,6 @@ from .search import (
     max_code_search,
     read_code_file,
     reproduce_tables,
-    solve_cell,
     verify_code,
     write_code_file,
 )

@@ -138,14 +138,6 @@ def simple_tail_bound(params: CodeParams) -> Fraction:
     return Fraction(math.comb(n, delta), math.factorial(n - delta))
 
 
-def log_of_big(x: int) -> float:
-    """Natural log of a positive integer too large for float conversion."""
-    if x <= 0:
-        raise ValueError("log of non-positive integer")
-    shift = max(x.bit_length() - 512, 0)
-    return math.log(x >> shift) + shift * math.log(2.0)
-
-
 @dataclass
 class BoundReport:
     """Everything known about A(n, d) for one parameter pair.
@@ -158,29 +150,12 @@ class BoundReport:
     params: CodeParams
     singleton_upper: int
     gv_lower: int
-    ip_upper: Optional[int] = None
-    sphere_lower: Optional[int] = None
-    sphere_upper: Optional[int] = None
-    best_lower: int = 0
-    best_upper: int = 0
+    ip_upper: Optional[int]
+    sphere_lower: Optional[int]
+    sphere_upper: Optional[int]
+    best_lower: int
+    best_upper: int
     notes: list[str] = field(default_factory=list)
-
-    def finalize(self) -> "BoundReport":
-        lowers = [self.gv_lower, 2]  # {e, reversal} has distance n - 1 >= d
-        if self.sphere_lower is not None:
-            lowers.append(self.sphere_lower)
-        uppers = [self.singleton_upper]
-        if self.ip_upper is not None:
-            uppers.append(self.ip_upper)
-        if self.sphere_upper is not None:
-            uppers.append(self.sphere_upper)
-        self.best_lower = max(lowers)
-        self.best_upper = min(uppers)
-        if self.best_lower > self.best_upper:
-            raise AssertionError(
-                f"bound inversion at {self.params}: {self.best_lower} > {self.best_upper}"
-            )
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -208,16 +183,15 @@ def bound_report(
     ``sphere`` is the (lower, upper) pair of ``ball.sphere_packing_bounds``
     and ``ip_upper`` an integer-program bound, each already computed.
     """
-    report = BoundReport(
-        params=params,
-        singleton_upper=singleton_upper(params),
-        gv_lower=gv_lower(params),
-        ip_upper=ip_upper,
-    )
-    if sphere is not None:
-        report.sphere_lower, report.sphere_upper = sphere
-        if params.delta % 2 == 1:
-            report.notes.append(
-                "sphere upper bound uses radius floor((d-1)/2) because d-1 is odd"
-            )
-    return report.finalize()
+    singleton, gv = singleton_upper(params), gv_lower(params)
+    sphere_lower, sphere_upper = sphere if sphere is not None else (None, None)
+    # {e, reversal} has distance n - 1 >= d.
+    best_lower = max(b for b in (gv, 2, sphere_lower) if b is not None)
+    best_upper = min(b for b in (singleton, ip_upper, sphere_upper) if b is not None)
+    if best_lower > best_upper:
+        raise AssertionError(f"bound inversion at {params}: {best_lower} > {best_upper}")
+    notes = []
+    if sphere is not None and params.delta % 2 == 1:
+        notes.append("sphere upper bound uses radius floor((d-1)/2) because d-1 is odd")
+    return BoundReport(params, singleton, gv, ip_upper, sphere_lower, sphere_upper,
+                       best_lower, best_upper, notes)

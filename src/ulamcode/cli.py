@@ -50,9 +50,9 @@ from .ilp import build_model, export_lp, ip_upper_bound
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
     find_singleton_optimal,
+    max_code_search,
     read_code_file,
     reproduce_tables,
-    solve_cell,
     verify_code,
     write_code_file,
 )
@@ -177,12 +177,14 @@ def _seed(args) -> Optional[int]:
     return 0 if args.seed is None else args.seed
 
 
-def _threads(args) -> int:
+def _threads(args) -> Optional[int]:
+    """--threads if given; else the CPU count for mc and clt, which start a
+    worker pool, and None for the subcommands that start none."""
     if args.threads is not None:
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         return args.threads
-    return os.cpu_count() or 1
+    return (os.cpu_count() or 1) if args.command in ("mc", "clt") else None
 
 
 class _Run:
@@ -203,7 +205,7 @@ class _Run:
             f"# ulamcode {__version__}",
             f"# command: {self.command}",
             f"# seed: {'-' if self.seed is None else self.seed}",
-            f"# threads: {self.threads}",
+            f"# threads: {'-' if self.threads is None else self.threads}",
             f"# budgets: max_nodes={b.max_nodes if b.max_nodes is not None else 'none'}"
             f" max_seconds={b.max_seconds if b.max_seconds is not None else 'none'}",
         ]
@@ -335,7 +337,7 @@ def _cmd_search(run: _Run) -> int:
         }
         lines = [f"singleton_status {res.status}"]
     else:
-        res, _ = solve_cell(params, run.budget, args.with_ip, run.budget)
+        res = max_code_search(params, run.budget, args.with_ip, run.budget)
         code, bounded = res.code, res.optimality == "lower_bound_only"
         result = {
             "n": params.n,
@@ -391,9 +393,6 @@ def _cmd_tables(run: _Run) -> int:
         with_ip=args.with_ip,
         long_runs=args.long_runs,
     )
-    if not cells:
-        request = f"--n {args.n}" + (f" --d {args.d}" if args.d else "")
-        raise ValueError(f"{request} selects no cell; tables needs 2 <= d <= n-1")
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
     result = {"cells": [dataclasses.asdict(c) for c in cells]}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import CodeParams, singleton_upper
+from .bounds import CodeParams
 from .budget import SearchBudget
 from .simplex import EQ, GE, INFEASIBLE, LE, LpResult, solve_lp
 
@@ -219,14 +219,15 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
 def ip_upper_bound(
     params: CodeParams, budget: Optional[SearchBudget] = None
 ) -> tuple[int, bool]:
-    """(min(Singleton, proven integer-program bound), whether the program
-    hit its budget).  The bound is valid for any budget; with none the
-    program gets IP_NODE_CAP nodes.
+    """(proven integer-program bound, whether the program hit its budget).
+    The bound is valid for any budget; with none the program gets
+    IP_NODE_CAP nodes.  It never exceeds the Singleton bound: the root
+    relaxation equals it, and no node's value exceeds the root's.
     """
     if params.d == 1:
         return math.factorial(params.n), False
     sol = solve_ilp(build_model(params), budget or SearchBudget(max_nodes=IP_NODE_CAP))
-    return min(singleton_upper(params), sol.objective_value), sol.status == BOUND_ONLY
+    return sol.objective_value, sol.status == BOUND_ONLY
 
 
 def export_lp(model: IlpModel) -> str:

@@ -28,13 +28,13 @@ pairwise graph is never materialized.  One vectorized LIS sweep over S_n
 per cell finds the identity's far set; by left-invariance the row of sigma
 is that set relabeled by sigma, ranked back into bit positions.
 
-max_code_search is the search of a cell: on one S_n, the Singleton phase,
-then, if it finds no code, the maximum phase under the Singleton bound, or
-one below it once the Singleton tree is exhausted.  Without an explicit
-budget each phase gets HARD_CELL_NODE_CAP nodes, as the integer program
-gets IP_NODE_CAP.  solve_cell, which ``search`` and ``tables`` share, adds
-the integer-program bound if asked for and still needed, and the
-Singleton-optimality verdict.
+max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
+S_n, the Singleton phase, then, if it finds no code, the maximum phase
+under the Singleton bound, or one below it once the Singleton tree is
+exhausted; then, if asked for and still needed, the integer-program bound;
+and the Singleton-optimality verdict.  Without an explicit budget each
+phase gets HARD_CELL_NODE_CAP nodes, as the integer program gets
+IP_NODE_CAP.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the code meets
@@ -91,12 +91,13 @@ class Code:
     min_distance: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     code: Code
     optimality: str  # "proven_maximum" | "lower_bound_only"
     upper_bound_used: int
     nodes_explored: int
+    singleton_optimal: str  # "yes" | "no" | "unknown"
 
 
 @dataclass
@@ -440,66 +441,57 @@ def find_singleton_optimal(
 
 
 def max_code_search(
-    params: CodeParams, budget: Optional[SearchBudget] = None
+    params: CodeParams,
+    budget: Optional[SearchBudget] = None,
+    with_ip: bool = False,
+    ip_budget: Optional[SearchBudget] = None,
 ) -> SearchResult:
     """Best code of a cell, by branch-and-bound over classes (at most one
-    word each) on one S_n.
+    word each) on one S_n, and its Singleton-optimality verdict.
 
     The Singleton phase runs first; a code it finds is a proven maximum.
     Otherwise the maximum phase runs under a certified ceiling: the
     Singleton bound, or one below it once the Singleton tree is exhausted.
+    With ``with_ip``, a code that phase leaves below the ceiling when its
+    budget runs out gets the integer-program bound under ``ip_budget``
+    (IP_NODE_CAP nodes if None), which becomes the ceiling if lower; a
+    bound below the verified code's size is an AssertionError.
     Optimality is "proven_maximum" when the tree is exhausted or the code
-    meets the ceiling, else "lower_bound_only".  Both phases run on one
-    clock, so ``budget.max_seconds`` caps the whole search, while
-    ``budget.max_nodes`` caps each phase; ``nodes_explored`` counts both.
-    Without an explicit budget, each phase gets HARD_CELL_NODE_CAP nodes.
+    meets the ceiling, else "lower_bound_only".  The verdict is "yes" for a
+    code of Singleton size, "no" for a proven maximum or a ceiling below
+    the Singleton bound, else "unknown".
+
+    Both phases run on one clock, so ``budget.max_seconds`` caps the whole
+    search, while ``budget.max_nodes`` caps each phase; ``nodes_explored``
+    counts both.  Without an explicit budget, each phase gets
+    HARD_CELL_NODE_CAP nodes.
     """
     space = _SearchSpace(params)
     singleton = singleton_upper(params)
     clock = _start_clock(budget)
     first = _singleton_phase(space, clock)
+    nodes = first.nodes_explored
     if first.status == FOUND:
-        return SearchResult(first.code, PROVEN_MAXIMUM, singleton, first.nodes_explored)
-    ceiling = singleton - 1 if first.status == NONE_EXISTS else singleton
-    code, nodes, exhausted = _search_from_identity(space, clock, 1, ceiling)
-    proven = not exhausted or len(code.words) == ceiling
-    optimality = PROVEN_MAXIMUM if proven else LOWER_BOUND_ONLY
-    return SearchResult(code, optimality, ceiling, first.nodes_explored + nodes)
-
-
-def solve_cell(
-    params: CodeParams,
-    budget: Optional[SearchBudget] = None,
-    with_ip: bool = False,
-    ip_budget: Optional[SearchBudget] = None,
-) -> tuple[SearchResult, str]:
-    """max_code_search's answer for one cell and its Singleton-optimality
-    verdict, "yes", "no" or "unknown".
-
-    With ``with_ip``, a code the search leaves unproven gets the
-    integer-program bound under ``ip_budget`` (IP_NODE_CAP nodes if None),
-    and is proven if it meets that bound; a bound below the verified code's
-    size is an AssertionError.
-    """
-    res = max_code_search(params, budget)
-    singleton = singleton_upper(params)
-    # The search's ceiling is below the Singleton bound only once the
-    # Singleton tree is exhausted.
-    none_exists = res.upper_bound_used < singleton
-    size = len(res.code.words)
-    if with_ip and res.optimality != PROVEN_MAXIMUM:
+        code, exhausted, ceiling = first.code, False, singleton
+    else:
+        ceiling = singleton - 1 if first.status == NONE_EXISTS else singleton
+        code, phase_nodes, exhausted = _search_from_identity(space, clock, 1, ceiling)
+        nodes += phase_nodes
+    size = len(code.words)
+    if with_ip and exhausted and size < ceiling:
         ip, _ = ip_upper_bound(params, ip_budget)
         if ip < size:
             raise AssertionError(
                 f"integer-program bound {ip} is below the verified code's size {size}"
             )
-        res.upper_bound_used = min(res.upper_bound_used, ip)
-        if size == res.upper_bound_used:
-            res.optimality = PROVEN_MAXIMUM
+        ceiling = min(ceiling, ip)
+    proven = not exhausted or size == ceiling
     if size == singleton:
-        return res, "yes"
-    # A proven maximum below the Singleton bound settles the question too.
-    return res, "no" if none_exists or res.optimality == PROVEN_MAXIMUM else "unknown"
+        verdict = "yes"
+    else:
+        verdict = "no" if proven or ceiling < singleton else "unknown"
+    optimality = PROVEN_MAXIMUM if proven else LOWER_BOUND_ONLY
+    return SearchResult(code, optimality, ceiling, nodes, verdict)
 
 
 def write_code_file(code: Code, path: str | Path) -> None:
@@ -544,45 +536,51 @@ def reproduce_tables(
 ) -> list[TableCell]:
     """Computed A(n, d) values (or bounds) and Singleton-optimality verdicts.
 
-    d = 2 cells come from the known construction (size (n-1)!, always
-    Singleton-optimal), cells past SEARCH_LIMIT report their bounds as
-    "skipped", and every other cell is solve_cell's answer.  Cells whose
-    budget runs out are explicitly "bounded", never silently wrong.
-    ``long_runs`` lifts the node cap, so it takes no ``cell_budget``.
+    The cells are the pairs with 2 <= d <= n-1, d from ``d_values`` or
+    every such d; a value of either list that selects no cell is a
+    ValueError.  d = 2 cells come from the known construction (size
+    (n-1)!, always Singleton-optimal), cells past SEARCH_LIMIT report their
+    bounds as "skipped", and every other cell is max_code_search's answer.
+    Cells whose budget runs out are explicitly "bounded", never silently
+    wrong.  ``long_runs`` lifts the node cap, so it takes no
+    ``cell_budget``.
     """
     if long_runs and cell_budget is not None:
         raise ValueError("long_runs lifts the node cap; it takes no cell_budget")
     budget = SearchBudget() if long_runs else cell_budget
+    ns = sorted(set(n_values))
+    ds = sorted(set(d_values)) if d_values is not None else range(2, max(ns, default=0))
+    pairs = [(n, d) for n in ns for d in ds if 2 <= d <= n - 1]
+    for name, values, k in (("n", ns, 0), ("d", ds, 1)):
+        for value in values:
+            if all(pair[k] != value for pair in pairs):
+                raise ValueError(f"{name} = {value} selects no cell with 2 <= d <= n-1")
     cells: list[TableCell] = []
-    for n in sorted(set(n_values)):
-        ds = sorted(set(d_values)) if d_values is not None else range(2, n)
-        for d in ds:
-            if not 2 <= d <= n - 1:
-                continue
-            params = CodeParams(n, d)
-            if d == 2:
-                size = math.factorial(n - 1)
-                cells.append(
-                    TableCell(n=n, d=d, lower=size, upper=size, status="proven",
-                              singleton_optimal="yes", method="construction")
-                )
-            elif n > SEARCH_LIMIT:
-                sphere = sphere_packing_bounds(params) if n <= EXACT_LIMIT else None
-                report = bound_report(params, sphere)
-                cells.append(
-                    TableCell(n=n, d=d, lower=report.best_lower,
-                              upper=report.best_upper, status="skipped",
-                              singleton_optimal="unknown", method="bounds")
-                )
-            else:
-                res, verdict = solve_cell(params, budget, with_ip, cell_budget)
-                size = len(res.code.words)
-                proven = res.optimality == PROVEN_MAXIMUM
-                cells.append(
-                    TableCell(n=n, d=d, lower=size,
-                              upper=size if proven else res.upper_bound_used,
-                              status="proven" if proven else "bounded",
-                              singleton_optimal=verdict, method="search",
-                              nodes=res.nodes_explored)
-                )
+    for n, d in pairs:
+        params = CodeParams(n, d)
+        if d == 2:
+            size = math.factorial(n - 1)
+            cells.append(
+                TableCell(n=n, d=d, lower=size, upper=size, status="proven",
+                          singleton_optimal="yes", method="construction")
+            )
+        elif n > SEARCH_LIMIT:
+            sphere = sphere_packing_bounds(params) if n <= EXACT_LIMIT else None
+            report = bound_report(params, sphere)
+            cells.append(
+                TableCell(n=n, d=d, lower=report.best_lower,
+                          upper=report.best_upper, status="skipped",
+                          singleton_optimal="unknown", method="bounds")
+            )
+        else:
+            res = max_code_search(params, budget, with_ip, cell_budget)
+            size = len(res.code.words)
+            proven = res.optimality == PROVEN_MAXIMUM
+            cells.append(
+                TableCell(n=n, d=d, lower=size,
+                          upper=size if proven else res.upper_bound_used,
+                          status="proven" if proven else "bounded",
+                          singleton_optimal=res.singleton_optimal,
+                          method="search", nodes=res.nodes_explored)
+            )
     return cells

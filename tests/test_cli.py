@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 from importlib import resources
 
 import pytest
@@ -292,13 +293,31 @@ class TestTables:
         (cell,) = [c for c in skipped if (c["n"], c["d"]) == (10, 3)]
         assert cell["lower"] == 1_395  # the covering bound
 
-    @pytest.mark.parametrize(
-        "argv", [("--n", "0"), ("--n", "-3"), ("--n", "1..2"), ("--n", "4", "--d", "9")]
-    )
+    # Each request, and the first value in it that selects no cell; the
+    # last three fail beside values that do select one.
+    NO_CELL = {
+        ("--n", "0"): "n = 0",
+        ("--n", "-3"): "n = -3",
+        ("--n", "1..2"): "n = 1",
+        ("--n", "4", "--d", "9"): "n = 4",
+        ("--n", "4", "--d", "3,9"): "d = 9",
+        ("--n", "2..5"): "n = 2",
+        ("--n", "4,5", "--d", "2..5"): "d = 5",
+    }
+
+    @pytest.mark.parametrize("argv", NO_CELL)
     def test_request_with_no_cell_fails(self, capsys, argv):
         code, out, err = run_cli(capsys, "tables", *argv)
         assert (code, out) == (1, "")
         assert "selects no cell" in err and "2 <= d <= n-1" in err
+        assert f"error: {self.NO_CELL[argv]} selects no cell" in err
+
+    def test_every_value_selects_a_cell(self, capsys):
+        cells = run_json(
+            capsys, "tables", "--n", "4..7", "--d", "3..5", "--max-nodes", "5"
+        )["result"]["cells"]
+        assert {c["n"] for c in cells} == {4, 5, 6, 7}
+        assert {c["d"] for c in cells} == {3, 4, 5}
 
     @pytest.mark.parametrize("argv, expected", [
         (("--n", "4", "--d", "3,3"), [(4, 3)]),
@@ -457,6 +476,23 @@ class TestEnvelope:
         for argv in runs:
             data = run_json(capsys, *argv)
             check_schema(data, envelope_schema, path=argv[0])
+
+    def test_threads_reported_only_where_a_pool_runs(self, capsys, monkeypatch):
+        # Only mc and clt start workers; the other subcommands report null,
+        # whatever the host's CPU count.
+        argv = ("tables", "--n", "4", "--format", "json")
+        _, native, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        _, patched, _ = run_cli(capsys, *argv)
+        assert '"threads": null' in patched
+        elapsed = re.compile(r'^  "elapsed_seconds": .*\n', re.M)
+        assert elapsed.sub("", patched) == elapsed.sub("", native)
+        _, text, _ = run_cli(capsys, "tables", "--n", "4")
+        assert "# threads: -\n" in text
+        mc = run_json(capsys, "mc", "--n", "5", "--k", "3", "--samples", "100")
+        assert mc["threads"] == 64
+        given = run_json(capsys, "tables", "--n", "4", "--threads", "3")
+        assert given["threads"] == 3
 
     def test_byte_identical_modulo_elapsed(self, capsys):
         argv = ("mc", "--n", "6", "--k", "4", "--samples", "5000", "--seed", "9")

@@ -280,7 +280,7 @@ class TestIpUpperBound:
     def test_4_3_consistency(self):
         value, bounded = ip_upper_bound(CodeParams(4, 3))
         assert value >= 2  # the true maximum size
-        assert value == 2  # frozen: min(Singleton 2, program 2)
+        assert value == 2  # frozen: the program gives Singleton 2
         assert not bounded
 
     def test_never_exceeds_singleton(self):

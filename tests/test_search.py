@@ -1,5 +1,6 @@
 """Color classes, code verification, and the exact clique searches."""
 
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -392,10 +393,17 @@ class TestMaxSearch:
             fn for name, fn in inspect.getmembers(search, inspect.isfunction)
             if not name.startswith("_") and fn.__module__ == search.__name__
         ]
-        assert max_code_search in public and search.solve_cell in public
+        assert max_code_search in public
         for fn in public:
             assert not any("bound" in name for name in inspect.signature(fn).parameters)
-        assert list(inspect.signature(max_code_search).parameters) == ["params", "budget"]
+        assert list(inspect.signature(max_code_search).parameters) == [
+            "params", "budget", "with_ip", "ip_budget"
+        ]
+
+    def test_result_is_frozen(self):
+        res = max_code_search(CodeParams(5, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.upper_bound_used = 4
 
     def test_6_4(self):
         res = max_code_search(CodeParams(6, 4))
@@ -616,9 +624,18 @@ class TestTables:
         assert cell.lower == cell.upper == math.factorial(7)
         assert cell.status == "proven"
 
-    def test_invalid_cells_skipped(self):
-        cells = reproduce_tables([4], [5, 6])
-        assert cells == []
+    def test_invalid_cells_rejected(self):
+        with pytest.raises(ValueError, match="n = 4 selects no cell"):
+            reproduce_tables([4], [5, 6])
+
+    @pytest.mark.parametrize("n_values, d_values, value", [
+        ([4], [3, 9], "d = 9"),
+        ([2, 3, 4, 5], None, "n = 2"),
+        ([4, 9], [], "n = 4"),
+    ], ids=["beside-a-cell", "default-d", "empty-d"])
+    def test_value_selecting_no_cell_fails(self, n_values, d_values, value):
+        with pytest.raises(ValueError, match=f"{value} selects no cell"):
+            reproduce_tables(n_values, d_values)
 
     def test_exhausted_singleton_search_caps_the_cell(self):
         # No Singleton-optimal code at (7,4), so A(7,4) <= 4! - 1.
@@ -696,8 +713,46 @@ def test_one_search_space_per_cell(monkeypatch, n, d, max_nodes, with_ip):
     monkeypatch.setattr(search, "_SearchSpace", Counting)
     monkeypatch.setattr(search, "ip_upper_bound", ip)
     budget = SearchBudget(max_nodes=max_nodes)
-    search.solve_cell(CodeParams(n, d), budget, with_ip)
+    max_code_search(CodeParams(n, d), budget, with_ip)
     assert spaces == [CodeParams(n, d)]
+
+
+class TestVerdict:
+    """The Singleton-optimality verdict of max_code_search: "yes" for a code
+    of Singleton size, "no" for a proven maximum or a ceiling below the
+    Singleton bound, else "unknown"."""
+
+    PROVEN = {
+        (3, 2): "yes",
+        (4, 2): "yes", (4, 3): "yes",
+        (5, 2): "yes", (5, 3): "no", (5, 4): "yes",
+        (6, 2): "yes", (6, 3): "yes", (6, 4): "no", (6, 5): "yes",
+    }
+
+    def test_ip_ceiling_below_singleton_says_no(self):
+        # Five nodes leave a 4-word code unproven; the integer program's 5
+        # is below the Singleton bound 6, so no Singleton-optimal code exists.
+        cut = SearchBudget(max_nodes=5)
+        res = max_code_search(CodeParams(5, 3), cut, with_ip=True)
+        assert len(res.code.words) == 4
+        assert (res.optimality, res.upper_bound_used) == ("lower_bound_only", 5)
+        assert res.singleton_optimal == "no"
+        res = max_code_search(CodeParams(5, 3), cut)
+        assert (res.upper_bound_used, res.singleton_optimal) == (6, "unknown")
+
+    def test_settled_verdicts_agree_with_the_table(self):
+        # Under caps of 1 to 50 nodes per phase, with the integer program on
+        # its default budget, every cell but (6,2) and (6,3) settles.
+        settled = set()
+        for (n, d), verdict in self.PROVEN.items():
+            for cap in (1, 2, 3, 5, 8, 13, 21, 34, 50):
+                res = max_code_search(
+                    CodeParams(n, d), SearchBudget(max_nodes=cap), with_ip=True
+                )
+                if res.singleton_optimal != "unknown":
+                    assert res.singleton_optimal == verdict, (n, d, cap)
+                    settled.add((n, d))
+        assert settled == set(self.PROVEN) - {(6, 2), (6, 3)}
 
 
 def test_both_phases_share_one_clock(monkeypatch):
