@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -17,8 +18,10 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.max_seconds is not None and not self.max_seconds > 0:
-            raise ValueError(f"max_seconds must be > 0, got {self.max_seconds}")
+        # No time limit is max_seconds=None; an infinite one is refused,
+        # because JSON (RFC 8259) has no way to write it.
+        if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
+            raise ValueError(f"max_seconds must be > 0 and finite, got {self.max_seconds}")
 
     def start(self) -> "BudgetClock":
         return BudgetClock(self)

@@ -11,7 +11,8 @@ The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
 certificates, never float artifacts.  Only the root relaxation is a cold
 two-phase solve; every child is re-optimized from its parent's tableau by
-the dual simplex (see solve_ilp).  Integrality and the branching variable
+the dual simplex, and open nodes keep their tableaux up to a byte bound
+(see solve_ilp).  Integrality and the branching variable
 are read off the tableau's integer matrix (int64, or object dtype once an
 entry reaches 2**30; see simplex.py), and values leave as int and Fraction.
 """
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .bounds import CodeParams
 from .budget import SearchBudget
-from .simplex import EQ, GE, INFEASIBLE, LE, LpResult, solve_lp
+from .simplex import EQ, GE, INFEASIBLE, LE, LpResult, _Tableau, solve_lp
 
 Var = tuple[int, int]  # (b, a): position b holds symbol a
 Row = tuple[dict[Var, int], int]
@@ -37,6 +38,12 @@ BOUND_ONLY = "bound_only"
 # its nodes cost orders of magnitude more than clique nodes.  An explicit
 # budget is used as given, and solve_ilp alone has no cap.
 IP_NODE_CAP = 500
+# Byte bound on the tableaux that solve_ilp keeps for its open nodes
+# (_Tableau.nbytes).  A node pushed while the kept ones would pass it keeps
+# only its path and basis, and its tableau is rebuilt from the root's when
+# it is popped.  A rebuilt tableau equals the kept one entry for entry, so
+# the bound changes time and memory, never results.
+IP_TABLEAU_BYTES = 16 << 20
 
 
 @dataclass
@@ -143,22 +150,29 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     exact rational relaxation values.  With an exhausted budget the result
     is a proven upper bound (status "bound_only"), never a silent guess.
 
-    The root relaxation is solved cold by the two-phase simplex.  An open
-    node keeps only its path of bound rows and its optimal basis; when it
-    is popped, its tableau is rebuilt from the root's, and each child is
-    that tableau plus one bound row, re-optimized by the dual simplex.
+    The root relaxation is solved cold by the two-phase simplex.  Each
+    child is its parent's tableau plus one bound row, re-optimized by the
+    dual simplex.  An open node keeps that tableau while the kept ones stay
+    within IP_TABLEAU_BYTES; past it, a node keeps only its path of bound
+    rows and its optimal basis, and its tableau is rebuilt from the root's
+    when it is popped.
     """
     budget = budget or SearchBudget()
     clock = budget.start()
     num_vars = len(model.variables)
 
-    counter = 0
-    heap: list[tuple[Fraction, int, tuple, tuple[int, ...]]] = []
+    counter = held = 0
+    # (-value, counter, path, basis, (k, floor of x_k), tableau or None);
+    # counters are unique, so heap order never compares past them.
+    heap: list[
+        tuple[Fraction, int, tuple, tuple[int, ...], tuple[int, int], Optional[_Tableau]]
+    ] = []
 
     def consider(tab, path: tuple) -> None:
-        nonlocal best_value, best_x, counter
+        nonlocal best_value, best_x, counter, held
         value = tab.objective_value()
-        if tab.most_fractional(num_vars) is None:
+        branch = tab.most_fractional(num_vars)
+        if branch is None:
             iv = math.floor(value)
             if iv > best_value:
                 best_value = iv
@@ -167,7 +181,12 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             return
         if math.floor(value) > best_value:
             counter += 1
-            heapq.heappush(heap, (-value, counter, path, tuple(tab.basis)))
+            basis, size = tuple(tab.basis), tab.nbytes
+            if held + size <= IP_TABLEAU_BYTES:
+                held += size
+            else:
+                tab = None  # rebuilt from the root's when popped
+            heapq.heappush(heap, (-value, counter, path, basis, branch, tab))
 
     root = _lp_result(model)
     nodes = 1
@@ -180,24 +199,25 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
         mstar = min(rhs // sum(coeffs.values()) for coeffs, rhs in model.inequality_rows)
         best_value = model.n * mstar
         best_x = {v: mstar for v in model.variables}
-        consider(root.tableau, ())
+        # A copy, so that the root's own tableau stays intact for rebuilds.
+        consider(root.tableau.copy(), ())
 
     while heap:
         if clock.exhausted(nodes):
             status = BOUND_ONLY
             break
-        neg, _, path, basis = heapq.heappop(heap)
+        neg, _, path, basis, (k, fl), tab = heapq.heappop(heap)
         if math.floor(-neg) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
             heap.clear()
             break
-        tab = root.tableau.rebuilt(path, basis)
-        branch = tab.most_fractional(num_vars)
-        if branch is None:
-            raise AssertionError("non-integral node without fractional variable")
-        branch_k, fl = branch
-        for bound in ((branch_k, LE, fl), (branch_k, GE, fl + 1)):
-            child = tab.copy()
+        if tab is None:
+            tab = root.tableau.rebuilt(path, basis)
+        else:
+            held -= tab.nbytes
+        # The node is done after its two children, so the second takes
+        # its tableau; the first gets a copy made before either changes.
+        for bound, child in (((k, LE, fl), tab.copy()), ((k, GE, fl + 1), tab)):
             child.add_bound(*bound)
             nodes += 1
             if child.dual_optimize() == INFEASIBLE:
@@ -206,7 +226,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
 
     if status == BOUND_ONLY:
         # Every open node's floor is still a candidate for the optimum.
-        best_value = max([best_value] + [math.floor(-neg) for neg, _, _, _ in heap])
+        best_value = max([best_value] + [math.floor(-entry[0]) for entry in heap])
     return IlpSolution(
         status=status,
         objective_value=best_value,

@@ -18,13 +18,16 @@ on ratio ties) guarantees termination and makes runs deterministic.
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
 restores optimality in a few pivots: this is how branch-and-bound children
 are solved.  ``rebuilt`` recreates such a tableau from the root, the bound
-rows and the optimal basis alone, so callers need not keep tableaux.
+rows and the optimal basis alone; branch-and-bound uses it only for the
+nodes whose tableaux it did not keep, past its byte bound (``nbytes``).
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -116,6 +119,17 @@ class _Tableau:
             if best is None or s * best_den > best_s * den:
                 best, best_s, best_den = (k, num // den), s, den
         return best
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this tableau holds: the object, its attributes (the arrays
+        with their data, the basis list) and, in object dtype, the Python
+        ints the arrays point to."""
+        attrs = vars(self)
+        size = sys.getsizeof(self) + sum(map(sys.getsizeof, (attrs, *attrs.values())))
+        if self.mat.dtype == object:
+            size += sum(map(sys.getsizeof, itertools.chain(self.mat.flat, self.dens)))
+        return size
 
     def copy(self) -> "_Tableau":
         tab = copy.copy(self)

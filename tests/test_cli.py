@@ -226,6 +226,8 @@ class TestSearchAndVerify:
             ("--max-nodes", "0", "max_nodes must be >= 1"),
             ("--max-nodes", "-5", "max_nodes must be >= 1"),
             ("--max-seconds", "-1", "max_seconds must be > 0"),
+            ("--max-seconds", "inf", "max_seconds must be > 0 and finite, got inf"),
+            ("--max-seconds", "nan", "max_seconds must be > 0 and finite, got nan"),
         ],
     )
     def test_unmeetable_budget_rejected(self, capsys, flag, value, message):

@@ -1,8 +1,10 @@
 """Integer-program model building, exact solving, and LP export."""
 
+import heapq
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from ulamcode.ilp import (
     solve_ilp,
     solve_lp_relaxation,
 )
-from ulamcode import cli, simplex
+from ulamcode import cli, ilp, simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
 
 
@@ -110,6 +112,25 @@ class TestLpRelaxation:
                 assert solve_lp_relaxation(build_model(p)) == singleton_upper(p)
 
 
+# Exact integer optima of the program itself (before the Singleton min),
+# with the nodes the solver takes; regression values from this solver,
+# cross-checked against the known maximum code sizes they must dominate.
+# Both n = 7 cells close under IP_NODE_CAP.
+FROZEN_GRID = {
+    (4, 2): (6, 1),
+    (4, 3): (2, 1),
+    (5, 2): (24, 1),
+    (5, 3): (5, 131),
+    (5, 4): (2, 1),
+    (6, 2): (120, 1),
+    (6, 3): (24, 1),
+    (6, 4): (6, 1),
+    (6, 5): (2, 1),
+    (7, 4): (24, 217),
+    (7, 5): (6, 257),
+}
+
+
 class TestSolveIlp:
     def test_worked_example(self):
         sol = solve_ilp(build_model(CodeParams(5, 3)))
@@ -135,24 +156,7 @@ class TestSolveIlp:
             assert sum(c * x[v] for v, c in coeffs.items()) == rhs
 
     def test_frozen_small_grid(self):
-        # Exact integer optima of the program itself (before the Singleton
-        # min), with the nodes the solver takes; regression values from
-        # this solver, cross-checked against the known maximum code sizes
-        # they must dominate.  Both n = 7 cells close under IP_NODE_CAP.
-        expected = {
-            (4, 2): (6, 1),
-            (4, 3): (2, 1),
-            (5, 2): (24, 1),
-            (5, 3): (5, 131),
-            (5, 4): (2, 1),
-            (6, 2): (120, 1),
-            (6, 3): (24, 1),
-            (6, 4): (6, 1),
-            (6, 5): (2, 1),
-            (7, 4): (24, 217),
-            (7, 5): (6, 257),
-        }
-        for (n, d), (value, nodes) in expected.items():
+        for (n, d), (value, nodes) in FROZEN_GRID.items():
             sol = solve_ilp(build_model(CodeParams(n, d)))
             assert sol.status == "optimal"
             assert (sol.objective_value, sol.nodes_explored) == (value, nodes)
@@ -255,6 +259,8 @@ class TestWarmStart:
         assert statuses == {OPTIMAL, INFEASIBLE}  # the oracle checks both kinds
 
     def test_rebuilt_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
+        # With no bytes for kept tableaux, every popped node is rebuilt.
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
         model = build_model(CodeParams(5, 3))
         root = _snapshot(_cold_lp(model, ()).tableau)
         rec = _Recorder(monkeypatch)
@@ -268,6 +274,90 @@ class TestWarmStart:
             got = {b: (r, q) for b, r, q in zip(basis, rows, dens)}
             assert got == {b: (r, q) for b, r, q in zip(want_basis, want_rows, want_dens)}
             assert basis == want_basis
+
+
+def _solve(cell, max_nodes=None):
+    budget = SearchBudget(max_nodes=max_nodes) if max_nodes else None
+    sol = solve_ilp(build_model(CodeParams(*cell)), budget)
+    return sol.status, sol.objective_value, sol.assignment, sol.nodes_explored
+
+
+class _HeapSpy:
+    """Stands in for solve_ilp's heapq.  It records the most bytes that the
+    open nodes' kept tableaux (the last field of a heap entry) held, and
+    how many nodes were pushed without one."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.most = self.refused = 0
+
+    def heappush(self, heap, entry):
+        heapq.heappush(heap, entry)
+        self.refused += entry[-1] is None
+        held = sum(e[-1].nbytes for e in heap if e[-1] is not None)
+        self.most = max(self.most, held)
+
+
+class TestTableauMemo:
+    """Open nodes keep their tableaux up to IP_TABLEAU_BYTES; the rest are
+    rebuilt from the root.  Which one a node gets must never show."""
+
+    @pytest.mark.parametrize(
+        "cell, max_nodes",
+        [(cell, None) for cell in FROZEN_GRID] + [((8, 6), IP_NODE_CAP)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_results_do_not_depend_on_the_memo(self, monkeypatch, cell, max_nodes):
+        kept = _solve(cell, max_nodes)
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
+        assert _solve(cell, max_nodes) == kept
+        if cell == (8, 6):
+            assert (kept[0], kept[1], kept[3]) == ("bound_only", 6, 501)
+
+    def test_kept_tableaux_stay_within_the_bound(self, monkeypatch):
+        bound = 1 << 20
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
+        rebuilt_only = _solve((8, 6), 300)
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
+        spy = _HeapSpy()
+        monkeypatch.setattr(ilp, "heapq", spy)
+        rebuilds = []
+        rebuilt = simplex._Tableau.rebuilt
+        monkeypatch.setattr(
+            simplex._Tableau, "rebuilt", lambda tab, *a: rebuilds.append(a) or rebuilt(tab, *a)
+        )
+        assert _solve((8, 6), 300) == rebuilt_only
+        # The bound is reached, never passed, and the nodes past it are rebuilt.
+        assert bound - (64 << 10) < spy.most <= bound
+        assert rebuilds
+
+    def test_default_bound_fits_the_default_cap(self, monkeypatch):
+        for n in range(4, 9):
+            for d in range(2, n):
+                spy = _HeapSpy()
+                monkeypatch.setattr(ilp, "heapq", spy)
+                _solve((n, d), IP_NODE_CAP)
+                assert spy.refused == 0
+                assert spy.most <= ilp.IP_TABLEAU_BYTES
+
+    @pytest.mark.slow
+    def test_memory_beyond_the_default_cap(self, monkeypatch):
+        # 3,000 nodes at (8,6) would keep about 50 MB of tableaux without
+        # the bound; with it, the traced peak exceeds the rebuild-only
+        # run's by at most the bound.
+        peaks, results = [], []
+        for bound in (0, ilp.IP_TABLEAU_BYTES):
+            monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
+            tracemalloc.start()
+            try:
+                results.append(_solve((8, 6), 3000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[0] == results[1]
+        assert (results[1][0], results[1][1], results[1][3]) == ("bound_only", 6, 3001)
+        assert peaks[1] <= peaks[0] + ilp.IP_TABLEAU_BYTES
 
 
 class TestIpUpperBound:

@@ -2,6 +2,7 @@
 simplex that re-optimizes them under added bounds."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -275,6 +276,23 @@ def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
     assert small.tableau.objective_value() == wide.tableau.objective_value()
     assert small.tableau.point(2) == wide.tableau.point(2)
     assert wide.tableau.mat.dtype == object
+
+
+@pytest.mark.parametrize("factors, dtype", [((1, 1), np.int64), ((2**40, 2**40), object)])
+def test_nbytes_covers_what_the_tableau_holds(factors, dtype):
+    # Past 2**30 the tableau is object dtype, and its Python ints count too.
+    rows, objective = TWO_VARIABLES
+    tracemalloc.start()
+    try:
+        tab = solve_lp(2, _scale_rows(rows, factors), objective).tableau
+        held = tracemalloc.get_traced_memory()[0]
+        nbytes = tab.nbytes
+        assert tab.mat.dtype == dtype
+        del tab
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < freed <= nbytes
 
 
 # ---------------------------------------------------------------------------
