@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,6 +237,10 @@ def sample_lis_lengths(
     sizes = [MC_BLOCK] * (nblocks - 1) + [samples - MC_BLOCK * (nblocks - 1)]
     columns = ([n] * nblocks, [seed] * nblocks, range(nblocks), sizes)
     if workers > 1 and nblocks > 1:
+        # Imported here, so that a process that starts no pool does not
+        # load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=_pool_size(workers, nblocks)) as pool:
                 parts = list(pool.map(_sample_block, *columns))

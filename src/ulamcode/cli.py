@@ -11,6 +11,11 @@ on mc and clt, --max-nodes and --max-seconds on bounds, search and tables);
 header fields it has no option for are null, and option combinations that
 would drop an option exit 1.
 
+main builds the argument parser of the subcommand it runs only, because
+most of a run's fixed cost is in building parsers; a first argument that
+is not a subcommand gets the parser of all ten, so usage, help and error
+texts are those of the whole parser.
+
 Exit codes: 0 success (budget-exhausted results included, with status
 "bounded"), 1 usage or data error, 2 capacity error, 3 internal invariant
 violation.
@@ -66,7 +71,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand, or with ``command`` of that one only;
+    a subcommand's options and help do not depend on the others."""
     parser = _Parser(prog="ulamcode", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ulamcode {__version__}")
     # The envelope's budget fields exist for every subcommand.
@@ -84,65 +91,67 @@ def build_parser() -> _Parser:
     budgeted.add_argument("--max-seconds", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distance", parents=[common],
-                       help="Ulam distance between two permutations")
-    p.add_argument("sigma", help='first permutation, e.g. "2 3 1 5 4"')
-    p.add_argument("tau", help="second permutation")
+    def add(name: str, parents: list, summary: str) -> Optional[argparse.ArgumentParser]:
+        """The subparser of ``name``, or None if this parser leaves it out."""
+        if command not in (None, name):
+            return None
+        return sub.add_parser(name, parents=parents, help=summary)
 
-    p = sub.add_parser("bounds", parents=[common, budgeted],
-                       help="bound report for (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--with-ip", action="store_true")
-    p.add_argument("--with-sphere", action="store_true")
-    p.add_argument("--show-asymptotics", action="store_true",
-                   help="append the constant-c log-scale bound lines")
+    if p := add("distance", [common], "Ulam distance between two permutations"):
+        p.add_argument("sigma", help='first permutation, e.g. "2 3 1 5 4"')
+        p.add_argument("tau", help="second permutation")
 
-    p = sub.add_parser("search", parents=[common, budgeted], help="exact code search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    phases = p.add_mutually_exclusive_group()
-    phases.add_argument("--singleton-only", action="store_true",
-                        help="only decide whether a Singleton-optimal code exists")
-    phases.add_argument("--with-ip", action="store_true",
-                        help="bound a cell the searches leave open with the integer program")
-    p.add_argument("--save-code", metavar="FILE", default=None,
-                   help="also write the found code in the code-file format")
+    if p := add("bounds", [common, budgeted], "bound report for (n, d)"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--with-ip", action="store_true")
+        p.add_argument("--with-sphere", action="store_true")
+        p.add_argument("--show-asymptotics", action="store_true",
+                       help="append the constant-c log-scale bound lines")
 
-    p = sub.add_parser("verify", parents=[common], help="verify a code file")
-    p.add_argument("file", help='code file: first line "n d", one word per line')
+    if p := add("search", [common, budgeted], "exact code search"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        phases = p.add_mutually_exclusive_group()
+        phases.add_argument("--singleton-only", action="store_true",
+                            help="only decide whether a Singleton-optimal code exists")
+        phases.add_argument("--with-ip", action="store_true",
+                            help="bound a cell the searches leave open with the integer "
+                                 "program")
+        p.add_argument("--save-code", metavar="FILE", default=None,
+                       help="also write the found code in the code-file format")
 
-    p = sub.add_parser("tables", parents=[common, budgeted],
-                       help="reproduce the size and Singleton-optimality tables")
-    p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
-    p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
-    p.add_argument("--with-ip", action="store_true")
-    p.add_argument("--long-runs", action="store_true",
-                   help="run the searches without the default node cap")
+    if p := add("verify", [common], "verify a code file"):
+        p.add_argument("file", help='code file: first line "n d", one word per line')
 
-    p = sub.add_parser("ball", parents=[common], help="Ulam ball sizes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
+    if p := add("tables", [common, budgeted],
+                "reproduce the size and Singleton-optimality tables"):
+        p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
+        p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
+        p.add_argument("--with-ip", action="store_true")
+        p.add_argument("--long-runs", action="store_true",
+                       help="run the searches without the default node cap")
 
-    p = sub.add_parser("lisdist", parents=[common],
-                       help="exact LIS-length distribution over S_n")
-    p.add_argument("--n", type=int, required=True)
+    if p := add("ball", [common], "Ulam ball sizes"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, default=None)
 
-    p = sub.add_parser("mc", parents=[common, randomized],
-                       help="Monte-Carlo estimate of P(LIS >= k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    if p := add("lisdist", [common], "exact LIS-length distribution over S_n"):
+        p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("clt", parents=[common, randomized],
-                       help="emit centered/scaled LIS samples, one per line")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    if p := add("mc", [common, randomized], "Monte-Carlo estimate of P(LIS >= k)"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("export-lp", parents=[common],
-                       help="write the (n, d) integer program in LP format")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    if p := add("clt", [common, randomized],
+                "emit centered/scaled LIS samples, one per line"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--samples", type=int, default=100_000)
+
+    if p := add("export-lp", [common], "write the (n, d) integer program in LP format"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
 
     return parser
 
@@ -519,9 +528,13 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only -h, --help and --version may come before the command, and each
+    # prints the whole parser's text; so a known first argument is the
+    # command, and any other first argument gets the whole parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _DISPATCH else None)
     try:
-        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,6 +13,13 @@ Python ints, the same expressions) for good.
 Bland's rule (smallest eligible column enters, smallest basic index leaves
 on ratio ties) guarantees termination and makes runs deterministic.
 
+The tableau is integer from its first row: ``solve_lp`` hands it sparse
+rows, each scaled by the lcm of its denominators and int64 when it fits,
+and ``set_objective`` writes the reduced costs as one integer combination
+of the basic rows, gcd-reduced, so no dense row of Fractions is ever
+built.  Each pivot checks the 2**30 limit on the rows it has just
+computed.
+
 ``solve_lp`` returns the optimal tableau with its result.  A bound
 ``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
@@ -41,7 +48,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 # int64 entries and denominators stay below this; past it, object dtype.
 _INT64_LIMIT = 1 << 30
 
@@ -53,12 +59,6 @@ class LpResult:
     x: Optional[list[Fraction]]
     # The optimal tableau, for re-optimizing under added bounds.
     tableau: Optional["_Tableau"] = None
-
-
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over their least (so coprime) common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _fits(*arrays: np.ndarray) -> bool:
@@ -73,17 +73,28 @@ class _Tableau:
     the positive denominators ``dens``; entry k of row i is
     ``mat[i, k] / dens[i]``.  Signs and ratio comparisons then need only
     integer arithmetic, and the pivots are the same as with one Fraction
-    per entry.
+    per entry.  The constructor takes sparse rows and scales each by the
+    least common denominator of its entries; the objective row starts at
+    zero until ``set_objective`` loads one.
     """
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
+    def __init__(self, rows: Sequence[dict[int, Fraction | int]], basis: list[int],
+                 ncols: int):
+        """``rows`` map columns to the entries of each constraint row, the
+        right-hand side at column ncols; a column left out holds 0."""
         self.ncols = ncols
         self.basis = basis        # basic column per constraint row
-        scaled = [_scaled(row) for row in rows] + [([0] * (ncols + 1), 1)]
-        self.mat = np.array([nums for nums, _ in scaled], dtype=object)
-        self.dens = np.array([den for _, den in scaled], dtype=object)
-        if _fits(self.mat, self.dens):
-            self.mat, self.dens = self.mat.astype(np.int64), self.dens.astype(np.int64)
+        dens = [math.lcm(*(v.denominator for v in row.values())) for row in rows] + [1]
+        at = tuple(zip(*((i, k) for i, row in enumerate(rows) for k in row)))
+        nums = [
+            v.numerator * (den // v.denominator)
+            for row, den in zip(rows, dens) for v in row.values()
+        ]
+        dtype = np.int64 if max(map(abs, nums + dens)) < _INT64_LIMIT else object
+        self.mat = np.zeros((len(rows) + 1, ncols + 1), dtype=dtype)
+        self.dens = np.array(dens, dtype=dtype)
+        if nums:
+            self.mat[at] = np.array(nums, dtype=dtype)
 
     def _widen_past_limit(self, *arrays: np.ndarray) -> None:
         """Switch to object dtype for good once entries reach the limit."""
@@ -146,21 +157,25 @@ class _Tableau:
         self.mat = np.delete(self.mat, np.s_[ncols:self.ncols], axis=1)
         self.ncols = ncols
 
-    def set_objective(self, costs: dict[int, Fraction]) -> None:
-        """Load reduced costs for maximizing costs . x from the current basis."""
-        obj = [_ZERO] * (self.ncols + 1)
+    def set_objective(self, costs: dict[int, Fraction | int]) -> None:
+        """Load reduced costs for maximizing costs . x from the current basis:
+        -costs plus each basic row times its column's cost, as one integer
+        row over the least common denominator."""
+        weights = {
+            i: Fraction(costs[b], int(self.dens[i]))
+            for i, b in enumerate(self.basis) if costs.get(b)
+        }
+        den = math.lcm(*(v.denominator for v in (*costs.values(), *weights.values())))
+        obj = np.zeros(self.ncols + 1, dtype=object)
         for j, c in costs.items():
-            obj[j] = -c
-        for i, b in enumerate(self.basis):
-            cb = costs.get(b, _ZERO)
-            if cb != 0:
-                scale = cb / int(self.dens[i])
-                for k, v in enumerate(self.mat[i].tolist()):
-                    if v != 0:
-                        obj[k] += scale * v
-        nums, den = _scaled(obj)
-        self._widen_past_limit(np.array(nums + [den], dtype=object))
-        self.mat[-1], self.dens[-1] = nums, den
+            obj[j] = -c.numerator * (den // c.denominator)
+        if weights:
+            w = [v.numerator * (den // v.denominator) for v in weights.values()]
+            obj += np.array(w, dtype=object) @ self.mat[list(weights)]
+        g = math.gcd(den, *obj.tolist())
+        obj, den = obj // g, den // g
+        self._widen_past_limit(obj, np.array([den], dtype=object))
+        self.mat[-1], self.dens[-1] = obj, den
 
     def pivot(self, r: int, c: int) -> None:
         mat, dens = self.mat, self.dens
@@ -178,20 +193,21 @@ class _Tableau:
         new = new * pc - new[:, c, None] * prow
         den = dens[rows] * pc
         g = np.gcd(np.gcd.reduce(new, axis=1), den)
-        mat[rows], dens[rows] = new // g[:, None], den // g
-        self._widen_past_limit(mat[rows], dens[rows])
+        new, den = new // g[:, None], den // g
+        self._widen_past_limit(new, den)
+        self.mat[rows], self.dens[rows] = new, den
         self.basis[r] = c
 
     def optimize(self) -> str:
         """Pivot until no reduced cost is negative.  Bland's rule throughout."""
         rhs, m = self.ncols, len(self.basis)
         while True:
-            negative = np.flatnonzero(self.mat[-1, :rhs] < 0)
+            negative = (self.mat[-1, :rhs] < 0).nonzero()[0]
             if not negative.size:
                 return OPTIMAL
             enter = int(negative[0])
             # Within a row the denominator cancels: the ratio is b / a.
-            rows = np.flatnonzero(self.mat[:m, enter] > 0)
+            rows = (self.mat[:m, enter] > 0).nonzero()[0]
             sub = self.mat[rows][:, [enter, rhs]].T.tolist()
             leave = -1
             best_b = best_a = 0
@@ -245,13 +261,13 @@ class _Tableau:
         """
         rhs, m = self.ncols, len(self.basis)
         while True:
-            negative = np.flatnonzero(self.mat[:m, rhs] < 0).tolist()
+            negative = (self.mat[:m, rhs] < 0).nonzero()[0].tolist()
             if not negative:
                 return OPTIMAL
             leave = min(negative, key=self.basis.__getitem__)
             # The ratio obj[j] / -row[j] over row[j] < 0; both denominators
             # are positive and shared by every column, so they cancel.
-            cols = np.flatnonzero(self.mat[leave, :rhs] < 0)
+            cols = (self.mat[leave, :rhs] < 0).nonzero()[0]
             sub = self.mat[[leave, -1]][:, cols].tolist()
             enter = -1
             best_o = best_a = 0
@@ -301,59 +317,51 @@ def solve_lp(
     Each row is (coefficients keyed by variable index, sense, rhs) with
     sense one of "<=", ">=", "=".
     """
-    senses: list[str] = []
-    coeff_rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    normalized: list[tuple[dict[int, Fraction | int], str, Fraction | int]] = []
     for coeffs, sense, b in rows:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        row = {j: Fraction(v) for j, v in coeffs.items() if v != 0}
-        b = Fraction(b)
+        row = {j: v for j, v in coeffs.items() if v != 0}
         if b < 0:
             row = {j: -v for j, v in row.items()}
             b = -b
             sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        coeff_rows.append(row)
-        senses.append(sense)
-        rhs.append(b)
+        normalized.append((row, sense, b))
 
-    m = len(coeff_rows)
-    n_slack = sum(1 for s in senses if s in (LE, GE))
-    n_art = sum(1 for s in senses if s in (GE, EQ))
+    n_slack = sum(1 for _, s, _ in normalized if s in (LE, GE))
+    n_art = sum(1 for _, s, _ in normalized if s in (GE, EQ))
     ncols = num_vars + n_slack + n_art
     first_art = num_vars + n_slack
 
-    trows: list[list[Fraction]] = []
+    # Each row gains its slack and artificial entries and its right-hand
+    # side at column ncols.
     basis: list[int] = []
     slack_at = num_vars
     art_at = first_art
-    for i in range(m):
-        row = [_ZERO] * (ncols + 1)
-        for j, v in coeff_rows[i].items():
+    for row, sense, b in normalized:
+        for j in row:
             if not 0 <= j < num_vars:
                 raise ValueError(f"variable index {j} out of range")
-            row[j] = v
-        row[ncols] = rhs[i]
-        if senses[i] == LE:
-            row[slack_at] = _ONE
+        row[ncols] = b
+        if sense == LE:
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
-        elif senses[i] == GE:
-            row[slack_at] = -_ONE
+        elif sense == GE:
+            row[slack_at] = -1
             slack_at += 1
-            row[art_at] = _ONE
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
         else:
-            row[art_at] = _ONE
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
-        trows.append(row)
 
-    tab = _Tableau(trows, basis, ncols)
+    tab = _Tableau([row for row, _, _ in normalized], basis, ncols)
 
     if n_art:
-        tab.set_objective({j: -_ONE for j in range(first_art, ncols)})
+        tab.set_objective({j: -1 for j in range(first_art, ncols)})
         status = tab.optimize()
         if status != OPTIMAL:
             raise AssertionError("phase 1 cannot be unbounded")
@@ -363,7 +371,7 @@ def solve_lp(
         for i in range(len(tab.basis) - 1, -1, -1):
             if tab.basis[i] < first_art:
                 continue
-            nonzero = np.flatnonzero(tab.mat[i, :first_art])
+            nonzero = tab.mat[i, :first_art].nonzero()[0]
             if nonzero.size:
                 tab.pivot(i, int(nonzero[0]))
             else:
@@ -372,12 +380,10 @@ def solve_lp(
         tab.truncate(first_art)
         ncols = first_art
 
-    costs: dict[int, Fraction] = {}
-    for j, v in objective.items():
+    for j in objective:
         if not 0 <= j < num_vars:
             raise ValueError(f"objective index {j} out of range")
-        costs[j] = Fraction(v)
-    tab.set_objective(costs)
+    tab.set_objective(objective)
     status = tab.optimize()
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)

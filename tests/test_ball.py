@@ -1,8 +1,11 @@
 """Ball sizes, exact LIS distribution, Monte Carlo, and sphere bounds."""
 
+import concurrent.futures
 import math
 import os
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import bfs_ball_sizes, enum_lis_counts, sample_lis_reference
+import ulamcode
 from ulamcode import ball
 from ulamcode.ball import (
     EXACT_LIMIT,
@@ -347,7 +351,7 @@ class TestWorkerPools:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(ball, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (16, 3)])
@@ -356,6 +360,19 @@ class TestWorkerPools:
         lengths = sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0, workers=1000)
         assert pool_sizes == [expected]
         assert (lengths == sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0)).all()
+
+
+def test_import_loads_no_pool():
+    # The process pool's modules load only where a pool starts.
+    code = (
+        "import sys, ulamcode; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(ulamcode.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "[]\n"
 
 
 class TestCltSamples:

@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from ulamcode import cli, search
+from ulamcode import __version__, cli, search
 from ulamcode.ball import EXACT_LIMIT
 from ulamcode.perm import random_permutation, ulam_distance
 
@@ -573,3 +573,67 @@ def test_long_options_of_every_subcommand():
         for name, parser in subparsers.choices.items()
     }
     assert found == {name: common | options for name, options in own.items()}
+
+
+class TestParserPerCommand:
+    """main builds the parser of the command it runs; what it prints is
+    the whole parser's text."""
+
+    COMMANDS = ("distance", "bounds", "search", "verify", "tables", "ball", "lisdist",
+                "mc", "clt", "export-lp")
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def whole_parser(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        captured = capsys.readouterr()
+        return int(exc.value.code or 0), captured.out, captured.err
+
+    def test_dispatch_knows_every_command(self):
+        assert tuple(cli._DISPATCH) == self.COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_equals_the_whole_parsers(self, capsys, monkeypatch, command):
+        built = []
+        build_parser = cli.build_parser
+
+        def spy(*args):
+            built.append(args)
+            return build_parser(*args)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        ran = run_cli(capsys, command, "--help")
+        assert built == [(command,)]
+        assert ran == self.whole_parser(capsys, command, "--help")
+
+    @pytest.mark.parametrize("argv", [
+        ("nonsense",),
+        (),
+        ("--format", "json", "bounds", "--n", "5", "--d", "3"),
+    ])
+    def test_top_level_errors_name_every_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == self.whole_parser(capsys, *argv)
+        assert code == 1 and out == ""
+        usage, _, error = err.partition("ulamcode: error: ")
+        assert set(self.COMMANDS) <= set(re.findall(r"[\w-]+", usage))
+        if argv:
+            assert "invalid choice" in error
+            named = set(re.findall(r"[\w-]+", error.partition("choose from")[2]))
+            assert set(self.COMMANDS) <= named
+        else:
+            assert "required: command" in error
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h", "bounds"), ("--help", "mc", "--n")])
+    def test_top_level_help_lists_every_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == self.whole_parser(capsys, *argv)
+        assert code == 0 and err == ""
+        assert all(f"\n    {command} " in out for command in self.COMMANDS)
+
+    def test_version(self, capsys):
+        assert run_cli(capsys, "--version") == (0, f"ulamcode {__version__}\n", "")

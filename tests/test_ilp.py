@@ -1,5 +1,6 @@
 """Integer-program model building, exact solving, and LP export."""
 
+import hashlib
 import heapq
 import json
 import math
@@ -358,6 +359,88 @@ class TestTableauMemo:
         assert results[0] == results[1]
         assert (results[1][0], results[1][1], results[1][3]) == ("bound_only", 6, 3001)
         assert peaks[1] <= peaks[0] + ilp.IP_TABLEAU_BYTES
+
+
+# The ten cells of the benchmark's ipbound workload, with its node caps, and
+# the root tableau of each: its basis and the SHA-256 of its matrix and
+# denominators as nested Python ints.  Every root tableau is int64.
+IPBOUND_CAPS = {
+    (4, 3): 200, (5, 3): 200, (5, 4): 200, (6, 3): 200, (6, 4): 200,
+    (6, 5): 200, (7, 4): 8, (7, 5): 8, (7, 6): 200, (8, 6): 8,
+}
+ROOT_TABLEAUX = {
+    (4, 3): (
+        [12, 11, 13, 10, 1, 7, 14, 23, 0, 2, 6],
+        "d8c6d60a61d4c7218e48f12a5d65381086507f747bc6e834add8df568abaf4f9",
+    ),
+    (5, 3): (
+        [20, 1, 11, 21, 2, 12, 22, 3, 14, 8, 4, 23, 0, 38, 39, 18, 5, 10, 19],
+        "581ad4bac56268021e2181443b99a6f091e4e7e380432a18c509007bd5290326",
+    ),
+    (5, 4): (
+        [20, 14, 19, 7, 21, 8, 18, 9, 22, 34, 0, 2, 1, 17],
+        "e5eb105b3112b7d0cee4e9decdab1bfc15efc54141e930702f84aae00fc06344",
+    ),
+    (6, 3): (
+        [30, 32, 15, 1, 6, 34, 26, 2, 19, 7, 27, 3, 33, 10, 28, 4, 29, 11, 20, 16,
+         35, 57, 58, 59, 0, 31, 14, 18, 5],
+        "3f078ab46e7fabd7cb3c4884a9bf4e74d9a992bbac9f910f607b53fec2189135",
+    ),
+    (6, 4): (
+        [30, 27, 32, 20, 29, 1, 7, 3, 21, 22, 4, 28, 33, 5, 23, 9, 52, 53, 0, 8, 12,
+         31, 13],
+        "c1116d36a5f52cb36f49a70b012e0889334c9f1b9a161da20b3b62d7c7fe43f9",
+    ),
+    (6, 5): (
+        [30, 1, 9, 10, 31, 22, 2, 16, 8, 17, 28, 47, 0, 23, 27, 32, 26],
+        "2e65b3d1c314b55e6bfcbd3722cf36ff4b77f4f12696fd5f6baed14a0be8e708",
+    ),
+    (7, 4): (
+        [42, 45, 15, 1, 14, 31, 3, 2, 39, 46, 20, 30, 25, 24, 41, 40, 16, 5, 12, 17,
+         47, 70, 13, 7, 19, 74, 75, 76, 0, 44, 29, 4, 28, 43],
+        "912614871332b81bb91ab6e099424e16cee29e01f184e92907568eec39992ba9",
+    ),
+    (7, 5): (
+        [42, 34, 15, 43, 8, 25, 23, 3, 9, 44, 24, 4, 7, 5, 33, 45, 10, 6, 12, 68,
+         69, 41, 40, 14, 38, 0, 39],
+        "6e122f0a8bb34cd803f1a110e20469dcd474e7097e2c2df45af306edc785966f",
+    ),
+    (7, 6): (
+        [42, 9, 2, 39, 10, 11, 43, 18, 32, 19, 33, 20, 44, 62, 0, 38, 34, 37, 27, 1],
+        "f4941d6cf57533087434d8790d95f1adbfc2d7fa1bb96de353dbdca9bea83434",
+    ),
+    (8, 6): (
+        [56, 58, 51, 17, 14, 10, 13, 3, 35, 36, 4, 46, 52, 47, 39, 29, 6, 53, 59, 7,
+         54, 2, 86, 87, 26, 27, 16, 24, 0, 57, 25],
+        "474ef0808929b077d5813c19c1167c1b6ee69eb8d25f43ce50923cb6b832c47d",
+    ),
+}
+
+
+class TestRootTableaux:
+    """The root tableaux and pivots of the ipbound cells do not move."""
+
+    def test_root_tableaux(self):
+        for cell, (basis, digest) in ROOT_TABLEAUX.items():
+            tab = ilp._lp_result(build_model(CodeParams(*cell))).tableau
+            assert tab.basis == basis, cell
+            assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
+            data = repr((tab.mat.tolist(), tab.dens.tolist())).encode()
+            assert hashlib.sha256(data).hexdigest() == digest, cell
+
+    def test_pivot_counts(self, monkeypatch):
+        pivots = []
+        pivot = simplex._Tableau.pivot
+        monkeypatch.setattr(simplex._Tableau, "pivot",
+                            lambda tab, r, c: (pivots.append((r, c)), pivot(tab, r, c)))
+        for cell in IPBOUND_CAPS:
+            ilp._lp_result(build_model(CodeParams(*cell)))
+        roots = len(pivots)
+        pivots.clear()
+        # The programs' pivots include their roots'.
+        for cell, cap in IPBOUND_CAPS.items():
+            ip_upper_bound(CodeParams(*cell), SearchBudget(max_nodes=cap))
+        assert (roots, len(pivots)) == (553, 1483)
 
 
 class TestIpUpperBound:

@@ -1,6 +1,7 @@
 """Exact rational simplex on small hand-checked programs, and the dual
 simplex that re-optimizes them under added bounds."""
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -328,3 +329,56 @@ def test_agrees_with_vertex_enumeration():
                 assert holds[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
             assert sum(c * res.x[j] for j, c in objective.items()) == res.value
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 15
+
+
+def _rational(rng, num_vars, rows, objective):
+    """The program with every number v replaced by v / q, q in 1..6."""
+    def frac(v):
+        return Fraction(v, rng.randint(1, 6))
+
+    rows = [({j: frac(v) for j, v in coeffs.items()}, sense, frac(b))
+            for coeffs, sense, b in rows]
+    return num_vars, rows, {j: frac(v) for j, v in objective.items()}
+
+
+def test_rational_programs_agree_with_vertex_enumeration():
+    # Rows and the objective row are scaled to integers by their
+    # denominators; the answers must be those of the Fraction program.
+    rng = random.Random(2016)
+    statuses = Counter()
+    holds = {LE: lambda u, v: u <= v, GE: lambda u, v: u >= v, EQ: lambda u, v: u == v}
+    for _ in range(200):
+        num_vars, rows, objective = _rational(rng, *_random_lp(rng))
+        res = solve_lp(num_vars, rows, objective)
+        assert (res.status, res.value) == lp_by_vertices(num_vars, rows, objective)
+        statuses[res.status] += 1
+        if res.status == OPTIMAL:
+            assert all(_exact(v) for v in [res.value, *res.x])
+            assert min(res.x) >= 0
+            for coeffs, sense, b in rows:
+                assert holds[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
+            assert sum(c * res.x[j] for j, c in objective.items()) == res.value
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 15
+
+
+def test_objective_row_over_its_least_denominator():
+    # The reduced costs are -costs plus each basic row times its column's
+    # cost; the row holds their numerators over the least common denominator.
+    rng = random.Random(2017)
+    checked = 0
+    for _ in range(100):
+        num_vars, rows, objective = _rational(rng, *_random_lp(rng))
+        tab = solve_lp(num_vars, rows, objective).tableau
+        if tab is None:
+            continue
+        costs = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for j in range(tab.ncols)}
+        tab.set_objective(costs)
+        expect = [-costs.get(k, 0) for k in range(tab.ncols + 1)]
+        for i, b in enumerate(tab.basis):
+            for k in range(tab.ncols + 1):
+                expect[k] += costs[b] * Fraction(int(tab.mat[i, k]), int(tab.dens[i]))
+        den = math.lcm(*(v.denominator for v in expect))
+        assert tab.mat[-1].tolist() == [int(v * den) for v in expect]
+        assert tab.dens[-1] == den
+        checked += 1
+    assert checked >= 30
