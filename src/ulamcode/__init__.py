@@ -3,7 +3,6 @@
 from .ball import (
     BallTable,
     LisDistribution,
-    ball_size,
     ball_table,
     clt_samples,
     lis_distribution_exact,
@@ -16,13 +15,9 @@ from .bounds import (
     CodeParams,
     asymptotic_lower_log,
     bound_report,
-    entropy_lower_log,
     gv_lower,
     kim_rate_log,
-    kim_tail_log,
-    nat_entropy,
     rate_function,
-    simple_tail_bound,
     singleton_upper,
 )
 from .budget import SearchBudget
@@ -34,24 +29,14 @@ from .ilp import (
     export_lp,
     ip_upper_bound,
     solve_ilp,
-    solve_lp_relaxation,
 )
 from .perm import (
     Perm,
-    Translocation,
-    all_translocations,
-    apply_translocation,
     check_permutation,
-    compose,
     format_permutation,
-    identity,
-    inverse,
-    iter_symmetric_group,
     lcs_length,
     lis_length,
     parse_permutation,
-    random_permutation,
-    reversal,
     ulam_distance,
 )
 from .search import (

@@ -111,17 +111,6 @@ def lis_distribution_exact(n: int) -> LisDistribution:
     return LisDistribution(n=n, counts=counts, total=nfact)
 
 
-def ball_size(n: int, r: int) -> int:
-    """|B(r)|: permutations at Ulam distance <= r from the identity.
-
-    Computed from the exact LIS distribution via
-    |B(r)| = #{sigma : LIS(sigma) >= n - r}.
-    """
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"radius must be in 0..{n - 1}, got {r}")
-    return ball_table(n).sizes[r]
-
-
 def ball_table(n: int) -> BallTable:
     """All ball sizes for radii 0..n-1."""
     dist = lis_distribution_exact(n)

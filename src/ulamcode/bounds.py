@@ -1,16 +1,16 @@
 """Closed-form and asymptotic bounds on maximum Ulam-code sizes.
 
-Combinatorial quantities are computed with exact integer or rational
-arithmetic; only the asymptotic evaluators work on a log scale in floating
-point.  ``BoundReport`` aggregates everything known about one (n, d) pair.
+The Singleton and Gilbert-Varshamov bounds are exact integers.  The
+asymptotic lines that ``bounds --show-asymptotics`` prints (the constant-c
+lower bound, Kim's rate, the LIS large-deviation rate) work on a log scale
+in floating point.  ``BoundReport`` aggregates everything known about one
+(n, d) pair.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 
@@ -51,30 +51,6 @@ def gv_lower(params: CodeParams) -> int:
     return -(-num // den)
 
 
-def nat_entropy(p: float) -> float:
-    """Natural-log binary entropy -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"entropy argument must be in [0, 1], got {p}")
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if p < 1.0:
-        out -= (1.0 - p) * math.log(1.0 - p)
-    return out
-
-
-def entropy_lower_log(params: CodeParams) -> float:
-    """Log of the entropy-form lower bound on the code size.
-
-    Returns (n - D)(ln(n - D) - 1) - n * h(D / n) with D = d - 1; this is
-    the exponent, not the exponential.
-    """
-    n = params.n
-    delta = params.delta
-    m = n - delta
-    return m * (math.log(m) - 1.0) - n * nat_entropy(delta / n)
-
-
 def asymptotic_lower_log(c: float, n: int) -> float:
     """Log of the constant-c asymptotic lower bound: 2 sqrt(n) c (ln c - 1).
 
@@ -100,25 +76,6 @@ def rate_function(c: float) -> float:
     )
 
 
-def kim_tail_log(n: int, t: float) -> float:
-    """Log of Kim's upper estimate for P(LIS - 2 sqrt(n) >= t n^(1/6)).
-
-    Valid for 0 < t <= n^(1/3) / 20; returns -(4/3) t^(3/2) + phi(t) where
-    phi(t) = (t / (27 n^(1/3)) + 5 ln n / (t^(1/2) n^(1/3))) t^(3/2).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cbrt_n = n ** (1.0 / 3.0)
-    # Compare cubes (with float-rounding headroom) so exact edges like
-    # t = 1 at n = 8000 stay inside.
-    if not (t > 0.0 and 8000.0 * t**3 <= n * (1.0 + 1e-12)):
-        raise ValueError(
-            f"t must lie in (0, n^(1/3)/20] = (0, {cbrt_n / 20.0:.6g}], got {t}"
-        )
-    phi = (t / (27.0 * cbrt_n) + 5.0 * math.log(n) / (math.sqrt(t) * cbrt_n)) * t**1.5
-    return -(4.0 / 3.0) * t**1.5 + phi
-
-
 def kim_rate_log(c: float, n: int) -> float:
     """APPROXIMATE log-scale lower-bound rate (c-2)^(3/2) (38-c)/27 sqrt(n).
 
@@ -129,13 +86,6 @@ def kim_rate_log(c: float, n: int) -> float:
     if not 2.0 < c <= 2.0 + 1.0 / 20.0:
         raise ValueError(f"c must lie in (2, 2.05], got {c}")
     return (c - 2.0) ** 1.5 * ((38.0 - c) / 27.0) * math.sqrt(n)
-
-
-def simple_tail_bound(params: CodeParams) -> Fraction:
-    """Exact rational upper estimate C(n, D) / (n - D)! for P(LIS >= n - D)."""
-    n = params.n
-    delta = params.delta
-    return Fraction(math.comb(n, delta), math.factorial(n - delta))
 
 
 @dataclass
@@ -159,9 +109,6 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def to_text(self) -> str:
         values = self.to_dict()

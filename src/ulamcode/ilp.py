@@ -134,14 +134,6 @@ def _lp_result(model: IlpModel) -> LpResult:
     return solve_lp(len(model.variables), rows, objective)
 
 
-def solve_lp_relaxation(model: IlpModel) -> Fraction:
-    """Exact optimal value of the continuous relaxation."""
-    res = _lp_result(model)
-    if res.status != "optimal":
-        raise AssertionError(f"relaxation should be solvable, got {res.status}")
-    return res.value
-
-
 def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolution:
     """Exact integer optimum by best-bound branch-and-bound.
 

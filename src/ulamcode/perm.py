@@ -1,4 +1,4 @@
-"""Permutation arithmetic, translocations, LIS/LCS, and the Ulam distance.
+"""Permutations in one-line notation: parsing, LIS/LCS, and the Ulam distance.
 
 Permutations live in one-line notation as tuples of 1-based symbols:
 ``(s1, ..., sn)`` means the map sending position ``i`` to symbol ``si``.
@@ -8,11 +8,8 @@ mutable state, so everything is safe to call from multiple threads.
 
 from __future__ import annotations
 
-import itertools
-import random
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
 
@@ -36,97 +33,6 @@ def check_permutation(entries: Sequence[int]) -> Perm:
             raise ValueError(f"symbol {x} appears more than once")
         seen[x] = True
     return tuple(entries)
-
-
-def identity(n: int) -> Perm:
-    """The identity permutation of length n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(range(1, n + 1))
-
-
-def reversal(n: int) -> Perm:
-    """The order-reversing permutation [n, n-1, ..., 1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(range(n, 0, -1))
-
-
-def compose(sigma: Perm, tau: Perm) -> Perm:
-    """Product sigma*tau: the permutation sending i to sigma(tau(i))."""
-    if len(sigma) != len(tau):
-        raise ValueError(
-            f"cannot compose permutations of lengths {len(sigma)} and {len(tau)}"
-        )
-    return tuple(sigma[t - 1] for t in tau)
-
-
-def inverse(sigma: Perm) -> Perm:
-    """The inverse permutation: inverse(sigma)[v-1] is the position of v."""
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-@dataclass(frozen=True)
-class Translocation:
-    """Move one symbol of a one-line word to a new position.
-
-    ``kind`` is "right" or "left" with indices 1 <= i < j <= n.  A right
-    translocation picks up the symbol at position i and re-inserts it so it
-    lands at position j; a left translocation picks up the symbol at
-    position j and re-inserts it at position i.  Adjacent moves (j = i + 1)
-    coincide for both kinds.
-    """
-
-    kind: str
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.kind not in ("right", "left"):
-            raise ValueError(f"kind must be 'right' or 'left', got {self.kind!r}")
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got i={self.i}, j={self.j}")
-
-    def inverse(self) -> "Translocation":
-        other = "left" if self.kind == "right" else "right"
-        return Translocation(other, self.i, self.j)
-
-    def one_line(self, n: int) -> Perm:
-        """Materialize this move as a length-n permutation.
-
-        Composing on the right (``compose(sigma, t.one_line(n))``) performs
-        the move on sigma's one-line word.
-        """
-        return apply_translocation(identity(n), self)
-
-
-def apply_translocation(sigma: Perm, t: Translocation) -> Perm:
-    """Apply one translocation to sigma (equals compose(sigma, t.one_line(n)))."""
-    n = len(sigma)
-    if t.j > n:
-        raise ValueError(f"translocation index j={t.j} out of range for n={n}")
-    word = list(sigma)
-    if t.kind == "right":
-        sym = word.pop(t.i - 1)
-        word.insert(t.j - 1, sym)
-    else:
-        sym = word.pop(t.j - 1)
-        word.insert(t.i - 1, sym)
-    return tuple(word)
-
-
-def all_translocations(n: int) -> list[Translocation]:
-    """Every distinct single move on words of length n.
-
-    Right moves with i < j plus left moves with i < j - 1 (adjacent left
-    moves duplicate adjacent right moves), giving (n-1)^2 generators.
-    """
-    ts = [Translocation("right", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    ts += [Translocation("left", i, j) for i in range(1, n) for j in range(i + 2, n + 1)]
-    return ts
 
 
 def lis_length(sigma: Sequence[int]) -> int:
@@ -169,21 +75,6 @@ def ulam_distance(sigma: Perm, tau: Perm) -> int:
     return len(sigma) - lcs_length(sigma, tau)
 
 
-def random_permutation(n: int, seed: int) -> Perm:
-    """Uniform random permutation of 1..n, deterministic in the seed.
-
-    Fisher-Yates shuffle driven by random.Random(seed).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
-    word = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        k = rng.randrange(i + 1)
-        word[i], word[k] = word[k], word[i]
-    return tuple(word)
-
-
 def parse_permutation(text: str) -> Perm:
     """Parse "2 3 1 5 4" (space-separated 1-based symbols on one line)."""
     tokens = text.split()
@@ -202,7 +93,3 @@ def format_permutation(sigma: Perm) -> str:
     """Inverse of parse_permutation."""
     return " ".join(str(v) for v in sigma)
 
-
-def iter_symmetric_group(n: int) -> Iterable[Perm]:
-    """Yield all of S_n in lexicographic order, one tuple at a time."""
-    return itertools.permutations(range(1, n + 1))

@@ -32,8 +32,9 @@ max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
 S_n, the Singleton phase, then, if it finds no code, the maximum phase
 under the Singleton bound, or one below it once the Singleton tree is
 exhausted; then, if asked for and still needed, the integer-program bound;
-and the Singleton-optimality verdict.  Without an explicit budget each
-phase gets HARD_CELL_NODE_CAP nodes, as the integer program gets
+and the Singleton-optimality verdict.  A time cap covers the whole cell,
+and the Singleton phase stops at half of it.  Without an explicit budget
+each phase gets HARD_CELL_NODE_CAP nodes, as the integer program gets
 IP_NODE_CAP.
 
 Everything returned is certified: codes re-verify by exact pairwise
@@ -44,8 +45,9 @@ budget exhaustion is always an explicit status.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -462,14 +464,18 @@ def max_code_search(
     the Singleton bound, else "unknown".
 
     Both phases run on one clock, so ``budget.max_seconds`` caps the whole
-    search, while ``budget.max_nodes`` caps each phase; ``nodes_explored``
-    counts both.  Without an explicit budget, each phase gets
-    HARD_CELL_NODE_CAP nodes.
+    search; the Singleton phase stops at half of it, so that a hard cell
+    leaves the maximum phase at least the other half.
+    ``budget.max_nodes`` caps each phase; ``nodes_explored`` counts both.
+    Without an explicit budget, each phase gets HARD_CELL_NODE_CAP nodes.
     """
     space = _SearchSpace(params)
     singleton = singleton_upper(params)
-    clock = _start_clock(budget)
-    first = _singleton_phase(space, clock)
+    clock = first_clock = _start_clock(budget)
+    if clock.budget.max_seconds is not None:
+        first_clock = copy.copy(clock)
+        first_clock.budget = replace(clock.budget, max_seconds=clock.budget.max_seconds / 2)
+    first = _singleton_phase(space, first_clock)
     nodes = first.nodes_explored
     if first.status == FOUND:
         code, exhausted, ceiling = first.code, False, singleton

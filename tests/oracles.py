@@ -71,39 +71,33 @@ def bfs_distances(source: Perm) -> dict[Perm, int]:
 
 def bfs_ball_sizes(n: int) -> dict[int, int]:
     """|B(r)| for all r, straight from BFS around the identity."""
-    e = tuple(range(1, n + 1))
-    dist = bfs_distances(e)
+    dist = bfs_distances(identity(n))
     sizes: dict[int, int] = {}
     for r in range(n):
         sizes[r] = sum(1 for v in dist.values() if v <= r)
     return sizes
 
 
-def right_move_one_line(n: int, i: int, j: int) -> Perm:
-    """One-line word [1..i-1, i+1..j, i, j+1..n] for 1 <= i < j <= n."""
-    assert 1 <= i < j <= n
-    word = list(range(1, i)) + list(range(i + 1, j + 1)) + [i] + list(range(j + 1, n + 1))
-    return tuple(word)
+def identity(n: int) -> Perm:
+    return tuple(range(1, n + 1))
 
 
-def left_move_one_line(n: int, i: int, j: int) -> Perm:
-    """One-line word [1..i-1, j, i..j-1, j+1..n] for 1 <= i < j <= n.
-
-    This is the printed left-move form read with the moved symbol at the
-    later position: symbol j jumps left to position i.
-    """
-    assert 1 <= i < j <= n
-    word = list(range(1, i)) + [j] + list(range(i, j)) + list(range(j + 1, n + 1))
-    return tuple(word)
+def reversal(n: int) -> Perm:
+    return tuple(range(n, 0, -1))
 
 
 def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in permutations(range(1, n + 1))]
 
 
+def compose(sigma: Perm, tau: Perm) -> Perm:
+    """Product sigma*tau: the permutation sending i to sigma(tau(i))."""
+    return tuple(sigma[t - 1] for t in tau)
+
+
 def enum_lis_counts(n: int) -> dict[int, int]:
     """LIS-length counts over S_n: the LCS with the identity of every permutation."""
-    e = tuple(range(1, n + 1))
+    e = identity(n)
     counts: dict[int, int] = {}
     for sigma in all_perms(n):
         k = dp_lcs(sigma, e)

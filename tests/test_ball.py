@@ -19,7 +19,6 @@ from ulamcode.ball import (
     EXACT_LIMIT,
     MC_BLOCK,
     LisDistribution,
-    ball_size,
     ball_table,
     clt_samples,
     lis_distribution_exact,
@@ -76,12 +75,12 @@ class TestExactDistribution:
 class TestBallSizes:
     def test_radius_zero_and_diameter(self):
         for n in range(2, 8):
-            assert ball_size(n, 0) == 1
-            assert ball_size(n, n - 1) == math.factorial(n)
+            assert ball_table(n).sizes[0] == 1
+            assert ball_table(n).sizes[n - 1] == math.factorial(n)
 
     def test_small_example(self):
         # BFS over S_3: everything except the reversal is within one move.
-        assert ball_size(3, 1) == 5
+        assert ball_table(3).sizes[1] == 5
 
     def test_matches_bfs_oracle(self):
         for n in range(2, 7):
@@ -89,26 +88,20 @@ class TestBallSizes:
 
     def test_radius_one_shell_formula(self):
         for n in range(2, EXACT_LIMIT + 1):
-            assert ball_size(n, 1) == 1 + (n - 1) ** 2
+            assert ball_table(n).sizes[1] == 1 + (n - 1) ** 2
 
     def test_identity_with_distribution(self):
         for n in range(2, 8):
             dist = lis_distribution_exact(n)
             for r in range(n):
                 expected = sum(c for k, c in dist.counts.items() if k >= n - r)
-                assert ball_size(n, r) == expected
+                assert ball_table(n).sizes[r] == expected
 
     def test_strictly_increasing(self):
         for n in range(2, 8):
             sizes = ball_table(n).sizes
             for r in range(1, n):
                 assert sizes[r] > sizes[r - 1]
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            ball_size(5, 5)
-        with pytest.raises(ValueError):
-            ball_size(5, -1)
 
 
 class TestSpherePacking:
@@ -121,7 +114,7 @@ class TestSpherePacking:
 
     def test_5_3_frozen(self):
         lo, hi = sphere_packing_bounds(CodeParams(5, 3))
-        assert ball_size(5, 1) == 17  # cross-checked against BFS above
+        assert ball_table(5).sizes[1] == 17  # cross-checked against BFS above
         assert (lo, hi) == (2, 120 // 17)
 
     def test_dominates_gv_strictly(self):
@@ -133,7 +126,7 @@ class TestSpherePacking:
                 if not 0 < delta < n - 1:
                     continue
                 gv_ratio = Fraction(math.factorial(n - delta), math.comb(n, delta))
-                sphere_ratio = Fraction(nfact, ball_size(n, delta))
+                sphere_ratio = Fraction(nfact, ball_table(n).sizes[delta])
                 assert gv_ratio < sphere_ratio
 
     def test_integer_bounds_dominate_gv(self):

@@ -2,23 +2,17 @@
 
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
 from oracles import rate_function_acosh
-from ulamcode.ball import lis_distribution_exact
 from ulamcode.bounds import (
     CodeParams,
     asymptotic_lower_log,
     bound_report,
-    entropy_lower_log,
     gv_lower,
     kim_rate_log,
-    kim_tail_log,
-    nat_entropy,
     rate_function,
-    simple_tail_bound,
     singleton_upper,
 )
 
@@ -70,37 +64,6 @@ class TestGv:
             for d in range(1, n):
                 p = CodeParams(n, d)
                 assert gv_lower(p) <= singleton_upper(p)
-
-
-class TestEntropyForm:
-    def test_symmetry_point(self):
-        assert nat_entropy(0.5) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_zero_convention(self):
-        assert nat_entropy(0.0) == 0.0
-        assert nat_entropy(1.0) == 0.0
-
-    def test_direct_evaluation(self):
-        got = entropy_lower_log(CodeParams(100, 81))
-        h = -0.8 * math.log(0.8) - 0.2 * math.log(0.2)
-        assert got == pytest.approx(20 * (math.log(20) - 1) - 100 * h, rel=1e-12)
-
-    def test_d1_uses_zero_entropy(self):
-        n = 10
-        assert entropy_lower_log(CodeParams(n, 1)) == pytest.approx(
-            n * (math.log(n) - 1)
-        )
-
-    def test_underestimates_exact_ratio(self):
-        # The log-scale form never exceeds the exact lower-bound ratio it
-        # comes from (strict inequalities in the derivation).
-        for n in range(3, 31):
-            for d in range(2, n):
-                p = CodeParams(n, d)
-                num = math.factorial(n - d + 1)
-                den = math.comb(n, d - 1)
-                exact_log = math.log(num) - math.log(den)
-                assert entropy_lower_log(p) <= exact_log + 1e-9
 
 
 class TestAsymptoticForm:
@@ -162,60 +125,12 @@ class TestRateFunction:
 
 
 class TestKimTail:
-    def test_domain_edges(self):
-        n = 8000  # n^(1/3) = 20, so t may reach exactly 1
-        kim_tail_log(n, 1.0)
-        with pytest.raises(ValueError):
-            kim_tail_log(n, 1.0 + 1e-9)
-        with pytest.raises(ValueError):
-            kim_tail_log(n, 0.0)
-
-    def test_direct_substitution(self):
-        got = kim_tail_log(8000, 1.0)
-        expect = -4.0 / 3.0 + (1.0 / (27 * 20) + 5 * math.log(8000) / 20)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_upper_bounds_exact_probability(self):
-        for n in range(2, 10):
-            dist = lis_distribution_exact(n)
-            edge = n ** (1 / 3) / 20
-            for frac in (0.25, 0.5, 0.75, 1.0):
-                t = edge * frac
-                threshold = math.ceil(2 * math.sqrt(n) + t * n ** (1 / 6))
-                exact = (
-                    float(dist.prob_at_least(threshold)) if threshold <= n else 0.0
-                )
-                assert math.exp(kim_tail_log(n, t)) >= exact
-
     def test_rate_log_domain_and_sign(self):
         with pytest.raises(ValueError):
             kim_rate_log(2.0, 100)
         with pytest.raises(ValueError):
             kim_rate_log(2.2, 100)
         assert kim_rate_log(2.05, 10**6) > 0
-
-
-class TestSimpleTailBound:
-    def test_delta_zero(self):
-        for n in range(2, 8):
-            assert simple_tail_bound(CodeParams(n, 1)) == Fraction(
-                1, math.factorial(n)
-            )
-
-    def test_direct_value(self):
-        assert simple_tail_bound(CodeParams(5, 3)) == Fraction(10, 6)
-
-    def test_bounds_exact_with_strictness(self):
-        for n in range(2, 9):
-            dist = lis_distribution_exact(n)
-            for d in range(1, n):
-                p = CodeParams(n, d)
-                delta = p.delta
-                exact = dist.prob_at_least(n - delta)
-                bound = simple_tail_bound(p)
-                assert exact <= bound
-                if 1 <= delta <= n - 2:
-                    assert exact < bound
 
 
 class TestBoundReport:
@@ -225,7 +140,7 @@ class TestBoundReport:
         assert report.gv_lower == 1
         assert report.best_lower == 2  # trivial {identity, reversal} code
         assert report.best_upper == 6
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["params"] == {"n": 5, "d": 3}
         for key in (
             "singleton_upper",

@@ -1,4 +1,4 @@
-"""Permutation arithmetic, translocations, and Ulam distance."""
+"""Parsing, LIS/LCS, and the Ulam distance."""
 
 import pytest
 
@@ -6,25 +6,18 @@ from oracles import (
     all_perms,
     bfs_distances,
     brute_lis,
+    compose,
     dp_lcs,
-    left_move_one_line,
-    right_move_one_line,
+    identity,
+    move_neighbors,
+    reversal,
 )
 from ulamcode.perm import (
-    Translocation,
-    all_translocations,
-    apply_translocation,
     check_permutation,
-    compose,
     format_permutation,
-    identity,
-    inverse,
-    iter_symmetric_group,
     lcs_length,
     lis_length,
     parse_permutation,
-    random_permutation,
-    reversal,
     ulam_distance,
 )
 
@@ -41,10 +34,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             check_permutation(bad)
 
-    def test_identity_and_reversal(self):
-        assert identity(4) == (1, 2, 3, 4)
-        assert reversal(4) == (4, 3, 2, 1)
-
     def test_parse_format_round_trip(self):
         assert parse_permutation("2 3 1 5 4") == (2, 3, 1, 5, 4)
         assert format_permutation((2, 3, 1)) == "2 3 1"
@@ -52,99 +41,6 @@ class TestBasics:
             parse_permutation("1 x 3")
         with pytest.raises(ValueError, match="more than once"):
             parse_permutation("1 2 2")
-
-
-class TestCompose:
-    def test_identity_element(self):
-        for sigma in all_perms(4):
-            assert compose(identity(4), sigma) == sigma
-            assert compose(sigma, identity(4)) == sigma
-
-    def test_inverse_law(self):
-        for sigma in all_perms(4):
-            assert compose(sigma, inverse(sigma)) == identity(4)
-            assert compose(inverse(sigma), sigma) == identity(4)
-
-    def test_worked_example(self):
-        # (sigma tau)(i) = sigma(tau(i)) evaluated by hand.
-        assert compose((2, 3, 1), (3, 1, 2)) == (1, 2, 3)
-
-    def test_convention_matches_pointwise_definition(self):
-        for sigma in all_perms(3):
-            for tau in all_perms(3):
-                prod = compose(sigma, tau)
-                assert all(prod[i] == sigma[tau[i] - 1] for i in range(3))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compose((1, 2), (1, 2, 3))
-        with pytest.raises(ValueError):
-            lcs_length((1, 2), (1, 2, 3))
-
-
-class TestInverse:
-    def test_examples(self):
-        assert inverse(identity(5)) == identity(5)
-        assert inverse((2, 3, 1)) == (3, 1, 2)
-        for n in range(1, 7):
-            assert inverse(reversal(n)) == reversal(n)
-
-
-class TestTranslocations:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Translocation("right", 2, 2)
-        with pytest.raises(ValueError):
-            Translocation("up", 1, 2)
-        with pytest.raises(ValueError):
-            Translocation("right", 0, 2)
-
-    def test_right_example(self):
-        t = Translocation("right", 1, 2)
-        assert apply_translocation((1, 2, 3), t) == (2, 1, 3)
-
-    def test_apply_equals_compose_with_one_line(self):
-        for n in range(2, 6):
-            for sigma in all_perms(n):
-                for t in all_translocations(n):
-                    assert apply_translocation(sigma, t) == compose(
-                        sigma, t.one_line(n)
-                    )
-
-    def test_one_line_matches_definition_forms(self):
-        for n in range(2, 7):
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    assert Translocation("right", i, j).one_line(n) == (
-                        right_move_one_line(n, i, j)
-                    )
-                    assert Translocation("left", i, j).one_line(n) == (
-                        left_move_one_line(n, i, j)
-                    )
-
-    def test_left_is_inverse_of_right(self):
-        for n in range(2, 7):
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    r = Translocation("right", i, j).one_line(n)
-                    l = Translocation("left", i, j).one_line(n)
-                    assert inverse(r) == l
-
-    def test_inverse_round_trip(self):
-        for sigma in all_perms(4):
-            for t in all_translocations(4):
-                assert apply_translocation(apply_translocation(sigma, t), t.inverse()) == sigma
-
-    def test_single_move_is_distance_one(self):
-        for sigma in all_perms(4):
-            for t in all_translocations(4):
-                assert ulam_distance(sigma, apply_translocation(sigma, t)) == 1
-
-    def test_generator_count(self):
-        for n in range(2, 7):
-            moves = {t.one_line(n) for t in all_translocations(n)}
-            assert len(moves) == (n - 1) ** 2
-            assert len(all_translocations(n)) == (n - 1) ** 2
 
 
 class TestLis:
@@ -181,6 +77,10 @@ class TestLcs:
             for tau in all_perms(4):
                 assert lcs_length(sigma, tau) == lcs_length(tau, sigma)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            lcs_length((1, 2), (1, 2, 3))
+
 
 class TestUlamDistance:
     def test_examples(self):
@@ -210,6 +110,13 @@ class TestUlamDistance:
                         compose(rho, sigma), compose(rho, tau)
                     ) == ulam_distance(sigma, tau)
 
+    def test_single_move_is_distance_one(self):
+        # Every move, not just a generating set: each neighbour one symbol
+        # move away is at distance exactly 1.
+        for sigma in all_perms(4):
+            for tau in move_neighbors(sigma):
+                assert ulam_distance(sigma, tau) == 1
+
     def test_range(self):
         for n in range(1, 6):
             for sigma in all_perms(n):
@@ -222,40 +129,3 @@ class TestUlamDistance:
             dist = bfs_distances(sigma)
             for tau in all_perms(4):
                 assert ulam_distance(sigma, tau) == dist[tau]
-
-
-class TestRandomPermutation:
-    def test_n1(self):
-        assert random_permutation(1, 123) == (1,)
-
-    def test_determinism(self):
-        for seed in (0, 1, 987654321):
-            assert random_permutation(8, seed) == random_permutation(8, seed)
-
-    def test_valid(self):
-        for seed in range(50):
-            check_permutation(random_permutation(7, seed))
-
-    def _uniformity(self, samples):
-        counts = {}
-        for seed in range(samples):
-            p = random_permutation(3, seed)
-            counts[p] = counts.get(p, 0) + 1
-        assert len(counts) == 6
-        expect = samples / 6
-        sigma = (samples * (1 / 6) * (5 / 6)) ** 0.5
-        for count in counts.values():
-            assert abs(count - expect) <= 5 * sigma
-
-    def test_uniformity(self):
-        self._uniformity(200_000)
-
-    @pytest.mark.slow
-    def test_uniformity_full(self):
-        self._uniformity(1_000_000)
-
-
-def test_iter_symmetric_group_is_lexicographic():
-    perms = list(iter_symmetric_group(3))
-    assert perms == sorted(perms)
-    assert len(perms) == 6

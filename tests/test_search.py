@@ -19,7 +19,9 @@ from oracles import (
     class_partition,
     closest_pair,
     color_class,
+    identity,
     move_neighbors,
+    reversal,
 )
 from ulamcode import budget as budget_module
 from ulamcode import cli, ilp, search
@@ -28,7 +30,7 @@ from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
 from ulamcode.ilp import IlpSolution
-from ulamcode.perm import identity, reversal, ulam_distance
+from ulamcode.perm import ulam_distance
 from ulamcode.search import (
     find_singleton_optimal,
     max_code_search,
@@ -755,17 +757,27 @@ class TestVerdict:
         assert settled == set(self.PROVEN) - {(6, 2), (6, 3)}
 
 
-def test_both_phases_share_one_clock(monkeypatch):
-    # A fake clock that reads one second later at every call.  The
-    # Singleton phase at (6,3) stops on its 5th node, at second 5; on the
-    # same clock the maximum phase stops on its first node, at second 6.
-    # A fresh clock for that phase would let it run 5 nodes.
+def test_singleton_phase_stops_at_half_the_time_cap(monkeypatch):
+    # A fake clock that reads one second later at every call.  Under a
+    # 5-second cap at (6,3), the Singleton phase stops at half of it: on
+    # its 3rd node, at second 3.  The maximum phase keeps the clock started
+    # with the cell, so it stops on its 2nd node, at second 5, and the cell
+    # ends within the cap.
     ticks = iter(range(1_000))
     monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    engine, phases = search._clique_search, []
+
+    def recording(*args):
+        best, nodes, exhausted = engine(*args)
+        phases.append((nodes, exhausted))
+        return best, nodes, exhausted
+
+    monkeypatch.setattr(search, "_clique_search", recording)
     res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=5))
+    assert phases == [(3, True), (2, True)]
     assert res.optimality == "lower_bound_only"
-    assert res.nodes_explored == 5 + 1
-    assert next(ticks) == 7  # the start and one reading per node
+    assert res.nodes_explored == 3 + 2
+    assert next(ticks) == 6  # the start and one reading per node
 
 
 class TestBudgetRule:
@@ -841,10 +853,14 @@ class TestBudgetRule:
         }
 
     def test_explicit_budget_arrives_unchanged(self, calls):
+        # Except that the Singleton phase stops at half the time cap.
         given = SearchBudget(max_nodes=250_000, max_seconds=60.0)
+        half = SearchBudget(max_nodes=250_000, max_seconds=30.0)
         reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True)
         assert len(calls) == 6
-        assert all(budget is given for _, _, budget in calls)
+        for n in (6, 7):
+            assert self.budgets(calls, n) == {"singleton": half, "max": given, "ip": given}
+        assert all(budget is given for _, kind, budget in calls if kind != "singleton")
 
     def test_long_runs_with_a_budget_rejected(self, calls):
         # long_runs lifts the cap, so a budget beside it would be dropped.
