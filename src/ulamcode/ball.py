@@ -128,11 +128,13 @@ def sphere_packing_bounds(params: CodeParams) -> tuple[int, int]:
     lower = ceil(n! / |B(d-1)|) (covering), upper = floor(n! / |B(floor((d-1)/2))|)
     (packing with the usual half-distance radius; exact for even d - 1).
     """
-    n = params.n
-    delta = params.delta
-    nfact = math.factorial(n)
-    sizes = ball_table(n).sizes
-    return -(-nfact // sizes[delta]), nfact // sizes[delta // 2]
+    return _sphere_bounds(ball_table(params.n), params.delta)
+
+
+def _sphere_bounds(table: BallTable, delta: int) -> tuple[int, int]:
+    """sphere_packing_bounds at d = delta + 1, from the ball table of its n."""
+    nfact = math.factorial(table.n)
+    return -(-nfact // table.sizes[delta]), nfact // table.sizes[delta // 2]
 
 
 def _kernel_dtype(n: int) -> np.dtype:

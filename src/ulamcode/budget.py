@@ -24,13 +24,15 @@ class SearchBudget:
             raise ValueError(f"max_seconds must be > 0 and finite, got {self.max_seconds}")
 
     def start(self) -> "BudgetClock":
-        return BudgetClock(self)
+        return BudgetClock(self, time.monotonic())
 
 
+@dataclass(frozen=True)
 class BudgetClock:
-    def __init__(self, budget: SearchBudget):
-        self.budget = budget
-        self.t0 = time.monotonic()
+    """A budget started at monotonic time t0; its time cap counts from t0."""
+
+    budget: SearchBudget
+    t0: float
 
     def exhausted(self, nodes: int) -> bool:
         b = self.budget
@@ -39,3 +41,9 @@ class BudgetClock:
         if b.max_seconds is not None and time.monotonic() - self.t0 >= b.max_seconds:
             return True
         return False
+
+    def seconds_left(self) -> Optional[float]:
+        """Seconds of the time cap still unspent (<= 0 once past); None without one."""
+        if self.budget.max_seconds is None:
+            return None
+        return self.budget.max_seconds - (time.monotonic() - self.t0)

@@ -346,7 +346,7 @@ def _cmd_search(run: _Run) -> int:
         }
         lines = [f"singleton_status {res.status}"]
     else:
-        res = max_code_search(params, run.budget, args.with_ip, run.budget)
+        res = max_code_search(params, run.budget, args.with_ip)
         code, bounded = res.code, res.optimality == "lower_bound_only"
         result = {
             "n": params.n,
@@ -395,13 +395,8 @@ def _cmd_tables(run: _Run) -> int:
                          "--max-nodes or --max-seconds")
     n_values = _parse_range(args.n)
     d_values = _parse_range(args.d) if args.d else None
-    cells = reproduce_tables(
-        n_values,
-        d_values,
-        cell_budget=run.budget,
-        with_ip=args.with_ip,
-        long_runs=args.long_runs,
-    )
+    budget = SearchBudget() if args.long_runs else run.budget
+    cells = reproduce_tables(n_values, d_values, budget, args.with_ip)
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
     result = {"cells": [dataclasses.asdict(c) for c in cells]}

@@ -34,9 +34,8 @@ Row = tuple[dict[Var, int], int]
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
-# Node cap for the integer program when ip_upper_bound is given no budget:
-# its nodes cost orders of magnitude more than clique nodes.  An explicit
-# budget is used as given, and solve_ilp alone has no cap.
+# The integer program's node cap without a budget, and in every cell of
+# search and tables: its nodes cost orders of magnitude more than clique nodes.
 IP_NODE_CAP = 500
 # Byte bound on the tableaux that solve_ilp keeps for its open nodes
 # (_Tableau.nbytes).  A node pushed while the kept ones would pass it keeps
@@ -140,7 +139,8 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     Branches on the most-fractional variable (ties to the smallest (b, a)),
     explores nodes best-bound-first with FIFO tie-break, and prunes with
     exact rational relaxation values.  With an exhausted budget the result
-    is a proven upper bound (status "bound_only"), never a silent guess.
+    is a proven upper bound (status "bound_only"), never a silent guess;
+    without a budget, the program gets IP_NODE_CAP nodes.
 
     The root relaxation is solved cold by the two-phase simplex.  Each
     child is its parent's tableau plus one bound row, re-optimized by the
@@ -149,8 +149,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     rows and its optimal basis, and its tableau is rebuilt from the root's
     when it is popped.
     """
-    budget = budget or SearchBudget()
-    clock = budget.start()
+    clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
     num_vars = len(model.variables)
 
     counter = held = 0
@@ -232,13 +231,13 @@ def ip_upper_bound(
     params: CodeParams, budget: Optional[SearchBudget] = None
 ) -> tuple[int, bool]:
     """(proven integer-program bound, whether the program hit its budget).
-    The bound is valid for any budget; with none the program gets
-    IP_NODE_CAP nodes.  It never exceeds the Singleton bound: the root
-    relaxation equals it, and no node's value exceeds the root's.
+    The bound is valid for any budget (None: IP_NODE_CAP nodes).  It never
+    exceeds the Singleton bound: the root relaxation equals it, and no
+    node's value exceeds the root's.
     """
     if params.d == 1:
         return math.factorial(params.n), False
-    sol = solve_ilp(build_model(params), budget or SearchBudget(max_nodes=IP_NODE_CAP))
+    sol = solve_ilp(build_model(params), budget)
     return sol.objective_value, sol.status == BOUND_ONLY
 
 

@@ -32,10 +32,10 @@ max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
 S_n, the Singleton phase, then, if it finds no code, the maximum phase
 under the Singleton bound, or one below it once the Singleton tree is
 exhausted; then, if asked for and still needed, the integer-program bound;
-and the Singleton-optimality verdict.  A time cap covers the whole cell,
-and the Singleton phase stops at half of it.  Without an explicit budget
-each phase gets HARD_CELL_NODE_CAP nodes, as the integer program gets
-IP_NODE_CAP.
+and the Singleton-optimality verdict.  Every engine of a cell reads one
+clock: each search phase gets the budget's node cap (HARD_CELL_NODE_CAP
+without one) and the Singleton phase half the time cap; the integer
+program gets IP_NODE_CAP nodes and the time left.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the code meets
@@ -45,19 +45,20 @@ budget exhaustion is always an explicit status.
 
 from __future__ import annotations
 
-import copy
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ball import EXACT_LIMIT, _kernel_dtype, _lis_lengths_batch, sphere_packing_bounds
+from .ball import EXACT_LIMIT, _kernel_dtype, _lis_lengths_batch, _sphere_bounds, ball_table
+from .ball import sphere_packing_bounds  # noqa: F401 (uncalled; perfbench wraps it)
 from .bounds import CodeParams, bound_report, singleton_upper
 from .budget import BudgetClock, SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import ip_upper_bound
+from .ilp import IP_NODE_CAP, ip_upper_bound
 from .perm import (
     Perm,
     check_permutation,
@@ -70,9 +71,9 @@ from .perm import (
 # words, and one far row of it is 45 KB.
 SEARCH_LIMIT = 9
 # Node cap of each phase of a search given no budget.  Only the cells with
-# no desk-scale proof (n = 7 below d = 5, and n >= 8) reach it; every other
-# cell settles each phase within 2,629 nodes.  reproduce_tables(long_runs=
-# True) passes an unlimited budget instead.
+# no desk-scale proof (n >= 7 and d <= n - 3) reach it; every other cell
+# settles each phase within 2,860 nodes ((8,6) takes 567 in all, (9,7)
+# 3,289).  tables --long-runs passes an unlimited budget instead.
 HARD_CELL_NODE_CAP = 200_000
 # Byte bound on a search's memo of far rows (about n!/8 bytes each, beside
 # one list slot per bit); a row that would push the memo past it empties
@@ -394,11 +395,8 @@ def _clique_search(
 
 
 def _start_clock(budget: Optional[SearchBudget]) -> BudgetClock:
-    """One clock for a cell's search; without an explicit budget, each
-    phase gets HARD_CELL_NODE_CAP nodes."""
-    if budget is None:
-        budget = SearchBudget(max_nodes=HARD_CELL_NODE_CAP)
-    return budget.start()
+    """A cell's clock; without a budget, HARD_CELL_NODE_CAP nodes per phase."""
+    return (budget or SearchBudget(max_nodes=HARD_CELL_NODE_CAP)).start()
 
 
 def _search_from_identity(
@@ -446,7 +444,6 @@ def max_code_search(
     params: CodeParams,
     budget: Optional[SearchBudget] = None,
     with_ip: bool = False,
-    ip_budget: Optional[SearchBudget] = None,
 ) -> SearchResult:
     """Best code of a cell, by branch-and-bound over classes (at most one
     word each) on one S_n, and its Singleton-optimality verdict.
@@ -455,27 +452,26 @@ def max_code_search(
     Otherwise the maximum phase runs under a certified ceiling: the
     Singleton bound, or one below it once the Singleton tree is exhausted.
     With ``with_ip``, a code that phase leaves below the ceiling when its
-    budget runs out gets the integer-program bound under ``ip_budget``
-    (IP_NODE_CAP nodes if None), which becomes the ceiling if lower; a
-    bound below the verified code's size is an AssertionError.
-    Optimality is "proven_maximum" when the tree is exhausted or the code
-    meets the ceiling, else "lower_bound_only".  The verdict is "yes" for a
-    code of Singleton size, "no" for a proven maximum or a ceiling below
-    the Singleton bound, else "unknown".
+    budget runs out gets the integer-program bound, which becomes the
+    ceiling if lower; a bound below the verified code's size is an
+    AssertionError.  Optimality is "proven_maximum" when the tree is
+    exhausted or the code meets the ceiling, else "lower_bound_only".  The
+    verdict is "yes" for a code of Singleton size, "no" for a proven
+    maximum or a ceiling below the Singleton bound, else "unknown".
 
-    Both phases run on one clock, so ``budget.max_seconds`` caps the whole
-    search; the Singleton phase stops at half of it, so that a hard cell
-    leaves the maximum phase at least the other half.
-    ``budget.max_nodes`` caps each phase; ``nodes_explored`` counts both.
-    Without an explicit budget, each phase gets HARD_CELL_NODE_CAP nodes.
+    Once S_n is built, the cell runs on one clock: the Singleton phase
+    stops at half of ``budget.max_seconds``, leaving a hard cell's maximum
+    phase at least the other half, and the program gets what is left, or
+    is skipped if nothing is.  ``budget.max_nodes`` (HARD_CELL_NODE_CAP
+    without a budget) caps each search phase, and ``nodes_explored`` counts
+    both; the program gets IP_NODE_CAP nodes.
     """
     space = _SearchSpace(params)
     singleton = singleton_upper(params)
-    clock = first_clock = _start_clock(budget)
-    if clock.budget.max_seconds is not None:
-        first_clock = copy.copy(clock)
-        first_clock.budget = replace(clock.budget, max_seconds=clock.budget.max_seconds / 2)
-    first = _singleton_phase(space, first_clock)
+    clock = _start_clock(budget)
+    cap = clock.budget.max_seconds
+    half = SearchBudget(clock.budget.max_nodes, cap / 2) if cap else clock.budget
+    first = _singleton_phase(space, BudgetClock(half, clock.t0))
     nodes = first.nodes_explored
     if first.status == FOUND:
         code, exhausted, ceiling = first.code, False, singleton
@@ -485,12 +481,14 @@ def max_code_search(
         nodes += phase_nodes
     size = len(code.words)
     if with_ip and exhausted and size < ceiling:
-        ip, _ = ip_upper_bound(params, ip_budget)
-        if ip < size:
-            raise AssertionError(
-                f"integer-program bound {ip} is below the verified code's size {size}"
-            )
-        ceiling = min(ceiling, ip)
+        left = clock.seconds_left()
+        if left is None or left > 0:
+            ip, _ = ip_upper_bound(params, SearchBudget(IP_NODE_CAP, left))
+            if ip < size:
+                raise AssertionError(
+                    f"integer-program bound {ip} is below the verified code's size {size}"
+                )
+            ceiling = min(ceiling, ip)
     proven = not exhausted or size == ceiling
     if size == singleton:
         verdict = "yes"
@@ -538,7 +536,6 @@ def reproduce_tables(
     d_values: Optional[Sequence[int]] = None,
     cell_budget: Optional[SearchBudget] = None,
     with_ip: bool = False,
-    long_runs: bool = False,
 ) -> list[TableCell]:
     """Computed A(n, d) values (or bounds) and Singleton-optimality verdicts.
 
@@ -546,14 +543,10 @@ def reproduce_tables(
     every such d; a value of either list that selects no cell is a
     ValueError.  d = 2 cells come from the known construction (size
     (n-1)!, always Singleton-optimal), cells past SEARCH_LIMIT report their
-    bounds as "skipped", and every other cell is max_code_search's answer.
-    Cells whose budget runs out are explicitly "bounded", never silently
-    wrong.  ``long_runs`` lifts the node cap, so it takes no
-    ``cell_budget``.
+    bounds as "skipped", and every other cell is max_code_search's answer
+    under ``cell_budget`` (SearchBudget() lifts the node cap).  Cells whose
+    budget runs out are explicitly "bounded", never silently wrong.
     """
-    if long_runs and cell_budget is not None:
-        raise ValueError("long_runs lifts the node cap; it takes no cell_budget")
-    budget = SearchBudget() if long_runs else cell_budget
     ns = sorted(set(n_values))
     ds = sorted(set(d_values)) if d_values is not None else range(2, max(ns, default=0))
     pairs = [(n, d) for n in ns for d in ds if 2 <= d <= n - 1]
@@ -562,6 +555,7 @@ def reproduce_tables(
             if all(pair[k] != value for pair in pairs):
                 raise ValueError(f"{name} = {value} selects no cell with 2 <= d <= n-1")
     cells: list[TableCell] = []
+    ball_tables = functools.cache(ball_table)  # one LIS distribution per n
     for n, d in pairs:
         params = CodeParams(n, d)
         if d == 2:
@@ -571,7 +565,7 @@ def reproduce_tables(
                           singleton_optimal="yes", method="construction")
             )
         elif n > SEARCH_LIMIT:
-            sphere = sphere_packing_bounds(params) if n <= EXACT_LIMIT else None
+            sphere = _sphere_bounds(ball_tables(n), params.delta) if n <= EXACT_LIMIT else None
             report = bound_report(params, sphere)
             cells.append(
                 TableCell(n=n, d=d, lower=report.best_lower,
@@ -579,7 +573,7 @@ def reproduce_tables(
                           singleton_optimal="unknown", method="bounds")
             )
         else:
-            res = max_code_search(params, budget, with_ip, cell_budget)
+            res = max_code_search(params, cell_budget, with_ip)
             size = len(res.code.words)
             proven = res.optimality == PROVEN_MAXIMUM
             cells.append(

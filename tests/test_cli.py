@@ -335,6 +335,17 @@ class TestTables:
         assert with_ip["result"] == plain["result"]
         assert with_ip["status"] == plain["status"]
 
+    def test_program_keeps_its_own_node_cap(self, capsys):
+        # Five nodes per search phase leave (5,3) at 4 words; the program
+        # still gets its own 500 nodes, which prove 5 < Singleton's 6.
+        argv = ("--n", "5", "--d", "3", "--max-nodes", "5", "--with-ip")
+        (cell,) = run_json(capsys, "tables", *argv)["result"]["cells"]
+        assert (cell["lower"], cell["upper"], cell["status"]) == (4, 5, "bounded")
+        assert cell["singleton_optimal"] == "no"
+        res = run_json(capsys, "search", *argv)["result"]
+        assert (res["size"], res["upper_bound_used"]) == (4, 5)
+        assert res["optimality"] == "lower_bound_only"
+
 
 class TestSearchIsATablesCell:
     """search answers a cell exactly as tables does."""

@@ -181,6 +181,15 @@ class TestSolveIlp:
             lp = sol.lp_relaxation_value
             assert lp.numerator // lp.denominator >= sol.objective_value
 
+    def test_default_budget_is_the_node_cap(self, monkeypatch):
+        # Without a budget the program gets IP_NODE_CAP nodes, read when it
+        # is called; the frozen grid above settles within the real cap.
+        monkeypatch.setattr(ilp, "IP_NODE_CAP", 10)
+        model = build_model(CodeParams(5, 3))
+        sol = solve_ilp(model)
+        assert (sol.status, sol.nodes_explored) == ("bound_only", 11)
+        assert sol == solve_ilp(model, SearchBudget(max_nodes=10))
+
     def test_budget_exhaustion_is_explicit_and_sound(self):
         sol = solve_ilp(build_model(CodeParams(5, 3)), SearchBudget(max_nodes=2))
         assert sol.status == "bound_only"

@@ -24,9 +24,9 @@ from oracles import (
     reversal,
 )
 from ulamcode import budget as budget_module
-from ulamcode import cli, ilp, search
+from ulamcode import ball, cli, ilp, search
 from ulamcode.ball import _lis_lengths_batch, sphere_packing_bounds
-from ulamcode.bounds import CodeParams, gv_lower, singleton_upper
+from ulamcode.bounds import CodeParams, bound_report, gv_lower, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
 from ulamcode.ilp import IlpSolution
@@ -399,7 +399,10 @@ class TestMaxSearch:
         for fn in public:
             assert not any("bound" in name for name in inspect.signature(fn).parameters)
         assert list(inspect.signature(max_code_search).parameters) == [
-            "params", "budget", "with_ip", "ip_budget"
+            "params", "budget", "with_ip"
+        ]
+        assert list(inspect.signature(reproduce_tables).parameters) == [
+            "n_values", "d_values", "cell_budget", "with_ip"
         ]
 
     def test_result_is_frozen(self):
@@ -653,6 +656,19 @@ class TestTables:
         assert cell.singleton_optimal == "unknown"
         assert cell.lower <= cell.upper
 
+    def test_one_exact_distribution_per_n(self, monkeypatch):
+        # Every skipped cell of an n reads one ball table, and its bounds
+        # are those of sphere_packing_bounds, cell by cell.
+        seen, exact = [], ball.lis_distribution_exact
+        monkeypatch.setattr(ball, "lis_distribution_exact", lambda n: seen.append(n) or exact(n))
+        cells = reproduce_tables([10, 11])
+        assert seen == [10, 11]
+        skipped = [cell for cell in cells if cell.status == "skipped"]
+        assert len(skipped) == 7 + 8  # d = 3..9 and 3..10
+        for cell in skipped:
+            params = CodeParams(cell.n, cell.d)
+            report = bound_report(params, sphere_packing_bounds(params))
+            assert (cell.lower, cell.upper) == (report.best_lower, report.best_upper)
 
     @pytest.mark.parametrize("n, ds", [(6, [3, 4]), (7, [5])])
     def test_ip_runs_only_for_unsettled_cells(self, monkeypatch, n, ds):
@@ -845,7 +861,9 @@ class TestBudgetRule:
         assert max(itertools.chain.from_iterable(found.values())) < 3_000
 
     def test_long_runs_lift_the_cap(self, calls):
-        reproduce_tables([7], [3], with_ip=True, long_runs=True)
+        # tables --long-runs passes an unlimited budget; the program keeps
+        # its own cap.
+        reproduce_tables([7], [3], cell_budget=SearchBudget(), with_ip=True)
         assert self.budgets(calls, 7) == {
             "ip": SearchBudget(max_nodes=500),
             "singleton": SearchBudget(),
@@ -853,36 +871,73 @@ class TestBudgetRule:
         }
 
     def test_explicit_budget_arrives_unchanged(self, calls):
-        # Except that the Singleton phase stops at half the time cap.
+        # At both search phases, except that the Singleton phase stops at
+        # half the time cap.  The program gets its own node cap and at most
+        # the time left on the cell's clock.
         given = SearchBudget(max_nodes=250_000, max_seconds=60.0)
         half = SearchBudget(max_nodes=250_000, max_seconds=30.0)
         reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True)
         assert len(calls) == 6
         for n in (6, 7):
-            assert self.budgets(calls, n) == {"singleton": half, "max": given, "ip": given}
-        assert all(budget is given for _, kind, budget in calls if kind != "singleton")
-
-    def test_long_runs_with_a_budget_rejected(self, calls):
-        # long_runs lifts the cap, so a budget beside it would be dropped.
-        given = SearchBudget(max_nodes=250_000)
-        with pytest.raises(ValueError, match="long_runs"):
-            reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True, long_runs=True)
-        assert calls == []
+            budgets = self.budgets(calls, n)
+            assert (budgets["singleton"], budgets["max"]) == (half, given)
+            assert budgets["ip"].max_nodes == ilp.IP_NODE_CAP
+            assert 0 < budgets["ip"].max_seconds <= 60.0
+        assert all(budget is given for _, kind, budget in calls if kind == "max")
 
     @pytest.mark.parametrize(
         "budget_args, expected",
         [
-            ((), SearchBudget(max_nodes=500)),
-            (("--max-nodes", "8"), SearchBudget(max_nodes=8)),
+            ((), {"bounds": None, "search": SearchBudget(max_nodes=500),
+                  "tables": SearchBudget(max_nodes=500)}),
+            (("--max-nodes", "8"), {"bounds": SearchBudget(max_nodes=8),
+                                    "search": SearchBudget(max_nodes=500),
+                                    "tables": SearchBudget(max_nodes=500)}),
         ],
     )
     def test_one_ip_budget_rule_in_every_command(
         self, calls, capsys, budget_args, expected
     ):
+        # bounds runs only the program, so the budget is the program's
+        # (None: solve_ilp's own IP_NODE_CAP).  search and tables give it
+        # IP_NODE_CAP nodes, whatever nodes the search phases get.
         assert ilp.IP_NODE_CAP == 500
-        for command in ("bounds", "search", "tables"):
+        for command, budget in expected.items():
             calls.clear()
             argv = [command, "--n", "6", "--d", "3", "--with-ip", *budget_args]
             assert cli.main(argv + ["--format", "json"]) == 0
-            assert [budget for _, kind, budget in calls if kind == "ip"] == [expected]
+            assert [b for _, kind, b in calls if kind == "ip"] == [budget]
+            if command != "bounds":
+                nodes = int(budget_args[1]) if budget_args else search.HARD_CELL_NODE_CAP
+                assert self.budgets(calls, 6)["max"] == SearchBudget(max_nodes=nodes)
         capsys.readouterr()
+
+    def test_ip_gets_the_time_left_on_the_cell_clock(self, monkeypatch):
+        # A fake clock that each search phase moves on 3 seconds.  Under a
+        # 10-second cap the program gets the 4 seconds left; under a
+        # 5-second cap nothing is left after the phases, so it is skipped
+        # and the Singleton bound stays the ceiling.
+        now = [0.0]
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+        def engine(space, clock, chosen, cand, floor, ceiling):
+            now[0] += 3
+            return list(chosen), 1, True
+
+        given = []
+
+        def ip_bound(params, budget):
+            given.append(budget)
+            return singleton_upper(params) - 1, False
+
+        monkeypatch.setattr(search, "_clique_search", engine)
+        monkeypatch.setattr(search, "ip_upper_bound", ip_bound)
+        res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=10), with_ip=True)
+        assert given == [SearchBudget(max_nodes=ilp.IP_NODE_CAP, max_seconds=4)]
+        assert res.upper_bound_used == 23
+        given.clear()
+        now[0] = 0.0
+        res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=5), with_ip=True)
+        assert given == []
+        assert (res.optimality, res.upper_bound_used) == ("lower_bound_only", 24)
+        assert res.singleton_optimal == "unknown"
