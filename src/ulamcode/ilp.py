@@ -30,7 +30,6 @@ from .budget import SearchBudget
 from .simplex import EQ, GE, INFEASIBLE, LE, LpResult, _Tableau, solve_lp
 
 Var = tuple[int, int]  # (b, a): position b holds symbol a
-Row = tuple[dict[Var, int], int]
 
 OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
@@ -45,25 +44,22 @@ IP_NODE_CAP = 500
 IP_TABLEAU_BYTES = 16 << 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class IlpModel:
-    """The position-count program for one (n, d) pair."""
+    """The position-count program for one (n, d) pair: for every symbol a
+    and split l, sum_b cover[l][b-1] X[b][a] <= rhs (see build_model)."""
 
     n: int
     d: int
-    variables: tuple[Var, ...]
-    inequality_rows: list[Row]
-    equality_rows: list[Row]
-    objective: dict[Var, int]
-    var_upper: dict[Var, int]
-    row_meta: list[tuple[int, int]]  # (a, l) behind each inequality row
+    cover: tuple[tuple[int, ...], ...]  # n-d+1 rows of n coefficients
+    rhs: int
 
 
 @dataclass
 class IlpSolution:
-    status: str  # "optimal" | "bound_only" | "infeasible"
+    status: str  # "optimal" | "bound_only"
     objective_value: int
-    assignment: Optional[dict[Var, int]]
+    assignment: dict[Var, int]
     lp_relaxation_value: Fraction
     nodes_explored: int = 0
 
@@ -80,57 +76,33 @@ def build_model(params: CodeParams) -> IlpModel:
     n, d = params.n, params.d
     if d < 2:
         raise ValueError("model is only defined for d >= 2; use n! for d = 1")
-    rhs = math.factorial(n - 1) // math.factorial(d - 1)
-
-    variables = tuple((b, a) for b in range(1, n + 1) for a in range(1, n + 1))
-    ineq: list[Row] = []
-    meta: list[tuple[int, int]] = []
-    for a in range(1, n + 1):
-        for l in range(0, n - d + 1):
-            coeffs: dict[Var, int] = {}
-            for b in range(1, n + 1):
-                c = math.comb(b - 1, l) * math.comb(n - b, n - d - l)
-                if c:
-                    coeffs[(b, a)] = c
-            ineq.append((coeffs, rhs))
-            meta.append((a, l))
-
-    eq: list[Row] = []
-    for b in range(1, n):
-        coeffs = {(b, a): 1 for a in range(1, n + 1)}
-        coeffs.update({(b + 1, a): -1 for a in range(1, n + 1)})
-        eq.append((coeffs, 0))
-
-    objective = {(1, a): 1 for a in range(1, n + 1)}
-
-    var_upper: dict[Var, int] = {}
-    for v in variables:
-        caps = [r // coeffs[v] for coeffs, r in ineq if v in coeffs]
-        if not caps:
-            raise AssertionError(f"variable {v} missing from every covering row")
-        var_upper[v] = min(caps)
-
-    return IlpModel(
-        n=n,
-        d=d,
-        variables=variables,
-        inequality_rows=ineq,
-        equality_rows=eq,
-        objective=objective,
-        var_upper=var_upper,
-        row_meta=meta,
+    cover = tuple(
+        tuple(math.comb(b - 1, l) * math.comb(n - b, n - d - l) for b in range(1, n + 1))
+        for l in range(n - d + 1)
     )
+    return IlpModel(n, d, cover, math.factorial(n - 1) // math.factorial(d - 1))
+
+
+def _program(model: IlpModel) -> tuple[list[tuple[dict[int, int], str, int]], dict[int, int]]:
+    """The program's rows and objective over columns (b-1)*n + (a-1), one
+    per X[b][a]: the covering rows (a outer, l inner), then the n-1 link
+    rows sum_a X[b][a] = sum_a X[b+1][a]; maximize sum_a X[1][a].  No row
+    holds a zero coefficient, and every row lists its columns in order."""
+    n = model.n
+    rows = [
+        ({b * n + a: c for b, c in enumerate(row) if c}, LE, model.rhs)
+        for a in range(n)
+        for row in model.cover
+    ]
+    rows += [
+        ({k: 1 if k < (b + 1) * n else -1 for k in range(b * n, (b + 2) * n)}, EQ, 0)
+        for b in range(n - 1)
+    ]
+    return rows, dict.fromkeys(range(n), 1)
 
 
 def _lp_result(model: IlpModel) -> LpResult:
-    index = {v: k for k, v in enumerate(model.variables)}
-    rows: list[tuple[dict[int, int], str, int]] = []
-    for coeffs, rhs in model.inequality_rows:
-        rows.append(({index[v]: c for v, c in coeffs.items()}, LE, rhs))
-    for coeffs, rhs in model.equality_rows:
-        rows.append(({index[v]: c for v, c in coeffs.items()}, EQ, rhs))
-    objective = {index[v]: c for v, c in model.objective.items()}
-    return solve_lp(len(model.variables), rows, objective)
+    return solve_lp(model.n**2, *_program(model))
 
 
 def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolution:
@@ -150,7 +122,11 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     when it is popped.
     """
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
-    num_vars = len(model.variables)
+    n = model.n
+    num_vars = n * n
+
+    def assignment(x) -> dict[Var, int]:
+        return {(k // n + 1, k % n + 1): int(v) for k, v in enumerate(x)}
 
     counter = held = 0
     # (-value, counter, path, basis, (k, floor of x_k), tableau or None);
@@ -167,8 +143,7 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             iv = math.floor(value)
             if iv > best_value:
                 best_value = iv
-                x = tab.point(num_vars)
-                best_x = {v: int(x[k]) for k, v in enumerate(model.variables)}
+                best_x = assignment(tab.point(num_vars))
             return
         if math.floor(value) > best_value:
             counter += 1
@@ -180,18 +155,15 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
             heapq.heappush(heap, (-value, counter, path, basis, branch, tab))
 
     root = _lp_result(model)
-    nodes = 1
-    if root.status == INFEASIBLE:
-        status, root_value, best_value, best_x = INFEASIBLE, Fraction(0), 0, None
-    else:
-        status, root_value = OPTIMAL, root.value
-        # Feasible warm start: the constant matrix X[b][a] = m with the
-        # largest m every covering row allows.
-        mstar = min(rhs // sum(coeffs.values()) for coeffs, rhs in model.inequality_rows)
-        best_value = model.n * mstar
-        best_x = {v: mstar for v in model.variables}
-        # A copy, so that the root's own tableau stays intact for rebuilds.
-        consider(root.tableau.copy(), ())
+    # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
+    assert root.status == OPTIMAL
+    status, root_value, nodes = OPTIMAL, root.value, 1
+    # Feasible warm start: the constant matrix X[b][a] = m with the largest
+    # m every covering row allows.
+    mstar = min(model.rhs // sum(row) for row in model.cover)
+    best_value, best_x = n * mstar, assignment([mstar] * num_vars)
+    # A copy, so that the root's own tableau stays intact for rebuilds.
+    consider(root.tableau.copy(), ())
 
     while heap:
         if clock.exhausted(nodes):
@@ -245,39 +217,31 @@ def export_lp(model: IlpModel) -> str:
     """Render the model in LP text format (deterministic output).
 
     Variables are named x_<b>_<a> with 1-based indices; constraint names
-    carry the (a, l) pair behind each covering row.
+    carry the (a, l) pair behind each covering row.  A variable's bound is
+    the tightest its position's covering rows allow.
     """
+    n = model.n
+    rows, objective = _program(model)
+    names = [f"x_{k // n + 1}_{k % n + 1}" for k in range(n * n)]
 
-    def term(coeff: int, var: Var, first: bool) -> str:
-        b, a = var
-        name = f"x_{b}_{a}"
-        mag = abs(coeff)
-        body = name if mag == 1 else f"{mag} {name}"
-        if first:
-            return body if coeff > 0 else f"- {body}"
-        return f"+ {body}" if coeff > 0 else f"- {body}"
-
-    def linear(coeffs: dict[Var, int]) -> str:
+    def linear(coeffs: dict[int, int]) -> str:
         parts = []
-        for v in sorted(coeffs):
-            if coeffs[v] == 0:
-                continue
-            parts.append(term(coeffs[v], v, first=not parts))
+        for k, coeff in coeffs.items():
+            body = names[k] if abs(coeff) == 1 else f"{abs(coeff)} {names[k]}"
+            sign = "-" if coeff < 0 else "+"
+            parts.append(f"{sign} {body}" if parts or coeff < 0 else body)
         return " ".join(parts)
 
-    lines = [f"\\ maximum-codewords bound model, n={model.n} d={model.d}"]
-    lines.append("Maximize")
-    lines.append(f" obj: {linear(model.objective)}")
-    lines.append("Subject To")
-    for (coeffs, rhs), (a, l) in zip(model.inequality_rows, model.row_meta):
-        lines.append(f" cover_a{a}_l{l}: {linear(coeffs)} <= {rhs}")
-    for b, (coeffs, rhs) in enumerate(model.equality_rows, start=1):
-        lines.append(f" link_b{b}: {linear(coeffs)} = {rhs}")
+    labels = [f"cover_a{a}_l{l}" for a in range(1, n + 1) for l in range(len(model.cover))]
+    labels += [f"link_b{b}" for b in range(1, n)]
+    caps = [min(model.rhs // c for c in column if c) for column in zip(*model.cover)]
+    lines = [f"\\ maximum-codewords bound model, n={n} d={model.d}"]
+    lines += ["Maximize", f" obj: {linear(objective)}", "Subject To"]
+    lines += [f" {label}: {linear(coeffs)} {sense} {rhs}"
+              for label, (coeffs, sense, rhs) in zip(labels, rows)]
     lines.append("Bounds")
-    for v in model.variables:
-        lines.append(f" 0 <= x_{v[0]}_{v[1]} <= {model.var_upper[v]}")
+    lines += [f" 0 <= {name} <= {caps[k // n]}" for k, name in enumerate(names)]
     lines.append("General")
-    for v in model.variables:
-        lines.append(f" x_{v[0]}_{v[1]}")
+    lines += [f" {name}" for name in names]
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -47,15 +47,8 @@ def test_01_worked_example_ip_bound():
     with criterion(1, "integer-program bound at (5,3) is 5 vs Singleton 6, <5s"):
         start = time.monotonic()
         model = build_model(CodeParams(5, 3))
-        rows = []
-        for (coeffs, rhs), (a, l) in zip(model.inequality_rows, model.row_meta):
-            if a == 1:
-                rows.append(([coeffs.get((b, 1), 0) for b in range(1, 6)], rhs))
-        assert rows == [
-            ([6, 3, 1, 0, 0], 12),
-            ([0, 3, 4, 3, 0], 12),
-            ([0, 0, 1, 3, 6], 12),
-        ]
+        assert model.cover == ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6))
+        assert model.rhs == 12
         assert singleton_upper(CodeParams(5, 3)) == 6
         assert ip_upper_bound(CodeParams(5, 3)) == (5, False)
         assert time.monotonic() - start < 5.0
@@ -192,13 +185,15 @@ def test_10_ilp_soundness_sweep():
             assert len(code.words) == known, (n, d)
 
             # The counting argument behind the model, made executable: the
-            # position-count matrix of a real code satisfies every row.
+            # position-count matrix of a real code satisfies every row: each
+            # covering row, for every symbol a, and each link row.
             model = build_model(params)
-            counts = {v: 0 for v in model.variables}
+            counts = [[0] * (n + 1) for _ in range(n + 1)]  # counts[b][a]
             for word in code.words:
                 for b, a in enumerate(word, start=1):
-                    counts[(b, a)] += 1
-            for coeffs, rhs in model.inequality_rows:
-                assert sum(c * counts[v] for v, c in coeffs.items()) <= rhs
-            for coeffs, rhs in model.equality_rows:
-                assert sum(c * counts[v] for v, c in coeffs.items()) == rhs
+                    counts[b][a] += 1
+            for a in range(1, n + 1):
+                for row in model.cover:
+                    assert sum(c * counts[b][a] for b, c in enumerate(row, start=1)) <= model.rhs
+            for b in range(1, n):
+                assert sum(counts[b]) == sum(counts[b + 1])

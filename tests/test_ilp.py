@@ -25,9 +25,21 @@ from ulamcode import cli, ilp, simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
 
 
-def row_vector(model, row_idx, a):
-    coeffs, rhs = model.inequality_rows[row_idx]
-    return [coeffs.get((b, a), 0) for b in range(1, model.n + 1)], rhs
+def program_rows(model):
+    """The rows the solver sees, as (coefficients keyed by (b, a), sense, rhs)."""
+    n = model.n
+    rows, _ = ilp._program(model)
+    return [({(k // n + 1, k % n + 1): c for k, c in coeffs.items()}, sense, rhs)
+            for coeffs, sense, rhs in rows]
+
+
+def satisfies(model, x):
+    """Whether the point x[(b, a)] meets every row of the program."""
+    for coeffs, sense, rhs in program_rows(model):
+        lhs = sum(c * x[v] for v, c in coeffs.items())
+        if not (lhs <= rhs if sense == LE else lhs == rhs):
+            return False
+    return True
 
 
 class TestBuildModel:
@@ -35,51 +47,60 @@ class TestBuildModel:
         for n in range(4, 8):
             for d in range(2, n):
                 m = build_model(CodeParams(n, d))
-                assert len(m.inequality_rows) == n * (n - d + 1)
-                assert len(m.equality_rows) == n - 1
-                rhs = math.factorial(n - 1) // math.factorial(d - 1)
-                assert all(r == rhs for _, r in m.inequality_rows)
+                assert len(m.cover) == n - d + 1
+                assert all(len(row) == n for row in m.cover)
+                assert m.rhs == math.factorial(n - 1) // math.factorial(d - 1)
+                senses = [sense for _, sense, _ in program_rows(m)]
+                assert senses == [LE] * (n * (n - d + 1)) + [EQ] * (n - 1)
 
     def test_coefficient_formula(self):
         for n, d in [(5, 3), (6, 4), (7, 2)]:
             m = build_model(CodeParams(n, d))
-            for (coeffs, _), (a, l) in zip(m.inequality_rows, m.row_meta):
+            for l, row in enumerate(m.cover):
                 for b in range(1, n + 1):
-                    expect = math.comb(b - 1, l) * math.comb(n - b, n - d - l)
-                    assert coeffs.get((b, a), 0) == expect
+                    assert row[b - 1] == math.comb(b - 1, l) * math.comb(n - b, n - d - l)
+            # The covering rows repeat cover for each symbol a, a outer.
+            covering = program_rows(m)[: n * len(m.cover)]
+            for i, (coeffs, _, rhs) in enumerate(covering):
+                a, l = divmod(i, len(m.cover))
+                want = {(b, a + 1): c for b, c in enumerate(m.cover[l], start=1) if c}
+                assert (coeffs, rhs) == (want, m.rhs)
 
     def test_worked_example_rows(self):
         m = build_model(CodeParams(5, 3))
-        # Rows for a = 1 are the first three; the simplified coefficient
-        # patterns are (6,3,1,0,0), (0,3,4,3,0), (0,0,1,3,6) with rhs 12.
-        assert row_vector(m, 0, 1) == ([6, 3, 1, 0, 0], 12)
-        assert row_vector(m, 1, 1) == ([0, 3, 4, 3, 0], 12)
-        assert row_vector(m, 2, 1) == ([0, 0, 1, 3, 6], 12)
+        # The simplified coefficient patterns of the paper's example.
+        assert m.cover == ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6))
+        assert m.rhs == 12
 
     def test_largest_distance_structure(self):
         # d = n - 1 keeps exactly the l = 0 and l = 1 split rows.
-        n = 5
-        m = build_model(CodeParams(n, n - 1))
-        assert {l for _, l in m.row_meta} == {0, 1}
-        assert row_vector(m, 0, 1) == ([4, 3, 2, 1, 0], 4)
-        assert row_vector(m, 1, 1) == ([0, 1, 2, 3, 4], 4)
+        m = build_model(CodeParams(5, 4))
+        assert m.cover == ((4, 3, 2, 1, 0), (0, 1, 2, 3, 4))
+        assert m.rhs == 4
 
     def test_equalities_link_neighbouring_positions(self):
         m = build_model(CodeParams(4, 2))
-        coeffs, rhs = m.equality_rows[0]
-        assert rhs == 0
-        assert all(coeffs[(1, a)] == 1 for a in range(1, 5))
-        assert all(coeffs[(2, a)] == -1 for a in range(1, 5))
+        coeffs, sense, rhs = program_rows(m)[len(m.cover) * 4]
+        assert (sense, rhs) == (EQ, 0)
+        assert coeffs == {**{(1, a): 1 for a in range(1, 5)}, **{(2, a): -1 for a in range(1, 5)}}
 
     def test_d1_rejected(self):
         with pytest.raises(ValueError):
             build_model(CodeParams(4, 1))
 
     def test_var_upper_from_tightest_row(self):
-        m = build_model(CodeParams(5, 3))
-        assert m.var_upper[(1, 1)] == 2   # 12 // 6
-        assert m.var_upper[(3, 1)] == 3   # 12 // 4 from the middle row
-        assert m.var_upper[(5, 1)] == 2
+        text = export_lp(build_model(CodeParams(5, 3)))
+        assert " 0 <= x_1_1 <= 2\n" in text   # 12 // 6
+        assert " 0 <= x_3_1 <= 3\n" in text   # 12 // 4 from the middle row
+        assert " 0 <= x_5_1 <= 2\n" in text
+
+    def test_every_position_is_covered(self):
+        # Every column of cover has a nonzero entry, so every variable is
+        # bounded by some covering row.
+        for n in range(4, 13):
+            for d in range(2, n):
+                cover = build_model(CodeParams(n, d)).cover
+                assert all(any(column) for column in zip(*cover)), (n, d)
 
 
 def relaxation(model):
@@ -90,17 +111,7 @@ def relaxation(model):
 class TestLpRelaxation:
     def test_zero_rhs_variant(self):
         m = build_model(CodeParams(5, 3))
-        zeroed = IlpModel(
-            n=m.n,
-            d=m.d,
-            variables=m.variables,
-            inequality_rows=[(coeffs, 0) for coeffs, _ in m.inequality_rows],
-            equality_rows=m.equality_rows,
-            objective=m.objective,
-            var_upper={v: 0 for v in m.variables},
-            row_meta=m.row_meta,
-        )
-        assert relaxation(zeroed) == 0
+        assert relaxation(IlpModel(m.n, m.d, m.cover, 0)) == 0
 
     def test_worked_example_window_and_value(self):
         value = relaxation(build_model(CodeParams(5, 3)))
@@ -111,7 +122,7 @@ class TestLpRelaxation:
         # Averaging codeword counts over the symbol index keeps every row
         # and the objective, and all row sums equal C(n, n-d+1), so the
         # relaxation collapses to the Singleton value exactly.
-        for n in range(4, 7):
+        for n in range(4, 9):
             for d in range(2, n):
                 p = CodeParams(n, d)
                 assert relaxation(build_model(p)) == singleton_upper(p)
@@ -145,20 +156,14 @@ class TestSolveIlp:
 
     def test_all_ones_point_is_feasible_at_5_3(self):
         m = build_model(CodeParams(5, 3))
-        for coeffs, rhs in m.inequality_rows:
-            assert sum(coeffs.values()) <= rhs
-        for coeffs, rhs in m.equality_rows:
-            assert sum(coeffs.values()) == rhs
+        assert satisfies(m, {(b, a): 1 for b in range(1, 6) for a in range(1, 6)})
 
     def test_optimal_assignment_satisfies_model(self):
         m = build_model(CodeParams(5, 3))
         sol = solve_ilp(m)
         x = sol.assignment
         assert sum(x[(1, a)] for a in range(1, 6)) == sol.objective_value
-        for coeffs, rhs in m.inequality_rows:
-            assert sum(c * x[v] for v, c in coeffs.items()) <= rhs
-        for coeffs, rhs in m.equality_rows:
-            assert sum(c * x[v] for v, c in coeffs.items()) == rhs
+        assert satisfies(m, x)
 
     def test_frozen_small_grid(self):
         for (n, d), (value, nodes) in FROZEN_GRID.items():
@@ -241,19 +246,24 @@ def _snapshot(tab):
 
 def _cold_lp(model, path):
     """The deleted cold path, kept as the oracle: the relaxation with each
-    bound of the path as an explicit row, solved cold."""
-    index = {v: k for k, v in enumerate(model.variables)}
+    bound of the path as an explicit row, solved cold.  It expands cover
+    itself, X[b][a] at column (b-1)*n + (a-1)."""
+    n = model.n
+
+    def col(b, a):
+        return (b - 1) * n + a - 1
+
     rows = [
-        ({index[v]: c for v, c in coeffs.items()}, LE, rhs)
-        for coeffs, rhs in model.inequality_rows
+        ({col(b, a): c for b, c in enumerate(row, start=1)}, LE, model.rhs)
+        for a in range(1, n + 1)
+        for row in model.cover
     ]
-    rows += [
-        ({index[v]: c for v, c in coeffs.items()}, EQ, rhs)
-        for coeffs, rhs in model.equality_rows
-    ]
+    for b in range(1, n):
+        link = {col(b, a): 1 for a in range(1, n + 1)}
+        link.update({col(b + 1, a): -1 for a in range(1, n + 1)})
+        rows.append((link, EQ, 0))
     rows += [({k: 1}, sense, bound) for k, sense, bound in path]
-    objective = {index[v]: c for v, c in model.objective.items()}
-    return solve_lp(len(model.variables), rows, objective)
+    return solve_lp(n * n, rows, {col(1, a): 1 for a in range(1, n + 1)})
 
 
 class TestWarmStart:
@@ -521,6 +531,31 @@ class TestTypesAtTheBoundary:
         assert (result["ip_upper"], result["singleton_upper"]) == (5, 6)
 
 
+# SHA-256 of export_lp's text for each (n, d).
+EXPORT_LP_SHA256 = {
+    (4, 2): "1ae8d3d074c9f42f604d672e30265fe16f194da0e3f314febf3ee1290ae76c0f",
+    (4, 3): "543ab50a28eadf0f5fdb11cf66ca5330b657d6b211da49daf0fae7e51aa9f30a",
+    (5, 2): "0fb42f8054d90822ec1a2cf4b7ff253b22da696573c863b0bd20104b1fd6dc56",
+    (5, 3): "28bc19468ddbe2dd0e1106b926d8d5cfd7ee7dfadf744019fbc3dba1eac84e2b",
+    (5, 4): "a5fc525b769f6dcf212f649f39d934461261da8a687e2f94ec4019a487873ea0",
+    (6, 2): "33b40e6e2d8ec5290f5f168e4b055f6ebbab767ab892f719093e073285911c50",
+    (6, 3): "91430d2222d07356586c40f4cd323630b9b9e549f384f55abb2cd347ddb409a9",
+    (6, 4): "134898a0e2ff1ebf8f4cabb1f4212bc52f01f9b105daaaa94fdddb50446bf499",
+    (6, 5): "94e284c8dc9e27e0746cbced9b62b20cd3b587d640814dfc459e4663635df3cc",
+    (7, 2): "55fe5d9c62b2b17ee4dabe7e301fb7ddc0c0a80bb960fe87030e9aac41b16053",
+    (7, 3): "2adf494dfb2317126d91c209d6cfff749e749dec5b280fd871877e32eb31ec87",
+    (7, 4): "86e6ef31a6ec6fe4db699206414205921d32b9808bb13a67bcc156a9230709ff",
+    (7, 5): "0b6ed3d926c7e804121a5f0a82c51848882cd95c07b4d3217d6994aaac6f15d6",
+    (7, 6): "de289a37f8362326e68229410bf56b2581b0f87dad5c710a68bc21fdd7ccc3f9",
+    (8, 2): "930c1578685a3eb01f02465e8151ff3c99e064d840c68c64d6d222e3a0e95fd9",
+    (8, 3): "03f31bb23ace681ba7053ab9221bc280181bde4e18b823fc419d85e581efa0cf",
+    (8, 4): "dab1baceb490d42b37c4b2f6d95c54347a8c2222e12a0a8a94236b3b1686690e",
+    (8, 5): "e6644789ca0d4832ed91e291de1c2899a788e8a64b3bc5012b29222c8d33fc9f",
+    (8, 6): "2b28d6d3d3fddd7f57e0be67fc9dbc97d55ee796fdb8184bd3fad74d9753dfc9",
+    (8, 7): "d3dbb336866e6f5a60fa86a221e0ff33ccb3f71cf4f35fea8fc54c9aa898247c",
+}
+
+
 class TestExportLp:
     def test_contains_worked_example_row(self):
         text = export_lp(build_model(CodeParams(5, 3)))
@@ -534,6 +569,13 @@ class TestExportLp:
         text = export_lp(build_model(CodeParams(4, 2)))
         for section in ("Maximize", "Subject To", "Bounds", "General", "End"):
             assert section in text
+
+    def test_grid_digests(self):
+        # Byte for byte, every cell with 4 <= n <= 8 and 2 <= d <= n - 1.
+        assert set(EXPORT_LP_SHA256) == {(n, d) for n in range(4, 9) for d in range(2, n)}
+        for cell, digest in EXPORT_LP_SHA256.items():
+            text = export_lp(build_model(CodeParams(*cell)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, cell
 
     def test_round_trip_resolve(self):
         text = export_lp(build_model(CodeParams(5, 3)))
