@@ -83,26 +83,31 @@ def build_model(params: CodeParams) -> IlpModel:
     return IlpModel(n, d, cover, math.factorial(n - 1) // math.factorial(d - 1))
 
 
-def _program(model: IlpModel) -> tuple[list[tuple[dict[int, int], str, int]], dict[int, int]]:
-    """The program's rows and objective over columns (b-1)*n + (a-1), one
-    per X[b][a]: the covering rows (a outer, l inner), then the n-1 link
-    rows sum_a X[b][a] = sum_a X[b+1][a]; maximize sum_a X[1][a].  No row
-    holds a zero coefficient, and every row lists its columns in order."""
+def _program(
+    model: IlpModel,
+) -> tuple[list[tuple[str, dict[int, int], str, int]], dict[int, int]]:
+    """The program's named rows and objective over columns (b-1)*n + (a-1),
+    one per X[b][a]: the covering rows cover_a<a>_l<l> (a outer, l inner),
+    then the n-1 link rows link_b<b>, sum_a X[b][a] = sum_a X[b+1][a];
+    maximize sum_a X[1][a].  No row holds a zero coefficient, and every row
+    lists its columns in order."""
     n = model.n
     rows = [
-        ({b * n + a: c for b, c in enumerate(row) if c}, LE, model.rhs)
+        (f"cover_a{a + 1}_l{l}", {b * n + a: c for b, c in enumerate(row) if c}, LE, model.rhs)
         for a in range(n)
-        for row in model.cover
+        for l, row in enumerate(model.cover)
     ]
     rows += [
-        ({k: 1 if k < (b + 1) * n else -1 for k in range(b * n, (b + 2) * n)}, EQ, 0)
-        for b in range(n - 1)
+        (f"link_b{b}", {k: 1 if k < b * n else -1 for k in range((b - 1) * n, (b + 1) * n)},
+         EQ, 0)
+        for b in range(1, n)
     ]
     return rows, dict.fromkeys(range(n), 1)
 
 
 def _lp_result(model: IlpModel) -> LpResult:
-    return solve_lp(model.n**2, *_program(model))
+    rows, objective = _program(model)
+    return solve_lp(model.n**2, [row[1:] for row in rows], objective)
 
 
 def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolution:
@@ -216,9 +221,9 @@ def ip_upper_bound(
 def export_lp(model: IlpModel) -> str:
     """Render the model in LP text format (deterministic output).
 
-    Variables are named x_<b>_<a> with 1-based indices; constraint names
-    carry the (a, l) pair behind each covering row.  A variable's bound is
-    the tightest its position's covering rows allow.
+    Variables are named x_<b>_<a> with 1-based indices; constraints carry
+    the names _program gives them.  A variable's bound is the tightest its
+    position's covering rows allow.
     """
     n = model.n
     rows, objective = _program(model)
@@ -232,13 +237,10 @@ def export_lp(model: IlpModel) -> str:
             parts.append(f"{sign} {body}" if parts or coeff < 0 else body)
         return " ".join(parts)
 
-    labels = [f"cover_a{a}_l{l}" for a in range(1, n + 1) for l in range(len(model.cover))]
-    labels += [f"link_b{b}" for b in range(1, n)]
     caps = [min(model.rhs // c for c in column if c) for column in zip(*model.cover)]
     lines = [f"\\ maximum-codewords bound model, n={n} d={model.d}"]
     lines += ["Maximize", f" obj: {linear(objective)}", "Subject To"]
-    lines += [f" {label}: {linear(coeffs)} {sense} {rhs}"
-              for label, (coeffs, sense, rhs) in zip(labels, rows)]
+    lines += [f" {label}: {linear(coeffs)} {sense} {rhs}" for label, coeffs, sense, rhs in rows]
     lines.append("Bounds")
     lines += [f" 0 <= {name} <= {caps[k // n]}" for k, name in enumerate(names)]
     lines.append("General")

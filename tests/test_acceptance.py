@@ -12,6 +12,7 @@ from oracles import all_perms, bfs_ball_sizes, bfs_distances, rate_function_acos
 from ulamcode.ball import ball_table, lis_distribution_exact, lis_prob_mc
 from ulamcode.bounds import CodeParams, rate_function, singleton_upper
 from ulamcode.budget import SearchBudget
+from ulamcode import ilp
 from ulamcode.ilp import build_model, ip_upper_bound
 from ulamcode.perm import ulam_distance
 from ulamcode.search import (
@@ -19,6 +20,7 @@ from ulamcode.search import (
     max_code_search,
     reproduce_tables,
 )
+from ulamcode.simplex import LE
 
 KNOWN_SIZES = {
     (4, 2): 6, (4, 3): 2,
@@ -185,15 +187,15 @@ def test_10_ilp_soundness_sweep():
             assert len(code.words) == known, (n, d)
 
             # The counting argument behind the model, made executable: the
-            # position-count matrix of a real code satisfies every row: each
-            # covering row, for every symbol a, and each link row.
-            model = build_model(params)
-            counts = [[0] * (n + 1) for _ in range(n + 1)]  # counts[b][a]
+            # position-count matrix of a real code satisfies every row the
+            # solver gets: each covering row, for every symbol a, and each
+            # link row.
+            rows, _ = ilp._program(build_model(params))
+            counts = [0] * (n * n)  # X[b][a] at column (b-1)*n + (a-1)
             for word in code.words:
                 for b, a in enumerate(word, start=1):
-                    counts[b][a] += 1
-            for a in range(1, n + 1):
-                for row in model.cover:
-                    assert sum(c * counts[b][a] for b, c in enumerate(row, start=1)) <= model.rhs
-            for b in range(1, n):
-                assert sum(counts[b]) == sum(counts[b + 1])
+                    counts[(b - 1) * n + (a - 1)] += 1
+            assert len(rows) == n * (n - d + 1) + n - 1, (n, d)
+            for label, coeffs, sense, rhs in rows:
+                lhs = sum(c * counts[k] for k, c in coeffs.items())
+                assert lhs <= rhs if sense == LE else lhs == rhs, (n, d, label)

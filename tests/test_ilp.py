@@ -30,7 +30,7 @@ def program_rows(model):
     n = model.n
     rows, _ = ilp._program(model)
     return [({(k // n + 1, k % n + 1): c for k, c in coeffs.items()}, sense, rhs)
-            for coeffs, sense, rhs in rows]
+            for _, coeffs, sense, rhs in rows]
 
 
 def satisfies(model, x):
@@ -59,12 +59,16 @@ class TestBuildModel:
             for l, row in enumerate(m.cover):
                 for b in range(1, n + 1):
                     assert row[b - 1] == math.comb(b - 1, l) * math.comb(n - b, n - d - l)
-            # The covering rows repeat cover for each symbol a, a outer.
+            # The covering rows repeat cover for each symbol a, a outer, and
+            # each carries the name of its (a, l) pair.
+            labels = [label for label, _, _, _ in ilp._program(m)[0]]
             covering = program_rows(m)[: n * len(m.cover)]
             for i, (coeffs, _, rhs) in enumerate(covering):
                 a, l = divmod(i, len(m.cover))
                 want = {(b, a + 1): c for b, c in enumerate(m.cover[l], start=1) if c}
                 assert (coeffs, rhs) == (want, m.rhs)
+                assert labels[i] == f"cover_a{a + 1}_l{l}"
+            assert labels[len(covering):] == [f"link_b{b}" for b in range(1, n)]
 
     def test_worked_example_rows(self):
         m = build_model(CodeParams(5, 3))
