@@ -51,7 +51,7 @@ from .bounds import (
 )
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import build_model, export_lp, ip_upper_bound
+from .ilp import export_lp, ip_upper_bound
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
     find_singleton_optimal,
@@ -161,8 +161,10 @@ def _parse_range(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"empty range {part!r}")
+            values.extend(range(lo, hi + 1))
         elif part:
             values.append(int(part))
     if not values:
@@ -500,8 +502,7 @@ def _cmd_export_lp(run: _Run) -> int:
     args = run.args
     if args.format == "csv":
         raise ValueError("export-lp writes LP text or JSON, not CSV")
-    params = CodeParams(args.n, args.d)
-    text = export_lp(build_model(params))
+    text = export_lp(CodeParams(args.n, args.d))
     result = {"n": args.n, "d": args.d, "lp": text}
     # Raw text keeps the output a valid .lp file; the JSON envelope carries
     # the reproducibility header instead.

@@ -1,11 +1,13 @@
 """Integer-programming upper bound on maximum Ulam-code sizes.
 
-The model counts, for each symbol a and each split point l, how many
-length-(n-d+1) symbol patterns with a in the middle can occur across all
-codewords: a code with minimum distance d repeats no such pattern, and
-only (n-1)!/(d-1)! patterns exist, which caps a weighted sum of the
-position counts X[b][a].  Maximizing the number of codewords subject to
-those caps yields an upper bound on the code size.
+The program is a function of (n, d) alone, and every entry point takes
+the CodeParams and builds it itself.  It counts, for each symbol a and
+each split point l, how many length-(n-d+1) symbol patterns with a in the
+middle can occur across all codewords: a code with minimum distance d
+repeats no such pattern, and only (n-1)!/(d-1)! patterns exist, which
+caps a weighted sum of the position counts X[b][a] (see _cover).
+Maximizing the number of codewords subject to those caps yields an upper
+bound on the code size.
 
 The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
@@ -14,7 +16,7 @@ two-phase solve; every child is re-optimized from its parent's tableau by
 the dual simplex, and open nodes keep their tableaux up to a byte bound
 (see solve_ilp).  Integrality and the branching variable
 are read off the tableau's integer matrix (int64, or object dtype once an
-entry reaches 2**30; see simplex.py), and values leave as int and Fraction.
+entry reaches 2**30; see simplex.py), and values leave as Python ints.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from typing import Optional
 
 from .bounds import CodeParams
 from .budget import SearchBudget
-from .simplex import EQ, GE, INFEASIBLE, LE, LpResult, _Tableau, solve_lp
+from .simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, LpResult, _Tableau, solve_lp
 
 Var = tuple[int, int]  # (b, a): position b holds symbol a
 
-OPTIMAL = "optimal"
 BOUND_ONLY = "bound_only"
 # The integer program's node cap without a budget, and in every cell of
 # search and tables: its nodes cost orders of magnitude more than clique nodes.
@@ -44,32 +45,21 @@ IP_NODE_CAP = 500
 IP_TABLEAU_BYTES = 16 << 20
 
 
-@dataclass(frozen=True)
-class IlpModel:
-    """The position-count program for one (n, d) pair: for every symbol a
-    and split l, sum_b cover[l][b-1] X[b][a] <= rhs (see build_model)."""
-
-    n: int
-    d: int
-    cover: tuple[tuple[int, ...], ...]  # n-d+1 rows of n coefficients
-    rhs: int
-
-
 @dataclass
 class IlpSolution:
     status: str  # "optimal" | "bound_only"
     objective_value: int
     assignment: dict[Var, int]
-    lp_relaxation_value: Fraction
     nodes_explored: int = 0
 
 
-def build_model(params: CodeParams) -> IlpModel:
-    """Build the program: for every symbol a and split l in 0..n-d,
+def _cover(params: CodeParams) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The program's n-d+1 covering rows as (cover, rhs): for every symbol
+    a and split l in 0..n-d,
 
-        sum_b C(b-1, l) C(n-b, n-d-l) X[b][a]  <=  (n-1)!/(d-1)!
+        sum_b cover[l][b-1] X[b][a]  <=  rhs,
+        cover[l][b-1] = C(b-1, l) C(n-b, n-d-l),  rhs = (n-1)!/(d-1)!.
 
-    plus equal column sums across positions and max sum_a X[1][a].
     Requires d >= 2 (at d = 1 every pattern is a whole permutation and the
     program is vacuous; ip_upper_bound short-circuits to n!).
     """
@@ -80,22 +70,23 @@ def build_model(params: CodeParams) -> IlpModel:
         tuple(math.comb(b - 1, l) * math.comb(n - b, n - d - l) for b in range(1, n + 1))
         for l in range(n - d + 1)
     )
-    return IlpModel(n, d, cover, math.factorial(n - 1) // math.factorial(d - 1))
+    return cover, math.factorial(n - 1) // math.factorial(d - 1)
 
 
 def _program(
-    model: IlpModel,
+    params: CodeParams,
 ) -> tuple[list[tuple[str, dict[int, int], str, int]], dict[int, int]]:
     """The program's named rows and objective over columns (b-1)*n + (a-1),
     one per X[b][a]: the covering rows cover_a<a>_l<l> (a outer, l inner),
     then the n-1 link rows link_b<b>, sum_a X[b][a] = sum_a X[b+1][a];
     maximize sum_a X[1][a].  No row holds a zero coefficient, and every row
     lists its columns in order."""
-    n = model.n
+    n = params.n
+    cover, rhs = _cover(params)
     rows = [
-        (f"cover_a{a + 1}_l{l}", {b * n + a: c for b, c in enumerate(row) if c}, LE, model.rhs)
+        (f"cover_a{a + 1}_l{l}", {b * n + a: c for b, c in enumerate(row) if c}, LE, rhs)
         for a in range(n)
-        for l, row in enumerate(model.cover)
+        for l, row in enumerate(cover)
     ]
     rows += [
         (f"link_b{b}", {k: 1 if k < b * n else -1 for k in range((b - 1) * n, (b + 1) * n)},
@@ -105,12 +96,12 @@ def _program(
     return rows, dict.fromkeys(range(n), 1)
 
 
-def _lp_result(model: IlpModel) -> LpResult:
-    rows, objective = _program(model)
-    return solve_lp(model.n**2, [row[1:] for row in rows], objective)
+def _lp_result(params: CodeParams) -> LpResult:
+    rows, objective = _program(params)
+    return solve_lp(params.n**2, [row[1:] for row in rows], objective)
 
 
-def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolution:
+def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpSolution:
     """Exact integer optimum by best-bound branch-and-bound.
 
     Branches on the most-fractional variable (ties to the smallest (b, a)),
@@ -126,8 +117,9 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
     rows and its optimal basis, and its tableau is rebuilt from the root's
     when it is popped.
     """
+    cover, rhs = _cover(params)
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
-    n = model.n
+    n = params.n
     num_vars = n * n
 
     def assignment(x) -> dict[Var, int]:
@@ -159,13 +151,13 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
                 tab = None  # rebuilt from the root's when popped
             heapq.heappush(heap, (-value, counter, path, basis, branch, tab))
 
-    root = _lp_result(model)
+    root = _lp_result(params)
     # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
     assert root.status == OPTIMAL
-    status, root_value, nodes = OPTIMAL, root.value, 1
+    status, nodes = OPTIMAL, 1
     # Feasible warm start: the constant matrix X[b][a] = m with the largest
     # m every covering row allows.
-    mstar = min(model.rhs // sum(row) for row in model.cover)
+    mstar = min(rhs // sum(row) for row in cover)
     best_value, best_x = n * mstar, assignment([mstar] * num_vars)
     # A copy, so that the root's own tableau stays intact for rebuilds.
     consider(root.tableau.copy(), ())
@@ -199,7 +191,6 @@ def solve_ilp(model: IlpModel, budget: Optional[SearchBudget] = None) -> IlpSolu
         status=status,
         objective_value=best_value,
         assignment=best_x,
-        lp_relaxation_value=root_value,
         nodes_explored=nodes,
     )
 
@@ -214,19 +205,20 @@ def ip_upper_bound(
     """
     if params.d == 1:
         return math.factorial(params.n), False
-    sol = solve_ilp(build_model(params), budget)
+    sol = solve_ilp(params, budget)
     return sol.objective_value, sol.status == BOUND_ONLY
 
 
-def export_lp(model: IlpModel) -> str:
-    """Render the model in LP text format (deterministic output).
+def export_lp(params: CodeParams) -> str:
+    """Render the program in LP text format (deterministic output).
 
     Variables are named x_<b>_<a> with 1-based indices; constraints carry
     the names _program gives them.  A variable's bound is the tightest its
     position's covering rows allow.
     """
-    n = model.n
-    rows, objective = _program(model)
+    n = params.n
+    cover, rhs = _cover(params)
+    rows, objective = _program(params)
     names = [f"x_{k // n + 1}_{k % n + 1}" for k in range(n * n)]
 
     def linear(coeffs: dict[int, int]) -> str:
@@ -237,10 +229,10 @@ def export_lp(model: IlpModel) -> str:
             parts.append(f"{sign} {body}" if parts or coeff < 0 else body)
         return " ".join(parts)
 
-    caps = [min(model.rhs // c for c in column if c) for column in zip(*model.cover)]
-    lines = [f"\\ maximum-codewords bound model, n={n} d={model.d}"]
+    caps = [min(rhs // c for c in column if c) for column in zip(*cover)]
+    lines = [f"\\ maximum-codewords bound model, n={n} d={params.d}"]
     lines += ["Maximize", f" obj: {linear(objective)}", "Subject To"]
-    lines += [f" {label}: {linear(coeffs)} {sense} {rhs}" for label, coeffs, sense, rhs in rows]
+    lines += [f" {label}: {linear(coeffs)} {sense} {right}" for label, coeffs, sense, right in rows]
     lines.append("Bounds")
     lines += [f" 0 <= {name} <= {caps[k // n]}" for k, name in enumerate(names)]
     lines.append("General")

@@ -546,6 +546,8 @@ def reproduce_tables(
     bounds as "skipped", and every other cell is max_code_search's answer
     under ``cell_budget`` (SearchBudget() lifts the node cap).  Cells whose
     budget runs out are explicitly "bounded", never silently wrong.
+    ``with_ip`` and ``cell_budget`` reach searched cells only, so setting
+    either when no requested cell is searched is a ValueError.
     """
     ns = sorted(set(n_values))
     ds = sorted(set(d_values)) if d_values is not None else range(2, max(ns, default=0))
@@ -554,6 +556,12 @@ def reproduce_tables(
         for value in values:
             if all(pair[k] != value for pair in pairs):
                 raise ValueError(f"{name} = {value} selects no cell with 2 <= d <= n-1")
+    if (with_ip or cell_budget is not None) and all(d == 2 or n > SEARCH_LIMIT for n, d in pairs):
+        raise ValueError(
+            f"no requested cell is searched (d = 2 is a construction, n > {SEARCH_LIMIT} is "
+            "skipped), so with_ip and cell_budget (--with-ip, --max-nodes, --max-seconds, "
+            "--long-runs) would be dropped"
+        )
     cells: list[TableCell] = []
     ball_tables = functools.cache(ball_table)  # one LIS distribution per n
     for n, d in pairs:

@@ -13,7 +13,7 @@ from ulamcode.ball import ball_table, lis_distribution_exact, lis_prob_mc
 from ulamcode.bounds import CodeParams, rate_function, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode import ilp
-from ulamcode.ilp import build_model, ip_upper_bound
+from ulamcode.ilp import ip_upper_bound
 from ulamcode.perm import ulam_distance
 from ulamcode.search import (
     find_singleton_optimal,
@@ -48,9 +48,9 @@ def criterion(num, description):
 def test_01_worked_example_ip_bound():
     with criterion(1, "integer-program bound at (5,3) is 5 vs Singleton 6, <5s"):
         start = time.monotonic()
-        model = build_model(CodeParams(5, 3))
-        assert model.cover == ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6))
-        assert model.rhs == 12
+        cover, rhs = ilp._cover(CodeParams(5, 3))
+        assert cover == ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6))
+        assert rhs == 12
         assert singleton_upper(CodeParams(5, 3)) == 6
         assert ip_upper_bound(CodeParams(5, 3)) == (5, False)
         assert time.monotonic() - start < 5.0
@@ -190,7 +190,7 @@ def test_10_ilp_soundness_sweep():
             # position-count matrix of a real code satisfies every row the
             # solver gets: each covering row, for every symbol a, and each
             # link row.
-            rows, _ = ilp._program(build_model(params))
+            rows, _ = ilp._program(params)
             counts = [0] * (n * n)  # X[b][a] at column (b-1)*n + (a-1)
             for word in code.words:
                 for b, a in enumerate(word, start=1):

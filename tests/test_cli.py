@@ -13,6 +13,9 @@ from ulamcode.ball import EXACT_LIMIT
 from ulamcode.perm import ulam_distance
 
 
+DROPPED_BY_TABLES = "(--with-ip, --max-nodes, --max-seconds, --long-runs) would be dropped"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -129,6 +132,9 @@ class TestBounds:
         data = run_json(capsys, "bounds", "--n", "4", "--d", "1")
         assert data["result"]["best_lower"] == 24
         assert data["result"]["best_upper"] == 24
+        # The program needs d >= 2; ip_upper_bound answers d = 1 with n!.
+        data = run_json(capsys, "bounds", "--n", "4", "--d", "1", "--with-ip")
+        assert (data["status"], data["result"]["ip_upper"]) == ("ok", 24)
 
     def test_sphere_past_enumeration_size(self, capsys):
         # |B(1)| = 1 + 11^2 = 122 at n = 12.
@@ -313,6 +319,23 @@ class TestTables:
         assert "selects no cell" in err and "2 <= d <= n-1" in err
         assert f"error: {self.NO_CELL[argv]} selects no cell" in err
 
+    @pytest.mark.parametrize("argv, part", [
+        (("--n", "6..5,4"), "'6..5'"),
+        (("--n", "4", "--d", "3..2,2"), "'3..2'"),
+        (("--n", "6..5"), "'6..5'"),
+    ])
+    def test_reversed_range_fails(self, capsys, argv, part):
+        # A reversed part fails the request even beside parts that select cells.
+        code, out, err = run_cli(capsys, "tables", *argv)
+        assert (code, out) == (1, "")
+        assert f"error: empty range {part}" in err
+
+    def test_options_reach_the_searched_cells_of_a_mixed_request(self, capsys):
+        data = run_json(capsys, "tables", "--n", "5,10", "--d", "3", "--with-ip")
+        by_cell = {(c["n"], c["d"]): c for c in data["result"]["cells"]}
+        assert (by_cell[(5, 3)]["status"], by_cell[(5, 3)]["lower"]) == ("proven", 4)
+        assert by_cell[(10, 3)]["status"] == "skipped"
+
     def test_every_value_selects_a_cell(self, capsys):
         cells = run_json(
             capsys, "tables", "--n", "4..7", "--d", "3..5", "--max-nodes", "5"
@@ -471,6 +494,11 @@ class TestExportLp:
         assert code == 0
         assert path.read_text().endswith("End\n")
 
+    def test_d1_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "export-lp", "--n", "4", "--d", "1")
+        assert (code, out) == (1, "")
+        assert "d >= 2" in err
+
 
 class TestEnvelope:
     def test_schema_across_commands(self, capsys, envelope_schema, tmp_path):
@@ -532,6 +560,12 @@ class TestEnvelope:
         (("bounds", "--n", "5", "--d", "3", "--max-nodes", "8"), "need --with-ip"),
         (("bounds", "--n", "5", "--d", "3", "--max-seconds", "1"), "need --with-ip"),
         (("export-lp", "--n", "4", "--d", "3", "--format", "csv"), "not CSV"),
+        # tables requests whose every cell is a d = 2 construction or
+        # skipped past the search limit.
+        (("tables", "--n", "12", "--with-ip", "--max-nodes", "5"), DROPPED_BY_TABLES),
+        (("tables", "--n", "10..12", "--with-ip"), DROPPED_BY_TABLES),
+        (("tables", "--n", "10", "--d", "3", "--max-seconds", "1"), DROPPED_BY_TABLES),
+        (("tables", "--n", "8", "--d", "2", "--long-runs"), DROPPED_BY_TABLES),
     ])
     def test_dropped_options_and_combinations_rejected(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

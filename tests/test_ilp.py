@@ -1,4 +1,4 @@
-"""Integer-program model building, exact solving, and LP export."""
+"""The integer program of (n, d): its rows, exact solving, and LP export."""
 
 import hashlib
 import heapq
@@ -13,29 +13,22 @@ import pytest
 
 from ulamcode.bounds import CodeParams, singleton_upper
 from ulamcode.budget import SearchBudget
-from ulamcode.ilp import (
-    IP_NODE_CAP,
-    IlpModel,
-    build_model,
-    export_lp,
-    ip_upper_bound,
-    solve_ilp,
-)
+from ulamcode.ilp import IP_NODE_CAP, export_lp, ip_upper_bound, solve_ilp
 from ulamcode import cli, ilp, simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
 
 
-def program_rows(model):
+def program_rows(params):
     """The rows the solver sees, as (coefficients keyed by (b, a), sense, rhs)."""
-    n = model.n
-    rows, _ = ilp._program(model)
+    n = params.n
+    rows, _ = ilp._program(params)
     return [({(k // n + 1, k % n + 1): c for k, c in coeffs.items()}, sense, rhs)
             for _, coeffs, sense, rhs in rows]
 
 
-def satisfies(model, x):
+def satisfies(params, x):
     """Whether the point x[(b, a)] meets every row of the program."""
-    for coeffs, sense, rhs in program_rows(model):
+    for coeffs, sense, rhs in program_rows(params):
         lhs = sum(c * x[v] for v, c in coeffs.items())
         if not (lhs <= rhs if sense == LE else lhs == rhs):
             return False
@@ -46,54 +39,56 @@ class TestBuildModel:
     def test_shape(self):
         for n in range(4, 8):
             for d in range(2, n):
-                m = build_model(CodeParams(n, d))
-                assert len(m.cover) == n - d + 1
-                assert all(len(row) == n for row in m.cover)
-                assert m.rhs == math.factorial(n - 1) // math.factorial(d - 1)
-                senses = [sense for _, sense, _ in program_rows(m)]
+                p = CodeParams(n, d)
+                cover, rhs = ilp._cover(p)
+                assert len(cover) == n - d + 1
+                assert all(len(row) == n for row in cover)
+                assert rhs == math.factorial(n - 1) // math.factorial(d - 1)
+                senses = [sense for _, sense, _ in program_rows(p)]
                 assert senses == [LE] * (n * (n - d + 1)) + [EQ] * (n - 1)
 
     def test_coefficient_formula(self):
         for n, d in [(5, 3), (6, 4), (7, 2)]:
-            m = build_model(CodeParams(n, d))
-            for l, row in enumerate(m.cover):
+            p = CodeParams(n, d)
+            cover, rhs = ilp._cover(p)
+            for l, row in enumerate(cover):
                 for b in range(1, n + 1):
                     assert row[b - 1] == math.comb(b - 1, l) * math.comb(n - b, n - d - l)
             # The covering rows repeat cover for each symbol a, a outer, and
             # each carries the name of its (a, l) pair.
-            labels = [label for label, _, _, _ in ilp._program(m)[0]]
-            covering = program_rows(m)[: n * len(m.cover)]
-            for i, (coeffs, _, rhs) in enumerate(covering):
-                a, l = divmod(i, len(m.cover))
-                want = {(b, a + 1): c for b, c in enumerate(m.cover[l], start=1) if c}
-                assert (coeffs, rhs) == (want, m.rhs)
+            labels = [label for label, _, _, _ in ilp._program(p)[0]]
+            covering = program_rows(p)[: n * len(cover)]
+            for i, (coeffs, _, row_rhs) in enumerate(covering):
+                a, l = divmod(i, len(cover))
+                want = {(b, a + 1): c for b, c in enumerate(cover[l], start=1) if c}
+                assert (coeffs, row_rhs) == (want, rhs)
                 assert labels[i] == f"cover_a{a + 1}_l{l}"
             assert labels[len(covering):] == [f"link_b{b}" for b in range(1, n)]
 
     def test_worked_example_rows(self):
-        m = build_model(CodeParams(5, 3))
         # The simplified coefficient patterns of the paper's example.
-        assert m.cover == ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6))
-        assert m.rhs == 12
+        assert ilp._cover(CodeParams(5, 3)) == (
+            ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6)), 12
+        )
 
     def test_largest_distance_structure(self):
         # d = n - 1 keeps exactly the l = 0 and l = 1 split rows.
-        m = build_model(CodeParams(5, 4))
-        assert m.cover == ((4, 3, 2, 1, 0), (0, 1, 2, 3, 4))
-        assert m.rhs == 4
+        assert ilp._cover(CodeParams(5, 4)) == (((4, 3, 2, 1, 0), (0, 1, 2, 3, 4)), 4)
 
     def test_equalities_link_neighbouring_positions(self):
-        m = build_model(CodeParams(4, 2))
-        coeffs, sense, rhs = program_rows(m)[len(m.cover) * 4]
+        p = CodeParams(4, 2)
+        coeffs, sense, rhs = program_rows(p)[len(ilp._cover(p)[0]) * 4]
         assert (sense, rhs) == (EQ, 0)
         assert coeffs == {**{(1, a): 1 for a in range(1, 5)}, **{(2, a): -1 for a in range(1, 5)}}
 
     def test_d1_rejected(self):
-        with pytest.raises(ValueError):
-            build_model(CodeParams(4, 1))
+        # Every entry point builds the program itself, so each rejects d = 1.
+        for build in (ilp._cover, export_lp, solve_ilp):
+            with pytest.raises(ValueError, match="d >= 2"):
+                build(CodeParams(4, 1))
 
     def test_var_upper_from_tightest_row(self):
-        text = export_lp(build_model(CodeParams(5, 3)))
+        text = export_lp(CodeParams(5, 3))
         assert " 0 <= x_1_1 <= 2\n" in text   # 12 // 6
         assert " 0 <= x_3_1 <= 3\n" in text   # 12 // 4 from the middle row
         assert " 0 <= x_5_1 <= 2\n" in text
@@ -103,22 +98,24 @@ class TestBuildModel:
         # bounded by some covering row.
         for n in range(4, 13):
             for d in range(2, n):
-                cover = build_model(CodeParams(n, d)).cover
+                cover, _ = ilp._cover(CodeParams(n, d))
                 assert all(any(column) for column in zip(*cover)), (n, d)
 
 
-def relaxation(model):
-    # The root node alone solves the relaxation.
-    return solve_ilp(model, SearchBudget(max_nodes=1)).lp_relaxation_value
+def relaxation(params):
+    # The root relaxation solve_ilp starts from.
+    return ilp._lp_result(params).value
 
 
 class TestLpRelaxation:
     def test_zero_rhs_variant(self):
-        m = build_model(CodeParams(5, 3))
-        assert relaxation(IlpModel(m.n, m.d, m.cover, 0)) == 0
+        # The program's rows with every right-hand side set to 0.
+        rows, objective = ilp._program(CodeParams(5, 3))
+        zeroed = [(coeffs, sense, 0) for _, coeffs, sense, _ in rows]
+        assert solve_lp(25, zeroed, objective).value == 0
 
     def test_worked_example_window_and_value(self):
-        value = relaxation(build_model(CodeParams(5, 3)))
+        value = relaxation(CodeParams(5, 3))
         assert 5 <= value <= 6
         assert value == Fraction(6)  # frozen regression value
 
@@ -129,7 +126,7 @@ class TestLpRelaxation:
         for n in range(4, 9):
             for d in range(2, n):
                 p = CodeParams(n, d)
-                assert relaxation(build_model(p)) == singleton_upper(p)
+                assert relaxation(p) == singleton_upper(p)
 
 
 # Exact integer optima of the program itself (before the Singleton min),
@@ -153,54 +150,53 @@ FROZEN_GRID = {
 
 class TestSolveIlp:
     def test_worked_example(self):
-        sol = solve_ilp(build_model(CodeParams(5, 3)))
+        sol = solve_ilp(CodeParams(5, 3))
         assert sol.status == "optimal"
         assert sol.objective_value == 5
-        assert sol.lp_relaxation_value == 6
+        assert relaxation(CodeParams(5, 3)) == 6
 
     def test_all_ones_point_is_feasible_at_5_3(self):
-        m = build_model(CodeParams(5, 3))
-        assert satisfies(m, {(b, a): 1 for b in range(1, 6) for a in range(1, 6)})
+        assert satisfies(CodeParams(5, 3), {(b, a): 1 for b in range(1, 6) for a in range(1, 6)})
 
     def test_optimal_assignment_satisfies_model(self):
-        m = build_model(CodeParams(5, 3))
-        sol = solve_ilp(m)
+        p = CodeParams(5, 3)
+        sol = solve_ilp(p)
         x = sol.assignment
         assert sum(x[(1, a)] for a in range(1, 6)) == sol.objective_value
-        assert satisfies(m, x)
+        assert satisfies(p, x)
 
     def test_frozen_small_grid(self):
         for (n, d), (value, nodes) in FROZEN_GRID.items():
-            sol = solve_ilp(build_model(CodeParams(n, d)))
+            sol = solve_ilp(CodeParams(n, d))
             assert sol.status == "optimal"
             assert (sol.objective_value, sol.nodes_explored) == (value, nodes)
             assert nodes <= IP_NODE_CAP
 
     def test_deterministic_node_count(self):
-        a = solve_ilp(build_model(CodeParams(5, 3)))
-        b = solve_ilp(build_model(CodeParams(5, 3)))
+        a = solve_ilp(CodeParams(5, 3))
+        b = solve_ilp(CodeParams(5, 3))
         # At most the 200 nodes the benchmark gives (5,3).
         assert a.nodes_explored == b.nodes_explored == 131
         assert a.objective_value == b.objective_value
 
     def test_lp_dominates_ilp(self):
         for n, d in [(4, 2), (4, 3), (5, 3), (5, 4)]:
-            m = build_model(CodeParams(n, d))
-            sol = solve_ilp(m)
-            lp = sol.lp_relaxation_value
+            p = CodeParams(n, d)
+            sol = solve_ilp(p)
+            lp = relaxation(p)
             assert lp.numerator // lp.denominator >= sol.objective_value
 
     def test_default_budget_is_the_node_cap(self, monkeypatch):
         # Without a budget the program gets IP_NODE_CAP nodes, read when it
         # is called; the frozen grid above settles within the real cap.
         monkeypatch.setattr(ilp, "IP_NODE_CAP", 10)
-        model = build_model(CodeParams(5, 3))
-        sol = solve_ilp(model)
+        p = CodeParams(5, 3)
+        sol = solve_ilp(p)
         assert (sol.status, sol.nodes_explored) == ("bound_only", 11)
-        assert sol == solve_ilp(model, SearchBudget(max_nodes=10))
+        assert sol == solve_ilp(p, SearchBudget(max_nodes=10))
 
     def test_budget_exhaustion_is_explicit_and_sound(self):
-        sol = solve_ilp(build_model(CodeParams(5, 3)), SearchBudget(max_nodes=2))
+        sol = solve_ilp(CodeParams(5, 3), SearchBudget(max_nodes=2))
         assert sol.status == "bound_only"
         assert sol.objective_value >= 5  # never below the true optimum
         assert sol.objective_value <= 6  # never above the relaxation floor
@@ -248,19 +244,20 @@ def _snapshot(tab):
     return tab.ncols, list(tab.basis), mat[:-1], dens[:-1], mat[-1], dens[-1]
 
 
-def _cold_lp(model, path):
+def _cold_lp(params, path):
     """The deleted cold path, kept as the oracle: the relaxation with each
     bound of the path as an explicit row, solved cold.  It expands cover
     itself, X[b][a] at column (b-1)*n + (a-1)."""
-    n = model.n
+    n = params.n
+    cover, rhs = ilp._cover(params)
 
     def col(b, a):
         return (b - 1) * n + a - 1
 
     rows = [
-        ({col(b, a): c for b, c in enumerate(row, start=1)}, LE, model.rhs)
+        ({col(b, a): c for b, c in enumerate(row, start=1)}, LE, rhs)
         for a in range(1, n + 1)
-        for row in model.cover
+        for row in cover
     ]
     for b in range(1, n):
         link = {col(b, a): 1 for a in range(1, n + 1)}
@@ -273,13 +270,13 @@ def _cold_lp(model, path):
 class TestWarmStart:
     @pytest.mark.parametrize("cell, budget, at_least", [((5, 3), None, 100), ((7, 5), 31, 30)])
     def test_children_match_cold_solves(self, monkeypatch, cell, budget, at_least):
-        model = build_model(CodeParams(*cell))
+        params = CodeParams(*cell)
         rec = _Recorder(monkeypatch)
-        solve_ilp(model, SearchBudget(max_nodes=budget) if budget else None)
+        solve_ilp(params, SearchBudget(max_nodes=budget) if budget else None)
         assert len(rec.children) >= at_least
         statuses = set()
         for path, status, (ncols, basis, rows, dens, obj, obj_den) in rec.children:
-            cold = _cold_lp(model, path)
+            cold = _cold_lp(params, path)
             statuses.add(status)
             assert status == cold.status
             if status == OPTIMAL:
@@ -289,10 +286,10 @@ class TestWarmStart:
     def test_rebuilt_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
         # With no bytes for kept tableaux, every popped node is rebuilt.
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
-        model = build_model(CodeParams(5, 3))
-        root = _snapshot(_cold_lp(model, ()).tableau)
+        params = CodeParams(5, 3)
+        root = _snapshot(_cold_lp(params, ()).tableau)
         rec = _Recorder(monkeypatch)
-        solve_ilp(model)
+        solve_ilp(params)
         solved = {path: snap for path, status, snap in rec.children if status == OPTIMAL}
         solved[()] = root
         assert len(rec.rebuilt) > 50
@@ -306,7 +303,7 @@ class TestWarmStart:
 
 def _solve(cell, max_nodes=None):
     budget = SearchBudget(max_nodes=max_nodes) if max_nodes else None
-    sol = solve_ilp(build_model(CodeParams(*cell)), budget)
+    sol = solve_ilp(CodeParams(*cell), budget)
     return sol.status, sol.objective_value, sol.assignment, sol.nodes_explored
 
 
@@ -449,7 +446,7 @@ class TestRootTableaux:
 
     def test_root_tableaux(self):
         for cell, (basis, digest) in ROOT_TABLEAUX.items():
-            tab = ilp._lp_result(build_model(CodeParams(*cell))).tableau
+            tab = ilp._lp_result(CodeParams(*cell)).tableau
             assert tab.basis == basis, cell
             assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
             data = repr((tab.mat.tolist(), tab.dens.tolist())).encode()
@@ -461,7 +458,7 @@ class TestRootTableaux:
         monkeypatch.setattr(simplex._Tableau, "pivot",
                             lambda tab, r, c: (pivots.append((r, c)), pivot(tab, r, c)))
         for cell in IPBOUND_CAPS:
-            ilp._lp_result(build_model(CodeParams(*cell)))
+            ilp._lp_result(CodeParams(*cell))
         roots = len(pivots)
         pivots.clear()
         # The programs' pivots include their roots'.
@@ -503,11 +500,11 @@ class TestTypesAtTheBoundary:
 
     @pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=10)])
     def test_solution_fields(self, budget):
-        sol = solve_ilp(build_model(CodeParams(5, 3)), budget)
+        sol = solve_ilp(CodeParams(5, 3), budget)
         assert sol.status == ("optimal" if budget is None else "bound_only")
         assert type(sol.objective_value) is int
         assert all(type(v) is int for v in sol.assignment.values())
-        value = sol.lp_relaxation_value
+        value = relaxation(CodeParams(5, 3))
         assert type(value) is Fraction and type(value.numerator) is int
         assert type(value.denominator) is int
 
@@ -516,7 +513,7 @@ class TestTypesAtTheBoundary:
         # start; the search must take the same nodes to the same answer.
         monkeypatch.setattr(simplex, "_INT64_LIMIT", 0)
         rec = _Recorder(monkeypatch)
-        sol = solve_ilp(build_model(CodeParams(5, 3)))
+        sol = solve_ilp(CodeParams(5, 3))
         assert (sol.status, sol.objective_value, sol.nodes_explored) == ("optimal", 5, 131)
         assert type(sol.objective_value) is int
         assert all(type(v) is int for v in sol.assignment.values())
@@ -562,15 +559,15 @@ EXPORT_LP_SHA256 = {
 
 class TestExportLp:
     def test_contains_worked_example_row(self):
-        text = export_lp(build_model(CodeParams(5, 3)))
+        text = export_lp(CodeParams(5, 3))
         assert "cover_a1_l0: 6 x_1_1 + 3 x_2_1 + x_3_1 <= 12" in text
 
     def test_deterministic(self):
-        m = build_model(CodeParams(5, 3))
-        assert export_lp(m) == export_lp(m)
+        p = CodeParams(5, 3)
+        assert export_lp(p) == export_lp(p)
 
     def test_sections_present(self):
-        text = export_lp(build_model(CodeParams(4, 2)))
+        text = export_lp(CodeParams(4, 2))
         for section in ("Maximize", "Subject To", "Bounds", "General", "End"):
             assert section in text
 
@@ -578,11 +575,11 @@ class TestExportLp:
         # Byte for byte, every cell with 4 <= n <= 8 and 2 <= d <= n - 1.
         assert set(EXPORT_LP_SHA256) == {(n, d) for n in range(4, 9) for d in range(2, n)}
         for cell, digest in EXPORT_LP_SHA256.items():
-            text = export_lp(build_model(CodeParams(*cell)))
+            text = export_lp(CodeParams(*cell))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, cell
 
     def test_round_trip_resolve(self):
-        text = export_lp(build_model(CodeParams(5, 3)))
+        text = export_lp(CodeParams(5, 3))
         value = _solve_lp_text_as_ilp(text)
         assert value == 5
 

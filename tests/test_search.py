@@ -642,6 +642,15 @@ class TestTables:
         with pytest.raises(ValueError, match=f"{value} selects no cell"):
             reproduce_tables(n_values, d_values)
 
+    @pytest.mark.parametrize("n_values, d_values, options", [
+        ([12], None, {"with_ip": True}),
+        ([10, 11], [3], {"cell_budget": SearchBudget(max_nodes=5)}),
+        ([8], [2], {"cell_budget": SearchBudget()}),
+    ], ids=["with-ip", "budget", "unlimited"])
+    def test_options_with_no_searched_cell_fail(self, n_values, d_values, options):
+        with pytest.raises(ValueError, match="no requested cell is searched"):
+            reproduce_tables(n_values, d_values, **options)
+
     def test_exhausted_singleton_search_caps_the_cell(self):
         # No Singleton-optimal code at (7,4), so A(7,4) <= 4! - 1.
         (cell,) = reproduce_tables([7], [4], cell_budget=SearchBudget(max_nodes=30_000))
