@@ -6,10 +6,10 @@ export-lp CSV.  JSON runs are wrapped in a stable envelope described by
 data/cli-output.schema.json; identical configurations produce
 byte-identical JSON apart from the elapsed-seconds field.
 
-A subcommand takes only the common options it reads (--seed and --strict
-on mc and clt, --max-nodes and --max-seconds on bounds, search and tables);
-header fields it has no option for are null, and option combinations that
-would drop an option exit 1.
+A subcommand takes only the common options it reads (--seed on mc and
+clt, --max-nodes and --max-seconds on bounds, search and tables); header
+fields it has no option for are null, and option combinations that would
+drop an option exit 1.
 
 main builds the argument parser of the subcommand it runs only, because
 most of a run's fixed cost is in building parsers; a first argument that
@@ -84,8 +84,6 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     common.add_argument("--threads", type=int, default=None)
     randomized = argparse.ArgumentParser(add_help=False)
     randomized.add_argument("--seed", type=int, default=None)
-    randomized.add_argument("--strict", action="store_true",
-                            help="require an explicit --seed")
     budgeted = argparse.ArgumentParser(add_help=False)
     budgeted.add_argument("--max-nodes", type=int, default=None)
     budgeted.add_argument("--max-seconds", type=float, default=None)
@@ -129,12 +127,9 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
         p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
         p.add_argument("--with-ip", action="store_true")
-        p.add_argument("--long-runs", action="store_true",
-                       help="run the searches without the default node cap")
 
     if p := add("ball", [common], "Ulam ball sizes"):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, default=None)
 
     if p := add("lisdist", [common], "exact LIS-length distribution over S_n"):
         p.add_argument("--n", type=int, required=True)
@@ -158,15 +153,16 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
 def _parse_range(text: str) -> list[int]:
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = (int(v) for v in part.split("..", 1))
-            if lo > hi:
-                raise ValueError(f"empty range {part!r}")
-            values.extend(range(lo, hi + 1))
-        elif part:
-            values.append(int(part))
+    for part in map(str.strip, text.split(",")):
+        if not part:
+            continue
+        try:
+            lo, hi = map(int, part.split("..")) if ".." in part else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"bad range part {part!r}") from None
+        if lo > hi:
+            raise ValueError(f"empty range {part!r}")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise ValueError(f"empty range {text!r}")
     return values
@@ -179,12 +175,12 @@ def _budget(args) -> Optional[SearchBudget]:
 
 
 def _seed(args) -> Optional[int]:
-    """--seed of mc and clt, 0 if not given unless --strict; None for the
-    subcommands that draw no random numbers."""
+    """--seed of mc and clt, 0 if not given; None for the subcommands that
+    draw no random numbers."""
     if "seed" not in args:
         return None
-    if args.seed is None and args.strict:
-        raise ValueError("--strict requires an explicit --seed here")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     return 0 if args.seed is None else args.seed
 
 
@@ -392,13 +388,9 @@ def _cmd_verify(run: _Run) -> int:
 
 def _cmd_tables(run: _Run) -> int:
     args = run.args
-    if args.long_runs and run.budget is not None:
-        raise ValueError("--long-runs lifts the node cap; it takes no "
-                         "--max-nodes or --max-seconds")
     n_values = _parse_range(args.n)
-    d_values = _parse_range(args.d) if args.d else None
-    budget = SearchBudget() if args.long_runs else run.budget
-    cells = reproduce_tables(n_values, d_values, budget, args.with_ip)
+    d_values = _parse_range(args.d) if args.d is not None else None
+    cells = reproduce_tables(n_values, d_values, run.budget, args.with_ip)
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
     result = {"cells": [dataclasses.asdict(c) for c in cells]}
@@ -446,10 +438,6 @@ def _cmd_ball(run: _Run) -> int:
     args = run.args
     table = ball_table(args.n)
     sizes = sorted(table.sizes.items())
-    if args.r is not None:
-        if args.r not in table.sizes:
-            raise ValueError(f"radius must be in 0..{args.n - 1}, got {args.r}")
-        sizes = [(args.r, table.sizes[args.r])]
     result = {"n": args.n, "sizes": {str(r): s for r, s in sizes}}
     return run.emit(
         result,

@@ -73,7 +73,8 @@ SEARCH_LIMIT = 9
 # Node cap of each phase of a search given no budget.  Only the cells with
 # no desk-scale proof (n >= 7 and d <= n - 3) reach it; every other cell
 # settles each phase within 2,860 nodes ((8,6) takes 567 in all, (9,7)
-# 3,289).  tables --long-runs passes an unlimited budget instead.
+# 3,289).  Any budget replaces it: --max-nodes or --max-seconds on the
+# command line, SearchBudget() for no cap at all.
 HARD_CELL_NODE_CAP = 200_000
 # Byte bound on a search's memo of far rows (about n!/8 bytes each, beside
 # one list slot per bit); a row that would push the memo past it empties
@@ -129,7 +130,8 @@ def verify_code(words: Sequence[Perm] | frozenset[Perm], params: CodeParams) -> 
     n = params.n
     for w in wordlist:
         if len(w) != n:
-            raise ValueError(f"word of length {len(w)} in a length-{n} code")
+            raise ValueError(f"word {format_permutation(w)} of length {len(w)} in a "
+                             f"length-{n} code")
         check_permutation(w)
     dtype = _kernel_dtype(n)
     arr = np.array(wordlist, dtype=dtype) - 1
@@ -506,15 +508,23 @@ def write_code_file(code: Code, path: str | Path) -> None:
 
 
 def read_code_file(path: str | Path) -> tuple[CodeParams, list[Perm]]:
-    """Read the code file format; verification is the caller's job."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Read the code file format; verification is the caller's job.  A
+    line that does not parse is named as path:line, blank lines counted."""
+    lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty code file {path}")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f'{path}: first line must be "n d"')
-    params = CodeParams(int(head[0]), int(head[1]))
-    return params, [parse_permutation(ln) for ln in lines[1:]]
+    try:
+        n, d = map(int, lines[0][1].split())
+    except ValueError:
+        raise ValueError(f'{path}:{lines[0][0]}: first line must be "n d"') from None
+    params = CodeParams(n, d)
+    words = []
+    for i, ln in lines[1:]:
+        try:
+            words.append(parse_permutation(ln))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
+    return params, words
 
 
 @dataclass
@@ -544,8 +554,9 @@ def reproduce_tables(
     ValueError.  d = 2 cells come from the known construction (size
     (n-1)!, always Singleton-optimal), cells past SEARCH_LIMIT report their
     bounds as "skipped", and every other cell is max_code_search's answer
-    under ``cell_budget`` (SearchBudget() lifts the node cap).  Cells whose
-    budget runs out are explicitly "bounded", never silently wrong.
+    under ``cell_budget``, which replaces the default node cap
+    (SearchBudget() runs uncapped).  Cells whose budget runs out are
+    explicitly "bounded", never silently wrong.
     ``with_ip`` and ``cell_budget`` reach searched cells only, so setting
     either when no requested cell is searched is a ValueError.
     """
@@ -559,8 +570,8 @@ def reproduce_tables(
     if (with_ip or cell_budget is not None) and all(d == 2 or n > SEARCH_LIMIT for n, d in pairs):
         raise ValueError(
             f"no requested cell is searched (d = 2 is a construction, n > {SEARCH_LIMIT} is "
-            "skipped), so with_ip and cell_budget (--with-ip, --max-nodes, --max-seconds, "
-            "--long-runs) would be dropped"
+            "skipped), so with_ip and cell_budget (--with-ip, --max-nodes, --max-seconds) "
+            "would be dropped"
         )
     cells: list[TableCell] = []
     ball_tables = functools.cache(ball_table)  # one LIS distribution per n

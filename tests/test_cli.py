@@ -13,7 +13,7 @@ from ulamcode.ball import EXACT_LIMIT
 from ulamcode.perm import ulam_distance
 
 
-DROPPED_BY_TABLES = "(--with-ip, --max-nodes, --max-seconds, --long-runs) would be dropped"
+DROPPED_BY_TABLES = "(--with-ip, --max-nodes, --max-seconds) would be dropped"
 
 
 def run_cli(capsys, *argv):
@@ -179,7 +179,7 @@ class TestSearchAndVerify:
     @pytest.mark.parametrize("body, message", [
         ("1 2 3\n1 2 3\n3 2 1\n", "distance 0 < 2: 1 2 3 vs 1 2 3"),
         ("1 2 3\n1 1 2\n", "symbol 1 appears more than once"),
-        ("1 2 3\n1 2\n", "word of length 2"),
+        ("1 2 3\n1 2\n", "word 1 2 of length 2 in a length-3 code"),
     ])
     def test_verify_rejects_repeated_and_malformed_words(
         self, capsys, tmp_path, body, message
@@ -189,6 +189,19 @@ class TestSearchAndVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out) == (1, "")
         assert message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("4 2\n1 2 3 4\n\n2 1 4 3\n2 1 x 3\n", "5: token 'x' at column 3 is not an integer"),
+        ("\n4 x\n1 2 3 4\n", '2: first line must be "n d"'),
+        ("4 2 1\n1 2 3 4\n", '1: first line must be "n d"'),
+    ])
+    def test_verify_names_the_line_of_a_malformed_line(self, capsys, tmp_path, text, message):
+        # Line numbers count the blank lines the reader skips.
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert f"error: {path}:{message}\n" in err
 
     def test_verify_cross_check_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(search, "ulam_distance", lambda u, w: 0)
@@ -269,13 +282,15 @@ class TestTables:
         assert "4,2,6,6,proven,yes,construction" in lines
         assert "4,3,2,2,proven,yes,search" in lines
 
-    def test_with_ip_and_long_runs_flags(self, capsys):
+    def test_with_ip_and_a_large_node_budget(self, capsys):
+        # A run without the default node cap; the header records its budget.
         data = run_json(
-            capsys, "tables", "--n", "5", "--d", "3", "--with-ip", "--long-runs"
+            capsys, "tables", "--n", "5", "--d", "3", "--with-ip", "--max-nodes", "1000000000"
         )
         (cell,) = data["result"]["cells"]
         assert cell["status"] == "proven"
         assert cell["lower"] == 4
+        assert data["budgets"] == {"max_nodes": 1_000_000_000, "max_seconds": None}
 
     def test_past_search_limit_is_skipped(self, capsys):
         data = run_json(capsys, "tables", "--n", "10", "--d", "3")
@@ -323,12 +338,20 @@ class TestTables:
         (("--n", "6..5,4"), "'6..5'"),
         (("--n", "4", "--d", "3..2,2"), "'3..2'"),
         (("--n", "6..5"), "'6..5'"),
+        (("--n", "4", "--d", ""), "''"),
     ])
     def test_reversed_range_fails(self, capsys, argv, part):
-        # A reversed part fails the request even beside parts that select cells.
+        # A reversed part fails the request even beside parts that select
+        # cells, and an empty --d is not read as "every d".
         code, out, err = run_cli(capsys, "tables", *argv)
         assert (code, out) == (1, "")
         assert f"error: empty range {part}" in err
+
+    @pytest.mark.parametrize("part", ["4..x", "4..6..8", "4.."])
+    def test_malformed_range_part_is_named(self, capsys, part):
+        code, out, err = run_cli(capsys, "tables", "--n", f"{part},5")
+        assert (code, out) == (1, "")
+        assert f"error: bad range part {part!r}\n" in err
 
     def test_options_reach_the_searched_cells_of_a_mixed_request(self, capsys):
         data = run_json(capsys, "tables", "--n", "5,10", "--d", "3", "--with-ip")
@@ -420,10 +443,6 @@ class TestBallAndDist:
         assert code == 0
         assert body == ["1 1", "2 4", "3 1"]
 
-    def test_ball_radius(self, capsys):
-        data = run_json(capsys, "ball", "--n", "3", "--r", "1")
-        assert data["result"]["sizes"] == {"1": 5}
-
     def test_ball_capacity_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ball", "--n", str(EXACT_LIMIT + 1))
         assert code == 2
@@ -437,17 +456,13 @@ class TestMcAndClt:
         assert a["result"]["estimate"] == b["result"]["estimate"]
         assert a["seed"] == 0  # implicit default
 
-    def test_mc_strict_requires_seed(self, capsys):
-        code, _, err = run_cli(
-            capsys, "mc", "--n", "6", "--k", "4", "--samples", "10", "--strict"
-        )
-        assert code == 1
-        assert "--seed" in err
-        code, _, _ = run_cli(
-            capsys, "mc", "--n", "6", "--k", "4", "--samples", "10",
-            "--strict", "--seed", "5",
-        )
-        assert code == 0
+    @pytest.mark.parametrize("cmd", [("mc", "--k", "1", "--seed", "-1"),
+                                     ("clt", "--seed", "-2")])
+    def test_negative_seed_exits_1(self, capsys, cmd):
+        # mc with k = 1 draws nothing, so only the seed check can refuse it.
+        code, out, err = run_cli(capsys, cmd[0], "--n", "5", "--samples", "3", *cmd[1:])
+        assert (code, out) == (1, "")
+        assert "error: --seed must be >= 0" in err
 
     @pytest.mark.parametrize("k", ["1", "2"])
     def test_mc_negative_sample_count_exits_1(self, capsys, k):
@@ -555,8 +570,11 @@ class TestEnvelope:
         # Combinations that would drop an option.
         (("search", "--n", "6", "--d", "3", "--singleton-only", "--with-ip"),
          "not allowed with argument"),
-        (("tables", "--n", "5", "--long-runs", "--max-nodes", "10"), "--long-runs"),
-        (("tables", "--n", "5", "--long-runs", "--max-seconds", "10"), "--long-runs"),
+        # tables --long-runs is gone: any budget replaces the default node cap.
+        (("tables", "--n", "5", "--long-runs", "--max-nodes", "10"),
+         "unrecognized arguments: --long-runs"),
+        (("tables", "--n", "5", "--long-runs", "--max-seconds", "10"),
+         "unrecognized arguments: --long-runs"),
         (("bounds", "--n", "5", "--d", "3", "--max-nodes", "8"), "need --with-ip"),
         (("bounds", "--n", "5", "--d", "3", "--max-seconds", "1"), "need --with-ip"),
         (("export-lp", "--n", "4", "--d", "3", "--format", "csv"), "not CSV"),
@@ -565,7 +583,12 @@ class TestEnvelope:
         (("tables", "--n", "12", "--with-ip", "--max-nodes", "5"), DROPPED_BY_TABLES),
         (("tables", "--n", "10..12", "--with-ip"), DROPPED_BY_TABLES),
         (("tables", "--n", "10", "--d", "3", "--max-seconds", "1"), DROPPED_BY_TABLES),
-        (("tables", "--n", "8", "--d", "2", "--long-runs"), DROPPED_BY_TABLES),
+        (("tables", "--n", "8", "--d", "2", "--max-nodes", "1000000000"), DROPPED_BY_TABLES),
+        # Options that are gone: ball prints every radius, and the header
+        # prints the seed.
+        (("ball", "--n", "9", "--r", "3"), "unrecognized arguments: --r"),
+        (("mc", "--n", "6", "--k", "4", "--strict"), "unrecognized arguments: --strict"),
+        (("clt", "--n", "6", "--strict", "--seed", "5"), "unrecognized arguments: --strict"),
     ])
     def test_dropped_options_and_combinations_rejected(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -587,7 +610,7 @@ class TestEnvelope:
 def test_long_options_of_every_subcommand():
     # Adding or dropping a flag has to change this list.
     common = {"--format", "--out", "--threads", "--help"}
-    seeded = {"--seed", "--strict"}
+    seeded = {"--seed"}
     budgeted = {"--max-nodes", "--max-seconds"}
     own = {
         "distance": set(),
@@ -596,8 +619,8 @@ def test_long_options_of_every_subcommand():
         "search": {"--n", "--d", "--singleton-only", "--with-ip", "--save-code"}
         | budgeted,
         "verify": set(),
-        "tables": {"--n", "--d", "--with-ip", "--long-runs"} | budgeted,
-        "ball": {"--n", "--r"},
+        "tables": {"--n", "--d", "--with-ip"} | budgeted,
+        "ball": {"--n"},
         "lisdist": {"--n"},
         "mc": {"--n", "--k", "--samples"} | seeded,
         "clt": {"--n", "--samples"} | seeded,

@@ -870,8 +870,8 @@ class TestBudgetRule:
         assert max(itertools.chain.from_iterable(found.values())) < 3_000
 
     def test_long_runs_lift_the_cap(self, calls):
-        # tables --long-runs passes an unlimited budget; the program keeps
-        # its own cap.
+        # SearchBudget() runs both search phases uncapped; the program
+        # keeps its own cap.
         reproduce_tables([7], [3], cell_budget=SearchBudget(), with_ip=True)
         assert self.budgets(calls, 7) == {
             "ip": SearchBudget(max_nodes=500),
@@ -897,28 +897,39 @@ class TestBudgetRule:
     @pytest.mark.parametrize(
         "budget_args, expected",
         [
-            ((), {"bounds": None, "search": SearchBudget(max_nodes=500),
-                  "tables": SearchBudget(max_nodes=500)}),
+            ((), {"bounds": None, "ip": SearchBudget(max_nodes=500),
+                  "singleton": SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP),
+                  "max": SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP)}),
             (("--max-nodes", "8"), {"bounds": SearchBudget(max_nodes=8),
-                                    "search": SearchBudget(max_nodes=500),
-                                    "tables": SearchBudget(max_nodes=500)}),
+                                    "ip": SearchBudget(max_nodes=500),
+                                    "singleton": SearchBudget(max_nodes=8),
+                                    "max": SearchBudget(max_nodes=8)}),
+            # A time cap alone also replaces the default node cap: no phase
+            # has one, and the Singleton phase stops at half the time.
+            (("--max-seconds", "30"), {"bounds": SearchBudget(max_seconds=30.0),
+                                       "ip": SearchBudget(max_nodes=500, max_seconds=30.0),
+                                       "singleton": SearchBudget(max_seconds=15.0),
+                                       "max": SearchBudget(max_seconds=30.0)}),
         ],
     )
     def test_one_ip_budget_rule_in_every_command(
-        self, calls, capsys, budget_args, expected
+        self, calls, capsys, monkeypatch, budget_args, expected
     ):
         # bounds runs only the program, so the budget is the program's
         # (None: solve_ilp's own IP_NODE_CAP).  search and tables give it
-        # IP_NODE_CAP nodes, whatever nodes the search phases get.
+        # IP_NODE_CAP nodes and the time left on the cell's clock, which is
+        # stopped here; each search phase gets the budget or, without one,
+        # the default node cap.
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
         assert ilp.IP_NODE_CAP == 500
-        for command, budget in expected.items():
+        for command in ("bounds", "search", "tables"):
             calls.clear()
             argv = [command, "--n", "6", "--d", "3", "--with-ip", *budget_args]
             assert cli.main(argv + ["--format", "json"]) == 0
-            assert [b for _, kind, b in calls if kind == "ip"] == [budget]
-            if command != "bounds":
-                nodes = int(budget_args[1]) if budget_args else search.HARD_CELL_NODE_CAP
-                assert self.budgets(calls, 6)["max"] == SearchBudget(max_nodes=nodes)
+            if command == "bounds":
+                assert calls == [(6, "ip", expected["bounds"])]
+            else:
+                assert calls == [(6, kind, expected[kind]) for kind in ("singleton", "max", "ip")]
         capsys.readouterr()
 
     def test_ip_gets_the_time_left_on_the_cell_clock(self, monkeypatch):
