@@ -18,10 +18,10 @@ _CHUNK_BYTES in the kernel's dtype, and each chunk is drawn by
 exactly the draws of successive ``rng.permutation(n)`` calls, whatever the
 chunking.  Where _batch_wins predicts it faster from the chunk's (rows, n),
 the slices are copied one column per row into an (n, rows) array in int16
-(int32 from n = 32,767 on), and the batched patience kernel reads its
-transpose without a copy.  Otherwise the lengths come row by row from
-``perm.lis_length``; both read the same draw, so the choice never moves a
-sample.
+(uint16 from n = 32,767 on, int32 from n = 65,535), and the batched
+patience kernel reads its transpose without a copy.  Otherwise the lengths
+come row by row from ``perm.lis_length``; both read the same draw, so the
+choice never moves a sample.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _sphere_bounds(table: BallTable, delta: int) -> tuple[int, int]:
 def _kernel_dtype(n: int) -> np.dtype:
     """Smallest dtype in which _lis_lengths_batch takes permutations of
     0..n-1: its maximum, the kernel's sentinel, must exceed every symbol."""
-    return np.dtype(np.int16 if n < np.iinfo(np.int16).max else np.int32)
+    return np.dtype(next((t for t in (np.int16, np.uint16) if n < np.iinfo(t).max), np.int32))
 
 
 def _lis_lengths_batch(perms: np.ndarray) -> np.ndarray:
@@ -175,17 +175,20 @@ def _batch_wins(rows: int, n: int) -> bool:
     n = 33 to 0.35 us at n = 6 * 10^4 on a 2-CPU machine.  A kernel step
     costs about 50 units of numpy overhead plus, per row, 0.08 + sqrt(n)/c
     units for the comparisons against the about 2 sqrt(n) open piles, with
-    c = 2000 in int16 and 450 in int32.  The kernel is chosen where that
-    predicts at most 0.9 of the loop's time: from 62 rows at n = 33, 63 at
-    n = 1000, 65 at n = 10^4 and 69 at n = 32,766; in int32 from 120 rows,
-    more than a chunk then holds, and never past n = 136,160.  Measured
-    against the loop, it takes 1.17 / 0.91 / 0.64 of the time at 56 / 64 /
-    96 rows for n = 33, 0.67-0.81 / 0.42 / 0.15 at 64 / 128 / 1024 rows for
-    n = 1000, 0.78-1.06 / 0.71 / 0.51 at 64 / 72 / 128 rows for n = 10^4,
-    0.85 / 0.76 at 64 / 96 rows for n = 3 * 10^4, and 1.37 / 0.92 / 0.77
-    at 64 / 96 / 128 rows for n = 4 * 10^4.
+    c = 2000 in int16, 1000 in uint16 and 450 in int32.  The kernel is
+    chosen where that predicts at most 0.9 of the loop's time: from 62 rows
+    at n = 33, 63 at n = 1000, 65 at n = 10^4 and 69 at n = 32,766; in
+    uint16 from 79 rows at n = 32,767, so an 8 MB chunk takes it up to
+    n = 49,932; in int32 from 200 rows at n = 65,535, more than a chunk then
+    holds, and never past n = 136,160.  Measured against the loop, it takes
+    1.17 / 0.91 / 0.64 of the time at 56 / 64 / 96 rows for n = 33,
+    0.67-0.81 / 0.42 / 0.15 at 64 / 128 / 1024 rows for n = 1000,
+    0.78-1.06 / 0.71 / 0.51 at 64 / 72 / 128 rows for n = 10^4, and
+    0.85 / 0.76 at 64 / 96 rows for n = 3 * 10^4; in uint16, to which c is
+    fitted, 0.91 / 0.74 / 0.67 at 96 / 104 / 128 rows for n = 4 * 10^4 and
+    1.13 / 0.68 at 69 / 128 rows for n = 6 * 10^4 (int32: 0.95 at 104 rows).
     """
-    c = 2000 if _kernel_dtype(n) == np.int16 else 450
+    c = {"int16": 2000, "uint16": 1000}.get(_kernel_dtype(n).name, 450)
     return rows * (0.82 - math.sqrt(n) / c) > 50
 
 

@@ -26,7 +26,8 @@ tries a level's members in an inner loop.  The distance-at-least-d row of
 a permutation sigma is computed on demand and memoized, so the full
 pairwise graph is never materialized.  One vectorized LIS sweep over S_n
 per cell finds the identity's far set; by left-invariance the row of sigma
-is that set relabeled by sigma, ranked back into bit positions.
+is that set relabeled by sigma, ranked back into bit positions by one
+float32 matrix-vector product.
 
 max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
 S_n, the Singleton phase, then, if it finds no code, the maximum phase
@@ -68,8 +69,10 @@ from .perm import (
 )
 
 # Largest n a search accepts, checked before S_n is built: S_9 has 362,880
-# words, and one far row of it is 45 KB.
+# words, and one far row of it is 45 KB.  far_row's float32 ranks are exact
+# while n! <= 2^24.
 SEARCH_LIMIT = 9
+assert math.factorial(SEARCH_LIMIT) < 2**24
 # Node cap of each phase of a search given no budget.  Only the cells with
 # no desk-scale proof (n >= 7 and d <= n - 3) reach it; every other cell
 # settles each phase within 2,860 nodes ((8,6) takes 567 in all, (9,7)
@@ -197,6 +200,24 @@ def _field_masks(width: int, count: int) -> tuple[int, list[int], list[int]]:
     return span, [low & cut for cut in cuts], [guard & cut for cut in cuts]
 
 
+def _rank_weights(words: np.ndarray) -> np.ndarray:
+    """(count, k^2) float32 weights whose product with (w[:, None] < w),
+    flattened, for a word w of 0..k-1 is _lex_ranks(w.take(words)): the lex
+    rank of each column of the (k, count) words relabeled by w.
+
+    The Lehmer term (k-1-i)! of entry i of a column counts once for each
+    later entry a that w maps below the entry b at i: it sits at a k + b.
+    Every partial sum is an integer below k! <= 2^24, exact in float32.
+    """
+    k, count = words.shape
+    words = words.astype(np.intp)
+    weights = np.zeros((count, k * k), dtype=np.float32)
+    columns = np.arange(count)
+    for i in range(k - 1):
+        weights[columns, words[i + 1 :] * k + words[i]] = math.factorial(k - 1 - i)
+    return weights
+
+
 def _lex_permutations(n: int) -> np.ndarray:
     """S_n as an (n!, n) int8 array of 0-based words in lex order.
 
@@ -230,10 +251,12 @@ class _SearchSpace:
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
     and the row of sigma is F relabeled by sigma.  Only the smaller of F and
-    its complement is kept, as an (n, k) array with one word per column, so
-    a row is n^2/2 vectorized compares down k columns and a scatter of k
-    bits.  A row never meets its own class: two words of one class share
-    the order of symbols 1..n-d+1, so they are within d-1 of each other.
+    its complement is kept, as an (n, k) array with one word per column.
+    The first row turns it into (k, n^2) float32 rank weights, so a row is
+    the n^2 compares of sigma's symbols with each other, one matrix-vector
+    product for the k lex ranks, and a scatter of k bits.  A row never
+    meets its own class: two words of one class share the order of symbols
+    1..n-d+1, so they are within d-1 of each other.
     """
 
     def __init__(self, params: CodeParams):
@@ -268,8 +291,10 @@ class _SearchSpace:
         self._base = np.ascontiguousarray(self.words[kept].T)
         self._nbits = self.classes * self.stride
         self._row_nbytes = (self._nbits + 7) // 8
-        # Far rows by bit, allocated by the first row; _cached counts them.
+        # Far rows by bit and far_row's rank weights, both made by the first
+        # row; _cached counts the rows.
         self._rows: list[Optional[int]] = []
+        self._weights: Optional[np.ndarray] = None
         self._cached = 0
 
     def word_row(self, bit):
@@ -277,9 +302,10 @@ class _SearchSpace:
         return bit - bit // self.stride
 
     def row_memo(self) -> list[Optional[int]]:
-        """The memo of far rows, one slot per bit, None until computed."""
+        """The memo of far rows, one slot per bit; its first call builds the rank weights."""
         if not self._rows:
             self._rows.extend([None] * self._nbits)
+            self._weights = _rank_weights(self._base)
         return self._rows
 
     def far_row(self, bit: int) -> int:
@@ -287,9 +313,10 @@ class _SearchSpace:
         rows = self.row_memo()
         row = rows[bit]
         if row is None:
-            words = self.words[self.word_row(bit)].take(self._base)
+            w = self.words[self.word_row(bit)]
+            ranks = self._weights @ (w[:, None] < w).ravel().astype(np.float32)
             bits = np.zeros(self._nbits, dtype=bool)
-            bits[self._position[_lex_ranks(words)]] = True
+            bits[self._position[ranks.astype(np.intp)]] = True
             if self._complement:
                 np.logical_not(bits, out=bits)
                 bits[self.width :: self.stride] = False
@@ -337,8 +364,8 @@ def _clique_search(
     # Level t fills the top class of rest, the candidates it was opened on,
     # from bit base: todo holds the members left (as rest >> base) and live
     # the classes rest reaches.  The current level lives in locals; while a
-    # deeper level runs, levels[t] holds (rest, base, todo, live) and
-    # picks[t] the member whose child opened level t + 1.
+    # deeper level runs, levels[t] holds (rest, base, todo, live, low, guard)
+    # and picks[t] the member whose child opened level t + 1.
     levels, picks = [None] * space.classes, [0] * space.classes
     size = len(chosen)  # the clique a child of the current level extends
     rest, nodes, t = cand, 0, 0
@@ -375,24 +402,22 @@ def _clique_search(
                 # The child beat floor, or raised it to size + 1: it can
                 # still grow iff it reaches a class.
                 if reach:
-                    levels[t] = rest, base, todo, live
+                    levels[t] = rest, base, todo, live, low, guard
                     t, size, rest, live = t + 1, size + 1, child, reach
                     break
             else:
-                # The class is done: skip it, on the same level if the
-                # classes left can still beat floor, else close the level
-                # and resume its parent's members.
-                rest &= (1 << base) - 1
+                # The class is done: close the level and resume its
+                # parent's members if the classes left cannot beat floor,
+                # else skip the class on the same level.
                 live -= 1
                 if not (live and size + live > floor):
                     if not t:
                         return best, nodes, False
                     t -= 1
                     size -= 1
-                    rest, base, todo, live = levels[t]
-                    f = base // stride
-                    low, guard = field_lows[f], field_guards[f]
+                    rest, base, todo, live, low, guard = levels[t]
                     continue
+                rest &= (1 << base) - 1
             break
 
 

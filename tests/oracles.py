@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from ulamcode.perm import Perm, lis_length
+from ulamcode.search import _lex_ranks
 
 
 def brute_lis(sigma) -> int:
@@ -121,6 +122,23 @@ def class_partition(params) -> dict[Perm, list[Perm]]:
 def rate_function_acosh(c: float) -> float:
     """The acosh form 2c acosh(c/2) - 2 sqrt(c^2 - 4) of the LIS rate function."""
     return 2.0 * c * math.acosh(c / 2.0) - 2.0 * math.sqrt(c * c - 4.0)
+
+
+def lehmer_far_rows(space, bits) -> list[int]:
+    """The far rows of the words at some bits of a search space, by Lehmer
+    codes: the space's kept far set (or its complement) relabeled by each
+    word with ``take``, lex-ranked by _lex_ranks, and scattered to bits."""
+    words = space.words[space.word_row(np.asarray(bits))]
+    n, k = space._base.shape
+    relabeled = words.take(space._base, axis=1)  # (len(bits), n, k)
+    ranks = _lex_ranks(relabeled.transpose(1, 0, 2).reshape(n, -1)).reshape(len(bits), k)
+    out = np.zeros((len(bits), space._nbits), dtype=bool)
+    np.put_along_axis(out, space._position[ranks], True, axis=1)
+    if space._complement:
+        np.logical_not(out, out=out)
+        out[:, space.width :: space.stride] = False
+    packed = np.packbits(out, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def sample_lis_reference(n: int, samples: int, seed: int, block: int) -> list[int]:

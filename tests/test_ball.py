@@ -188,16 +188,18 @@ class TestMonteCarlo:
         assert (a == b).all()
 
     def test_large_n_uses_scalar_path(self, monkeypatch):
-        # From n = 32,767 on the kernel runs in int32, which needs at least
-        # 120 rows to win, and a chunk holds at most 64, so every chunk
+        # Past n = 49,932 a uint16 chunk is too short for the kernel, and
+        # from n = 65,535 on the kernel runs in int32, which needs at least
+        # 200 rows to win while a chunk holds at most 32, so every chunk
         # takes the per-row loop.
         def batch(perms):
             raise AssertionError("batched kernel called")
 
         monkeypatch.setattr(ball, "_lis_lengths_batch", batch)
-        for n in (32_767, 50_000, 10**6):
-            assert ball._kernel_dtype(n) == np.int32
-            assert not ball._batch_wins(ball._CHUNK_BYTES // (4 * n), n)
+        for n in (49_933, 65_534, 65_535, 10**6):
+            small = ball._kernel_dtype(n)
+            assert small == (np.uint16 if n < 65_535 else np.int32)
+            assert not ball._batch_wins(ball._CHUNK_BYTES // (small.itemsize * n), n)
         n = 50_000
         lengths = sample_lis_lengths(n, 8, 0)
         assert len(lengths) == 8
@@ -292,6 +294,36 @@ class TestLisKernel:
         assert lengths[:2] == [n, 1]
         assert lengths == self.per_row(perms)
 
+    def test_uint16_rows_at_n_40000(self):
+        # Symbols up to 39,999 pass int16's maximum; the uint16 sentinel
+        # 65,535 exceeds them all.  The reversal row keeps one pile whose
+        # top falls through every symbol.
+        n = 40_000
+        rng = np.random.default_rng(4)
+        rows = [np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(5)]
+        perms = np.array(rows, dtype=np.uint16)
+        lengths = ball._lis_lengths_batch(perms).tolist()
+        assert lengths[0] == 1
+        assert lengths == self.per_row(perms)
+        cols = np.ascontiguousarray(perms.T)
+        assert ball._lis_lengths_batch(cols.T).tolist() == lengths
+
+    def test_sampler_takes_uint16_kernel_at_n_40000(self, monkeypatch):
+        # An 8 MB chunk holds 104 uint16 rows there, enough for the kernel,
+        # and its lengths are those of the per-sample reference.
+        dtypes = []
+
+        def spy(perms, kernel=ball._lis_lengths_batch):
+            dtypes.append(perms.dtype)
+            return kernel(perms)
+
+        monkeypatch.setattr(ball, "_lis_lengths_batch", spy)
+        n = 40_000
+        assert ball._CHUNK_BYTES // (2 * n) == 104 and ball._batch_wins(104, n)
+        got = sample_lis_lengths(n, 104, 2)
+        assert dtypes == [np.uint16]
+        assert got.tolist() == sample_lis_reference(n, 104, 2, MC_BLOCK)
+
     @pytest.mark.parametrize("n", [1, 12, 33, 1000])
     def test_column_major_input(self, n):
         # The sampler hands the kernel the transpose of an (n, rows) array.
@@ -301,9 +333,9 @@ class TestLisKernel:
         assert np.array_equal(ball._lis_lengths_batch(cols.T), ball._lis_lengths_batch(perms))
 
     def test_kernel_dtype_sentinel_exceeds_every_symbol(self):
-        sizes = [1, 100, 32_766, 32_767, 10**6]
+        sizes = [1, 100, 32_766, 32_767, 40_000, 65_534, 65_535, 10**6]
         dtypes = [ball._kernel_dtype(n) for n in sizes]
-        assert dtypes == [np.int16] * 3 + [np.int32] * 2
+        assert dtypes == [np.int16] * 3 + [np.uint16] * 3 + [np.int32] * 2
         for n, dtype in zip(sizes, dtypes):
             assert np.iinfo(dtype).max > n - 1
 
@@ -319,7 +351,8 @@ class TestLisKernel:
 def test_evaluator_rule():
     # The kernel takes chunks from the first row count below on; shorter
     # ones go to the bisect loop (see _batch_wins).
-    for n, rows in [(33, 62), (1000, 63), (10_000, 65), (32_766, 69), (32_767, 120)]:
+    for n, rows in [(33, 62), (1000, 63), (10_000, 65), (32_766, 69), (32_767, 79),
+                    (40_000, 81), (65_534, 89), (65_535, 200)]:
         assert ball._batch_wins(rows, n) and not ball._batch_wins(rows - 1, n)
     assert ball._batch_wins(10**9, 136_160) and not ball._batch_wins(10**9, 136_161)
 

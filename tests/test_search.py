@@ -20,6 +20,7 @@ from oracles import (
     closest_pair,
     color_class,
     identity,
+    lehmer_far_rows,
     move_neighbors,
     reversal,
 )
@@ -232,6 +233,64 @@ class TestLexRanks:
         words = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
         ranks = search._lex_ranks(np.ascontiguousarray(words.T))
         assert np.array_equal(ranks, np.arange(math.factorial(n)))
+
+
+class TestRankWeights:
+    """far_row's float32 ranks against _lex_ranks, and its rows against
+    rows ranked by Lehmer codes."""
+
+    @staticmethod
+    def ranks(weights, w):
+        return weights @ (w[:, None] < w).ravel().astype(np.float32)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_of_sn(self, n):
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        base = np.ascontiguousarray(perms.reshape(-1, n).T)
+        weights = search._rank_weights(base)
+        assert weights.dtype == np.float32 and weights.shape == (math.factorial(n), n * n)
+        for w in perms[:: max(1, len(perms) // 40)]:
+            ranks = self.ranks(weights, w)
+            assert np.array_equal(ranks, search._lex_ranks(w.take(base)))
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (8, 9) for d in range(2, n)])
+    def test_random_words_at_n8_and_n9(self, n, d):
+        space = search._SearchSpace(CodeParams(n, d))
+        space.row_memo()
+        for i in np.random.default_rng(10 * n + d).integers(0, len(space.words), 6):
+            w = space.words[i]
+            ranks = self.ranks(space._weights, w)
+            assert np.array_equal(ranks, search._lex_ranks(w.take(space._base)))
+
+    def test_every_row_of_8_6(self, monkeypatch):
+        # The memo holds about 200 rows at a time, not all 40,320.
+        monkeypatch.setattr(search, "ROW_CACHE_BYTES", 1 << 20)
+        space = search._SearchSpace(CodeParams(8, 6))
+        bits = word_bits(space)
+        for i in range(0, len(bits), 512):
+            chunk = bits[i : i + 512]
+            assert [space.far_row(b) for b in chunk] == lehmer_far_rows(space, chunk)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_sampled_rows_at_n9(self, d):
+        space = search._SearchSpace(CodeParams(9, d))
+        bits = random.Random(d).sample(word_bits(space), 24)
+        assert [space.far_row(b) for b in bits] == lehmer_far_rows(space, bits)
+
+    def test_first_row_holds_memo_and_weights(self):
+        # At (8,6) the first row allocates the memo (one 8-byte slot per
+        # bit, 0.32 MB), the weights (1,430 x 64 float32, 0.37 MB) and its
+        # own 5 KB; the space before it holds about 0.5 MB.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = search._SearchSpace(CodeParams(8, 6))
+            space.far_row(space.identity)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert space._weights.nbytes == 1430 * 64 * 4
+        assert retained < 1.25e6
 
 
 class TestLexPermutations:
