@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every subcommand emits a reproducibility header (tool version, seed,
-budgets, thread count) and supports text and JSON output, and all but
-export-lp CSV.  JSON runs are wrapped in a stable envelope described by
-data/cli-output.schema.json; identical configurations produce
-byte-identical JSON apart from the elapsed-seconds field.
+budgets, thread count) and supports text and JSON output; the four whose
+result is a table (tables, ball, lisdist, clt) also write CSV.  JSON runs
+are wrapped in a stable envelope described by data/cli-output.schema.json;
+identical configurations produce byte-identical JSON apart from the
+elapsed-seconds field.
 
 A subcommand takes only the common options it reads (--seed on mc and
 clt, --max-nodes and --max-seconds on bounds, search and tables); header
@@ -25,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
 import sys
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .ball import (
@@ -78,10 +78,15 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     parser.add_argument("--version", action="version", version=f"ulamcode {__version__}")
     # The envelope's budget fields exist for every subcommand.
     parser.set_defaults(max_nodes=None, max_seconds=None)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--out", metavar="FILE", default=None)
-    common.add_argument("--threads", type=int, default=None)
+
+    def io_options(*formats: str) -> argparse.ArgumentParser:
+        options = argparse.ArgumentParser(add_help=False)
+        options.add_argument("--format", choices=formats, default="text")
+        options.add_argument("--out", metavar="FILE", default=None)
+        options.add_argument("--threads", type=int, default=None)
+        return options
+
+    common, tabular = io_options("text", "json"), io_options("text", "json", "csv")
     randomized = argparse.ArgumentParser(add_help=False)
     randomized.add_argument("--seed", type=int, default=None)
     budgeted = argparse.ArgumentParser(add_help=False)
@@ -122,16 +127,16 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     if p := add("verify", [common], "verify a code file"):
         p.add_argument("file", help='code file: first line "n d", one word per line')
 
-    if p := add("tables", [common, budgeted],
+    if p := add("tables", [tabular, budgeted],
                 "reproduce the size and Singleton-optimality tables"):
         p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
         p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
         p.add_argument("--with-ip", action="store_true")
 
-    if p := add("ball", [common], "Ulam ball sizes"):
+    if p := add("ball", [tabular], "Ulam ball sizes"):
         p.add_argument("--n", type=int, required=True)
 
-    if p := add("lisdist", [common], "exact LIS-length distribution over S_n"):
+    if p := add("lisdist", [tabular], "exact LIS-length distribution over S_n"):
         p.add_argument("--n", type=int, required=True)
 
     if p := add("mc", [common, randomized], "Monte-Carlo estimate of P(LIS >= k)"):
@@ -139,7 +144,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--samples", type=int, default=100_000)
 
-    if p := add("clt", [common, randomized],
+    if p := add("clt", [tabular, randomized],
                 "emit centered/scaled LIS samples, one per line"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--samples", type=int, default=100_000)
@@ -233,53 +238,36 @@ class _Run:
             "result": result,
         }
 
-    def emit(self, result: dict, text_body: str | Callable[[], str],
-             csv_rows: Callable[[], Iterable[Sequence]] | None = None,
+    def emit(self, result: dict, text_body: Optional[str] = None,
+             columns: Sequence[str] = (), rows: Iterable[Sequence] = (),
              raw_text: bool = False) -> int:
         """Write the run in the requested format.
 
-        A long text body may be passed as a function, and ``csv_rows`` is
-        one, so only the requested format's body is built.
+        A table's subcommand passes its column names and its rows, which
+        only CSV and text read: CSV writes them comma-separated, and text
+        writes the rows space-separated unless a text body is given.
         """
         args = self.args
         if args.format == "json":
             payload = json.dumps(self.envelope(result), indent=2) + "\n"
-        elif args.format == "csv":
-            buf = io.StringIO()
-            for line in self.header_lines():
-                buf.write(line + "\n")
-            rows = csv_rows() if csv_rows is not None else _dict_to_csv_rows(result)
-            for row in rows:
-                buf.write(",".join(str(v) for v in row) + "\n")
-            payload = buf.getvalue()
+        elif raw_text:
+            payload = text_body
         else:
-            if callable(text_body):
-                text_body = text_body()
-            if raw_text:
-                payload = text_body
+            if args.format == "csv":
+                body = "\n".join(",".join(map(str, row)) for row in (columns, *rows))
+            elif text_body is None:
+                body = "\n".join(" ".join(map(str, row)) for row in rows)
             else:
-                payload = "\n".join(self.header_lines()) + "\n" + text_body
-                if not payload.endswith("\n"):
-                    payload += "\n"
+                body = text_body
+            payload = "\n".join(self.header_lines()) + "\n" + body
+            if not payload.endswith("\n"):
+                payload += "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)
         return 0
-
-
-def _dict_to_csv_rows(result: dict, prefix: str = "") -> list[list]:
-    rows: list[list] = []
-    for key, value in result.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rows.extend(_dict_to_csv_rows(value, prefix=f"{name}."))
-        elif isinstance(value, list):
-            rows.append([name, " ".join(str(v) for v in value)])
-        else:
-            rows.append([name, value])
-    return rows
 
 
 def _cmd_distance(run: _Run) -> int:
@@ -394,13 +382,9 @@ def _cmd_tables(run: _Run) -> int:
     if any(cell.status in ("bounded", "skipped") for cell in cells):
         run.status = "bounded"
     result = {"cells": [dataclasses.asdict(c) for c in cells]}
-
-    def csv_rows():
-        yield ["n", "d", "lower", "upper", "status", "singleton_optimal", "method"]
-        for c in cells:
-            yield [c.n, c.d, c.lower, c.upper, c.status, c.singleton_optimal, c.method]
-
-    return run.emit(result, lambda: _render_tables_text(cells), csv_rows=csv_rows)
+    columns = ("n", "d", "lower", "upper", "status", "singleton_optimal", "method")
+    return run.emit(result, _render_tables_text(cells), columns=columns,
+                    rows=([getattr(c, k) for k in columns] for c in cells))
 
 
 def _cell_label(cell) -> str:
@@ -439,11 +423,7 @@ def _cmd_ball(run: _Run) -> int:
     table = ball_table(args.n)
     sizes = sorted(table.sizes.items())
     result = {"n": args.n, "sizes": {str(r): s for r, s in sizes}}
-    return run.emit(
-        result,
-        lambda: "\n".join(f"{r} {s}" for r, s in sizes),
-        csv_rows=lambda: [["r", "size"], *sizes],
-    )
+    return run.emit(result, columns=("r", "size"), rows=sizes)
 
 
 def _cmd_lisdist(run: _Run) -> int:
@@ -451,11 +431,7 @@ def _cmd_lisdist(run: _Run) -> int:
     dist = lis_distribution_exact(args.n)
     counts = {str(k): dist.counts[k] for k in sorted(dist.counts)}
     result = {"n": dist.n, "total": dist.total, "counts": counts}
-    return run.emit(
-        result,
-        lambda: "\n".join(f"{k} {c}" for k, c in counts.items()),
-        csv_rows=lambda: [["k", "count"], *counts.items()],
-    )
+    return run.emit(result, columns=("k", "count"), rows=counts.items())
 
 
 def _cmd_mc(run: _Run) -> int:
@@ -478,18 +454,11 @@ def _cmd_clt(run: _Run) -> int:
     args = run.args
     values = clt_samples(args.n, args.samples, run.seed, workers=run.threads)
     result = {"n": args.n, "samples": args.samples, "values": values}
-    # str of a float is its repr.
-    return run.emit(
-        result,
-        lambda: "\n".join(map(repr, values)),
-        csv_rows=lambda: [["value"], *([v] for v in values)],
-    )
+    return run.emit(result, columns=("value",), rows=([v] for v in values))
 
 
 def _cmd_export_lp(run: _Run) -> int:
     args = run.args
-    if args.format == "csv":
-        raise ValueError("export-lp writes LP text or JSON, not CSV")
     text = export_lp(CodeParams(args.n, args.d))
     result = {"n": args.n, "d": args.d, "lp": text}
     # Raw text keeps the output a valid .lp file; the JSON envelope carries

@@ -12,11 +12,12 @@ bound on the code size.
 The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
 certificates, never float artifacts.  Only the root relaxation is a cold
-two-phase solve; every child is re-optimized from its parent's tableau by
-the dual simplex, and open nodes keep their tableaux up to a byte bound
-(see solve_ilp).  Integrality and the branching variable
-are read off the tableau's integer matrix (int64, or object dtype once an
-entry reaches 2**30; see simplex.py), and values leave as Python ints.
+two-phase solve, which a time cap stops between pivots; every child is
+re-optimized from its parent's tableau by the dual simplex, and open nodes
+keep their tableaux up to a byte bound (see solve_ilp).  Integrality and
+the branching variable are read off the tableau's integer matrix (int64,
+or object dtype once an entry reaches 2**30; see simplex.py), and values
+leave as Python ints.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import CodeParams
-from .budget import SearchBudget
-from .simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, LpResult, _Tableau, solve_lp
+from .bounds import CodeParams, singleton_upper
+from .budget import BudgetClock, SearchBudget
+from .simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, STOPPED, LpResult, _Tableau, solve_lp
 
 Var = tuple[int, int]  # (b, a): position b holds symbol a
 
@@ -96,9 +97,9 @@ def _program(
     return rows, dict.fromkeys(range(n), 1)
 
 
-def _lp_result(params: CodeParams) -> LpResult:
+def _lp_result(params: CodeParams, clock: Optional[BudgetClock] = None) -> LpResult:
     rows, objective = _program(params)
-    return solve_lp(params.n**2, [row[1:] for row in rows], objective)
+    return solve_lp(params.n**2, [row[1:] for row in rows], objective, clock)
 
 
 def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpSolution:
@@ -110,12 +111,15 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     is a proven upper bound (status "bound_only"), never a silent guess;
     without a budget, the program gets IP_NODE_CAP nodes.
 
-    The root relaxation is solved cold by the two-phase simplex.  Each
-    child is its parent's tableau plus one bound row, re-optimized by the
-    dual simplex.  An open node keeps that tableau while the kept ones stay
-    within IP_TABLEAU_BYTES; past it, a node keeps only its path of bound
-    rows and its optimal basis, and its tableau is rebuilt from the root's
-    when it is popped.
+    The root relaxation is solved cold by the two-phase simplex, which
+    reads the budget's time cap between pivots; stopped there, the result
+    is the relaxation's value, the Singleton bound, after one node.  A node
+    cap counts the root as one node and cannot stop it.  Each child is its
+    parent's tableau plus one bound row, re-optimized by the dual simplex.
+    An open node keeps that tableau while the kept ones stay within
+    IP_TABLEAU_BYTES; past it, a node keeps only its path of bound rows and
+    its optimal basis, and its tableau is rebuilt from the root's when it
+    is popped.
     """
     cover, rhs = _cover(params)
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
@@ -151,14 +155,17 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
                 tab = None  # rebuilt from the root's when popped
             heapq.heappush(heap, (-value, counter, path, basis, branch, tab))
 
-    root = _lp_result(params)
-    # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
-    assert root.status == OPTIMAL
-    status, nodes = OPTIMAL, 1
     # Feasible warm start: the constant matrix X[b][a] = m with the largest
     # m every covering row allows.
     mstar = min(rhs // sum(row) for row in cover)
     best_value, best_x = n * mstar, assignment([mstar] * num_vars)
+    root = _lp_result(params, clock)
+    if root.status == STOPPED:
+        # The relaxation's value is the Singleton bound (see ip_upper_bound).
+        return IlpSolution(BOUND_ONLY, singleton_upper(params), best_x, 1)
+    # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
+    assert root.status == OPTIMAL
+    status, nodes = OPTIMAL, 1
     # A copy, so that the root's own tableau stays intact for rebuilds.
     consider(root.tableau.copy(), ())
 

@@ -21,10 +21,10 @@ int.  Two words of one class are within d-1 of each other, so a far row
 never meets its own class: a child, the level's candidates ANDed with a
 far row, lies below the level's field, and the number of classes it still
 reaches is three bigint operations (add, AND, popcount) on per-field masks
-cut once per level.  The DFS keeps each level in flat per-depth slots and
-tries a level's members in an inner loop.  The distance-at-least-d row of
-a permutation sigma is computed on demand and memoized, so the full
-pairwise graph is never materialized.  One vectorized LIS sweep over S_n
+that the search space cuts once.  The DFS keeps each level in flat
+per-depth slots and tries a level's members in an inner loop.  The
+distance-at-least-d row of a permutation sigma is computed on demand and
+memoized, so the full pairwise graph is never materialized.  One vectorized LIS sweep over S_n
 per cell finds the identity's far set; by left-invariance the row of sigma
 is that set relabeled by sigma, ranked back into bit positions by one
 float32 matrix-vector product.
@@ -252,11 +252,14 @@ class _SearchSpace:
     sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
     and the row of sigma is F relabeled by sigma.  Only the smaller of F and
     its complement is kept, as an (n, k) array with one word per column.
-    The first row turns it into (k, n^2) float32 rank weights, so a row is
+    Construction turns it into (k, n^2) float32 rank weights, so a row is
     the n^2 compares of sigma's symbols with each other, one matrix-vector
     product for the k lex ranks, and a scatter of k bits.  A row never
     meets its own class: two words of one class share the order of symbols
-    1..n-d+1, so they are within d-1 of each other.
+    1..n-d+1, so they are within d-1 of each other.  ``rows`` memoizes far
+    rows, one slot per bit, and ``field_lows`` and ``field_guards`` are the
+    clique search's per-field masks (_field_masks): entry f is cut at field
+    f's first bit, and the last entry covers every field.
     """
 
     def __init__(self, params: CodeParams):
@@ -289,28 +292,22 @@ class _SearchSpace:
         self._complement = 2 * int(np.count_nonzero(far)) > size
         kept = ~far if self._complement else far
         self._base = np.ascontiguousarray(self.words[kept].T)
+        self._weights = _rank_weights(self._base)
         self._nbits = self.classes * self.stride
         self._row_nbytes = (self._nbits + 7) // 8
-        # Far rows by bit and far_row's rank weights, both made by the first
-        # row; _cached counts the rows.
-        self._rows: list[Optional[int]] = []
-        self._weights: Optional[np.ndarray] = None
-        self._cached = 0
+        self.rows: list[Optional[int]] = [None] * self._nbits
+        self._cached = 0  # rows in the memo
+        span, lows, guards = _field_masks(self.width, self.classes)
+        cuts = [-(-f * self.stride // span) for f in range(self.classes + 1)]
+        self.field_lows, self.field_guards = [lows[c] for c in cuts], [guards[c] for c in cuts]
 
     def word_row(self, bit):
         """Row of ``words`` at a bit (an int or an array of them)."""
         return bit - bit // self.stride
 
-    def row_memo(self) -> list[Optional[int]]:
-        """The memo of far rows, one slot per bit; its first call builds the rank weights."""
-        if not self._rows:
-            self._rows.extend([None] * self._nbits)
-            self._weights = _rank_weights(self._base)
-        return self._rows
-
     def far_row(self, bit: int) -> int:
         """Bitmask of every permutation at distance >= d from the word at bit."""
-        rows = self.row_memo()
+        rows = self.rows
         row = rows[bit]
         if row is None:
             w = self.words[self.word_row(bit)]
@@ -350,12 +347,9 @@ def _clique_search(
     clique found (chosen itself if none beat floor), the nodes tried, and
     whether the budget ran out.
     """
-    stride, far_row, rows = space.stride, space.far_row, space.row_memo()
-    span, lows, guards = _field_masks(space.width, space.classes)
-    # A level on field f counts its children on the masks cut at f's first
-    # bit; these lists map f to them.
-    cuts = [-(-f * stride // span) for f in range(space.classes)]
-    field_lows, field_guards = [lows[c] for c in cuts], [guards[c] for c in cuts]
+    stride, far_row, rows = space.stride, space.far_row, space.rows
+    # A level on field f counts its children on the masks cut at f's first bit.
+    field_lows, field_guards = space.field_lows, space.field_guards
     # A node budget is at least 1 and nodes count from 1: cap 0 never hits.
     cap = clock.budget.max_nodes or 0
     timed = clock.budget.max_seconds is not None
@@ -369,7 +363,7 @@ def _clique_search(
     levels, picks = [None] * space.classes, [0] * space.classes
     size = len(chosen)  # the clique a child of the current level extends
     rest, nodes, t = cand, 0, 0
-    live = ((rest + lows[-1]) & guards[-1]).bit_count()
+    live = ((rest + field_lows[-1]) & field_guards[-1]).bit_count()
     if not (live and size + live > floor):
         return best, nodes, False
     while True:

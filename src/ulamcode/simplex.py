@@ -41,11 +41,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .budget import BudgetClock
+
 LE, GE, EQ = "<=", ">=", "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+STOPPED = "stopped"
 
 _ZERO = Fraction(0)
 # int64 entries and denominators stay below this; past it, object dtype.
@@ -198,13 +201,17 @@ class _Tableau:
         self.mat[rows], self.dens[rows] = new, den
         self.basis[r] = c
 
-    def optimize(self) -> str:
-        """Pivot until no reduced cost is negative.  Bland's rule throughout."""
+    def optimize(self, clock: Optional[BudgetClock] = None) -> str:
+        """Pivot until no reduced cost is negative, or until the time cap of
+        ``clock`` runs out (STOPPED).  Bland's rule throughout."""
         rhs, m = self.ncols, len(self.basis)
         while True:
             negative = (self.mat[-1, :rhs] < 0).nonzero()[0]
             if not negative.size:
                 return OPTIMAL
+            # Zero nodes never meet a node cap, so only the time cap stops.
+            if clock is not None and clock.exhausted(0):
+                return STOPPED
             enter = int(negative[0])
             # Within a row the denominator cancels: the ratio is b / a.
             rows = (self.mat[:m, enter] > 0).nonzero()[0]
@@ -311,11 +318,13 @@ def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[dict[int, Fraction | int], str, Fraction | int]],
     objective: dict[int, Fraction | int],
+    clock: Optional[BudgetClock] = None,
 ) -> LpResult:
     """Maximize objective . x subject to rows and x >= 0.
 
     Each row is (coefficients keyed by variable index, sense, rhs) with
-    sense one of "<=", ">=", "=".
+    sense one of "<=", ">=", "=".  A time cap of ``clock`` that runs
+    out between pivots stops the solve: status STOPPED, no value.
     """
     normalized: list[tuple[dict[int, Fraction | int], str, Fraction | int]] = []
     for coeffs, sense, b in rows:
@@ -362,9 +371,11 @@ def solve_lp(
 
     if n_art:
         tab.set_objective({j: -1 for j in range(first_art, ncols)})
-        status = tab.optimize()
-        if status != OPTIMAL:
+        status = tab.optimize(clock)
+        if status == UNBOUNDED:
             raise AssertionError("phase 1 cannot be unbounded")
+        if status == STOPPED:
+            return LpResult(STOPPED, None, None)
         if tab.mat[-1, ncols] != 0:  # maximized -(sum of artificials) below zero
             return LpResult(INFEASIBLE, None, None)
         # Drive leftover zero-valued artificials out, dropping redundant rows.
@@ -384,8 +395,8 @@ def solve_lp(
         if not 0 <= j < num_vars:
             raise ValueError(f"objective index {j} out of range")
     tab.set_objective(objective)
-    status = tab.optimize()
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+    status = tab.optimize(clock)
+    if status != OPTIMAL:
+        return LpResult(status, None, None)
 
     return LpResult(OPTIMAL, tab.objective_value(), tab.point(num_vars), tab)

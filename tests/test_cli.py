@@ -14,6 +14,7 @@ from ulamcode.perm import ulam_distance
 
 
 DROPPED_BY_TABLES = "(--with-ip, --max-nodes, --max-seconds) would be dropped"
+NOT_A_TABLE = "invalid choice: 'csv' (choose from 'text', 'json')"
 
 
 def run_cli(capsys, *argv):
@@ -515,6 +516,37 @@ class TestExportLp:
         assert "d >= 2" in err
 
 
+def csv_header(command):
+    return (f"# ulamcode {__version__}\n# command: {command}\n# seed: -\n# threads: -\n"
+            "# budgets: max_nodes=none max_seconds=none\n")
+
+
+class TestTableCsv:
+    @pytest.mark.parametrize("argv, rows", [
+        (("ball", "--n", "5"), "r,size\n0,1\n1,17\n2,78\n3,119\n4,120\n"),
+        (("lisdist", "--n", "5"), "k,count\n1,1\n2,41\n3,61\n4,16\n5,1\n"),
+        (("tables", "--n", "4..5"),
+         "n,d,lower,upper,status,singleton_optimal,method\n"
+         "4,2,6,6,proven,yes,construction\n"
+         "4,3,2,2,proven,yes,search\n"
+         "5,2,24,24,proven,yes,construction\n"
+         "5,3,4,4,proven,no,search\n"
+         "5,4,2,2,proven,yes,search\n"),
+    ])
+    def test_bytes(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == csv_header(argv[0]) + rows
+
+    def test_clt_csv_is_its_text_under_a_column_name(self, capsys):
+        argv = ("clt", "--n", "33", "--samples", "40", "--seed", "3", "--threads", "1")
+        _, text, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = text.splitlines(keepends=True)  # five header lines, then values
+        assert out == "".join(lines[:5] + ["value\n"] + lines[5:])
+
+
 class TestEnvelope:
     def test_schema_across_commands(self, capsys, envelope_schema, tmp_path):
         runs = [
@@ -577,7 +609,8 @@ class TestEnvelope:
          "unrecognized arguments: --long-runs"),
         (("bounds", "--n", "5", "--d", "3", "--max-nodes", "8"), "need --with-ip"),
         (("bounds", "--n", "5", "--d", "3", "--max-seconds", "1"), "need --with-ip"),
-        (("export-lp", "--n", "4", "--d", "3", "--format", "csv"), "not CSV"),
+        # CSV only where the result is a table; the other five are last.
+        (("export-lp", "--n", "4", "--d", "3", "--format", "csv"), NOT_A_TABLE),
         # tables requests whose every cell is a d = 2 construction or
         # skipped past the search limit.
         (("tables", "--n", "12", "--with-ip", "--max-nodes", "5"), DROPPED_BY_TABLES),
@@ -589,6 +622,11 @@ class TestEnvelope:
         (("ball", "--n", "9", "--r", "3"), "unrecognized arguments: --r"),
         (("mc", "--n", "6", "--k", "4", "--strict"), "unrecognized arguments: --strict"),
         (("clt", "--n", "6", "--strict", "--seed", "5"), "unrecognized arguments: --strict"),
+        (("distance", "1 2", "2 1", "--format", "csv"), NOT_A_TABLE),
+        (("bounds", "--n", "5", "--d", "3", "--format", "csv"), NOT_A_TABLE),
+        (("search", "--n", "4", "--d", "3", "--format", "csv"), NOT_A_TABLE),
+        (("verify", "code.txt", "--format", "csv"), NOT_A_TABLE),
+        (("mc", "--n", "5", "--k", "2", "--format", "csv"), NOT_A_TABLE),
     ])
     def test_dropped_options_and_combinations_rejected(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

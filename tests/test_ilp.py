@@ -2,11 +2,13 @@
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from ulamcode.bounds import CodeParams, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.ilp import IP_NODE_CAP, export_lp, ip_upper_bound, solve_ilp
+from ulamcode import budget as budget_module
 from ulamcode import cli, ilp, simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
 
@@ -492,6 +495,55 @@ class TestIpUpperBound:
         value, bounded = ip_upper_bound(CodeParams(5, 3), SearchBudget(max_nodes=10))
         assert bounded
         assert 5 <= value <= singleton_upper(CodeParams(5, 3))
+
+
+class TestRootDeadline:
+    """A time cap stops the cold root relaxation between primal pivots.
+    The clock here reads one second later at every call, so a 3-second cap
+    started at second 0 lets two pivots through and stops before the
+    third; the root of (7,4) takes 79."""
+
+    CELL = CodeParams(7, 4)
+    NOTE = "integer program hit its budget; bound not tight"
+
+    @pytest.fixture(autouse=True)
+    def ticks(self, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        return ticks
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        pivots, pivot = [], simplex._Tableau.pivot
+
+        def counting(tab, r, c):
+            pivots.append((r, c))
+            pivot(tab, r, c)
+
+        monkeypatch.setattr(simplex._Tableau, "pivot", counting)
+        return pivots
+
+    def test_solve_lp_stops(self, pivots, ticks):
+        res = ilp._lp_result(self.CELL, SearchBudget(max_seconds=3).start())
+        assert res == simplex.LpResult(simplex.STOPPED, None, None)
+        assert len(pivots) == 2
+        assert next(ticks) == 4  # the start and three readings
+
+    def test_solve_ilp_gives_the_singleton_bound(self):
+        sol = solve_ilp(self.CELL, SearchBudget(max_seconds=3))
+        assert (sol.status, sol.objective_value, sol.nodes_explored) == ("bound_only", 24, 1)
+        assert satisfies(self.CELL, sol.assignment)  # the warm start
+        assert ip_upper_bound(self.CELL, SearchBudget(max_seconds=3)) == (24, True)
+        assert singleton_upper(self.CELL) == 24
+
+    def test_bounds_with_ip_is_bounded(self, capsys, pivots):
+        argv = ["bounds", "--n", "7", "--d", "4", "--with-ip", "--max-seconds", "3"]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "bounded"
+        assert out["result"]["ip_upper"] == out["result"]["best_upper"] == 24
+        assert self.NOTE in out["result"]["notes"]
+        assert len(pivots) == 2
 
 
 class TestTypesAtTheBoundary:
