@@ -11,13 +11,14 @@ bound on the code size.
 
 The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
-certificates, never float artifacts.  Only the root relaxation is a cold
-two-phase solve, which a time cap stops between pivots; every child is
-re-optimized from its parent's tableau by the dual simplex, and open nodes
-keep their tableaux up to a byte bound (see solve_ilp).  Integrality and
-the branching variable are read off the tableau's integer matrix (int64,
-or object dtype once an entry reaches 2**30; see simplex.py), and values
-leave as Python ints.
+certificates, never float artifacts.  Only the root relaxation is solved
+from scratch, by the primal simplex from x = 0, which meets every row; a
+time cap stops it between pivots.  Every child is re-optimized from its
+parent's tableau by the dual simplex, and open nodes keep their tableaux
+up to a byte bound (see solve_ilp).  Integrality and the branching
+variable are read off the tableau's integer matrix (int64, or object dtype
+once an entry reaches 2**30; see simplex.py), and values leave as Python
+ints.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     is a proven upper bound (status "bound_only"), never a silent guess;
     without a budget, the program gets IP_NODE_CAP nodes.
 
-    The root relaxation is solved cold by the two-phase simplex, which
+    The root relaxation is solved from x = 0 by the primal simplex, which
     reads the budget's time cap between pivots; stopped there, the result
     is the relaxation's value, the Singleton bound, after one node.  A node
     cap counts the root as one node and cannot stop it.  Each child is its

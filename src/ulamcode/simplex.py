@@ -1,5 +1,5 @@
-"""Exact two-phase simplex over rational numbers, with dual-simplex
-re-optimization under added variable bounds.
+"""Exact simplex over rational numbers, with dual-simplex re-optimization
+under added variable bounds.
 
 Small and certificate-grade: every pivot is carried out in exact integer
 arithmetic, so optimal values are exact Fractions and safe to use as
@@ -13,12 +13,13 @@ Python ints, the same expressions) for good.
 Bland's rule (smallest eligible column enters, smallest basic index leaves
 on ratio ties) guarantees termination and makes runs deterministic.
 
-The tableau is integer from its first row: ``solve_lp`` hands it sparse
-rows, each scaled by the lcm of its denominators and int64 when it fits,
-and ``set_objective`` writes the reduced costs as one integer combination
-of the basic rows, gcd-reduced, so no dense row of Fractions is ever
-built.  Each pivot checks the 2**30 limit on the rows it has just
-computed.
+``solve_lp`` takes the one program shape the integer program has: integer
+``<=`` rows with right-hand sides >= 0 and ``=`` rows with right-hand side
+0.  x = 0 meets them all, so no phase 1 is needed: the tableau starts as
+the integer rows with every denominator 1 and -costs as the objective row,
+each ``<=`` row's slack basic, and each ``=`` row enters the basis by one
+pivot that moves no right-hand side.  The primal simplex runs from there.
+Each pivot checks the 2**30 limit on the rows it has just computed.
 
 ``solve_lp`` returns the optimal tableau with its result.  A bound
 ``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
@@ -34,6 +35,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,28 +78,23 @@ class _Tableau:
     the positive denominators ``dens``; entry k of row i is
     ``mat[i, k] / dens[i]``.  Signs and ratio comparisons then need only
     integer arithmetic, and the pivots are the same as with one Fraction
-    per entry.  The constructor takes sparse rows and scales each by the
-    least common denominator of its entries; the objective row starts at
-    zero until ``set_objective`` loads one.
+    per entry.
     """
 
-    def __init__(self, rows: Sequence[dict[int, Fraction | int]], basis: list[int],
-                 ncols: int):
-        """``rows`` map columns to the entries of each constraint row, the
-        right-hand side at column ncols; a column left out holds 0."""
+    def __init__(self, rows: Sequence[dict[int, int]], costs: dict[int, int],
+                 basis: list[int], ncols: int):
+        """``rows`` map columns to the integer entries of each constraint
+        row, the right-hand side at column ncols; a column left out holds 0.
+        The objective row is -costs, and every denominator is 1."""
         self.ncols = ncols
         self.basis = basis        # basic column per constraint row
-        dens = [math.lcm(*(v.denominator for v in row.values())) for row in rows] + [1]
-        at = tuple(zip(*((i, k) for i, row in enumerate(rows) for k in row)))
-        nums = [
-            v.numerator * (den // v.denominator)
-            for row, den in zip(rows, dens) for v in row.values()
-        ]
-        dtype = np.int64 if max(map(abs, nums + dens)) < _INT64_LIMIT else object
-        self.mat = np.zeros((len(rows) + 1, ncols + 1), dtype=dtype)
-        self.dens = np.array(dens, dtype=dtype)
-        if nums:
-            self.mat[at] = np.array(nums, dtype=dtype)
+        rows = [*rows, {j: -c for j, c in costs.items()}]
+        self.mat = np.zeros((len(rows), ncols + 1), dtype=object)
+        self.dens = np.ones(len(rows), dtype=object)
+        for i, row in enumerate(rows):
+            self.mat[i, list(row)] = list(map(operator.index, row.values()))
+        if _fits(self.mat, self.dens):
+            self.mat, self.dens = self.mat.astype(np.int64), self.dens.astype(np.int64)
 
     def _widen_past_limit(self, *arrays: np.ndarray) -> None:
         """Switch to object dtype for good once entries reach the limit."""
@@ -149,36 +146,6 @@ class _Tableau:
         tab = copy.copy(self)
         tab.mat, tab.dens, tab.basis = self.mat.copy(), self.dens.copy(), self.basis[:]
         return tab
-
-    def drop_row(self, i: int) -> None:
-        self.mat = np.delete(self.mat, i, axis=0)
-        self.dens = np.delete(self.dens, i)
-        del self.basis[i]
-
-    def truncate(self, ncols: int) -> None:
-        """Keep the first ncols columns and the right-hand side."""
-        self.mat = np.delete(self.mat, np.s_[ncols:self.ncols], axis=1)
-        self.ncols = ncols
-
-    def set_objective(self, costs: dict[int, Fraction | int]) -> None:
-        """Load reduced costs for maximizing costs . x from the current basis:
-        -costs plus each basic row times its column's cost, as one integer
-        row over the least common denominator."""
-        weights = {
-            i: Fraction(costs[b], int(self.dens[i]))
-            for i, b in enumerate(self.basis) if costs.get(b)
-        }
-        den = math.lcm(*(v.denominator for v in (*costs.values(), *weights.values())))
-        obj = np.zeros(self.ncols + 1, dtype=object)
-        for j, c in costs.items():
-            obj[j] = -c.numerator * (den // c.denominator)
-        if weights:
-            w = [v.numerator * (den // v.denominator) for v in weights.values()]
-            obj += np.array(w, dtype=object) @ self.mat[list(weights)]
-        g = math.gcd(den, *obj.tolist())
-        obj, den = obj // g, den // g
-        self._widen_past_limit(obj, np.array([den], dtype=object))
-        self.mat[-1], self.dens[-1] = obj, den
 
     def pivot(self, r: int, c: int) -> None:
         mat, dens = self.mat, self.dens
@@ -316,85 +283,54 @@ class _Tableau:
 
 def solve_lp(
     num_vars: int,
-    rows: Sequence[tuple[dict[int, Fraction | int], str, Fraction | int]],
-    objective: dict[int, Fraction | int],
+    rows: Sequence[tuple[dict[int, int], str, int]],
+    objective: dict[int, int],
     clock: Optional[BudgetClock] = None,
 ) -> LpResult:
     """Maximize objective . x subject to rows and x >= 0.
 
-    Each row is (coefficients keyed by variable index, sense, rhs) with
-    sense one of "<=", ">=", "=".  A time cap of ``clock`` that runs
-    out between pivots stops the solve: status STOPPED, no value.
+    Each row is (integer coefficients keyed by variable index, sense, rhs):
+    "<=" with rhs >= 0, or "=" with rhs 0 and independent of the "=" rows
+    before it; any other row raises ValueError.  x = 0 is then feasible:
+    the "<=" rows' slacks start basic, and each "=" row enters the basis by
+    one pivot on its first nonzero column.  A time cap of ``clock`` that
+    runs out before a pivot stops the solve: status STOPPED, no value.
     """
-    normalized: list[tuple[dict[int, Fraction | int], str, Fraction | int]] = []
-    for coeffs, sense, b in rows:
-        if sense not in (LE, GE, EQ):
-            raise ValueError(f"unknown sense {sense!r}")
-        row = {j: v for j, v in coeffs.items() if v != 0}
-        if b < 0:
-            row = {j: -v for j, v in row.items()}
-            b = -b
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        normalized.append((row, sense, b))
-
-    n_slack = sum(1 for _, s, _ in normalized if s in (LE, GE))
-    n_art = sum(1 for _, s, _ in normalized if s in (GE, EQ))
-    ncols = num_vars + n_slack + n_art
-    first_art = num_vars + n_slack
-
-    # Each row gains its slack and artificial entries and its right-hand
-    # side at column ncols.
-    basis: list[int] = []
-    slack_at = num_vars
-    art_at = first_art
-    for row, sense, b in normalized:
-        for j in row:
-            if not 0 <= j < num_vars:
-                raise ValueError(f"variable index {j} out of range")
-        row[ncols] = b
-        if sense == LE:
-            row[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        elif sense == GE:
-            row[slack_at] = -1
-            slack_at += 1
-            row[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        else:
-            row[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-
-    tab = _Tableau([row for row, _, _ in normalized], basis, ncols)
-
-    if n_art:
-        tab.set_objective({j: -1 for j in range(first_art, ncols)})
-        status = tab.optimize(clock)
-        if status == UNBOUNDED:
-            raise AssertionError("phase 1 cannot be unbounded")
-        if status == STOPPED:
-            return LpResult(STOPPED, None, None)
-        if tab.mat[-1, ncols] != 0:  # maximized -(sum of artificials) below zero
-            return LpResult(INFEASIBLE, None, None)
-        # Drive leftover zero-valued artificials out, dropping redundant rows.
-        for i in range(len(tab.basis) - 1, -1, -1):
-            if tab.basis[i] < first_art:
-                continue
-            nonzero = tab.mat[i, :first_art].nonzero()[0]
-            if nonzero.size:
-                tab.pivot(i, int(nonzero[0]))
-            else:
-                tab.drop_row(i)
-        # Artificial columns are contiguous at the end; slice them off.
-        tab.truncate(first_art)
-        ncols = first_art
-
     for j in objective:
         if not 0 <= j < num_vars:
             raise ValueError(f"objective index {j} out of range")
-    tab.set_objective(objective)
+    ncols = num_vars + sum(sense == LE for _, sense, _ in rows)
+    slacks = itertools.count(num_vars)
+    table: list[dict[int, int]] = []
+    basis: list[int] = []  # -1 for an "=" row until it enters
+    for i, (coeffs, sense, b) in enumerate(rows):
+        for j in coeffs:
+            if not 0 <= j < num_vars:
+                raise ValueError(f"row {i}: variable index {j} out of range")
+        if not (sense == LE and b >= 0 or sense == EQ and b == 0):
+            raise ValueError(
+                f"row {i}: {sense!r} with right-hand side {b}; only '<=' rows "
+                "with right-hand side >= 0 and '=' rows with 0 are accepted"
+            )
+        row = {**coeffs, ncols: b}
+        if sense == LE:
+            basis.append(next(slacks))
+            row[basis[-1]] = 1
+        else:
+            basis.append(-1)
+        table.append(row)
+
+    tab = _Tableau(table, objective, basis, ncols)
+    for i, col in enumerate(basis):
+        if col >= 0:
+            continue
+        nonzero = tab.mat[i, :num_vars].nonzero()[0]
+        if not nonzero.size:
+            raise ValueError(f"row {i}: '=' row depends on the '=' rows before it")
+        if clock is not None and clock.exhausted(0):
+            return LpResult(STOPPED, None, None)
+        # The right-hand side is 0, so no other right-hand side moves.
+        tab.pivot(i, int(nonzero[0]))
     status = tab.optimize(clock)
     if status != OPTIMAL:
         return LpResult(status, None, None)

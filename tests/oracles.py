@@ -220,6 +220,82 @@ def lp_by_vertices(num_vars, rows, objective):
     return "optimal", best
 
 
+def rank(rows) -> int:
+    """Rank of an integer matrix by exact elimination: each pivot row clears
+    its first nonzero column from the rows left, which are then divided by
+    the gcd of their entries, so that every entry stays a Python int."""
+    rows = [list(row) for row in rows if any(row)]
+    count = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(k for k, v in enumerate(pivot) if v)
+        count += 1
+        left = []
+        for row in rows:
+            row = [pivot[col] * u - row[col] * v for u, v in zip(row, pivot)]
+            if any(row):
+                g = math.gcd(*row)
+                left.append([u // g for u in row])
+        rows = left
+    return count
+
+
+def tableau_certificate(num_vars, rows, objective, basis, mat, dens):
+    """(status, value) that a simplex tableau proves for max objective . x
+    over x >= 0 and rows, each (integer coefficients by variable, "<=" |
+    "=", rhs).  Every "<=" row has its own slack column, from num_vars on in
+    row order, so the program reads A x = b over ncols columns.  ``mat``
+    and ``dens`` are nested Python ints, the constraint rows and then the
+    objective row: T[i][k] = mat[i][k] / dens[i], the right-hand side at
+    k = ncols.
+
+    Asserts, in exact integers, that B T = [A | b] for B = A[:, basis],
+    that T[:, basis] = I, that B is nonsingular and that the objective row
+    is c_B T - c.  Then the signs give the status: "optimal", with value
+    c_B T[:, ncols], when no right-hand side and no reduced cost is
+    negative; "infeasible" when some row has a negative right-hand side
+    and no negative entry; else (None, None)."""
+    ncols = len(mat[0]) - 1
+    m = len(basis)
+    assert len(mat) == len(dens) == m + 1 == len(rows) + 1
+    assert min(dens) > 0
+    a = []
+    slacks = iter(range(num_vars, ncols))
+    for coeffs, sense, rhs in rows:
+        row = [0] * (ncols + 1)
+        for j, v in coeffs.items():
+            row[j] = v
+        if sense == "<=":
+            row[next(slacks)] = 1
+        else:
+            assert sense == "="
+        row[ncols] = rhs
+        a.append(row)
+    assert next(slacks, None) is None  # one slack per "<=" row, and no more
+    for i, col in enumerate(basis):
+        assert [mat[r][col] for r in range(m)] == [dens[r] * (r == i) for r in range(m)]
+    # B T = [A | b], times the lcm of the row denominators.
+    lcm = math.lcm(*dens[:m])
+    scaled = np.array([[a[i][col] * (lcm // dens[r]) for r, col in enumerate(basis)]
+                       for i in range(m)], dtype=object).reshape(m, m)
+    product = scaled @ np.array(mat[:m], dtype=object).reshape(m, ncols + 1)
+    assert product.tolist() == [[lcm * v for v in row] for row in a]
+    assert rank([[row[col] for col in basis] for row in a]) == m
+    costs = [Fraction(objective.get(k, 0)) for k in range(ncols)] + [Fraction(0)]
+    reduced = [-c for c in costs]
+    for r, col in enumerate(basis):
+        if costs[col]:
+            for k in range(ncols + 1):
+                reduced[k] += costs[col] * Fraction(mat[r][k], dens[r])
+    assert [Fraction(v, dens[m]) for v in mat[m]] == reduced
+    rhs = [row[ncols] for row in mat[:m]]
+    if min(rhs, default=0) >= 0 and min(mat[m][:ncols], default=0) >= 0:
+        return "optimal", reduced[ncols]
+    if any(row[ncols] < 0 and min(row[:ncols], default=0) >= 0 for row in mat[:m]):
+        return "infeasible", None
+    return None, None
+
+
 
 class _Stop(Exception):
     def __init__(self, exhausted: bool):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import tableau_certificate
 from ulamcode.bounds import CodeParams, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.ilp import IP_NODE_CAP, export_lp, ip_upper_bound, solve_ilp
@@ -131,6 +132,14 @@ class TestLpRelaxation:
                 p = CodeParams(n, d)
                 assert relaxation(p) == singleton_upper(p)
 
+    def test_roots_are_certified(self):
+        # The root tableau of every cell with n <= 8 proves its own optimum.
+        for n in range(3, 9):
+            for d in range(2, n):
+                p = CodeParams(n, d)
+                root = ilp._lp_result(p)
+                assert _certificate(p, (), _snapshot(root.tableau)) == (OPTIMAL, root.value)
+
 
 # Exact integer optima of the program itself (before the Singleton min),
 # with the nodes the solver takes; regression values from this solver,
@@ -247,10 +256,10 @@ def _snapshot(tab):
     return tab.ncols, list(tab.basis), mat[:-1], dens[:-1], mat[-1], dens[-1]
 
 
-def _cold_lp(params, path):
-    """The deleted cold path, kept as the oracle: the relaxation with each
-    bound of the path as an explicit row, solved cold.  It expands cover
-    itself, X[b][a] at column (b-1)*n + (a-1)."""
+def _certificate(params, path, snapshot):
+    """What a tableau of the relaxation plus the bounds of path proves, by
+    oracles.tableau_certificate.  It expands cover itself, X[b][a] at column
+    (b-1)*n + (a-1), and writes x_k >= l as -x_k <= -l, as add_bound does."""
     n = params.n
     cover, rhs = ilp._cover(params)
 
@@ -266,8 +275,11 @@ def _cold_lp(params, path):
         link = {col(b, a): 1 for a in range(1, n + 1)}
         link.update({col(b + 1, a): -1 for a in range(1, n + 1)})
         rows.append((link, EQ, 0))
-    rows += [({k: 1}, sense, bound) for k, sense, bound in path]
-    return solve_lp(n * n, rows, {col(1, a): 1 for a in range(1, n + 1)})
+    rows += [({k: 1}, LE, bound) if sense == LE else ({k: -1}, LE, -bound)
+             for k, sense, bound in path]
+    _, basis, mat, dens, obj, obj_den = snapshot
+    objective = {col(1, a): 1 for a in range(1, n + 1)}
+    return tableau_certificate(n * n, rows, objective, basis, mat + [obj], dens + [obj_den])
 
 
 class TestWarmStart:
@@ -278,19 +290,20 @@ class TestWarmStart:
         solve_ilp(params, SearchBudget(max_nodes=budget) if budget else None)
         assert len(rec.children) >= at_least
         statuses = set()
-        for path, status, (ncols, basis, rows, dens, obj, obj_den) in rec.children:
-            cold = _cold_lp(params, path)
+        # Each child's tableau is an exact certificate of its status.
+        for path, status, snapshot in rec.children:
+            ncols, obj, obj_den = snapshot[0], snapshot[4], snapshot[5]
+            value = Fraction(obj[ncols], obj_den) if status == OPTIMAL else None
+            assert _certificate(params, path, snapshot) == (status, value)
             statuses.add(status)
-            assert status == cold.status
-            if status == OPTIMAL:
-                assert Fraction(obj[ncols], obj_den) == cold.value
         assert statuses == {OPTIMAL, INFEASIBLE}  # the oracle checks both kinds
 
     def test_rebuilt_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
         # With no bytes for kept tableaux, every popped node is rebuilt.
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
         params = CodeParams(5, 3)
-        root = _snapshot(_cold_lp(params, ()).tableau)
+        root = _snapshot(ilp._lp_result(params).tableau)
+        assert _certificate(params, (), root) == (OPTIMAL, 6)
         rec = _Recorder(monkeypatch)
         solve_ilp(params)
         solved = {path: snap for path, status, snap in rec.children if status == OPTIMAL}
@@ -444,6 +457,32 @@ ROOT_TABLEAUX = {
 }
 
 
+# SHA-256 of the root tableau of every cell with 4 <= n <= 8: its ncols,
+# basis, matrix and denominators as nested Python ints.
+ROOT_TABLEAU_SHA256 = {
+    (4, 2): "e8a5b856581c86c9f68ff55f3cca910dce3ed066b477d0f8b0236e96c5cd5bc4",
+    (4, 3): "7ee55561c11a2d66750ae510fc3b107ef2a573b728d22dea0ced5b67e28fe65c",
+    (5, 2): "52f06b549e036254950a3dab50116479b19c50c35b4f249e750e0acab35c5734",
+    (5, 3): "88f8b1ae144f5b6531cf17db4f633acb99afe98a464249dd037a2543d0c2fa91",
+    (5, 4): "5bc1bd7c77d0e76792837aa4ec9abb84245a16613175c37e648a201ea62471da",
+    (6, 2): "7a9d239d97d755752e8dc93632122f30353186f52cca34b928f374f6abcd2c0c",
+    (6, 3): "4726f8264685378f378c4ea81ea15d70e493e12ecce7eda21b3afba54cfe8c04",
+    (6, 4): "7ec8b41faadfc314c9a54c028286b89d511e5aa1d7d96d651f88e24d12a80614",
+    (6, 5): "90ca70ee6a3ffeb55c869b82e30a2511ee92a238b1b57bd1be94ab59efd9654c",
+    (7, 2): "07ff6f82ebaafe51622f278047807736f799678766a2550a64e1a01739c37e35",
+    (7, 3): "69b8eae8e774ebfb396f4455aa6c0b3a895685a574a2a411e78934e8d889c460",
+    (7, 4): "20e2ffc5c91ba61f061543b0b9293c680982ff614bf757c807b9bc35d6b95a23",
+    (7, 5): "55f3c9108c21c8107e4554aa4f85589b85ef6d91385755cf2a6e761bae8cbb67",
+    (7, 6): "bb65ba1e1b13ffcd06a35d34f38554e7b3de2f40f9c1453380cff885038035ca",
+    (8, 2): "32a04ebe29cfec378187fa3d8b1db19204f41f416a32bab7413c8911a47ae160",
+    (8, 3): "efc61deedc00c426467c111c793f6a76ebd62d60f488f55d7c21bc0cae93ca7b",
+    (8, 4): "4430830a5ecc1708d023058fd73aeb5a6dd9f8770e2728fa519c87f53dd2a7ff",
+    (8, 5): "56d881fc99a22647edd63a7344d6bd7b0c2fed4240564ea054d275a3596638d6",
+    (8, 6): "65383a9b314dd902c21bff8df5ccf53290658a954496083524b5cf6d92894786",
+    (8, 7): "360f1ea15f974c67e17811aff381f34bce27ca608f31f315ac550d1765bc908d",
+}
+
+
 class TestRootTableaux:
     """The root tableaux and pivots of the ipbound cells do not move."""
 
@@ -453,6 +492,14 @@ class TestRootTableaux:
             assert tab.basis == basis, cell
             assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
             data = repr((tab.mat.tolist(), tab.dens.tolist())).encode()
+            assert hashlib.sha256(data).hexdigest() == digest, cell
+
+    def test_grid_digests(self):
+        assert set(ROOT_TABLEAU_SHA256) == {(n, d) for n in range(4, 9) for d in range(2, n)}
+        for cell, digest in ROOT_TABLEAU_SHA256.items():
+            tab = ilp._lp_result(CodeParams(*cell)).tableau
+            assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
+            data = repr((tab.ncols, tab.basis, tab.mat.tolist(), tab.dens.tolist())).encode()
             assert hashlib.sha256(data).hexdigest() == digest, cell
 
     def test_pivot_counts(self, monkeypatch):
@@ -631,100 +678,65 @@ class TestExportLp:
             assert hashlib.sha256(text.encode()).hexdigest() == digest, cell
 
     def test_round_trip_resolve(self):
-        text = export_lp(CodeParams(5, 3))
-        value = _solve_lp_text_as_ilp(text)
-        assert value == 5
+        # The text parses back to the program on every cell of the digest
+        # grid: its rows by name, in order and with their columns in order,
+        # its objective, each variable's cap from its tightest covering row,
+        # and every variable integer.
+        for n, d in EXPORT_LP_SHA256:
+            p = CodeParams(n, d)
+            objective, rows, caps, general = _parse_lp_text(export_lp(p), n)
+            program, want_objective = ilp._program(p)
+            assert objective == list(want_objective.items())
+            assert rows == [(label, list(coeffs.items()), sense, rhs)
+                            for label, coeffs, sense, rhs in program]
+            cover, rhs = ilp._cover(p)
+            want_caps = [min(rhs // c for c in column if c) for column in zip(*cover)]
+            assert caps == [want_caps[k // n] for k in range(n * n)]
+            assert general == list(range(n * n))
 
 
-def _parse_lp_text(text):
-    """Parse the dialect written by export_lp back into solver inputs."""
-    lines = [ln.strip() for ln in text.splitlines()]
+def _parse_lp_text(text, n):
+    """Parse the dialect written by export_lp into (objective, rows, caps,
+    general): linear forms as lists of (column, coefficient) with x_<b>_<a>
+    read as column (b-1)*n + (a-1), rows as (name, form, sense, rhs), the
+    upper bound of each column in the Bounds section, and the columns
+    listed under General."""
     section = None
-    objective: dict[str, int] = {}
-    rows = []
-    bounds = {}
-    for ln in lines:
-        if not ln or ln.startswith("\\"):
-            continue
+    objective, rows, caps, general = [], [], [], []
+    for ln in text.splitlines()[1:]:
+        ln = ln.strip()
         if ln in ("Maximize", "Subject To", "Bounds", "General", "End"):
             section = ln
-            continue
-        if section == "Maximize":
-            expr = ln.split(":", 1)[1]
-            objective.update(_parse_linear(expr))
+        elif section == "Maximize":
+            objective = _parse_linear(ln.split(":", 1)[1], n)
         elif section == "Subject To":
             name, rest = ln.split(":", 1)
-            if "<=" in rest:
-                lhs, rhs = rest.split("<=")
-                rows.append((_parse_linear(lhs), LE, int(rhs)))
-            else:
-                lhs, rhs = rest.split("=")
-                rows.append((_parse_linear(lhs), EQ, int(rhs)))
+            sense = LE if "<=" in rest else EQ
+            lhs, rhs = rest.split(sense)
+            rows.append((name, _parse_linear(lhs, n), sense, int(rhs)))
         elif section == "Bounds":
-            lo, var, hi = re.match(r"0 <= (\S+) <= (\d+)", ln).group(0, 1, 2)
-            bounds[var] = int(hi)
-    return objective, rows, bounds
+            var, hi = re.fullmatch(r"0 <= (\S+) <= (\d+)", ln).groups()
+            assert _column(var, n) == len(caps)
+            caps.append(int(hi))
+        elif section == "General":
+            general.append(_column(ln, n))
+    return objective, rows, caps, general
 
 
-def _parse_linear(expr):
-    coeffs: dict[str, int] = {}
-    tokens = expr.split()
-    sign = 1
-    pending: int | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        elif re.fullmatch(r"\d+", tok):
+def _column(name, n):
+    b, a = map(int, re.fullmatch(r"x_(\d+)_(\d+)", name).groups())
+    return (b - 1) * n + a - 1
+
+
+def _parse_linear(expr, n):
+    terms = []
+    sign, pending = 1, None
+    for tok in expr.split():
+        if tok in ("+", "-"):
+            sign = 1 if tok == "+" else -1
+        elif tok.isdigit():
             pending = int(tok)
         else:
-            coeffs[tok] = sign * (pending if pending is not None else 1)
-            pending = None
-            sign = 1
-    return coeffs
-
-
-def _solve_lp_text_as_ilp(text):
-    """Re-solve the exported model by name, branch-and-bound on fractions."""
-    objective, rows, bounds = _parse_lp_text(text)
-    names = sorted(bounds)
-    index = {name: k for k, name in enumerate(names)}
-
-    def lp(extra):
-        solver_rows = [
-            ({index[v]: c for v, c in coeffs.items()}, sense, rhs)
-            for coeffs, sense, rhs in rows
-        ]
-        for k, (lo, hi) in extra.items():
-            if lo > 0:
-                solver_rows.append(({k: 1}, ">=", lo))
-            if hi is not None:
-                solver_rows.append(({k: 1}, LE, hi))
-        return solve_lp(
-            len(names), solver_rows, {index[v]: c for v, c in objective.items()}
-        )
-
-    best = 0
-
-    def bnb(extra):
-        nonlocal best
-        res = lp(extra)
-        if res.status != "optimal":
-            return
-        if res.value.numerator // res.value.denominator <= best:
-            if all(v.denominator == 1 for v in res.x):
-                best = max(best, int(res.value))
-            return
-        frac = next((k for k, v in enumerate(res.x) if v.denominator != 1), None)
-        if frac is None:
-            best = max(best, int(res.value))
-            return
-        v = res.x[frac]
-        lo, hi = extra.get(frac, (0, None))
-        floor = v.numerator // v.denominator
-        bnb({**extra, frac: (lo, floor)})
-        bnb({**extra, frac: (floor + 1, hi)})
-
-    bnb({})
-    return best
+            terms.append((_column(tok, n), sign * (pending or 1)))
+            sign, pending = 1, None
+    return terms

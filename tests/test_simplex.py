@@ -1,7 +1,6 @@
 """Exact rational simplex on small hand-checked programs, and the dual
 simplex that re-optimizes them under added bounds."""
 
-import math
 import random
 import tracemalloc
 from collections import Counter
@@ -10,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import lp_by_vertices
+from oracles import lp_by_vertices, rank, tableau_certificate
 from ulamcode import simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -33,30 +32,10 @@ def test_two_variable_optimum_is_exact():
     assert all(_exact(v) for v in [res.value, *res.x])
 
 
-def test_infeasible():
-    res = solve_lp(1, [({0: 1}, LE, 1), ({0: 1}, GE, 2)], {0: 1})
-    assert res.status == INFEASIBLE
-
-
 def test_unbounded():
-    res = solve_lp(1, [({0: 1}, GE, 1)], {0: 1})
-    assert res.status == UNBOUNDED
-
-
-def test_equality_constraint():
-    # max x + 2y  s.t.  x + y = 3  ->  (0, 3), value 6
-    res = solve_lp(2, [({0: 1, 1: 1}, EQ, 3)], {0: 1, 1: 2})
-    assert res.status == OPTIMAL
-    assert res.value == 6
-    assert res.x == [0, 3]
-
-
-def test_negative_rhs_normalization():
-    # -x <= -2 means x >= 2; minimize x by maximizing -x.
-    res = solve_lp(1, [({0: -1}, LE, -2), ({0: 1}, LE, 5)], {0: -1})
-    assert res.status == OPTIMAL
-    assert res.value == -2
-    assert res.x == [2]
+    # max x + y  s.t.  y - x <= 1,  x = 2y: the ray (2, 1) gains forever.
+    res = solve_lp(2, [({0: -1, 1: 1}, LE, 1), ({0: 1, 1: -2}, EQ, 0)], {0: 1, 1: 1})
+    assert res == simplex.LpResult(UNBOUNDED, None, None)
 
 
 def test_zero_rhs_rows_give_zero():
@@ -67,17 +46,6 @@ def test_zero_rhs_rows_give_zero():
     )
     assert res.status == OPTIMAL
     assert res.value == 0
-
-
-def test_redundant_equalities_are_dropped():
-    # The same equality twice forces a redundant artificial row.
-    res = solve_lp(
-        2,
-        [({0: 1, 1: 1}, EQ, 2), ({0: 1, 1: 1}, EQ, 2), ({0: 1}, LE, 1)],
-        {0: 1, 1: 1},
-    )
-    assert res.status == OPTIMAL
-    assert res.value == 2
 
 
 def test_degenerate_ratio_ties_terminate():
@@ -96,27 +64,28 @@ def test_degenerate_ratio_ties_terminate():
     assert res.value == Fraction(2)
 
 
-def test_fractional_data():
-    res = solve_lp(
-        1,
-        [({0: Fraction(1, 3)}, LE, Fraction(1, 2))],
-        {0: 1},
-    )
-    assert res.status == OPTIMAL
-    assert res.value == Fraction(3, 2)
-
-
 def test_bad_sense_rejected():
     with pytest.raises(ValueError):
         solve_lp(1, [({0: 1}, "<", 1)], {0: 1})
 
 
-def test_all_rows_redundant():
-    # 0 = 0 is dropped after phase 1; what is left is max 0 over x >= 0.
-    res = solve_lp(1, [({0: 0}, EQ, 0)], {0: 0})
-    assert res.status == OPTIMAL
-    assert res.value == 0
-    assert res.x == [0]
+@pytest.mark.parametrize("row, message", [
+    (({0: 1}, GE, 1), "'>=' with right-hand side 1"),
+    (({0: 1}, LE, -1), "'<=' with right-hand side -1"),
+    (({0: 1}, EQ, 2), "'=' with right-hand side 2"),
+    (({0: 2, 1: 2}, EQ, 0), "'=' row depends on the '=' rows before it"),
+    (({2: 1}, LE, 1), "variable index 2 out of range"),
+], ids=["ge", "negative-rhs", "nonzero-eq-rhs", "dependent-eq", "index"])
+def test_rejected_rows_are_named(row, message):
+    # x = 0 must meet every row, and each "=" row must enter the basis.
+    rows = [({0: 1, 1: 1}, EQ, 0), row]
+    with pytest.raises(ValueError, match=f"^row 1: {message}"):
+        solve_lp(2, rows, {0: 1})
+
+
+def test_rows_take_integers():
+    with pytest.raises(TypeError):
+        solve_lp(1, [({0: Fraction(1, 3)}, LE, 1)], {0: 1})
 
 
 def test_no_rows():
@@ -142,8 +111,9 @@ def _warm(num_vars, rows, objective, *bounds):
     return OPTIMAL, tab
 
 
-def _cold(num_vars, rows, objective, *bounds):
-    return solve_lp(num_vars, list(rows) + [({v: 1}, s, b) for v, s, b in bounds], objective)
+def _vertices(num_vars, rows, objective, *bounds):
+    """(status, value) of the program plus bounds, by vertex enumeration."""
+    return lp_by_vertices(num_vars, rows + [({v: 1}, s, b) for v, s, b in bounds], objective)
 
 
 def test_bound_makes_the_program_infeasible():
@@ -151,7 +121,7 @@ def test_bound_makes_the_program_infeasible():
     rows, objective = [({0: 1}, LE, 3)], {0: 1}
     status, _ = _warm(1, rows, objective, (0, GE, 4))
     assert status == INFEASIBLE
-    assert _cold(1, rows, objective, (0, GE, 4)).status == INFEASIBLE
+    assert _vertices(1, rows, objective, (0, GE, 4)) == (INFEASIBLE, None)
 
 
 def test_bound_on_a_basic_variable():
@@ -164,7 +134,7 @@ def test_bound_on_a_basic_variable():
     assert status == OPTIMAL
     assert tab.objective_value() == Fraction(5, 2)
     assert tab.point(2) == [1, Fraction(3, 2)]
-    assert _cold(2, rows, objective, (0, LE, 1)).value == Fraction(5, 2)
+    assert _vertices(2, rows, objective, (0, LE, 1)) == (OPTIMAL, Fraction(5, 2))
 
 
 def test_bound_on_a_nonbasic_variable():
@@ -218,7 +188,8 @@ def test_rebuilt_tableau_equals_the_dual_simplex_tableau():
     root = solve_lp(2, rows, objective).tableau
     status, warm = _warm(2, rows, objective, *bounds)
     assert status == OPTIMAL
-    assert _cold(2, rows, objective, *bounds).value == warm.objective_value() == 2
+    assert _vertices(2, rows, objective, *bounds) == (OPTIMAL, warm.objective_value())
+    assert warm.objective_value() == 2
     again = root.rebuilt(bounds, warm.basis)
     assert _snapshot(again) == _snapshot(warm)
 
@@ -232,8 +203,10 @@ def _snapshot(tab):
 # Wide entries: the int64 matrix widens to object dtype, with the same answers.
 
 TWO_VARIABLES = ([({0: 1, 1: 2}, LE, 4), ({0: 3, 1: 1}, LE, 6)], {0: 1, 1: 1})
-# max x + 2y  s.t.  x + y = 3,  x >= 1  ->  (1, 2), value 5; needs phase 1.
-MIXED = ([({0: 1, 1: 1}, EQ, 3), ({0: 1}, GE, 1)], {0: 1, 1: 2})
+# max x + 2y  s.t.  2x - y = 0,  x + y <= 3,  3x + y <= 6  ->  (1, 2),
+# value 5; the "=" row's entry pivot comes first.
+MIXED = ([({0: 2, 1: -1}, EQ, 0), ({0: 1, 1: 1}, LE, 3), ({0: 3, 1: 1}, LE, 6)],
+         {0: 1, 1: 2})
 
 
 def _scale_rows(rows, factors):
@@ -249,9 +222,9 @@ def _scale_rows(rows, factors):
 ])
 @pytest.mark.parametrize("factors, first_dtype", [
     # Every entry is past 2**30 from the start.
-    ((2**40, 2**40), object),
-    # Entries below 2**19 at the start; the first pivot takes them past 2**30.
-    ((65521, 65519), np.int64),
+    ((2**40, 2**40, 2**40), object),
+    # Entries below 2**19 at the start; pivots take them past 2**30.
+    ((65521, 65519, 65497), np.int64),
 ])
 def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
                                                factors, first_dtype):
@@ -268,7 +241,7 @@ def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
     assert (wide.status, wide.value, wide.x) == (OPTIMAL, value, x)
     assert all(_exact(v) for v in [wide.value, *wide.x])
     assert small.tableau.mat.dtype == np.int64
-    assert dtypes[0] == first_dtype and dtypes[-1] == object
+    assert dtypes[0] == first_dtype
     assert wide.tableau.mat.dtype == wide.tableau.dens.dtype == object
     # The widened tableau warm-starts like the narrow one.
     for tab in (small.tableau, wide.tableau):
@@ -297,88 +270,104 @@ def test_nbytes_covers_what_the_tableau_holds(factors, dtype):
 
 
 # ---------------------------------------------------------------------------
-# An independent oracle: vertex enumeration in Fractions.
+# Independent oracles: vertex enumeration in Fractions, and an exact
+# certificate check of the tableau itself.
 
 
 def _random_lp(rng):
-    """At most 4 variables and 4 rows, mixed senses, small integers."""
+    """At most 4 variables and 4 rows of the shape solve_lp takes ("<="
+    rows with rhs >= 0, "=" rows with rhs 0), small integers."""
     num_vars = rng.randint(1, 4)
     rows = []
-    if rng.random() < 0.5:  # a box, so that more of the programs are bounded
+    if rng.random() < 0.3:  # a box, so that more of the programs are bounded
         rows.append(({j: 1 for j in range(num_vars)}, LE, rng.randint(0, 6)))
     for _ in range(rng.randint(1, 4 - len(rows))):
         coeffs = {j: rng.randint(-3, 3) for j in range(num_vars)}
-        rows.append((coeffs, rng.choice((LE, GE, EQ)), rng.randint(-4, 6)))
+        rows.append((coeffs, EQ, 0) if rng.random() < 0.3 else (coeffs, LE, rng.randint(0, 6)))
     objective = {j: rng.randint(-3, 3) for j in range(num_vars)}
     return num_vars, rows, objective
+
+
+def _independent(num_vars, rows):
+    """Whether the "=" rows are linearly independent, as solve_lp needs."""
+    eqs = [[c.get(j, 0) for j in range(num_vars)] for c, sense, _ in rows if sense == EQ]
+    return rank(eqs) == len(eqs)
+
+
+def _certified(num_vars, rows, objective, tab, bounds=()):
+    """tableau_certificate of tab for rows plus the bound rows add_bound
+    appended, x <= u or x >= l written as x <= u or -x <= -l."""
+    rows = rows + [({v: 1}, LE, b) if s == LE else ({v: -1}, LE, -b) for v, s, b in bounds]
+    return tableau_certificate(num_vars, rows, objective,
+                               tab.basis, tab.mat.tolist(), tab.dens.tolist())
+
+
+HOLDS = {LE: lambda u, v: u <= v, EQ: lambda u, v: u == v}
 
 
 def test_agrees_with_vertex_enumeration():
     rng = random.Random(2015)
     statuses = Counter()
-    holds = {LE: lambda u, v: u <= v, GE: lambda u, v: u >= v, EQ: lambda u, v: u == v}
-    for _ in range(200):
+    for _ in range(100):
         num_vars, rows, objective = _random_lp(rng)
+        if not _independent(num_vars, rows):
+            with pytest.raises(ValueError, match="depends on the '=' rows before it"):
+                solve_lp(num_vars, rows, objective)
+            statuses["dependent"] += 1
+            continue
         res = solve_lp(num_vars, rows, objective)
         assert (res.status, res.value) == lp_by_vertices(num_vars, rows, objective)
         statuses[res.status] += 1
         if res.status == OPTIMAL:
-            # The returned point is feasible and attains the value.
-            assert min(res.x) >= 0
-            for coeffs, sense, b in rows:
-                assert holds[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
-            assert sum(c * res.x[j] for j, c in objective.items()) == res.value
-    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 15
-
-
-def _rational(rng, num_vars, rows, objective):
-    """The program with every number v replaced by v / q, q in 1..6."""
-    def frac(v):
-        return Fraction(v, rng.randint(1, 6))
-
-    rows = [({j: frac(v) for j, v in coeffs.items()}, sense, frac(b))
-            for coeffs, sense, b in rows]
-    return num_vars, rows, {j: frac(v) for j, v in objective.items()}
-
-
-def test_rational_programs_agree_with_vertex_enumeration():
-    # Rows and the objective row are scaled to integers by their
-    # denominators; the answers must be those of the Fraction program.
-    rng = random.Random(2016)
-    statuses = Counter()
-    holds = {LE: lambda u, v: u <= v, GE: lambda u, v: u >= v, EQ: lambda u, v: u == v}
-    for _ in range(200):
-        num_vars, rows, objective = _rational(rng, *_random_lp(rng))
-        res = solve_lp(num_vars, rows, objective)
-        assert (res.status, res.value) == lp_by_vertices(num_vars, rows, objective)
-        statuses[res.status] += 1
-        if res.status == OPTIMAL:
+            # The returned point is feasible and attains the value, and the
+            # tableau proves it.
             assert all(_exact(v) for v in [res.value, *res.x])
             assert min(res.x) >= 0
             for coeffs, sense, b in rows:
-                assert holds[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
+                assert HOLDS[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
             assert sum(c * res.x[j] for j, c in objective.items()) == res.value
-    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 15
+            assert _certified(num_vars, rows, objective, res.tableau) == (OPTIMAL, res.value)
+    # x = 0 is feasible, so no program is infeasible.
+    assert statuses[INFEASIBLE] == 0
+    assert min(statuses[s] for s in (OPTIMAL, UNBOUNDED)) >= 15
+    assert statuses["dependent"] >= 5
 
 
-def test_objective_row_over_its_least_denominator():
-    # The reduced costs are -costs plus each basic row times its column's
-    # cost; the row holds their numerators over the least common denominator.
-    rng = random.Random(2017)
-    checked = 0
-    for _ in range(100):
-        num_vars, rows, objective = _rational(rng, *_random_lp(rng))
-        tab = solve_lp(num_vars, rows, objective).tableau
-        if tab is None:
+def test_warm_starts_agree_with_vertex_enumeration():
+    # Random bound rows on the bounded programs, re-optimized from the
+    # root's tableau by the dual simplex.
+    rng = random.Random(2016)
+    statuses = Counter()
+    for _ in range(80):
+        num_vars, rows, objective = _random_lp(rng)
+        if not _independent(num_vars, rows) or solve_lp(num_vars, rows, objective).status != OPTIMAL:
             continue
-        costs = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for j in range(tab.ncols)}
-        tab.set_objective(costs)
-        expect = [-costs.get(k, 0) for k in range(tab.ncols + 1)]
-        for i, b in enumerate(tab.basis):
-            for k in range(tab.ncols + 1):
-                expect[k] += costs[b] * Fraction(int(tab.mat[i, k]), int(tab.dens[i]))
-        den = math.lcm(*(v.denominator for v in expect))
-        assert tab.mat[-1].tolist() == [int(v * den) for v in expect]
-        assert tab.dens[-1] == den
-        checked += 1
-    assert checked >= 30
+        bounds = [(rng.randrange(num_vars), rng.choice((LE, GE)), rng.randint(0, 3))
+                  for _ in range(rng.randint(1, 2))]
+        status, tab = _warm(num_vars, rows, objective, *bounds)
+        value = tab.objective_value() if status == OPTIMAL else None
+        assert (status, value) == _vertices(num_vars, rows, objective, *bounds)
+        # _warm stops at the first bound that leaves no feasible point.
+        added = bounds[: len(tab.basis) - len(rows)]
+        assert _certified(num_vars, rows, objective, tab, added) == (status, value)
+        statuses[status] += 1
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE)) >= 15
+
+
+def test_certificate_rejects_any_changed_entry():
+    # The oracle that checks tableaux here and in test_ilp notices one
+    # wrong numerator or denominator anywhere, the objective row included.
+    rows, objective = MIXED
+    tab = solve_lp(2, rows, objective).tableau
+    mat, dens = tab.mat.tolist(), tab.dens.tolist()
+    assert tableau_certificate(2, rows, objective, tab.basis, mat, dens) == (OPTIMAL, 5)
+    for i, row in enumerate(mat):
+        for k in range(len(row)):
+            bad = [r[:] for r in mat]
+            bad[i][k] += 1
+            with pytest.raises(AssertionError):
+                tableau_certificate(2, rows, objective, tab.basis, bad, dens)
+        bad = dens[:]
+        bad[i] += 1
+        with pytest.raises(AssertionError):
+            tableau_certificate(2, rows, objective, tab.basis, mat, bad)
