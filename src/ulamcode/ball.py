@@ -230,6 +230,13 @@ def sample_lis_lengths(
     nblocks = -(-samples // MC_BLOCK)
     sizes = [MC_BLOCK] * (nblocks - 1) + [samples - MC_BLOCK * (nblocks - 1)]
     columns = ([n] * nblocks, [seed] * nblocks, range(nblocks), sizes)
+    lengths = np.empty(samples, dtype=np.int64)
+
+    def fill(blocks) -> None:
+        # Each block lands in place, so the output is held once.
+        for start, block in zip(range(0, samples, MC_BLOCK), blocks):
+            lengths[start : start + len(block)] = block
+
     if workers > 1 and nblocks > 1:
         # Imported here, so that a process that starts no pool does not
         # load multiprocessing.
@@ -237,12 +244,12 @@ def sample_lis_lengths(
 
         try:
             with ProcessPoolExecutor(max_workers=_pool_size(workers, nblocks)) as pool:
-                parts = list(pool.map(_sample_block, *columns))
+                fill(pool.map(_sample_block, *columns))
         except OSError:
-            parts = list(map(_sample_block, *columns))
+            fill(map(_sample_block, *columns))
     else:
-        parts = list(map(_sample_block, *columns))
-    return np.concatenate(parts)
+        fill(map(_sample_block, *columns))
+    return lengths
 
 
 def lis_prob_mc(

@@ -41,8 +41,8 @@ BOUND_ONLY = "bound_only"
 IP_NODE_CAP = 500
 # Byte bound on the tableaux that solve_ilp keeps for its open nodes
 # (_Tableau.nbytes).  A node pushed while the kept ones would pass it keeps
-# only its path and basis, and its tableau is rebuilt from the root's when
-# it is popped.  A rebuilt tableau equals the kept one entry for entry, so
+# only its path of bound rows, which the dual simplex replays from the
+# root's tableau when it is popped.  The replay makes the same pivots, so
 # the bound changes time and memory, never results.
 IP_TABLEAU_BYTES = 16 << 20
 
@@ -118,9 +118,9 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     cap counts the root as one node and cannot stop it.  Each child is its
     parent's tableau plus one bound row, re-optimized by the dual simplex.
     An open node keeps that tableau while the kept ones stay within
-    IP_TABLEAU_BYTES; past it, a node keeps only its path of bound rows and
-    its optimal basis, and its tableau is rebuilt from the root's when it
-    is popped.
+    IP_TABLEAU_BYTES; past it, a node keeps only its path of bound rows,
+    and when it is popped the dual simplex re-solves it from the root's
+    tableau one bound row at a time, as it was first solved.
     """
     cover, rhs = _cover(params)
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
@@ -131,11 +131,9 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
         return {(k // n + 1, k % n + 1): int(v) for k, v in enumerate(x)}
 
     counter = held = 0
-    # (-value, counter, path, basis, (k, floor of x_k), tableau or None);
-    # counters are unique, so heap order never compares past them.
-    heap: list[
-        tuple[Fraction, int, tuple, tuple[int, ...], tuple[int, int], Optional[_Tableau]]
-    ] = []
+    # (-value, counter, path, (k, floor of x_k), tableau or None); counters
+    # are unique, so heap order never compares past them.
+    heap: list[tuple[Fraction, int, tuple, tuple[int, int], Optional[_Tableau]]] = []
 
     def consider(tab, path: tuple) -> None:
         nonlocal best_value, best_x, counter, held
@@ -149,12 +147,12 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
             return
         if math.floor(value) > best_value:
             counter += 1
-            basis, size = tuple(tab.basis), tab.nbytes
+            size = tab.nbytes
             if held + size <= IP_TABLEAU_BYTES:
                 held += size
             else:
-                tab = None  # rebuilt from the root's when popped
-            heapq.heappush(heap, (-value, counter, path, basis, branch, tab))
+                tab = None  # replayed from the root's when popped
+            heapq.heappush(heap, (-value, counter, path, branch, tab))
 
     # Feasible warm start: the constant matrix X[b][a] = m with the largest
     # m every covering row allows.
@@ -167,20 +165,25 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
     assert root.status == OPTIMAL
     status, nodes = OPTIMAL, 1
-    # A copy, so that the root's own tableau stays intact for rebuilds.
+    # A copy, so that the root's own tableau stays intact for replays.
     consider(root.tableau.copy(), ())
 
     while heap:
         if clock.exhausted(nodes):
             status = BOUND_ONLY
             break
-        neg, _, path, basis, (k, fl), tab = heapq.heappop(heap)
+        neg, _, path, (k, fl), tab = heapq.heappop(heap)
         if math.floor(-neg) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
             heap.clear()
             break
         if tab is None:
-            tab = root.tableau.rebuilt(path, basis)
+            tab = root.tableau.copy()
+            for bound in path:
+                tab.add_bound(*bound)
+                # The same pivots as the first solve, which was feasible.
+                if tab.dual_optimize() != OPTIMAL:
+                    raise AssertionError(f"replaying {path} turned infeasible")
         else:
             held -= tab.nbytes
         # The node is done after its two children, so the second takes

@@ -25,9 +25,8 @@ Each pivot checks the 2**30 limit on the rows it has just computed.
 ``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
 restores optimality in a few pivots: this is how branch-and-bound children
-are solved.  ``rebuilt`` recreates such a tableau from the root, the bound
-rows and the optimal basis alone; branch-and-bound uses it only for the
-nodes whose tableaux it did not keep, past its byte bound (``nbytes``).
+are solved, and how it re-solves from the root's tableau a node whose
+tableau it did not keep, past its byte bound (``nbytes``).
 """
 
 from __future__ import annotations
@@ -252,33 +251,6 @@ class _Tableau:
             if enter < 0:
                 return INFEASIBLE
             self.pivot(leave, enter)
-
-    def rebuilt(
-        self, bounds: Sequence[tuple[int, str, int]], basis: Sequence[int]
-    ) -> "_Tableau":
-        """This tableau plus the bound rows (var, sense, bound), in order,
-        pivoted to ``basis`` with its rows in that order.
-
-        Rows are gcd-reduced over positive denominators, so the result
-        equals, entry for entry, any tableau of the same program with the
-        same basis in the same row order.
-        """
-        tab = self.copy()
-        for var, sense, bound in bounds:
-            tab.add_bound(var, sense, bound)
-        target = set(basis)
-        for c in basis:
-            if c in tab.basis:
-                continue
-            # Some row whose basic column leaves has a nonzero entry in c,
-            # because the target basis is nonsingular.
-            col = tab.mat[:, c].tolist()
-            r = next(i for i, b in enumerate(tab.basis) if b not in target and col[i])
-            tab.pivot(r, c)
-        at = {b: i for i, b in enumerate(tab.basis)}
-        order = [at[b] for b in basis] + [len(basis)]
-        tab.mat, tab.dens, tab.basis = tab.mat[order], tab.dens[order], list(basis)
-        return tab
 
 
 def solve_lp(

@@ -6,6 +6,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -186,6 +187,26 @@ class TestMonteCarlo:
         a = sample_lis_lengths(6, 70_000, 3, workers=1)
         b = sample_lis_lengths(6, 70_000, 3, workers=2)
         assert (a == b).all()
+
+    def test_output_is_held_once(self, monkeypatch):
+        # 200 blocks of 1,024 samples and a short one: each block lands in
+        # the output as it comes, so the traced peak stays well below two
+        # copies of the output, and the samples are the blocks' in order.
+        # Drawing the blocks first also makes numpy's one-time allocations
+        # before the trace starts.
+        block, n, seed = 1024, 12, 4
+        sizes = [block] * 200 + [300]
+        blocks = [ball._sample_block(n, seed, b, size) for b, size in enumerate(sizes)]
+        monkeypatch.setattr(ball, "MC_BLOCK", block)
+        tracemalloc.start()
+        try:
+            got = sample_lis_lengths(n, sum(sizes), seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * got.nbytes
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.concatenate(blocks))
 
     def test_large_n_uses_scalar_path(self, monkeypatch):
         # Past n = 49,932 a uint16 chunk is too short for the kernel, and

@@ -215,19 +215,16 @@ class TestSolveIlp:
 
 
 class _Recorder:
-    """Records what solve_ilp asks of the simplex: each child's bound path,
-    dual-simplex status and final tableau, and each tableau rebuilt for a
-    popped node.  A tableau's path rides along as an attribute that
-    add_bound extends and copies inherit."""
+    """Records what solve_ilp asks of the simplex: the bound path,
+    dual-simplex status and final tableau of each child, and of each step
+    of a popped node's replay from the root.  A tableau's path rides along
+    as an attribute that add_bound extends and copies inherit."""
 
     def __init__(self, monkeypatch):
         self.children = []  # (path, status, snapshot)
-        self.rebuilt = []   # (path, snapshot)
         self.dtypes = set()  # of every child's matrix
         tab_cls = simplex._Tableau
-        add_bound, dual_optimize, rebuilt = (
-            tab_cls.add_bound, tab_cls.dual_optimize, tab_cls.rebuilt
-        )
+        add_bound, dual_optimize = tab_cls.add_bound, tab_cls.dual_optimize
 
         def add_bound_spy(tab, var, sense, bound):
             add_bound(tab, var, sense, bound)
@@ -239,14 +236,8 @@ class _Recorder:
             self.children.append((tab.path, status, _snapshot(tab)))
             return status
 
-        def rebuilt_spy(tab, bounds, basis):
-            out = rebuilt(tab, bounds, basis)
-            self.rebuilt.append((tuple(bounds), _snapshot(out)))
-            return out
-
         monkeypatch.setattr(tab_cls, "add_bound", add_bound_spy)
         monkeypatch.setattr(tab_cls, "dual_optimize", dual_optimize_spy)
-        monkeypatch.setattr(tab_cls, "rebuilt", rebuilt_spy)
 
 
 def _snapshot(tab):
@@ -298,23 +289,30 @@ class TestWarmStart:
             statuses.add(status)
         assert statuses == {OPTIMAL, INFEASIBLE}  # the oracle checks both kinds
 
-    def test_rebuilt_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
-        # With no bytes for kept tableaux, every popped node is rebuilt.
+    def test_replayed_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
+        # With no bytes for kept tableaux, every popped node is replayed
+        # from the root's tableau, whose copy is the root node's.  A path
+        # solved a second time is a replay step, and its tableau must
+        # equal, entry for entry, the one its first solve made.
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
         params = CodeParams(5, 3)
         root = _snapshot(ilp._lp_result(params).tableau)
         assert _certificate(params, (), root) == (OPTIMAL, 6)
         rec = _Recorder(monkeypatch)
+        spy = _HeapSpy()
+        monkeypatch.setattr(ilp, "heapq", spy)
         solve_ilp(params)
-        solved = {path: snap for path, status, snap in rec.children if status == OPTIMAL}
-        solved[()] = root
-        assert len(rec.rebuilt) > 50
-        for path, (ncols, basis, rows, dens, obj, obj_den) in rec.rebuilt:
-            want_ncols, want_basis, want_rows, want_dens, want_obj, want_den = solved[path]
-            assert (ncols, obj, obj_den) == (want_ncols, want_obj, want_den)
-            got = {b: (r, q) for b, r, q in zip(basis, rows, dens)}
-            assert got == {b: (r, q) for b, r, q in zip(want_basis, want_rows, want_dens)}
-            assert basis == want_basis
+        first, replayed = {}, set()
+        for path, status, snapshot in rec.children:
+            if path in first:
+                assert (status, snapshot) == first[path]
+                replayed.add(path)
+            else:
+                first[path] = (status, snapshot)
+        # Every popped node past the root was replayed, more than 50 of them.
+        popped = [path for path in spy.popped if path]
+        assert len(popped) > 50
+        assert set(popped) <= replayed
 
 
 def _solve(cell, max_nodes=None):
@@ -325,13 +323,19 @@ def _solve(cell, max_nodes=None):
 
 class _HeapSpy:
     """Stands in for solve_ilp's heapq.  It records the most bytes that the
-    open nodes' kept tableaux (the last field of a heap entry) held, and
-    how many nodes were pushed without one."""
-
-    heappop = staticmethod(heapq.heappop)
+    open nodes' kept tableaux (the last field of a heap entry) held, how
+    many nodes were pushed without one, and the path of each node popped
+    without one, which solve_ilp replays."""
 
     def __init__(self):
         self.most = self.refused = 0
+        self.popped = []
+
+    def heappop(self, heap):
+        entry = heapq.heappop(heap)
+        if entry[-1] is None:
+            self.popped.append(entry[2])
+        return entry
 
     def heappush(self, heap, entry):
         heapq.heappush(heap, entry)
@@ -342,7 +346,7 @@ class _HeapSpy:
 
 class TestTableauMemo:
     """Open nodes keep their tableaux up to IP_TABLEAU_BYTES; the rest are
-    rebuilt from the root.  Which one a node gets must never show."""
+    replayed from the root.  Which one a node gets must never show."""
 
     @pytest.mark.parametrize(
         "cell, max_nodes",
@@ -359,19 +363,30 @@ class TestTableauMemo:
     def test_kept_tableaux_stay_within_the_bound(self, monkeypatch):
         bound = 1 << 20
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
-        rebuilt_only = _solve((8, 6), 300)
+        replay_only = _solve((8, 6), 300)
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
         spy = _HeapSpy()
         monkeypatch.setattr(ilp, "heapq", spy)
-        rebuilds = []
-        rebuilt = simplex._Tableau.rebuilt
-        monkeypatch.setattr(
-            simplex._Tableau, "rebuilt", lambda tab, *a: rebuilds.append(a) or rebuilt(tab, *a)
-        )
-        assert _solve((8, 6), 300) == rebuilt_only
-        # The bound is reached, never passed, and the nodes past it are rebuilt.
+        assert _solve((8, 6), 300) == replay_only
+        # The bound is reached, never passed, and the nodes past it are replayed.
         assert bound - (64 << 10) < spy.most <= bound
-        assert rebuilds
+        assert spy.popped
+
+    def test_replays_at_10_7(self, monkeypatch):
+        # (10,7) passes the default bound within the default cap, in object
+        # dtype; under a 1 MiB bound its first 150 nodes replay already.
+        kept = _solve((10, 7), 150)
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 1 << 20)
+        spy = _HeapSpy()
+        monkeypatch.setattr(ilp, "heapq", spy)
+        assert _solve((10, 7), 150) == kept
+        assert spy.popped
+
+    @pytest.mark.slow
+    def test_default_cap_at_10_7(self):
+        # The default bound is passed here, so some nodes are replayed.
+        status, value, _, nodes = _solve((10, 7))
+        assert (status, value, nodes) == ("bound_only", 24, 501)
 
     def test_default_bound_fits_the_default_cap(self, monkeypatch):
         for n in range(4, 9):
@@ -385,7 +400,7 @@ class TestTableauMemo:
     @pytest.mark.slow
     def test_memory_beyond_the_default_cap(self, monkeypatch):
         # 3,000 nodes at (8,6) would keep about 50 MB of tableaux without
-        # the bound; with it, the traced peak exceeds the rebuild-only
+        # the bound; with it, the traced peak exceeds the replay-only
         # run's by at most the bound.
         peaks, results = [], []
         for bound in (0, ilp.IP_TABLEAU_BYTES):

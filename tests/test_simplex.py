@@ -182,23 +182,6 @@ def test_infeasible_rows_leave_smallest_basic_index_first():
     assert (tab.objective_value(), tab.point(2)) == (3, [2, 1])
 
 
-def test_rebuilt_tableau_equals_the_dual_simplex_tableau():
-    rows, objective = [({0: 1, 1: 2}, LE, 4), ({0: 3, 1: 1}, LE, 6)], {0: 1, 1: 1}
-    bounds = [(0, LE, 1), (1, GE, 2)]
-    root = solve_lp(2, rows, objective).tableau
-    status, warm = _warm(2, rows, objective, *bounds)
-    assert status == OPTIMAL
-    assert _vertices(2, rows, objective, *bounds) == (OPTIMAL, warm.objective_value())
-    assert warm.objective_value() == 2
-    again = root.rebuilt(bounds, warm.basis)
-    assert _snapshot(again) == _snapshot(warm)
-
-
-def _snapshot(tab):
-    """The tableau as nested Python ints, so that == compares every entry."""
-    return tab.ncols, list(tab.basis), tab.mat.tolist(), tab.dens.tolist()
-
-
 # ---------------------------------------------------------------------------
 # Wide entries: the int64 matrix widens to object dtype, with the same answers.
 
