@@ -491,6 +491,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # An output path that cannot be written fails before any work.
+        for path in filter(None, (args.out, getattr(args, "save_code", None))):
+            if os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"cannot write {path}: no directory {os.path.dirname(path)}")
         run = _Run(args)
         return _DISPATCH[args.command](run)
     except CapacityError as exc:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .bounds import CodeParams, singleton_upper
 from .budget import BudgetClock, SearchBudget
-from .simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, STOPPED, LpResult, _Tableau, solve_lp
+from .simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, STOPPED, _Tableau, solve_lp
 
 Var = tuple[int, int]  # (b, a): position b holds symbol a
 
@@ -40,10 +40,10 @@ BOUND_ONLY = "bound_only"
 # search and tables: its nodes cost orders of magnitude more than clique nodes.
 IP_NODE_CAP = 500
 # Byte bound on the tableaux that solve_ilp keeps for its open nodes
-# (_Tableau.nbytes).  A node pushed while the kept ones would pass it keeps
-# only its path of bound rows, which the dual simplex replays from the
-# root's tableau when it is popped.  The replay makes the same pivots, so
-# the bound changes time and memory, never results.
+# (_Tableau.nbytes, read once per pushed node).  A node pushed while the
+# kept ones would pass it keeps only its path of bound rows, which the dual
+# simplex replays from the root's tableau when it is popped.  The replay
+# makes the same pivots, so the bound changes time and memory, never results.
 IP_TABLEAU_BYTES = 16 << 20
 
 
@@ -98,7 +98,9 @@ def _program(
     return rows, dict.fromkeys(range(n), 1)
 
 
-def _lp_result(params: CodeParams, clock: Optional[BudgetClock] = None) -> LpResult:
+def _root_lp(
+    params: CodeParams, clock: Optional[BudgetClock] = None
+) -> tuple[str, Optional[_Tableau]]:
     rows, objective = _program(params)
     return solve_lp(params.n**2, [row[1:] for row in rows], objective, clock)
 
@@ -118,9 +120,11 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     cap counts the root as one node and cannot stop it.  Each child is its
     parent's tableau plus one bound row, re-optimized by the dual simplex.
     An open node keeps that tableau while the kept ones stay within
-    IP_TABLEAU_BYTES; past it, a node keeps only its path of bound rows,
-    and when it is popped the dual simplex re-solves it from the root's
-    tableau one bound row at a time, as it was first solved.
+    IP_TABLEAU_BYTES: its bytes are charged once, when it is pushed, and
+    its entry holds the charge that its pop refunds.  Past the bound, a node
+    keeps only its path of bound rows, at a charge of 0, and when it is
+    popped the dual simplex re-solves it from the root's tableau one bound
+    row at a time, as it was first solved.
     """
     cover, rhs = _cover(params)
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
@@ -131,9 +135,9 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
         return {(k // n + 1, k % n + 1): int(v) for k, v in enumerate(x)}
 
     counter = held = 0
-    # (-value, counter, path, (k, floor of x_k), tableau or None); counters
-    # are unique, so heap order never compares past them.
-    heap: list[tuple[Fraction, int, tuple, tuple[int, int], Optional[_Tableau]]] = []
+    # (-value, counter, path, (k, floor of x_k), bytes charged, tableau or
+    # None); counters are unique, so heap order never compares past them.
+    heap: list[tuple[Fraction, int, tuple, tuple[int, int], int, Optional[_Tableau]]] = []
 
     def consider(tab, path: tuple) -> None:
         nonlocal best_value, best_x, counter, held
@@ -151,41 +155,40 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
             if held + size <= IP_TABLEAU_BYTES:
                 held += size
             else:
-                tab = None  # replayed from the root's when popped
-            heapq.heappush(heap, (-value, counter, path, branch, tab))
+                size, tab = 0, None  # replayed from the root's when popped
+            heapq.heappush(heap, (-value, counter, path, branch, size, tab))
 
     # Feasible warm start: the constant matrix X[b][a] = m with the largest
     # m every covering row allows.
     mstar = min(rhs // sum(row) for row in cover)
     best_value, best_x = n * mstar, assignment([mstar] * num_vars)
-    root = _lp_result(params, clock)
-    if root.status == STOPPED:
+    root_status, root = _root_lp(params, clock)
+    if root_status == STOPPED:
         # The relaxation's value is the Singleton bound (see ip_upper_bound).
         return IlpSolution(BOUND_ONLY, singleton_upper(params), best_x, 1)
     # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
-    assert root.status == OPTIMAL
+    assert root_status == OPTIMAL
     status, nodes = OPTIMAL, 1
     # A copy, so that the root's own tableau stays intact for replays.
-    consider(root.tableau.copy(), ())
+    consider(root.copy(), ())
 
     while heap:
         if clock.exhausted(nodes):
             status = BOUND_ONLY
             break
-        neg, _, path, (k, fl), tab = heapq.heappop(heap)
+        neg, _, path, (k, fl), charge, tab = heapq.heappop(heap)
+        held -= charge
         if math.floor(-neg) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
             heap.clear()
             break
         if tab is None:
-            tab = root.tableau.copy()
+            tab = root.copy()
             for bound in path:
                 tab.add_bound(*bound)
                 # The same pivots as the first solve, which was feasible.
                 if tab.dual_optimize() != OPTIMAL:
                     raise AssertionError(f"replaying {path} turned infeasible")
-        else:
-            held -= tab.nbytes
         # The node is done after its two children, so the second takes
         # its tableau; the first gets a copy made before either changes.
         for bound, child in (((k, LE, fl), tab.copy()), ((k, GE, fl + 1), tab)):
@@ -196,14 +199,9 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
             consider(child, path + (bound,))
 
     if status == BOUND_ONLY:
-        # Every open node's floor is still a candidate for the optimum.
-        best_value = max([best_value] + [math.floor(-entry[0]) for entry in heap])
-    return IlpSolution(
-        status=status,
-        objective_value=best_value,
-        assignment=best_x,
-        nodes_explored=nodes,
-    )
+        # The heap top's floor is the largest open node's, still a candidate.
+        best_value = max(best_value, math.floor(-heap[0][0]))
+    return IlpSolution(status, best_value, best_x, nodes)
 
 
 def ip_upper_bound(

@@ -527,16 +527,20 @@ def write_code_file(code: Code, path: str | Path) -> None:
 
 
 def read_code_file(path: str | Path) -> tuple[CodeParams, list[Perm]]:
-    """Read the code file format; verification is the caller's job.  A
-    line that does not parse is named as path:line, blank lines counted."""
+    """Read the code file format; verification is the caller's job.  A bad
+    line or an (n, d) out of range is named as path:line, blank lines counted."""
     lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty code file {path}")
+    head = f"{path}:{lines[0][0]}"
     try:
         n, d = map(int, lines[0][1].split())
     except ValueError:
-        raise ValueError(f'{path}:{lines[0][0]}: first line must be "n d"') from None
-    params = CodeParams(n, d)
+        raise ValueError(f'{head}: first line must be "n d"') from None
+    try:
+        params = CodeParams(n, d)
+    except ValueError as exc:
+        raise ValueError(f"{head}: {exc}") from None
     words = []
     for i, ln in lines[1:]:
         try:

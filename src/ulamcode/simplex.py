@@ -21,7 +21,8 @@ each ``<=`` row's slack basic, and each ``=`` row enters the basis by one
 pivot that moves no right-hand side.  The primal simplex runs from there.
 Each pivot checks the 2**30 limit on the rows it has just computed.
 
-``solve_lp`` returns the optimal tableau with its result.  A bound
+``solve_lp`` returns its status and the optimal tableau, whose
+``objective_value`` and ``point`` are the result.  A bound
 ``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
 restores optimality in a few pivots: this is how branch-and-bound children
@@ -36,7 +37,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -54,15 +54,6 @@ STOPPED = "stopped"
 _ZERO = Fraction(0)
 # int64 entries and denominators stay below this; past it, object dtype.
 _INT64_LIMIT = 1 << 30
-
-
-@dataclass
-class LpResult:
-    status: str
-    value: Optional[Fraction]
-    x: Optional[list[Fraction]]
-    # The optimal tableau, for re-optimizing under added bounds.
-    tableau: Optional["_Tableau"] = None
 
 
 def _fits(*arrays: np.ndarray) -> bool:
@@ -258,15 +249,16 @@ def solve_lp(
     rows: Sequence[tuple[dict[int, int], str, int]],
     objective: dict[int, int],
     clock: Optional[BudgetClock] = None,
-) -> LpResult:
-    """Maximize objective . x subject to rows and x >= 0.
+) -> tuple[str, Optional[_Tableau]]:
+    """Maximize objective . x subject to rows and x >= 0: (status, the
+    optimal tableau), the tableau None unless the status is OPTIMAL.
 
     Each row is (integer coefficients keyed by variable index, sense, rhs):
     "<=" with rhs >= 0, or "=" with rhs 0 and independent of the "=" rows
     before it; any other row raises ValueError.  x = 0 is then feasible:
     the "<=" rows' slacks start basic, and each "=" row enters the basis by
     one pivot on its first nonzero column.  A time cap of ``clock`` that
-    runs out before a pivot stops the solve: status STOPPED, no value.
+    runs out before a pivot stops the solve: status STOPPED.
     """
     for j in objective:
         if not 0 <= j < num_vars:
@@ -300,11 +292,8 @@ def solve_lp(
         if not nonzero.size:
             raise ValueError(f"row {i}: '=' row depends on the '=' rows before it")
         if clock is not None and clock.exhausted(0):
-            return LpResult(STOPPED, None, None)
+            return STOPPED, None
         # The right-hand side is 0, so no other right-hand side moves.
         tab.pivot(i, int(nonzero[0]))
     status = tab.optimize(clock)
-    if status != OPTIMAL:
-        return LpResult(status, None, None)
-
-    return LpResult(OPTIMAL, tab.objective_value(), tab.point(num_vars), tab)
+    return status, tab if status == OPTIMAL else None

@@ -195,6 +195,7 @@ class TestSearchAndVerify:
         ("4 2\n1 2 3 4\n\n2 1 4 3\n2 1 x 3\n", "5: token 'x' at column 3 is not an integer"),
         ("\n4 x\n1 2 3 4\n", '2: first line must be "n d"'),
         ("4 2 1\n1 2 3 4\n", '1: first line must be "n d"'),
+        ("5 9\n1 2 3 4 5\n", "1: d must satisfy 1 <= d <= n - 1 = 4, got 9"),
     ])
     def test_verify_names_the_line_of_a_malformed_line(self, capsys, tmp_path, text, message):
         # Line numbers count the blank lines the reader skips.
@@ -638,6 +639,27 @@ class TestEnvelope:
         assert code == 1
         code, _, _ = run_cli(capsys, "nonsense")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, option", [
+        (("search", "--n", "8", "--d", "5"), "--save-code"),
+        (("search", "--n", "8", "--d", "5"), "--out"),
+        (("tables", "--n", "8", "--d", "5"), "--out"),
+    ])
+    @pytest.mark.parametrize("where, message", [
+        ("missing/c.txt", "no directory"),
+        (".", "it is a directory"),
+    ])
+    def test_unwritable_output_fails_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                     argv, option, where, message):
+        def never(*args):
+            raise AssertionError("called")
+
+        for name in ("max_code_search", "reproduce_tables"):
+            monkeypatch.setattr(cli, name, never)
+        path = tmp_path / where
+        code, out, err = run_cli(capsys, *argv, option, str(path))
+        assert (code, out) == (1, "")
+        assert f"ulamcode: error: cannot write {path}: {message}" in err
 
     def test_invalid_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "5", "--d", "5")

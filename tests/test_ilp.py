@@ -108,7 +108,7 @@ class TestBuildModel:
 
 def relaxation(params):
     # The root relaxation solve_ilp starts from.
-    return ilp._lp_result(params).value
+    return ilp._root_lp(params)[1].objective_value()
 
 
 class TestLpRelaxation:
@@ -116,7 +116,8 @@ class TestLpRelaxation:
         # The program's rows with every right-hand side set to 0.
         rows, objective = ilp._program(CodeParams(5, 3))
         zeroed = [(coeffs, sense, 0) for _, coeffs, sense, _ in rows]
-        assert solve_lp(25, zeroed, objective).value == 0
+        status, tab = solve_lp(25, zeroed, objective)
+        assert (status, tab.objective_value()) == (OPTIMAL, 0)
 
     def test_worked_example_window_and_value(self):
         value = relaxation(CodeParams(5, 3))
@@ -137,8 +138,9 @@ class TestLpRelaxation:
         for n in range(3, 9):
             for d in range(2, n):
                 p = CodeParams(n, d)
-                root = ilp._lp_result(p)
-                assert _certificate(p, (), _snapshot(root.tableau)) == (OPTIMAL, root.value)
+                status, root = ilp._root_lp(p)
+                assert status == OPTIMAL
+                assert _certificate(p, (), _snapshot(root)) == (OPTIMAL, root.objective_value())
 
 
 # Exact integer optima of the program itself (before the Singleton min),
@@ -296,7 +298,7 @@ class TestWarmStart:
         # equal, entry for entry, the one its first solve made.
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
         params = CodeParams(5, 3)
-        root = _snapshot(ilp._lp_result(params).tableau)
+        root = _snapshot(ilp._root_lp(params)[1])
         assert _certificate(params, (), root) == (OPTIMAL, 6)
         rec = _Recorder(monkeypatch)
         spy = _HeapSpy()
@@ -323,25 +325,35 @@ def _solve(cell, max_nodes=None):
 
 class _HeapSpy:
     """Stands in for solve_ilp's heapq.  It records the most bytes that the
-    open nodes' kept tableaux (the last field of a heap entry) held, how
-    many nodes were pushed without one, and the path of each node popped
-    without one, which solve_ilp replays."""
+    open nodes' kept tableaux (the last field of a heap entry) held, the
+    most that their charges (the field before it) summed to, how many nodes
+    were pushed without a tableau, and the path of each node popped without
+    one, which solve_ilp replays.  Each entry's charge must be its
+    tableau's nbytes, or 0 without one, when it is pushed and popped."""
 
     def __init__(self):
-        self.most = self.refused = 0
+        self.most = self.most_charged = self.refused = 0
         self.popped = []
+
+    @staticmethod
+    def check_charge(entry):
+        *_, charge, tab = entry
+        assert charge == (0 if tab is None else tab.nbytes)
 
     def heappop(self, heap):
         entry = heapq.heappop(heap)
+        self.check_charge(entry)
         if entry[-1] is None:
             self.popped.append(entry[2])
         return entry
 
     def heappush(self, heap, entry):
         heapq.heappush(heap, entry)
+        self.check_charge(entry)
         self.refused += entry[-1] is None
         held = sum(e[-1].nbytes for e in heap if e[-1] is not None)
         self.most = max(self.most, held)
+        self.most_charged = max(self.most_charged, sum(e[-2] for e in heap))
 
 
 class TestTableauMemo:
@@ -368,9 +380,28 @@ class TestTableauMemo:
         spy = _HeapSpy()
         monkeypatch.setattr(ilp, "heapq", spy)
         assert _solve((8, 6), 300) == replay_only
-        # The bound is reached, never passed, and the nodes past it are replayed.
+        # The bound is reached, never passed, and the nodes past it are
+        # replayed.  The charges sum to what the kept tableaux hold.
         assert bound - (64 << 10) < spy.most <= bound
+        assert spy.most_charged == spy.most
         assert spy.popped
+
+    def test_one_nbytes_read_per_pushed_node(self, monkeypatch):
+        # A node's tableau is measured once, when it is pushed; its pop
+        # refunds the charge its entry holds without measuring it again.
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 1 << 20)
+        reads, pushed, popped = [], [], []
+        nbytes = simplex._Tableau.nbytes
+        monkeypatch.setattr(simplex._Tableau, "nbytes",
+                            property(lambda tab: reads.append(tab) or nbytes.fget(tab)))
+        monkeypatch.setattr(ilp, "heapq", SimpleNamespace(
+            heappush=lambda heap, entry: (pushed.append(entry), heapq.heappush(heap, entry)),
+            heappop=lambda heap: popped.append(heapq.heappop(heap)) or popped[-1],
+        ))
+        _solve((8, 6), 300)
+        assert len(reads) == len(pushed)
+        # Both kinds of node are pushed and popped.
+        assert {e[-1] is None for e in pushed} == {e[-1] is None for e in popped} == {False, True}
 
     def test_replays_at_10_7(self, monkeypatch):
         # (10,7) passes the default bound within the default cap, in object
@@ -395,7 +426,7 @@ class TestTableauMemo:
                 monkeypatch.setattr(ilp, "heapq", spy)
                 _solve((n, d), IP_NODE_CAP)
                 assert spy.refused == 0
-                assert spy.most <= ilp.IP_TABLEAU_BYTES
+                assert spy.most_charged == spy.most <= ilp.IP_TABLEAU_BYTES
 
     @pytest.mark.slow
     def test_memory_beyond_the_default_cap(self, monkeypatch):
@@ -503,7 +534,7 @@ class TestRootTableaux:
 
     def test_root_tableaux(self):
         for cell, (basis, digest) in ROOT_TABLEAUX.items():
-            tab = ilp._lp_result(CodeParams(*cell)).tableau
+            _, tab = ilp._root_lp(CodeParams(*cell))
             assert tab.basis == basis, cell
             assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
             data = repr((tab.mat.tolist(), tab.dens.tolist())).encode()
@@ -512,7 +543,7 @@ class TestRootTableaux:
     def test_grid_digests(self):
         assert set(ROOT_TABLEAU_SHA256) == {(n, d) for n in range(4, 9) for d in range(2, n)}
         for cell, digest in ROOT_TABLEAU_SHA256.items():
-            tab = ilp._lp_result(CodeParams(*cell)).tableau
+            _, tab = ilp._root_lp(CodeParams(*cell))
             assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
             data = repr((tab.ncols, tab.basis, tab.mat.tolist(), tab.dens.tolist())).encode()
             assert hashlib.sha256(data).hexdigest() == digest, cell
@@ -523,7 +554,7 @@ class TestRootTableaux:
         monkeypatch.setattr(simplex._Tableau, "pivot",
                             lambda tab, r, c: (pivots.append((r, c)), pivot(tab, r, c)))
         for cell in IPBOUND_CAPS:
-            ilp._lp_result(CodeParams(*cell))
+            ilp._root_lp(CodeParams(*cell))
         roots = len(pivots)
         pivots.clear()
         # The programs' pivots include their roots'.
@@ -586,8 +617,8 @@ class TestRootDeadline:
         return pivots
 
     def test_solve_lp_stops(self, pivots, ticks):
-        res = ilp._lp_result(self.CELL, SearchBudget(max_seconds=3).start())
-        assert res == simplex.LpResult(simplex.STOPPED, None, None)
+        res = ilp._root_lp(self.CELL, SearchBudget(max_seconds=3).start())
+        assert res == (simplex.STOPPED, None)
         assert len(pivots) == 2
         assert next(ticks) == 4  # the start and three readings
 

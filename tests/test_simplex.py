@@ -21,37 +21,37 @@ def _exact(v):
 
 def test_two_variable_optimum_is_exact():
     # max x + y  s.t.  x + 2y <= 4,  3x + y <= 6  ->  (8/5, 6/5), value 14/5
-    res = solve_lp(
+    status, tab = solve_lp(
         2,
         [({0: 1, 1: 2}, LE, 4), ({0: 3, 1: 1}, LE, 6)],
         {0: 1, 1: 1},
     )
-    assert res.status == OPTIMAL
-    assert res.value == Fraction(14, 5)
-    assert res.x == [Fraction(8, 5), Fraction(6, 5)]
-    assert all(_exact(v) for v in [res.value, *res.x])
+    assert status == OPTIMAL
+    assert tab.objective_value() == Fraction(14, 5)
+    assert tab.point(2) == [Fraction(8, 5), Fraction(6, 5)]
+    assert all(_exact(v) for v in [tab.objective_value(), *tab.point(2)])
 
 
 def test_unbounded():
     # max x + y  s.t.  y - x <= 1,  x = 2y: the ray (2, 1) gains forever.
     res = solve_lp(2, [({0: -1, 1: 1}, LE, 1), ({0: 1, 1: -2}, EQ, 0)], {0: 1, 1: 1})
-    assert res == simplex.LpResult(UNBOUNDED, None, None)
+    assert res == (UNBOUNDED, None)
 
 
 def test_zero_rhs_rows_give_zero():
-    res = solve_lp(
+    status, tab = solve_lp(
         2,
         [({0: 1, 1: 1}, LE, 0), ({0: 1, 1: -1}, EQ, 0)],
         {0: 1, 1: 1},
     )
-    assert res.status == OPTIMAL
-    assert res.value == 0
+    assert status == OPTIMAL
+    assert tab.objective_value() == 0
 
 
 def test_degenerate_ratio_ties_terminate():
     # Every vertex of this polytope scores 2; any path Bland takes must
     # still terminate at that value.
-    res = solve_lp(
+    status, tab = solve_lp(
         3,
         [
             ({0: 1, 1: 1}, LE, 1),
@@ -60,8 +60,8 @@ def test_degenerate_ratio_ties_terminate():
         ],
         {0: 2, 1: 1, 2: 1},
     )
-    assert res.status == OPTIMAL
-    assert res.value == Fraction(2)
+    assert status == OPTIMAL
+    assert tab.objective_value() == Fraction(2)
 
 
 def test_bad_sense_rejected():
@@ -89,10 +89,10 @@ def test_rows_take_integers():
 
 
 def test_no_rows():
-    res = solve_lp(2, [], {0: -1, 1: 0})
-    assert res.value == 0
-    assert res.tableau.mat.shape == (1, 3)  # no constraint row, then the objective
-    assert solve_lp(2, [], {0: -1, 1: 1}).status == UNBOUNDED
+    status, tab = solve_lp(2, [], {0: -1, 1: 0})
+    assert (status, tab.objective_value()) == (OPTIMAL, 0)
+    assert tab.mat.shape == (1, 3)  # no constraint row, then the objective
+    assert solve_lp(2, [], {0: -1, 1: 1}) == (UNBOUNDED, None)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_no_rows():
 
 def _warm(num_vars, rows, objective, *bounds):
     """The optimal tableau of the program plus bounds, by the dual simplex."""
-    tab = solve_lp(num_vars, rows, objective).tableau
+    tab = solve_lp(num_vars, rows, objective)[1]
     for bound in bounds:
         tab = tab.copy()
         tab.add_bound(*bound)
@@ -128,7 +128,7 @@ def test_bound_on_a_basic_variable():
     # The optimum (8/5, 6/5) of the first test; x <= 1 moves it to
     # (1, 3/2), value 5/2.  x is basic, so the new row is its negated row.
     rows, objective = [({0: 1, 1: 2}, LE, 4), ({0: 3, 1: 1}, LE, 6)], {0: 1, 1: 1}
-    root = solve_lp(2, rows, objective).tableau
+    root = solve_lp(2, rows, objective)[1]
     assert 0 in root.basis
     status, tab = _warm(2, rows, objective, (0, LE, 1))
     assert status == OPTIMAL
@@ -141,7 +141,7 @@ def test_bound_on_a_nonbasic_variable():
     # max 2x + y  s.t.  x + y <= 2 ends at (2, 0) with y nonbasic.  y >= 1
     # is the bare row -y + s = -1, and one dual pivot gives (1, 1), value 3.
     rows, objective = [({0: 1, 1: 1}, LE, 2)], {0: 2, 1: 1}
-    root = solve_lp(2, rows, objective).tableau
+    root = solve_lp(2, rows, objective)[1]
     assert 1 not in root.basis
     status, tab = _warm(2, rows, objective, (1, GE, 1))
     assert status == OPTIMAL
@@ -169,7 +169,7 @@ def test_infeasible_rows_leave_smallest_basic_index_first():
     # Bland's rule takes the row of s4 first, although s5's is more
     # infeasible, and enters s2 there.
     rows, objective = [({0: 1}, LE, 3), ({1: 1}, LE, 3)], {0: 1, 1: 1}
-    tab = solve_lp(2, rows, objective).tableau
+    tab = solve_lp(2, rows, objective)[1]
     tab.add_bound(0, LE, 2)
     tab.add_bound(1, LE, 1)
     assert tab.basis == [0, 1, 4, 5]
@@ -212,27 +212,28 @@ def _scale_rows(rows, factors):
 def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
                                                factors, first_dtype):
     rows, objective = program
-    small = solve_lp(2, rows, objective)
+    small_status, small = solve_lp(2, rows, objective)
     dtypes = []
     pivot = simplex._Tableau.pivot
     monkeypatch.setattr(
         simplex._Tableau, "pivot",
         lambda tab, r, c: (dtypes.append(tab.mat.dtype), pivot(tab, r, c)),
     )
-    wide = solve_lp(2, _scale_rows(rows, factors), objective)
-    assert (wide.status, wide.value, wide.x) == (small.status, small.value, small.x)
-    assert (wide.status, wide.value, wide.x) == (OPTIMAL, value, x)
-    assert all(_exact(v) for v in [wide.value, *wide.x])
-    assert small.tableau.mat.dtype == np.int64
+    wide_status, wide = solve_lp(2, _scale_rows(rows, factors), objective)
+    assert (wide_status, wide.objective_value(), wide.point(2)) == (
+        small_status, small.objective_value(), small.point(2))
+    assert (wide_status, wide.objective_value(), wide.point(2)) == (OPTIMAL, value, x)
+    assert all(_exact(v) for v in [wide.objective_value(), *wide.point(2)])
+    assert small.mat.dtype == np.int64
     assert dtypes[0] == first_dtype
-    assert wide.tableau.mat.dtype == wide.tableau.dens.dtype == object
+    assert wide.mat.dtype == wide.dens.dtype == object
     # The widened tableau warm-starts like the narrow one.
-    for tab in (small.tableau, wide.tableau):
+    for tab in (small, wide):
         tab.add_bound(1, LE, 1)
         assert tab.dual_optimize() == OPTIMAL
-    assert small.tableau.objective_value() == wide.tableau.objective_value()
-    assert small.tableau.point(2) == wide.tableau.point(2)
-    assert wide.tableau.mat.dtype == object
+    assert small.objective_value() == wide.objective_value()
+    assert small.point(2) == wide.point(2)
+    assert wide.mat.dtype == object
 
 
 @pytest.mark.parametrize("factors, dtype", [((1, 1), np.int64), ((2**40, 2**40), object)])
@@ -241,7 +242,7 @@ def test_nbytes_covers_what_the_tableau_holds(factors, dtype):
     rows, objective = TWO_VARIABLES
     tracemalloc.start()
     try:
-        tab = solve_lp(2, _scale_rows(rows, factors), objective).tableau
+        _, tab = solve_lp(2, _scale_rows(rows, factors), objective)
         held = tracemalloc.get_traced_memory()[0]
         nbytes = tab.nbytes
         assert tab.mat.dtype == dtype
@@ -298,18 +299,22 @@ def test_agrees_with_vertex_enumeration():
                 solve_lp(num_vars, rows, objective)
             statuses["dependent"] += 1
             continue
-        res = solve_lp(num_vars, rows, objective)
-        assert (res.status, res.value) == lp_by_vertices(num_vars, rows, objective)
-        statuses[res.status] += 1
-        if res.status == OPTIMAL:
+        status, tab = solve_lp(num_vars, rows, objective)
+        value = tab.objective_value() if status == OPTIMAL else None
+        assert (status, value) == lp_by_vertices(num_vars, rows, objective)
+        statuses[status] += 1
+        if status == OPTIMAL:
             # The returned point is feasible and attains the value, and the
             # tableau proves it.
-            assert all(_exact(v) for v in [res.value, *res.x])
-            assert min(res.x) >= 0
+            x = tab.point(num_vars)
+            assert all(_exact(v) for v in [value, *x])
+            assert min(x) >= 0
             for coeffs, sense, b in rows:
-                assert HOLDS[sense](sum(c * res.x[j] for j, c in coeffs.items()), b)
-            assert sum(c * res.x[j] for j, c in objective.items()) == res.value
-            assert _certified(num_vars, rows, objective, res.tableau) == (OPTIMAL, res.value)
+                assert HOLDS[sense](sum(c * x[j] for j, c in coeffs.items()), b)
+            assert sum(c * x[j] for j, c in objective.items()) == value
+            assert _certified(num_vars, rows, objective, tab) == (OPTIMAL, value)
+        else:
+            assert tab is None
     # x = 0 is feasible, so no program is infeasible.
     assert statuses[INFEASIBLE] == 0
     assert min(statuses[s] for s in (OPTIMAL, UNBOUNDED)) >= 15
@@ -323,7 +328,7 @@ def test_warm_starts_agree_with_vertex_enumeration():
     statuses = Counter()
     for _ in range(80):
         num_vars, rows, objective = _random_lp(rng)
-        if not _independent(num_vars, rows) or solve_lp(num_vars, rows, objective).status != OPTIMAL:
+        if not _independent(num_vars, rows) or solve_lp(num_vars, rows, objective)[0] != OPTIMAL:
             continue
         bounds = [(rng.randrange(num_vars), rng.choice((LE, GE)), rng.randint(0, 3))
                   for _ in range(rng.randint(1, 2))]
@@ -341,7 +346,7 @@ def test_certificate_rejects_any_changed_entry():
     # The oracle that checks tableaux here and in test_ilp notices one
     # wrong numerator or denominator anywhere, the objective row included.
     rows, objective = MIXED
-    tab = solve_lp(2, rows, objective).tableau
+    tab = solve_lp(2, rows, objective)[1]
     mat, dens = tab.mat.tolist(), tab.dens.tolist()
     assert tableau_certificate(2, rows, objective, tab.basis, mat, dens) == (OPTIMAL, 5)
     for i, row in enumerate(mat):
