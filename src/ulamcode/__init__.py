@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import IlpSolution, export_lp, ip_upper_bound, solve_ilp
+from .ilp import IlpSolution, export_lp, solve_ilp
 from .perm import (
     Perm,
     check_permutation,

@@ -122,17 +122,14 @@ def ball_table(n: int) -> BallTable:
     return BallTable(n=n, sizes=sizes)
 
 
-def sphere_packing_bounds(params: CodeParams) -> tuple[int, int]:
-    """(lower, upper) sphere bounds on the maximum code size.
+def sphere_packing_bounds(table: BallTable, d: int) -> tuple[int, int]:
+    """(lower, upper) sphere bounds on the maximum size of a code of length
+    table.n and minimum distance d, which CodeParams checks.
 
     lower = ceil(n! / |B(d-1)|) (covering), upper = floor(n! / |B(floor((d-1)/2))|)
     (packing with the usual half-distance radius; exact for even d - 1).
     """
-    return _sphere_bounds(ball_table(params.n), params.delta)
-
-
-def _sphere_bounds(table: BallTable, delta: int) -> tuple[int, int]:
-    """sphere_packing_bounds at d = delta + 1, from the ball table of its n."""
+    delta = CodeParams(table.n, d).delta
     nfact = math.factorial(table.n)
     return -(-nfact // table.sizes[delta]), nfact // table.sizes[delta // 2]
 

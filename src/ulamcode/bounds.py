@@ -127,8 +127,8 @@ def bound_report(
 ) -> BoundReport:
     """The closed-form bounds folded with whatever else is known.
 
-    ``sphere`` is the (lower, upper) pair of ``ball.sphere_packing_bounds``
-    and ``ip_upper`` an integer-program bound, each already computed.
+    ``sphere`` is the pair of ``ball.sphere_packing_bounds(table, d)`` and
+    ``ip_upper`` the value of ``ilp.solve_ilp``, each already computed.
     """
     singleton, gv = singleton_upper(params), gv_lower(params)
     sphere_lower, sphere_upper = sphere if sphere is not None else (None, None)

@@ -51,7 +51,7 @@ from .bounds import (
 )
 from .budget import SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import export_lp, ip_upper_bound
+from .ilp import BOUND_ONLY, export_lp, solve_ilp
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
     find_singleton_optimal,
@@ -286,12 +286,10 @@ def _cmd_bounds(run: _Run) -> int:
         raise ValueError("--max-nodes and --max-seconds budget the integer program; "
                          "they need --with-ip")
     params = CodeParams(args.n, args.d)
-    sphere = sphere_packing_bounds(params) if args.with_sphere else None
-    ip_upper, ip_bounded = (
-        ip_upper_bound(params, run.budget) if args.with_ip else (None, False)
-    )
-    report = bound_report(params, sphere, ip_upper)
-    if ip_bounded:
+    sphere = sphere_packing_bounds(ball_table(params.n), params.d) if args.with_sphere else None
+    ip = solve_ilp(params, run.budget) if args.with_ip else None
+    report = bound_report(params, sphere, ip.objective_value if ip else None)
+    if ip and ip.status == BOUND_ONLY:
         run.status = "bounded"
         report.notes.append("integer program hit its budget; bound not tight")
     result = report.to_dict()

@@ -63,7 +63,7 @@ def _cover(params: CodeParams) -> tuple[tuple[tuple[int, ...], ...], int]:
         cover[l][b-1] = C(b-1, l) C(n-b, n-d-l),  rhs = (n-1)!/(d-1)!.
 
     Requires d >= 2 (at d = 1 every pattern is a whole permutation and the
-    program is vacuous; ip_upper_bound short-circuits to n!).
+    program is vacuous; solve_ilp answers n! itself).
     """
     n, d = params.n, params.d
     if d < 2:
@@ -112,7 +112,11 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     explores nodes best-bound-first with FIFO tie-break, and prunes with
     exact rational relaxation values.  With an exhausted budget the result
     is a proven upper bound (status "bound_only"), never a silent guess;
-    without a budget, the program gets IP_NODE_CAP nodes.
+    without a budget, the program gets IP_NODE_CAP nodes.  The value never
+    exceeds the Singleton bound: the root relaxation equals it, and no
+    node's value exceeds the root's.  At d = 1, where the program is
+    vacuous, the answer is n! after 0 nodes, with every X[b][a] = (n-1)!,
+    the position counts of S_n.
 
     The root relaxation is solved from x = 0 by the primal simplex, which
     reads the budget's time cap between pivots; stopped there, the result
@@ -126,14 +130,17 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     popped the dual simplex re-solves it from the root's tableau one bound
     row at a time, as it was first solved.
     """
-    cover, rhs = _cover(params)
-    clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
     n = params.n
     num_vars = n * n
 
     def assignment(x) -> dict[Var, int]:
         return {(k // n + 1, k % n + 1): int(v) for k, v in enumerate(x)}
 
+    if params.d == 1:
+        return IlpSolution(OPTIMAL, math.factorial(n),
+                           assignment([math.factorial(n - 1)] * num_vars))
+    cover, rhs = _cover(params)
+    clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
     counter = held = 0
     # (-value, counter, path, (k, floor of x_k), bytes charged, tableau or
     # None); counters are unique, so heap order never compares past them.
@@ -164,7 +171,7 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     best_value, best_x = n * mstar, assignment([mstar] * num_vars)
     root_status, root = _root_lp(params, clock)
     if root_status == STOPPED:
-        # The relaxation's value is the Singleton bound (see ip_upper_bound).
+        # The relaxation's value is the Singleton bound.
         return IlpSolution(BOUND_ONLY, singleton_upper(params), best_x, 1)
     # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
     assert root_status == OPTIMAL
@@ -202,20 +209,6 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
         # The heap top's floor is the largest open node's, still a candidate.
         best_value = max(best_value, math.floor(-heap[0][0]))
     return IlpSolution(status, best_value, best_x, nodes)
-
-
-def ip_upper_bound(
-    params: CodeParams, budget: Optional[SearchBudget] = None
-) -> tuple[int, bool]:
-    """(proven integer-program bound, whether the program hit its budget).
-    The bound is valid for any budget (None: IP_NODE_CAP nodes).  It never
-    exceeds the Singleton bound: the root relaxation equals it, and no
-    node's value exceeds the root's.
-    """
-    if params.d == 1:
-        return math.factorial(params.n), False
-    sol = solve_ilp(params, budget)
-    return sol.objective_value, sol.status == BOUND_ONLY
 
 
 def export_lp(params: CodeParams) -> str:

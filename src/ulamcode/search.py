@@ -54,12 +54,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ball import EXACT_LIMIT, _kernel_dtype, _lis_lengths_batch, _sphere_bounds, ball_table
-from .ball import sphere_packing_bounds  # noqa: F401 (uncalled; perfbench wraps it)
+from .ball import EXACT_LIMIT, _kernel_dtype, _lis_lengths_batch, ball_table, sphere_packing_bounds
 from .bounds import CodeParams, bound_report, singleton_upper
 from .budget import BudgetClock, SearchBudget
 from .errors import CapacityError, DistanceViolation
-from .ilp import IP_NODE_CAP, ip_upper_bound
+from .ilp import IP_NODE_CAP, solve_ilp
 from .perm import (
     Perm,
     check_permutation,
@@ -504,7 +503,7 @@ def max_code_search(
     if with_ip and exhausted and size < ceiling:
         left = clock.seconds_left()
         if left is None or left > 0:
-            ip, _ = ip_upper_bound(params, SearchBudget(IP_NODE_CAP, left))
+            ip = solve_ilp(params, SearchBudget(IP_NODE_CAP, left)).objective_value
             if ip < size:
                 raise AssertionError(
                     f"integer-program bound {ip} is below the verified code's size {size}"
@@ -607,7 +606,7 @@ def reproduce_tables(
                           singleton_optimal="yes", method="construction")
             )
         elif n > SEARCH_LIMIT:
-            sphere = _sphere_bounds(ball_tables(n), params.delta) if n <= EXACT_LIMIT else None
+            sphere = sphere_packing_bounds(ball_tables(n), d) if n <= EXACT_LIMIT else None
             report = bound_report(params, sphere)
             cells.append(
                 TableCell(n=n, d=d, lower=report.best_lower,

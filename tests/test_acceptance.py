@@ -13,7 +13,7 @@ from ulamcode.ball import ball_table, lis_distribution_exact, lis_prob_mc
 from ulamcode.bounds import CodeParams, rate_function, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode import ilp
-from ulamcode.ilp import ip_upper_bound
+from ulamcode.ilp import solve_ilp
 from ulamcode.perm import ulam_distance
 from ulamcode.search import (
     find_singleton_optimal,
@@ -52,7 +52,8 @@ def test_01_worked_example_ip_bound():
         assert cover == ((6, 3, 1, 0, 0), (0, 3, 4, 3, 0), (0, 0, 1, 3, 6))
         assert rhs == 12
         assert singleton_upper(CodeParams(5, 3)) == 6
-        assert ip_upper_bound(CodeParams(5, 3)) == (5, False)
+        sol = solve_ilp(CodeParams(5, 3))
+        assert (sol.objective_value, sol.status) == (5, "optimal")
         assert time.monotonic() - start < 5.0
 
 
@@ -175,7 +176,7 @@ def test_10_ilp_soundness_sweep():
     with criterion(10, "IP bound sandwiched by A(n,d) and Singleton; codes feasible"):
         for (n, d), known in KNOWN_SIZES.items():
             params = CodeParams(n, d)
-            bound, _ = ip_upper_bound(params)
+            bound = solve_ilp(params).objective_value
             assert known <= bound <= singleton_upper(params), (n, d)
 
             if d == 2:

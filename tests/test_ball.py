@@ -108,13 +108,13 @@ class TestBallSizes:
 class TestSpherePacking:
     def test_d1(self):
         for n in (3, 5, 7):
-            assert sphere_packing_bounds(CodeParams(n, 1)) == (
+            assert sphere_packing_bounds(ball_table(n), 1) == (
                 math.factorial(n),
                 math.factorial(n),
             )
 
     def test_5_3_frozen(self):
-        lo, hi = sphere_packing_bounds(CodeParams(5, 3))
+        lo, hi = sphere_packing_bounds(ball_table(5), 3)
         assert ball_table(5).sizes[1] == 17  # cross-checked against BFS above
         assert (lo, hi) == (2, 120 // 17)
 
@@ -134,9 +134,15 @@ class TestSpherePacking:
         for n in range(3, 9):
             for d in range(2, n):
                 p = CodeParams(n, d)
-                lo, hi = sphere_packing_bounds(p)
+                lo, hi = sphere_packing_bounds(ball_table(p.n), p.d)
                 assert lo >= gv_lower(p)
                 assert lo <= hi
+
+    @pytest.mark.parametrize("n, d", [(5, 0), (5, 5)])
+    def test_d_out_of_range(self, n, d):
+        # CodeParams checks d: 1 <= d <= n - 1.
+        with pytest.raises(ValueError, match="d must satisfy"):
+            sphere_packing_bounds(ball_table(n), d)
 
 
 class TestProbabilityEstimates:

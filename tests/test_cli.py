@@ -10,6 +10,8 @@ import pytest
 
 from ulamcode import __version__, cli, search
 from ulamcode.ball import EXACT_LIMIT
+from ulamcode.bounds import CodeParams
+from ulamcode.ilp import IlpSolution
 from ulamcode.perm import ulam_distance
 
 
@@ -133,7 +135,7 @@ class TestBounds:
         data = run_json(capsys, "bounds", "--n", "4", "--d", "1")
         assert data["result"]["best_lower"] == 24
         assert data["result"]["best_upper"] == 24
-        # The program needs d >= 2; ip_upper_bound answers d = 1 with n!.
+        # The program is vacuous at d = 1; solve_ilp answers it with n!.
         data = run_json(capsys, "bounds", "--n", "4", "--d", "1", "--with-ip")
         assert (data["status"], data["result"]["ip_upper"]) == ("ok", 24)
 
@@ -226,7 +228,8 @@ class TestSearchAndVerify:
 
     def test_ip_bound_below_the_code_exits_3(self, capsys, monkeypatch):
         # The search keeps a verified 5-word code; a bound of 1 contradicts it.
-        monkeypatch.setattr(search, "ip_upper_bound", lambda params, budget: (1, False))
+        monkeypatch.setattr(search, "solve_ilp",
+                            lambda params, budget: IlpSolution("optimal", 1, {}))
         code, out, err = run_cli(
             capsys, "search", "--n", "6", "--d", "3", "--max-nodes", "5", "--with-ip"
         )
@@ -436,6 +439,36 @@ class TestSearchIsATablesCell:
         res = run_json(capsys, "search", *argv)["result"]
         assert (res["size"], res["optimality"]) == (size, optimality)
         assert (res["upper_bound_used"], res["nodes_explored"]) == (upper, nodes)
+
+
+class TestBoundsCalledByName:
+    """The commands reach each bound through its one public function,
+    called by the name they import, so a wrapper on that name sees every
+    call and its arguments."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        calls, fn = [], getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return calls
+
+    def test_bounds_calls_solve_ilp(self, capsys, monkeypatch):
+        calls = self.spy(monkeypatch, cli, "solve_ilp")
+        run_json(capsys, "bounds", "--n", "5", "--d", "3", "--with-ip")
+        assert [args[0] for args in calls] == [CodeParams(5, 3)]
+
+    def test_skipped_cells_call_sphere_packing_bounds(self, capsys, monkeypatch):
+        spheres = self.spy(monkeypatch, search, "sphere_packing_bounds")
+        tables = self.spy(monkeypatch, search, "ball_table")
+        cells = run_json(capsys, "tables", "--n", "10", "--d", "3..4")["result"]["cells"]
+        assert [cell["status"] for cell in cells] == ["skipped"] * 2
+        assert [(table.n, d) for table, d in spheres] == [(10, 3), (10, 4)]
+        assert tables == [(10,)]  # one LIS distribution per n
 
 
 class TestBallAndDist:

@@ -16,7 +16,7 @@ import pytest
 from oracles import tableau_certificate
 from ulamcode.bounds import CodeParams, singleton_upper
 from ulamcode.budget import SearchBudget
-from ulamcode.ilp import IP_NODE_CAP, export_lp, ip_upper_bound, solve_ilp
+from ulamcode.ilp import IP_NODE_CAP, export_lp, solve_ilp
 from ulamcode import budget as budget_module
 from ulamcode import cli, ilp, simplex
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, solve_lp
@@ -86,10 +86,17 @@ class TestBuildModel:
         assert coeffs == {**{(1, a): 1 for a in range(1, 5)}, **{(2, a): -1 for a in range(1, 5)}}
 
     def test_d1_rejected(self):
-        # Every entry point builds the program itself, so each rejects d = 1.
-        for build in (ilp._cover, export_lp, solve_ilp):
+        # The program is vacuous at d = 1, so building it is an error;
+        # solve_ilp answers n! itself, with the position counts of S_n.
+        for build in (ilp._cover, export_lp):
             with pytest.raises(ValueError, match="d >= 2"):
                 build(CodeParams(4, 1))
+        for n in range(2, 7):
+            sol = solve_ilp(CodeParams(n, 1))
+            assert (sol.status, sol.objective_value, sol.nodes_explored) == (
+                "optimal", math.factorial(n), 0)
+            cells = [(b, a) for b in range(1, n + 1) for a in range(1, n + 1)]
+            assert sol.assignment == dict.fromkeys(cells, math.factorial(n - 1))
 
     def test_var_upper_from_tightest_row(self):
         text = export_lp(CodeParams(5, 3))
@@ -559,34 +566,40 @@ class TestRootTableaux:
         pivots.clear()
         # The programs' pivots include their roots'.
         for cell, cap in IPBOUND_CAPS.items():
-            ip_upper_bound(CodeParams(*cell), SearchBudget(max_nodes=cap))
+            solve_ilp(CodeParams(*cell), SearchBudget(max_nodes=cap))
         assert (roots, len(pivots)) == (553, 1483)
+
+
+def ip_record(params, budget=None):
+    """(value, status) of solve_ilp's record."""
+    sol = solve_ilp(params, budget)
+    return sol.objective_value, sol.status
 
 
 class TestIpUpperBound:
     def test_worked_example(self):
-        assert ip_upper_bound(CodeParams(5, 3)) == (5, False)
+        assert ip_record(CodeParams(5, 3)) == (5, "optimal")
 
     def test_d1_short_circuits(self):
-        assert ip_upper_bound(CodeParams(4, 1)) == (24, False)
+        assert ip_record(CodeParams(4, 1)) == (24, "optimal")
 
     def test_4_3_consistency(self):
-        value, bounded = ip_upper_bound(CodeParams(4, 3))
+        value, status = ip_record(CodeParams(4, 3))
         assert value >= 2  # the true maximum size
         assert value == 2  # frozen: the program gives Singleton 2
-        assert not bounded
+        assert status != "bound_only"
 
     def test_never_exceeds_singleton(self):
         budget = SearchBudget(max_nodes=10)
         for n in range(4, 8):
             for d in range(2, n):
                 p = CodeParams(n, d)
-                assert ip_upper_bound(p, budget)[0] <= singleton_upper(p)
+                assert solve_ilp(p, budget).objective_value <= singleton_upper(p)
 
     def test_budget_hit_is_reported(self):
         # (5,3) needs 131 nodes; with 10 the bound is still valid but loose.
-        value, bounded = ip_upper_bound(CodeParams(5, 3), SearchBudget(max_nodes=10))
-        assert bounded
+        value, status = ip_record(CodeParams(5, 3), SearchBudget(max_nodes=10))
+        assert status == "bound_only"
         assert 5 <= value <= singleton_upper(CodeParams(5, 3))
 
 
@@ -626,7 +639,7 @@ class TestRootDeadline:
         sol = solve_ilp(self.CELL, SearchBudget(max_seconds=3))
         assert (sol.status, sol.objective_value, sol.nodes_explored) == ("bound_only", 24, 1)
         assert satisfies(self.CELL, sol.assignment)  # the warm start
-        assert ip_upper_bound(self.CELL, SearchBudget(max_seconds=3)) == (24, True)
+        assert ip_record(self.CELL, SearchBudget(max_seconds=3)) == (24, "bound_only")
         assert singleton_upper(self.CELL) == 24
 
     def test_bounds_with_ip_is_bounded(self, capsys, pivots):
@@ -665,8 +678,8 @@ class TestTypesAtTheBoundary:
         assert rec.dtypes == {np.dtype(object)}
 
     def test_ip_upper_bound(self):
-        bound, bounded = ip_upper_bound(CodeParams(5, 3))
-        assert (type(bound), type(bounded)) == (int, bool)
+        value, status = ip_record(CodeParams(5, 3))
+        assert (type(value), type(status)) == (int, str)
 
     def test_bounds_json_serializes(self, capsys):
         # At (5,3) the program's 5 is below Singleton's 6, so ip_upper is

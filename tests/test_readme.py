@@ -26,7 +26,8 @@ def _library_values():
 def test_library_example():
     values = _library_values()
     assert values["ball_table(5).sizes[1]"] == 17
-    assert values["ip_upper_bound(params)"] == (5, False)
+    assert values["sphere_packing_bounds(ball_table(5), 3)"] == (2, 7)
+    assert values["solve_ilp(params).objective_value"] == 5
     assert values["solve_ilp(params, SearchBudget(max_nodes=10)).status"] == "bound_only"
     assert " cover_a1_l0: 6 x_1_1 + 3 x_2_1 + x_3_1 <= 12\n" in values["export_lp(params)"]
     assert len(values["max_code_search(params).code.words"]) == 4

@@ -26,7 +26,7 @@ from oracles import (
 )
 from ulamcode import budget as budget_module
 from ulamcode import ball, cli, ilp, search
-from ulamcode.ball import _lis_lengths_batch, sphere_packing_bounds
+from ulamcode.ball import _lis_lengths_batch, ball_table, sphere_packing_bounds
 from ulamcode.bounds import CodeParams, bound_report, gv_lower, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
@@ -502,7 +502,7 @@ class TestMaxSearch:
             p = CodeParams(n, d)
             res = max_code_search(p)
             size = len(res.code.words)
-            assert size <= min(singleton_upper(p), sphere_packing_bounds(p)[1])
+            assert size <= min(singleton_upper(p), sphere_packing_bounds(ball_table(n), d)[1])
             assert size >= gv_lower(p)
 
     def test_budget_gives_lower_bound_only(self):
@@ -735,7 +735,7 @@ class TestTables:
         assert len(skipped) == 7 + 8  # d = 3..9 and 3..10
         for cell in skipped:
             params = CodeParams(cell.n, cell.d)
-            report = bound_report(params, sphere_packing_bounds(params))
+            report = bound_report(params, sphere_packing_bounds(ball_table(cell.n), cell.d))
             assert (cell.lower, cell.upper) == (report.best_lower, report.best_upper)
 
     @pytest.mark.parametrize("n, ds", [(6, [3, 4]), (7, [5])])
@@ -746,9 +746,9 @@ class TestTables:
 
         def ip(params, budget=None):
             calls.append(params)
-            return singleton_upper(params), False
+            return IlpSolution("optimal", singleton_upper(params), {})
 
-        monkeypatch.setattr(search, "ip_upper_bound", ip)
+        monkeypatch.setattr(search, "solve_ilp", ip)
         cells = reproduce_tables([n], ds, with_ip=True)
         assert all(cell.status == "proven" for cell in cells)
         assert calls == []
@@ -776,7 +776,7 @@ def test_sphere_bound_never_lowers_the_ceiling(n):
     # search range no sphere bound is below it.
     for d in range(2, n):
         params = CodeParams(n, d)
-        assert sphere_packing_bounds(params)[1] >= singleton_upper(params)
+        assert sphere_packing_bounds(ball_table(n), d)[1] >= singleton_upper(params)
 
 
 @pytest.mark.parametrize(
@@ -794,10 +794,10 @@ def test_one_search_space_per_cell(monkeypatch, n, d, max_nodes, with_ip):
             spaces.append(params)
 
     def ip(params, budget=None):
-        return singleton_upper(params), True
+        return IlpSolution("bound_only", singleton_upper(params), {})
 
     monkeypatch.setattr(search, "_SearchSpace", Counting)
-    monkeypatch.setattr(search, "ip_upper_bound", ip)
+    monkeypatch.setattr(search, "solve_ilp", ip)
     budget = SearchBudget(max_nodes=max_nodes)
     max_code_search(CodeParams(n, d), budget, with_ip)
     assert spaces == [CodeParams(n, d)]
@@ -888,7 +888,9 @@ class TestBudgetRule:
             return IlpSolution("optimal", value, None, Fraction(value))
 
         monkeypatch.setattr(search, "_clique_search", engine)
-        monkeypatch.setattr(ilp, "solve_ilp", solve)
+        # bounds reaches the program from cli, search and tables from search.
+        monkeypatch.setattr(cli, "solve_ilp", solve)
+        monkeypatch.setattr(search, "solve_ilp", solve)
         return calls
 
     def budgets(self, calls, n):
@@ -1007,10 +1009,10 @@ class TestBudgetRule:
 
         def ip_bound(params, budget):
             given.append(budget)
-            return singleton_upper(params) - 1, False
+            return IlpSolution("optimal", singleton_upper(params) - 1, {})
 
         monkeypatch.setattr(search, "_clique_search", engine)
-        monkeypatch.setattr(search, "ip_upper_bound", ip_bound)
+        monkeypatch.setattr(search, "solve_ilp", ip_bound)
         res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=10), with_ip=True)
         assert given == [SearchBudget(max_nodes=ilp.IP_NODE_CAP, max_seconds=4)]
         assert res.upper_bound_used == 23
