@@ -16,9 +16,9 @@ from scratch, by the primal simplex from x = 0, which meets every row; a
 time cap stops it between pivots.  Every child is re-optimized from its
 parent's tableau by the dual simplex, and open nodes keep their tableaux
 up to a byte bound (see solve_ilp).  Integrality and the branching
-variable are read off the tableau's integer matrix (int64, or object dtype
-once an entry reaches 2**30; see simplex.py), and values leave as Python
-ints.
+variable are read off two columns of the tableau's one integer matrix,
+the right-hand sides and the row denominators (int64, or object dtype once
+an entry reaches 2**30; see simplex.py), and values leave as Python ints.
 """
 
 from __future__ import annotations

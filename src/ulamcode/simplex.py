@@ -4,14 +4,15 @@ under added variable bounds.
 Small and certificate-grade: every pivot is carried out in exact integer
 arithmetic, so optimal values are exact Fractions and safe to use as
 bounds.  The tableau is one 2-D numpy integer matrix, the constraint rows
-followed by the objective row, over a vector of positive row denominators;
-each row is reduced by the gcd of its entries and its denominator after
-every pivot.  The matrix is int64 while every entry and denominator stays
-below 2**30 in magnitude, so that a pivot's ``a*pc - f*b`` stays below
-2**61; once one reaches 2**30 the tableau widens to object dtype (exact
-Python ints, the same expressions) for good.
+followed by the objective row, whose last column holds each row's positive
+denominator; so a pivot gathers, eliminates, gcd-reduces, range-checks and
+scatters the rows it touches once, denominators with them.  The matrix is
+int64 while every entry stays below 2**30 in magnitude, so that a pivot's
+``a*pc - f*b`` stays below 2**61; once one reaches 2**30 the tableau
+widens to object dtype (exact Python ints, the same expressions) for good.
 Bland's rule (smallest eligible column enters, smallest basic index leaves
-on ratio ties) guarantees termination and makes runs deterministic.
+on ratio ties) guarantees termination and makes runs deterministic.  Most
+of the integer program's pivots have a zero ratio, which needs no loop.
 
 ``solve_lp`` takes the one program shape the integer program has: integer
 ``<=`` rows with right-hand sides >= 0 and ``=`` rows with right-hand side
@@ -52,21 +53,40 @@ UNBOUNDED = "unbounded"
 STOPPED = "stopped"
 
 _ZERO = Fraction(0)
-# int64 entries and denominators stay below this; past it, object dtype.
+# int64 entries, denominators included, stay below this; past it, object dtype.
 _INT64_LIMIT = 1 << 30
 
 
-def _fits(*arrays: np.ndarray) -> bool:
-    return all(a.size == 0 or int(np.abs(a).max()) < _INT64_LIMIT for a in arrays)
+def _fits(a: np.ndarray) -> bool:
+    return a.size == 0 or int(np.abs(a).max()) < _INT64_LIMIT
+
+
+def _least_ratios(eligible: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> list[int]:
+    """Bland's ratio test over the i where ``eligible`` holds, every such
+    nums[i] >= 0 < dens[i]: each i with the least nums[i] / dens[i], in
+    order, or [] when none is eligible.  No ratio is below 0, so zero nums
+    need no loop."""
+    zero = (eligible & (nums == 0)).nonzero()[0]
+    if zero.size:
+        return zero.tolist()
+    nums, dens = nums.tolist(), dens.tolist()
+    least: list[int] = []
+    for i in eligible.nonzero()[0].tolist():
+        diff = nums[i] * dens[least[0]] - nums[least[0]] * dens[i] if least else 0
+        if diff < 0:
+            least = []
+        if diff <= 0:
+            least.append(i)
+    return least
 
 
 class _Tableau:
     """Dense simplex tableau; the objective row holds reduced costs.
 
     ``mat`` holds the m constraint rows and then the objective row, each
-    ncols + 1 integer numerators (the last is the right-hand side), over
-    the positive denominators ``dens``; entry k of row i is
-    ``mat[i, k] / dens[i]``.  Signs and ratio comparisons then need only
+    ncols + 2 integers: ncols + 1 numerators (the right-hand side last)
+    and then the row's positive denominator; entry k of row i is
+    ``mat[i, k] / mat[i, -1]``.  Signs and ratio comparisons then need only
     integer arithmetic, and the pivots are the same as with one Fraction
     per entry.
     """
@@ -79,20 +99,19 @@ class _Tableau:
         self.ncols = ncols
         self.basis = basis        # basic column per constraint row
         rows = [*rows, {j: -c for j, c in costs.items()}]
-        self.mat = np.zeros((len(rows), ncols + 1), dtype=object)
-        self.dens = np.ones(len(rows), dtype=object)
+        self.mat = np.zeros((len(rows), ncols + 2), dtype=object)
+        self.mat[:, -1] = 1
         for i, row in enumerate(rows):
             self.mat[i, list(row)] = list(map(operator.index, row.values()))
-        if _fits(self.mat, self.dens):
-            self.mat, self.dens = self.mat.astype(np.int64), self.dens.astype(np.int64)
+        self.mat = self.mat.astype(np.int64 if _fits(self.mat) else object)
 
-    def _widen_past_limit(self, *arrays: np.ndarray) -> None:
+    def _widen_past_limit(self, a: np.ndarray) -> None:
         """Switch to object dtype for good once entries reach the limit."""
-        if self.mat.dtype != object and not _fits(*arrays):
-            self.mat, self.dens = self.mat.astype(object), self.dens.astype(object)
+        if self.mat.dtype != object and not _fits(a):
+            self.mat = self.mat.astype(object)
 
     def value(self, i: int, k: int) -> Fraction:
-        return Fraction(int(self.mat[i, k]), int(self.dens[i]))
+        return Fraction(int(self.mat[i, k]), int(self.mat[i, -1]))
 
     def objective_value(self) -> Fraction:
         return self.value(-1, self.ncols)
@@ -111,7 +130,7 @@ class _Tableau:
         rhs / den has fractional part (rhs mod den) / den; the rest are 0.
         """
         m, rhs = len(self.basis), self.ncols
-        nums, dens = self.mat[:m, rhs], self.dens[:m]
+        nums, dens = self.mat[:m, rhs], self.mat[:m, -1]
         rows = zip(self.basis, (nums % dens).tolist(), nums.tolist(), dens.tolist())
         best = None
         best_s = best_den = 0
@@ -123,39 +142,37 @@ class _Tableau:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this tableau holds: the object, its attributes (the arrays
-        with their data, the basis list) and, in object dtype, the Python
-        ints the arrays point to."""
+        """Bytes this tableau holds: the object, its attributes (the matrix
+        with its data, the basis list) and, in object dtype, the Python ints
+        the matrix points to."""
         attrs = vars(self)
         size = sys.getsizeof(self) + sum(map(sys.getsizeof, (attrs, *attrs.values())))
         if self.mat.dtype == object:
-            size += sum(map(sys.getsizeof, itertools.chain(self.mat.flat, self.dens)))
+            size += sum(map(sys.getsizeof, self.mat.flat))
         return size
 
     def copy(self) -> "_Tableau":
         tab = copy.copy(self)
-        tab.mat, tab.dens, tab.basis = self.mat.copy(), self.dens.copy(), self.basis[:]
+        tab.mat, tab.basis = self.mat.copy(), self.basis[:]
         return tab
 
     def pivot(self, r: int, c: int) -> None:
-        mat, dens = self.mat, self.dens
-        prow, pc = mat[r], mat[r, c]
-        if pc < 0:
-            prow, pc = -prow, -pc
-        # Row r over denominator pc has a 1 in column c.
-        g = math.gcd(int(np.gcd.reduce(prow)), int(pc))
-        prow, pc = prow // g, pc // g
-        mat[r], dens[r] = prow, pc
+        mat = self.mat
         rows = mat[:, c].nonzero()[0]
-        rows = rows[rows != r]
-        # Each row minus its column-c entry times the pivot row, over den * pc.
+        # Row r over denominator pc > 0 has a 1 in column c.
+        row = mat[r]
+        g = np.gcd.reduce(row[:-1])
+        prow = row // (g if row[c] > 0 else -g)
+        pc, prow[-1] = prow[c], 0
+        # Each row minus its column-c entry times prow, over den * pc (prow's
+        # last 0 leaves den * pc); row r comes out 0, ..., 0, 1, and prow replaces it.
         new = mat[rows]
         new = new * pc - new[:, c, None] * prow
-        den = dens[rows] * pc
-        g = np.gcd(np.gcd.reduce(new, axis=1), den)
-        new, den = new // g[:, None], den // g
-        self._widen_past_limit(new, den)
-        self.mat[rows], self.dens[rows] = new, den
+        new //= np.gcd.reduce(new, axis=1)[:, None]
+        self._widen_past_limit(new)
+        prow[-1] = pc
+        self.mat[rows] = new
+        self.mat[r] = prow
         self.basis[r] = c
 
     def optimize(self, clock: Optional[BudgetClock] = None) -> str:
@@ -170,22 +187,13 @@ class _Tableau:
             if clock is not None and clock.exhausted(0):
                 return STOPPED
             enter = int(negative[0])
-            # Within a row the denominator cancels: the ratio is b / a.
-            rows = (self.mat[:m, enter] > 0).nonzero()[0]
-            sub = self.mat[rows][:, [enter, rhs]].T.tolist()
-            leave = -1
-            best_b = best_a = 0
-            for i, a, b in zip(rows.tolist(), *sub):
-                if (
-                    leave < 0
-                    or b * best_a < best_b * a
-                    or (b * best_a == best_b * a and self.basis[i] < self.basis[leave])
-                ):
-                    best_b, best_a = b, a
-                    leave = i
-            if leave < 0:
+            # The ratio is b / a over a > 0 (within a row the denominator
+            # cancels), ties to the smallest basic index.
+            col = self.mat[:m, enter]
+            ties = _least_ratios(col > 0, self.mat[:m, rhs], col)
+            if not ties:
                 return UNBOUNDED
-            self.pivot(leave, enter)
+            self.pivot(min(ties, key=self.basis.__getitem__), enter)
 
     def add_bound(self, var: int, sense: str, bound: int) -> None:
         """Add x_var <= bound (LE) or x_var >= bound (GE) as a new row whose
@@ -199,21 +207,19 @@ class _Tableau:
         sign = 1 if sense == LE else -1
         if var in self.basis:
             # Substitute the basic row x_var = (b - sum a_j x_j) / den.
-            i = self.basis.index(var)
-            src, den = self.mat[i].tolist(), int(self.dens[i])
-            row = [-sign * v for v in src[:rhs]] + [den, sign * (bound * den - src[rhs])]
+            src = self.mat[self.basis.index(var)].tolist()
+            den = src[-1]
+            row = [-sign * v for v in src[:rhs]] + [den, sign * (bound * den - src[rhs]), den]
             row[var] = 0
         else:
-            den = 1
-            row = [0] * (rhs + 2)
-            row[var], row[rhs], row[rhs + 1] = sign, 1, sign * bound
-        g = math.gcd(den, *row)
-        row = np.array([v // g for v in row] + [den // g], dtype=object)
+            row = [0] * (rhs + 3)
+            row[var], row[rhs], row[rhs + 1], row[-1] = sign, 1, sign * bound, 1
+        g = math.gcd(*row)
+        row = np.array([v // g for v in row], dtype=object)
         self._widen_past_limit(row)
         row, mat = row.astype(self.mat.dtype), self.mat
         mat = np.concatenate((mat[:, :rhs], np.zeros_like(mat[:, :1]), mat[:, rhs:]), axis=1)
-        self.mat = np.concatenate((mat[:m], row[None, :-1], mat[m:]))
-        self.dens = np.concatenate((self.dens[:m], row[-1:], self.dens[m:]))
+        self.mat = np.concatenate((mat[:m], row[None], mat[m:]))
         self.ncols = rhs + 1
         self.basis.append(rhs)
 
@@ -231,17 +237,11 @@ class _Tableau:
             leave = min(negative, key=self.basis.__getitem__)
             # The ratio obj[j] / -row[j] over row[j] < 0; both denominators
             # are positive and shared by every column, so they cancel.
-            cols = (self.mat[leave, :rhs] < 0).nonzero()[0]
-            sub = self.mat[[leave, -1]][:, cols].tolist()
-            enter = -1
-            best_o = best_a = 0
-            for j, a, o in zip(cols.tolist(), *sub):
-                if enter < 0 or o * -best_a < best_o * -a:
-                    best_o, best_a = o, a
-                    enter = j
-            if enter < 0:
+            row = self.mat[leave, :rhs]
+            ties = _least_ratios(row < 0, self.mat[-1, :rhs], -row)
+            if not ties:
                 return INFEASIBLE
-            self.pivot(leave, enter)
+            self.pivot(leave, ties[0])
 
 
 def solve_lp(

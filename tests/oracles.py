@@ -1,5 +1,6 @@
 """Independent test oracles: brute force, dynamic programming, BFS, vertex
-enumeration, and a clique search on Python sets.
+enumeration, Bland's rule by plain scans, and a clique search on Python
+sets.
 
 Everything here is deliberately dumb and separate from the library's
 algorithms so the two sides can disagree when one is wrong.
@@ -295,6 +296,43 @@ def tableau_certificate(num_vars, rows, objective, basis, mat, dens):
         return "infeasible", None
     return None, None
 
+
+def bland_primal(table, basis):
+    """Bland's primal pivot on a tableau of Fractions, by a plain scan.
+    ``table`` holds the constraint rows and then the objective row of
+    reduced costs, the right-hand side last; ``basis`` names each
+    constraint row's basic column.  The smallest column with a negative
+    reduced cost enters; of the rows with a positive entry there, the one
+    with the smallest ratio rhs / entry leaves, ties to the smallest basic
+    index.  (row, column), or "optimal" or "unbounded"."""
+    *rows, obj = table
+    ncols = len(obj) - 1
+    enter = next((j for j in range(ncols) if obj[j] < 0), None)
+    if enter is None:
+        return "optimal"
+    ratios = [(row[ncols] / row[enter], basis[i], i)
+              for i, row in enumerate(rows) if row[enter] > 0]
+    if not ratios:
+        return "unbounded"
+    return min(ratios)[2], enter
+
+
+def bland_dual(table, basis):
+    """Bland's dual pivot on a tableau laid out as for bland_primal: of the
+    rows with a negative right-hand side, the one with the smallest basic
+    index leaves; of its columns with a negative entry, the one with the
+    smallest ratio reduced cost / -entry enters, ties to the smallest
+    column.  (row, column), or "optimal" or "infeasible"."""
+    *rows, obj = table
+    ncols = len(obj) - 1
+    negative = [i for i, row in enumerate(rows) if row[ncols] < 0]
+    if not negative:
+        return "optimal"
+    leave = min(negative, key=lambda i: basis[i])
+    ratios = [(obj[j] / -rows[leave][j], j) for j in range(ncols) if rows[leave][j] < 0]
+    if not ratios:
+        return "infeasible"
+    return leave, min(ratios)[1]
 
 
 class _Stop(Exception):

@@ -33,6 +33,11 @@ COMMANDS = {
     "search_6_3_max_nodes_5": ["search", "--n", "6", "--d", "3", "--max-nodes", "5"],
     "bounds_5_3_ip_sphere": ["bounds", "--n", "5", "--d", "3", "--with-ip", "--with-sphere"],
     "bounds_7_5_ip_max_nodes": ["bounds", "--n", "7", "--d", "5", "--with-ip", "--max-nodes", "8"],
+    # The largest ipbound operation, and a program in object dtype from its
+    # root through every dual solve.
+    "bounds_8_6_ip_max_nodes": ["bounds", "--n", "8", "--d", "6", "--with-ip", "--max-nodes", "8"],
+    "bounds_11_9_ip_max_nodes": ["bounds", "--n", "11", "--d", "9", "--with-ip",
+                                 "--max-nodes", "10"],
     "ball_7": ["ball", "--n", "7"],
     "lisdist_7": ["lisdist", "--n", "7"],
     "distance": ["distance", "2 3 1 5 4", "1 2 3 4 5"],

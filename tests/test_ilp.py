@@ -252,7 +252,7 @@ class _Recorder:
 def _snapshot(tab):
     """(ncols, basis, constraint rows, their denominators, objective row,
     its denominator), as nested Python ints so that == compares every entry."""
-    mat, dens = tab.mat.tolist(), tab.dens.tolist()
+    mat, dens = tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist()
     return tab.ncols, list(tab.basis), mat[:-1], dens[:-1], mat[-1], dens[-1]
 
 
@@ -543,16 +543,17 @@ class TestRootTableaux:
         for cell, (basis, digest) in ROOT_TABLEAUX.items():
             _, tab = ilp._root_lp(CodeParams(*cell))
             assert tab.basis == basis, cell
-            assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
-            data = repr((tab.mat.tolist(), tab.dens.tolist())).encode()
+            assert tab.mat.dtype == np.int64, cell
+            data = repr((tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist())).encode()
             assert hashlib.sha256(data).hexdigest() == digest, cell
 
     def test_grid_digests(self):
         assert set(ROOT_TABLEAU_SHA256) == {(n, d) for n in range(4, 9) for d in range(2, n)}
         for cell, digest in ROOT_TABLEAU_SHA256.items():
             _, tab = ilp._root_lp(CodeParams(*cell))
-            assert tab.mat.dtype == tab.dens.dtype == np.int64, cell
-            data = repr((tab.ncols, tab.basis, tab.mat.tolist(), tab.dens.tolist())).encode()
+            assert tab.mat.dtype == np.int64, cell
+            data = repr((tab.ncols, tab.basis, tab.mat[:, :-1].tolist(),
+                         tab.mat[:, -1].tolist())).encode()
             assert hashlib.sha256(data).hexdigest() == digest, cell
 
     def test_pivot_counts(self, monkeypatch):
@@ -568,6 +569,23 @@ class TestRootTableaux:
         for cell, cap in IPBOUND_CAPS.items():
             solve_ilp(CodeParams(*cell), SearchBudget(max_nodes=cap))
         assert (roots, len(pivots)) == (553, 1483)
+        # Bland's rule picks every (row, column) of the sequence.
+        digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
+        assert digest == "4b3da36bc7d82d71aacaa1b1baf4ecd2ff058f35c7412d86f7a591362150e135"
+
+    @pytest.mark.parametrize("cell, first, pivots", [((10, 7), 296, 355), ((12, 10), 155, 371)])
+    def test_first_object_pivot(self, monkeypatch, cell, first, pivots):
+        # The root widens to object dtype at one fixed pivot: the 2**30
+        # check covers the entries and the denominators of the rows a pivot
+        # computes, and never widens early or late.
+        dtypes = []
+        pivot = simplex._Tableau.pivot
+        monkeypatch.setattr(simplex._Tableau, "pivot",
+                            lambda tab, r, c: (dtypes.append(tab.mat.dtype), pivot(tab, r, c)))
+        status, tab = ilp._root_lp(CodeParams(*cell))
+        assert (status, len(dtypes), tab.mat.dtype) == (OPTIMAL, pivots, object)
+        assert dtypes.index(object) == first
+        assert set(dtypes[first:]) == {np.dtype(object)}
 
 
 def ip_record(params, budget=None):

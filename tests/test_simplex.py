@@ -9,8 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import lp_by_vertices, rank, tableau_certificate
+from oracles import bland_dual, bland_primal, lp_by_vertices, rank, tableau_certificate
 from ulamcode import simplex
+from ulamcode.bounds import CodeParams
+from ulamcode.budget import SearchBudget
+from ulamcode.ilp import solve_ilp
 from ulamcode.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -91,7 +94,9 @@ def test_rows_take_integers():
 def test_no_rows():
     status, tab = solve_lp(2, [], {0: -1, 1: 0})
     assert (status, tab.objective_value()) == (OPTIMAL, 0)
-    assert tab.mat.shape == (1, 3)  # no constraint row, then the objective
+    # No constraint row, then the objective: two variables, the right-hand
+    # side and the denominator.
+    assert tab.mat.shape == (1, 4)
     assert solve_lp(2, [], {0: -1, 1: 1}) == (UNBOUNDED, None)
 
 
@@ -226,7 +231,7 @@ def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
     assert all(_exact(v) for v in [wide.objective_value(), *wide.point(2)])
     assert small.mat.dtype == np.int64
     assert dtypes[0] == first_dtype
-    assert wide.mat.dtype == wide.dens.dtype == object
+    assert wide.mat.dtype == object
     # The widened tableau warm-starts like the narrow one.
     for tab in (small, wide):
         tab.add_bound(1, LE, 1)
@@ -234,6 +239,23 @@ def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
     assert small.objective_value() == wide.objective_value()
     assert small.point(2) == wide.point(2)
     assert wide.mat.dtype == object
+
+
+def test_a_denominator_alone_widens(monkeypatch):
+    # max x + y  s.t.  65521 x <= 1,  65519 y <= 1.  The second pivot leaves
+    # the objective row (0, 0, 65519, 65521, 131040) over 65521 * 65519 >
+    # 2**32: its denominator is the one entry past 2**30, and it widens.
+    dtypes = []
+    pivot = simplex._Tableau.pivot
+    monkeypatch.setattr(
+        simplex._Tableau, "pivot",
+        lambda tab, r, c: (dtypes.append(tab.mat.dtype), pivot(tab, r, c)),
+    )
+    status, tab = solve_lp(2, [({0: 65521}, LE, 1), ({1: 65519}, LE, 1)], {0: 1, 1: 1})
+    assert (status, tab.point(2)) == (OPTIMAL, [Fraction(1, 65521), Fraction(1, 65519)])
+    assert tab.mat[-1].tolist() == [0, 0, 65519, 65521, 131040, 65521 * 65519]
+    assert dtypes == [np.int64, np.int64]
+    assert tab.mat.dtype == object
 
 
 @pytest.mark.parametrize("factors, dtype", [((1, 1), np.int64), ((2**40, 2**40), object)])
@@ -283,7 +305,7 @@ def _certified(num_vars, rows, objective, tab, bounds=()):
     appended, x <= u or x >= l written as x <= u or -x <= -l."""
     rows = rows + [({v: 1}, LE, b) if s == LE else ({v: -1}, LE, -b) for v, s, b in bounds]
     return tableau_certificate(num_vars, rows, objective,
-                               tab.basis, tab.mat.tolist(), tab.dens.tolist())
+                               tab.basis, tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist())
 
 
 HOLDS = {LE: lambda u, v: u <= v, EQ: lambda u, v: u == v}
@@ -342,12 +364,69 @@ def test_warm_starts_agree_with_vertex_enumeration():
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE)) >= 15
 
 
+def _fractions(tab):
+    """The tableau's entries as Fractions, the objective row last."""
+    return [[Fraction(v, row[-1]) for v in row[:-1]] for row in tab.mat.tolist()]
+
+
+@pytest.mark.parametrize("limit", [simplex._INT64_LIMIT, 0], ids=["int64", "object"])
+def test_ratio_tests_make_blands_pivots(monkeypatch, limit):
+    # On the random programs of the vertex-enumeration tests, root solves
+    # and warm starts alike, every pivot that optimize and dual_optimize
+    # make, and every status they return, is the plain-Python reference's
+    # choice on the tableau they made it on.
+    monkeypatch.setattr(simplex, "_INT64_LIMIT", limit)
+    tab_cls = simplex._Tableau
+    running = []  # the reference of the ratio test that is running
+    zero_ratio = Counter()  # (reference, whether a zero ratio decided it)
+    dtypes = set()
+
+    def checked(run, reference):
+        def spy(tab, *args):
+            running.append(reference)
+            status = run(tab, *args)
+            running.pop()
+            assert reference(_fractions(tab), tab.basis) == status
+            return status
+        return spy
+
+    def pivot_spy(tab, r, c, pivot=tab_cls.pivot):
+        if running:  # not an "=" row's entry pivot in solve_lp
+            table = _fractions(tab)
+            assert running[-1](table, tab.basis) == (r, c)
+            ratio = table[r][-1] if running[-1] is bland_primal else table[-1][c]
+            zero_ratio[running[-1].__name__, ratio == 0] += 1
+            dtypes.add(tab.mat.dtype)
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(tab_cls, "optimize", checked(tab_cls.optimize, bland_primal))
+    monkeypatch.setattr(tab_cls, "dual_optimize", checked(tab_cls.dual_optimize, bland_dual))
+    monkeypatch.setattr(tab_cls, "pivot", pivot_spy)
+    for seed, count, warm in ((2015, 100, False), (2016, 80, True)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            num_vars, rows, objective = _random_lp(rng)
+            if not _independent(num_vars, rows):
+                continue
+            if solve_lp(num_vars, rows, objective)[0] == OPTIMAL and warm:
+                bounds = [(rng.randrange(num_vars), rng.choice((LE, GE)), rng.randint(0, 3))
+                          for _ in range(rng.randint(1, 2))]
+                _warm(num_vars, rows, objective, *bounds)
+    # Random programs seldom tie at a zero dual ratio; the integer
+    # program's branch-and-bound mostly does.
+    solve_ilp(CodeParams(5, 3), SearchBudget(max_nodes=40))
+    assert dtypes == {np.dtype(np.int64 if limit else object)}
+    # Both ratio tests pivot where a zero ratio decides and where none does.
+    assert min(zero_ratio[name, zero] for name in ("bland_primal", "bland_dual")
+               for zero in (False, True)) >= 10
+
+
 def test_certificate_rejects_any_changed_entry():
     # The oracle that checks tableaux here and in test_ilp notices one
     # wrong numerator or denominator anywhere, the objective row included.
     rows, objective = MIXED
     tab = solve_lp(2, rows, objective)[1]
-    mat, dens = tab.mat.tolist(), tab.dens.tolist()
+    mat, dens = tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist()
     assert tableau_certificate(2, rows, objective, tab.basis, mat, dens) == (OPTIMAL, 5)
     for i, row in enumerate(mat):
         for k in range(len(row)):
