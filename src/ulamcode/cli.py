@@ -78,33 +78,32 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     parser.add_argument("--version", action="version", version=f"ulamcode {__version__}")
     # The envelope's budget fields exist for every subcommand.
     parser.set_defaults(max_nodes=None, max_seconds=None)
-
-    def io_options(*formats: str) -> argparse.ArgumentParser:
-        options = argparse.ArgumentParser(add_help=False)
-        options.add_argument("--format", choices=formats, default="text")
-        options.add_argument("--out", metavar="FILE", default=None)
-        options.add_argument("--threads", type=int, default=None)
-        return options
-
-    common, tabular = io_options("text", "json"), io_options("text", "json", "csv")
-    randomized = argparse.ArgumentParser(add_help=False)
-    randomized.add_argument("--seed", type=int, default=None)
-    budgeted = argparse.ArgumentParser(add_help=False)
-    budgeted.add_argument("--max-nodes", type=int, default=None)
-    budgeted.add_argument("--max-seconds", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, parents: list, summary: str) -> Optional[argparse.ArgumentParser]:
-        """The subparser of ``name``, or None if this parser leaves it out."""
+    tabular = ("text", "json", "csv")
+
+    def add(name: str, summary: str, formats=("text", "json"), budgeted=False,
+            seeded=False) -> Optional[argparse.ArgumentParser]:
+        """The subparser of ``name`` with the common options it reads, or
+        None if this parser leaves it out."""
         if command not in (None, name):
             return None
-        return sub.add_parser(name, parents=parents, help=summary)
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", metavar="FILE", default=None)
+        p.add_argument("--threads", type=int, default=None)
+        if budgeted:
+            p.add_argument("--max-nodes", type=int, default=None)
+            p.add_argument("--max-seconds", type=float, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
+        return p
 
-    if p := add("distance", [common], "Ulam distance between two permutations"):
+    if p := add("distance", "Ulam distance between two permutations"):
         p.add_argument("sigma", help='first permutation, e.g. "2 3 1 5 4"')
         p.add_argument("tau", help="second permutation")
 
-    if p := add("bounds", [common, budgeted], "bound report for (n, d)"):
+    if p := add("bounds", "bound report for (n, d)", budgeted=True):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--with-ip", action="store_true")
@@ -112,7 +111,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--show-asymptotics", action="store_true",
                        help="append the constant-c log-scale bound lines")
 
-    if p := add("search", [common, budgeted], "exact code search"):
+    if p := add("search", "exact code search", budgeted=True):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         phases = p.add_mutually_exclusive_group()
@@ -124,32 +123,32 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--save-code", metavar="FILE", default=None,
                        help="also write the found code in the code-file format")
 
-    if p := add("verify", [common], "verify a code file"):
+    if p := add("verify", "verify a code file"):
         p.add_argument("file", help='code file: first line "n d", one word per line')
 
-    if p := add("tables", [tabular, budgeted],
-                "reproduce the size and Singleton-optimality tables"):
+    if p := add("tables", "reproduce the size and Singleton-optimality tables", tabular,
+                budgeted=True):
         p.add_argument("--n", required=True, help="range, e.g. 4..6 or 5")
         p.add_argument("--d", default=None, help="range, e.g. 2..5 (default: all valid)")
         p.add_argument("--with-ip", action="store_true")
 
-    if p := add("ball", [tabular], "Ulam ball sizes"):
+    if p := add("ball", "Ulam ball sizes", tabular):
         p.add_argument("--n", type=int, required=True)
 
-    if p := add("lisdist", [tabular], "exact LIS-length distribution over S_n"):
+    if p := add("lisdist", "exact LIS-length distribution over S_n", tabular):
         p.add_argument("--n", type=int, required=True)
 
-    if p := add("mc", [common, randomized], "Monte-Carlo estimate of P(LIS >= k)"):
+    if p := add("mc", "Monte-Carlo estimate of P(LIS >= k)", seeded=True):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--samples", type=int, default=100_000)
 
-    if p := add("clt", [tabular, randomized],
-                "emit centered/scaled LIS samples, one per line"):
+    if p := add("clt", "emit centered/scaled LIS samples, one per line", tabular,
+                seeded=True):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--samples", type=int, default=100_000)
 
-    if p := add("export-lp", [common], "write the (n, d) integer program in LP format"):
+    if p := add("export-lp", "write the (n, d) integer program in LP format"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
 

@@ -16,9 +16,9 @@ from scratch, by the primal simplex from x = 0, which meets every row; a
 time cap stops it between pivots.  Every child is re-optimized from its
 parent's tableau by the dual simplex, and open nodes keep their tableaux
 up to a byte bound (see solve_ilp).  Integrality and the branching
-variable are read off two columns of the tableau's one integer matrix,
-the right-hand sides and the row denominators (int64, or object dtype once
-an entry reaches 2**30; see simplex.py), and values leave as Python ints.
+variable are read off the last two columns of the condensed tableau's
+matrix, the right-hand sides and the row denominators (int64, or object
+dtype past 2**30; see simplex.py), and values leave as Python ints.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ BOUND_ONLY = "bound_only"
 # search and tables: its nodes cost orders of magnitude more than clique nodes.
 IP_NODE_CAP = 500
 # Byte bound on the tableaux that solve_ilp keeps for its open nodes
-# (_Tableau.nbytes, read once per pushed node).  A node pushed while the
-# kept ones would pass it keeps only its path of bound rows, which the dual
-# simplex replays from the root's tableau when it is popped.  The replay
-# makes the same pivots, so the bound changes time and memory, never results.
+# (_Tableau.nbytes, read once per pushed node; a bound row adds a row and no
+# column).  A node pushed while the kept ones would pass it keeps only its
+# path of bound rows, which the dual simplex replays from the root's tableau
+# when it is popped.  Same pivots: the bound changes time and memory only.
 IP_TABLEAU_BYTES = 16 << 20
 
 

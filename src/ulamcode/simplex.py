@@ -3,16 +3,18 @@ under added variable bounds.
 
 Small and certificate-grade: every pivot is carried out in exact integer
 arithmetic, so optimal values are exact Fractions and safe to use as
-bounds.  The tableau is one 2-D numpy integer matrix, the constraint rows
-followed by the objective row, whose last column holds each row's positive
+bounds.  The tableau is condensed (the dictionary form): one 2-D numpy
+integer matrix of the constraint rows and the objective row, with a column
+per nonbasic column, the right-hand side and each row's positive
 denominator; so a pivot gathers, eliminates, gcd-reduces, range-checks and
-scatters the rows it touches once, denominators with them.  The matrix is
-int64 while every entry stays below 2**30 in magnitude, so that a pivot's
-``a*pc - f*b`` stays below 2**61; once one reaches 2**30 the tableau
-widens to object dtype (exact Python ints, the same expressions) for good.
-Bland's rule (smallest eligible column enters, smallest basic index leaves
-on ratio ties) guarantees termination and makes runs deterministic.  Most
-of the integer program's pivots have a zero ratio, which needs no loop.
+scatters the rows it touches once, over the nonbasic columns only.  The
+matrix is int64 while every entry stays below 2**30 in magnitude, so that
+a pivot's ``a*pc - f*b`` (b below 2**31) stays below 2**62; once one
+reaches 2**30 the tableau widens to object dtype (exact Python ints) for
+good.  Bland's rule (smallest eligible column enters, smallest basic index
+leaves on ratio ties) guarantees termination and makes runs deterministic.
+Most of the integer program's pivots have a zero ratio, which needs no
+loop.
 
 ``solve_lp`` takes the one program shape the integer program has: integer
 ``<=`` rows with right-hand sides >= 0 and ``=`` rows with right-hand side
@@ -81,25 +83,26 @@ def _least_ratios(eligible: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> l
 
 
 class _Tableau:
-    """Dense simplex tableau; the objective row holds reduced costs.
+    """Condensed simplex tableau; the objective row holds reduced costs.
 
-    ``mat`` holds the m constraint rows and then the objective row, each
-    ncols + 2 integers: ncols + 1 numerators (the right-hand side last)
-    and then the row's positive denominator; entry k of row i is
-    ``mat[i, k] / mat[i, -1]``.  Signs and ratio comparisons then need only
-    integer arithmetic, and the pivots are the same as with one Fraction
-    per entry.
+    ``mat`` holds the m constraint rows and then the objective row: a slot
+    per nonbasic column, the right-hand side, then the row's positive
+    denominator; entry s of row i is ``mat[i, s] / mat[i, -1]`` at column
+    ``labels[s]``.  Basic column basis[i] (-1 for an "=" row until it
+    enters) is 1 in row i and 0 in the other rows, so it has no slot.  The
+    pivots are those of one Fraction per entry of the full tableau.
     """
 
     def __init__(self, rows: Sequence[dict[int, int]], costs: dict[int, int],
-                 basis: list[int], ncols: int):
-        """``rows`` map columns to the integer entries of each constraint
-        row, the right-hand side at column ncols; a column left out holds 0.
-        The objective row is -costs, and every denominator is 1."""
+                 basis: list[int], labels: list[int], ncols: int):
+        """``rows`` map slots to the integer entries of each constraint row,
+        the right-hand side at slot len(labels); a slot left out holds 0.
+        The objective row is -costs, by slot too, and every denominator is 1."""
         self.ncols = ncols
         self.basis = basis        # basic column per constraint row
-        rows = [*rows, {j: -c for j, c in costs.items()}]
-        self.mat = np.zeros((len(rows), ncols + 2), dtype=object)
+        self.labels = labels      # nonbasic column per slot
+        rows = [*rows, {s: -c for s, c in costs.items()}]
+        self.mat = np.zeros((len(rows), len(labels) + 2), dtype=object)
         self.mat[:, -1] = 1
         for i, row in enumerate(rows):
             self.mat[i, list(row)] = list(map(operator.index, row.values()))
@@ -110,18 +113,18 @@ class _Tableau:
         if self.mat.dtype != object and not _fits(a):
             self.mat = self.mat.astype(object)
 
-    def value(self, i: int, k: int) -> Fraction:
-        return Fraction(int(self.mat[i, k]), int(self.mat[i, -1]))
+    def rhs(self, i: int) -> Fraction:
+        return Fraction(int(self.mat[i, -2]), int(self.mat[i, -1]))
 
     def objective_value(self) -> Fraction:
-        return self.value(-1, self.ncols)
+        return self.rhs(-1)
 
     def point(self, num_vars: int) -> list[Fraction]:
         """The basic solution's first num_vars coordinates."""
         x = [_ZERO] * num_vars
         for i, b in enumerate(self.basis):
             if b < num_vars:
-                x[b] = self.value(i, self.ncols)
+                x[b] = self.rhs(i)
         return x
 
     def most_fractional(self, num_vars: int) -> Optional[tuple[int, int]]:
@@ -129,8 +132,8 @@ class _Tableau:
         ties to the smallest k; None when all are integral.  Basic x_k =
         rhs / den has fractional part (rhs mod den) / den; the rest are 0.
         """
-        m, rhs = len(self.basis), self.ncols
-        nums, dens = self.mat[:m, rhs], self.mat[:m, -1]
+        m = len(self.basis)
+        nums, dens = self.mat[:m, -2], self.mat[:m, -1]
         rows = zip(self.basis, (nums % dens).tolist(), nums.tolist(), dens.tolist())
         best = None
         best_s = best_den = 0
@@ -143,8 +146,8 @@ class _Tableau:
     @property
     def nbytes(self) -> int:
         """Bytes this tableau holds: the object, its attributes (the matrix
-        with its data, the basis list) and, in object dtype, the Python ints
-        the matrix points to."""
+        with its data, the basis and label lists) and, in object dtype, the
+        Python ints the matrix points to."""
         attrs = vars(self)
         size = sys.getsizeof(self) + sum(map(sys.getsizeof, (attrs, *attrs.values())))
         if self.mat.dtype == object:
@@ -153,44 +156,58 @@ class _Tableau:
 
     def copy(self) -> "_Tableau":
         tab = copy.copy(self)
-        tab.mat, tab.basis = self.mat.copy(), self.basis[:]
+        tab.mat, tab.basis, tab.labels = self.mat.copy(), self.basis[:], self.labels[:]
         return tab
 
     def pivot(self, r: int, c: int) -> None:
-        mat = self.mat
+        """labels[c] enters the basis in row r and basis[r] leaves it for
+        slot c; where no column leaves (an "=" row), slot c goes."""
+        mat, leave = self.mat, self.basis[r]
         rows = mat[:, c].nonzero()[0]
-        # Row r over denominator pc > 0 has a 1 in column c.
+        # In full, row r also holds its denominator at column leave.  Over
+        # pc > 0 it has a 1 at labels[c], and `out` at leave.
         row = mat[r]
-        g = np.gcd.reduce(row[:-1])
+        g = np.gcd.reduce(row if leave >= 0 else row[:-1])
         prow = row // (g if row[c] > 0 else -g)
-        pc, prow[-1] = prow[c], 0
-        # Each row minus its column-c entry times prow, over den * pc (prow's
-        # last 0 leaves den * pc); row r comes out 0, ..., 0, 1, and prow replaces it.
-        new = mat[rows]
-        new = new * pc - new[:, c, None] * prow
+        pc, out = prow[c], prow[-1] if leave >= 0 else 0
+        # Each row times pc minus its entering entry f times prow, over
+        # den * pc (prow's last 0 leaves den * pc).  prow's pc + out puts
+        # -f * out in slot c, the leaving column's entry (0 off row r).  The
+        # entries of the full rows left out are 0 or den * pc, so the gcds
+        # and the range check are the same.  prow replaces row r.
+        prow[c], prow[-1] = pc + out, 0
+        new = mat.take(rows, axis=0)
+        sub = new[:, c, None] * prow
+        new *= pc
+        new -= sub
         new //= np.gcd.reduce(new, axis=1)[:, None]
         self._widen_past_limit(new)
-        prow[-1] = pc
+        prow[c], prow[-1] = out, pc
         self.mat[rows] = new
         self.mat[r] = prow
-        self.basis[r] = c
+        self.basis[r] = self.labels[c]
+        if leave >= 0:
+            self.labels[c] = leave
+        else:
+            self.mat = np.delete(self.mat, c, axis=1)
+            del self.labels[c]
 
     def optimize(self, clock: Optional[BudgetClock] = None) -> str:
         """Pivot until no reduced cost is negative, or until the time cap of
         ``clock`` runs out (STOPPED).  Bland's rule throughout."""
-        rhs, m = self.ncols, len(self.basis)
+        m = len(self.basis)
         while True:
-            negative = (self.mat[-1, :rhs] < 0).nonzero()[0]
-            if not negative.size:
+            negative = (self.mat[-1, :-2] < 0).nonzero()[0].tolist()
+            if not negative:
                 return OPTIMAL
             # Zero nodes never meet a node cap, so only the time cap stops.
             if clock is not None and clock.exhausted(0):
                 return STOPPED
-            enter = int(negative[0])
+            enter = min(negative, key=self.labels.__getitem__)
             # The ratio is b / a over a > 0 (within a row the denominator
             # cancels), ties to the smallest basic index.
             col = self.mat[:m, enter]
-            ties = _least_ratios(col > 0, self.mat[:m, rhs], col)
+            ties = _least_ratios(col > 0, self.mat[:m, -2], col)
             if not ties:
                 return UNBOUNDED
             self.pivot(min(ties, key=self.basis.__getitem__), enter)
@@ -202,26 +219,23 @@ class _Tableau:
         Reduced costs do not change, so an optimal tableau stays dual
         feasible; only the new row's right-hand side may turn negative.
         """
-        rhs, m = self.ncols, len(self.basis)
+        m = len(self.basis)
         # LE reads x_var + s = bound, GE reads -x_var + s = -bound.
         sign = 1 if sense == LE else -1
         if var in self.basis:
-            # Substitute the basic row x_var = (b - sum a_j x_j) / den.
-            src = self.mat[self.basis.index(var)].tolist()
-            den = src[-1]
-            row = [-sign * v for v in src[:rhs]] + [den, sign * (bound * den - src[rhs]), den]
-            row[var] = 0
+            # Substitute the basic row x_var = (b - sum a_j x_j) / den; the
+            # new row is 0 at x_var and den at s, basic columns both.
+            *src, b, den = self.mat[self.basis.index(var)].tolist()
+            row = [-sign * v for v in src] + [sign * (bound * den - b), den]
         else:
-            row = [0] * (rhs + 3)
-            row[var], row[rhs], row[rhs + 1], row[-1] = sign, 1, sign * bound, 1
+            row = [0] * (len(self.labels) + 2)
+            row[self.labels.index(var)], row[-2], row[-1] = sign, sign * bound, 1
         g = math.gcd(*row)
         row = np.array([v // g for v in row], dtype=object)
         self._widen_past_limit(row)
-        row, mat = row.astype(self.mat.dtype), self.mat
-        mat = np.concatenate((mat[:, :rhs], np.zeros_like(mat[:, :1]), mat[:, rhs:]), axis=1)
-        self.mat = np.concatenate((mat[:m], row[None], mat[m:]))
-        self.ncols = rhs + 1
-        self.basis.append(rhs)
+        self.mat = np.concatenate((self.mat[:m], row[None].astype(self.mat.dtype), self.mat[m:]))
+        self.basis.append(self.ncols)
+        self.ncols += 1
 
     def dual_optimize(self) -> str:
         """From a dual-feasible tableau, pivot until no right-hand side is
@@ -229,19 +243,19 @@ class _Tableau:
         negative entry.  Bland's rule: the smallest basic index among the
         negative rows leaves, and the smallest column on ratio ties enters.
         """
-        rhs, m = self.ncols, len(self.basis)
+        m = len(self.basis)
         while True:
-            negative = (self.mat[:m, rhs] < 0).nonzero()[0].tolist()
+            negative = (self.mat[:m, -2] < 0).nonzero()[0].tolist()
             if not negative:
                 return OPTIMAL
             leave = min(negative, key=self.basis.__getitem__)
             # The ratio obj[j] / -row[j] over row[j] < 0; both denominators
             # are positive and shared by every column, so they cancel.
-            row = self.mat[leave, :rhs]
-            ties = _least_ratios(row < 0, self.mat[-1, :rhs], -row)
+            row = self.mat[leave, :-2]
+            ties = _least_ratios(row < 0, self.mat[-1, :-2], -row)
             if not ties:
                 return INFEASIBLE
-            self.pivot(leave, ties[0])
+            self.pivot(leave, min(ties, key=self.labels.__getitem__))
 
 
 def solve_lp(
@@ -276,19 +290,16 @@ def solve_lp(
                 f"row {i}: {sense!r} with right-hand side {b}; only '<=' rows "
                 "with right-hand side >= 0 and '=' rows with 0 are accepted"
             )
-        row = {**coeffs, ncols: b}
-        if sense == LE:
-            basis.append(next(slacks))
-            row[basis[-1]] = 1
-        else:
-            basis.append(-1)
-        table.append(row)
+        basis.append(next(slacks) if sense == LE else -1)
+        table.append({**coeffs, num_vars: b})
 
-    tab = _Tableau(table, objective, basis, ncols)
+    # Slot j holds x_j, and the slots stay in order until the primal
+    # simplex: the first nonzero slot holds the smallest variable.
+    tab = _Tableau(table, objective, basis, list(range(num_vars)), ncols)
     for i, col in enumerate(basis):
         if col >= 0:
             continue
-        nonzero = tab.mat[i, :num_vars].nonzero()[0]
+        nonzero = tab.mat[i, :-2].nonzero()[0]
         if not nonzero.size:
             raise ValueError(f"row {i}: '=' row depends on the '=' rows before it")
         if clock is not None and clock.exhausted(0):

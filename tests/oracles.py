@@ -241,6 +241,28 @@ def rank(rows) -> int:
     return count
 
 
+def full_tableau(tab):
+    """(ncols, basis, numerators, denominators) of a condensed simplex
+    tableau written out in full, as nested Python ints: numerators[i][k] /
+    denominators[i] is entry k of row i over every column, the right-hand
+    side at k = ncols, the constraint rows and then the objective row.  A
+    column in a slot takes that slot's entries; basic column basis[i] is
+    denominators[i] in row i and 0 in every other row.  Asserts that the
+    slots and the basic columns are every column once."""
+    ncols, basis = tab.ncols, list(tab.basis)
+    assert sorted(tab.labels + [col for col in basis if col >= 0]) == list(range(ncols))
+    numerators, denominators = [], []
+    for i, (*slots, rhs, den) in enumerate(tab.mat.tolist()):
+        row = [0] * ncols + [rhs]
+        for col, v in zip(tab.labels, slots):
+            row[col] = v
+        if i < len(basis) and basis[i] >= 0:
+            row[basis[i]] = den
+        numerators.append(row)
+        denominators.append(den)
+    return ncols, basis, numerators, denominators
+
+
 def tableau_certificate(num_vars, rows, objective, basis, mat, dens):
     """(status, value) that a simplex tableau proves for max objective . x
     over x >= 0 and rows, each (integer coefficients by variable, "<=" |

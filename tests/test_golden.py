@@ -1,9 +1,11 @@
-"""Golden JSON outputs: fast commands whose output must not move.
+"""Golden outputs: fast commands whose output must not move.
 
 Each command runs with ``--format json --threads 1``; its output, less the
 ``elapsed_seconds`` line, must equal tests/golden/<name>.json byte for
 byte.  ``mc``, ``clt`` and ``--show-asymptotics`` are left out: their
-floats depend on the numpy random stream and on libm.
+floats depend on the numpy random stream and on libm.  The ``--help`` text
+of ulamcode and of each subcommand, 80 columns wide, must equal
+tests/golden/help/<name>.txt.
 
 After a deliberate output change, rewrite the files with
 
@@ -12,8 +14,10 @@ After a deliberate output change, rewrite the files with
 
 import contextlib
 import io
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -53,12 +57,30 @@ def json_output(argv: list[str]) -> str:
     return re.sub(r'^  "elapsed_seconds": .*\n', "", out.getvalue(), flags=re.M)
 
 
+HELP = ("ulamcode", *cli._DISPATCH)
+
+
+def help_output(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        code = cli.main(["--help"] if name == "ulamcode" else [name, "--help"])
+    assert code == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_output_is_golden(name):
     assert json_output(COMMANDS[name]) == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", HELP)
+def test_help_is_golden(name):
+    assert help_output(name) == (GOLDEN / "help" / f"{name}.txt").read_text()
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "help").mkdir(parents=True, exist_ok=True)
     for name, argv in COMMANDS.items():
         (GOLDEN / f"{name}.json").write_text(json_output(argv))
+    for name in HELP:
+        (GOLDEN / "help" / f"{name}.txt").write_text(help_output(name))

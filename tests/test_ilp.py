@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import tableau_certificate
+from oracles import full_tableau, tableau_certificate
 from ulamcode.bounds import CodeParams, singleton_upper
 from ulamcode.budget import SearchBudget
 from ulamcode.ilp import IP_NODE_CAP, export_lp, solve_ilp
@@ -251,9 +251,10 @@ class _Recorder:
 
 def _snapshot(tab):
     """(ncols, basis, constraint rows, their denominators, objective row,
-    its denominator), as nested Python ints so that == compares every entry."""
-    mat, dens = tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist()
-    return tab.ncols, list(tab.basis), mat[:-1], dens[:-1], mat[-1], dens[-1]
+    its denominator) of the full tableau, as nested Python ints so that ==
+    compares every entry."""
+    ncols, basis, mat, dens = full_tableau(tab)
+    return ncols, basis, mat[:-1], dens[:-1], mat[-1], dens[-1]
 
 
 def _certificate(params, path, snapshot):
@@ -369,15 +370,18 @@ class TestTableauMemo:
 
     @pytest.mark.parametrize(
         "cell, max_nodes",
-        [(cell, None) for cell in FROZEN_GRID] + [((8, 6), IP_NODE_CAP)],
+        [(cell, None) for cell in FROZEN_GRID] + [((8, 6), IP_NODE_CAP)]
+        # The default bound is passed here, so some nodes are replayed.
+        + [pytest.param((10, 7), None, marks=pytest.mark.slow)],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_results_do_not_depend_on_the_memo(self, monkeypatch, cell, max_nodes):
         kept = _solve(cell, max_nodes)
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
         assert _solve(cell, max_nodes) == kept
-        if cell == (8, 6):
-            assert (kept[0], kept[1], kept[3]) == ("bound_only", 6, 501)
+        pins = {(8, 6): ("bound_only", 6, 501), (10, 7): ("bound_only", 24, 501)}
+        if cell in pins:
+            assert (kept[0], kept[1], kept[3]) == pins[cell]
 
     def test_kept_tableaux_stay_within_the_bound(self, monkeypatch):
         bound = 1 << 20
@@ -420,12 +424,6 @@ class TestTableauMemo:
         assert _solve((10, 7), 150) == kept
         assert spy.popped
 
-    @pytest.mark.slow
-    def test_default_cap_at_10_7(self):
-        # The default bound is passed here, so some nodes are replayed.
-        status, value, _, nodes = _solve((10, 7))
-        assert (status, value, nodes) == ("bound_only", 24, 501)
-
     def test_default_bound_fits_the_default_cap(self, monkeypatch):
         for n in range(4, 9):
             for d in range(2, n):
@@ -455,8 +453,8 @@ class TestTableauMemo:
 
 
 # The ten cells of the benchmark's ipbound workload, with its node caps, and
-# the root tableau of each: its basis and the SHA-256 of its matrix and
-# denominators as nested Python ints.  Every root tableau is int64.
+# the root tableau of each: its basis and the SHA-256 of its full matrix and
+# denominators (oracles.full_tableau).  Every root tableau is int64.
 IPBOUND_CAPS = {
     (4, 3): 200, (5, 3): 200, (5, 4): 200, (6, 3): 200, (6, 4): 200,
     (6, 5): 200, (7, 4): 8, (7, 5): 8, (7, 6): 200, (8, 6): 8,
@@ -511,7 +509,7 @@ ROOT_TABLEAUX = {
 
 
 # SHA-256 of the root tableau of every cell with 4 <= n <= 8: its ncols,
-# basis, matrix and denominators as nested Python ints.
+# basis, full matrix and denominators (oracles.full_tableau).
 ROOT_TABLEAU_SHA256 = {
     (4, 2): "e8a5b856581c86c9f68ff55f3cca910dce3ed066b477d0f8b0236e96c5cd5bc4",
     (4, 3): "7ee55561c11a2d66750ae510fc3b107ef2a573b728d22dea0ced5b67e28fe65c",
@@ -542,9 +540,10 @@ class TestRootTableaux:
     def test_root_tableaux(self):
         for cell, (basis, digest) in ROOT_TABLEAUX.items():
             _, tab = ilp._root_lp(CodeParams(*cell))
-            assert tab.basis == basis, cell
+            _, full_basis, mat, dens = full_tableau(tab)
+            assert full_basis == basis, cell
             assert tab.mat.dtype == np.int64, cell
-            data = repr((tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist())).encode()
+            data = repr((mat, dens)).encode()
             assert hashlib.sha256(data).hexdigest() == digest, cell
 
     def test_grid_digests(self):
@@ -552,15 +551,14 @@ class TestRootTableaux:
         for cell, digest in ROOT_TABLEAU_SHA256.items():
             _, tab = ilp._root_lp(CodeParams(*cell))
             assert tab.mat.dtype == np.int64, cell
-            data = repr((tab.ncols, tab.basis, tab.mat[:, :-1].tolist(),
-                         tab.mat[:, -1].tolist())).encode()
+            data = repr(full_tableau(tab)).encode()
             assert hashlib.sha256(data).hexdigest() == digest, cell
 
     def test_pivot_counts(self, monkeypatch):
-        pivots = []
+        pivots = []  # (row, entering column)
         pivot = simplex._Tableau.pivot
-        monkeypatch.setattr(simplex._Tableau, "pivot",
-                            lambda tab, r, c: (pivots.append((r, c)), pivot(tab, r, c)))
+        monkeypatch.setattr(simplex._Tableau, "pivot", lambda tab, r, c: (
+            pivots.append((r, tab.labels[c])), pivot(tab, r, c)))
         for cell in IPBOUND_CAPS:
             ilp._root_lp(CodeParams(*cell))
         roots = len(pivots)
@@ -572,6 +570,30 @@ class TestRootTableaux:
         # Bland's rule picks every (row, column) of the sequence.
         digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
         assert digest == "4b3da36bc7d82d71aacaa1b1baf4ecd2ff058f35c7412d86f7a591362150e135"
+
+    @pytest.mark.slow
+    def test_every_pivot_is_certified(self, monkeypatch):
+        # After each pivot of the ten programs, the full tableau passes the
+        # exact certificate B T = [A | b] for the program plus the node's
+        # bound rows (about 8 s of oracle arithmetic).  Until the root's
+        # last "=" row enters, some row has no basic column and no B exists.
+        _Recorder(monkeypatch)  # gives each tableau its path of bound rows
+        checked, pivot = [], simplex._Tableau.pivot  # bound rows per check
+
+        def certified(tab, r, c):
+            pivot(tab, r, c)
+            if -1 not in tab.basis:
+                path = getattr(tab, "path", ())
+                _certificate(params, path, _snapshot(tab))
+                checked.append(len(path))
+
+        monkeypatch.setattr(simplex._Tableau, "pivot", certified)
+        for cell, cap in IPBOUND_CAPS.items():
+            params = CodeParams(*cell)
+            solve_ilp(params, SearchBudget(max_nodes=cap))
+        # All but the first n - 2 link-row pivots of each root.
+        assert len(checked) == 1483 - sum(n - 2 for n, _ in IPBOUND_CAPS)
+        assert max(checked) > 1
 
     @pytest.mark.parametrize("cell, first, pivots", [((10, 7), 296, 355), ((12, 10), 155, 371)])
     def test_first_object_pivot(self, monkeypatch, cell, first, pivots):

@@ -9,7 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bland_dual, bland_primal, lp_by_vertices, rank, tableau_certificate
+from oracles import (
+    bland_dual,
+    bland_primal,
+    full_tableau,
+    lp_by_vertices,
+    rank,
+    tableau_certificate,
+)
 from ulamcode import simplex
 from ulamcode.bounds import CodeParams
 from ulamcode.budget import SearchBudget
@@ -177,11 +184,12 @@ def test_infeasible_rows_leave_smallest_basic_index_first():
     tab = solve_lp(2, rows, objective)[1]
     tab.add_bound(0, LE, 2)
     tab.add_bound(1, LE, 1)
-    assert tab.basis == [0, 1, 4, 5]
-    assert tab.mat[:-1, tab.ncols].tolist() == [3, 3, -1, -2]
-    pivots = []
+    ncols, basis, nums, _ = full_tableau(tab)
+    assert basis == [0, 1, 4, 5]
+    assert [row[ncols] for row in nums[:-1]] == [3, 3, -1, -2]
+    pivots = []  # (row, entering column)
     pivot = tab.pivot
-    tab.pivot = lambda r, c: (pivots.append((r, c)), pivot(r, c))
+    tab.pivot = lambda r, c: (pivots.append((r, tab.labels[c])), pivot(r, c))
     assert tab.dual_optimize() == OPTIMAL
     assert pivots == [(2, 2), (3, 3)]
     assert (tab.objective_value(), tab.point(2)) == (3, [2, 1])
@@ -253,7 +261,8 @@ def test_a_denominator_alone_widens(monkeypatch):
     )
     status, tab = solve_lp(2, [({0: 65521}, LE, 1), ({1: 65519}, LE, 1)], {0: 1, 1: 1})
     assert (status, tab.point(2)) == (OPTIMAL, [Fraction(1, 65521), Fraction(1, 65519)])
-    assert tab.mat[-1].tolist() == [0, 0, 65519, 65521, 131040, 65521 * 65519]
+    _, _, nums, dens = full_tableau(tab)
+    assert nums[-1] + dens[-1:] == [0, 0, 65519, 65521, 131040, 65521 * 65519]
     assert dtypes == [np.int64, np.int64]
     assert tab.mat.dtype == object
 
@@ -304,8 +313,7 @@ def _certified(num_vars, rows, objective, tab, bounds=()):
     """tableau_certificate of tab for rows plus the bound rows add_bound
     appended, x <= u or x >= l written as x <= u or -x <= -l."""
     rows = rows + [({v: 1}, LE, b) if s == LE else ({v: -1}, LE, -b) for v, s, b in bounds]
-    return tableau_certificate(num_vars, rows, objective,
-                               tab.basis, tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist())
+    return tableau_certificate(num_vars, rows, objective, *full_tableau(tab)[1:])
 
 
 HOLDS = {LE: lambda u, v: u <= v, EQ: lambda u, v: u == v}
@@ -365,8 +373,9 @@ def test_warm_starts_agree_with_vertex_enumeration():
 
 
 def _fractions(tab):
-    """The tableau's entries as Fractions, the objective row last."""
-    return [[Fraction(v, row[-1]) for v in row[:-1]] for row in tab.mat.tolist()]
+    """The full tableau's entries as Fractions, the objective row last."""
+    _, _, nums, dens = full_tableau(tab)
+    return [[Fraction(v, den) for v in row] for row, den in zip(nums, dens)]
 
 
 @pytest.mark.parametrize("limit", [simplex._INT64_LIMIT, 0], ids=["int64", "object"])
@@ -392,9 +401,9 @@ def test_ratio_tests_make_blands_pivots(monkeypatch, limit):
 
     def pivot_spy(tab, r, c, pivot=tab_cls.pivot):
         if running:  # not an "=" row's entry pivot in solve_lp
-            table = _fractions(tab)
-            assert running[-1](table, tab.basis) == (r, c)
-            ratio = table[r][-1] if running[-1] is bland_primal else table[-1][c]
+            table, col = _fractions(tab), tab.labels[c]
+            assert running[-1](table, tab.basis) == (r, col)
+            ratio = table[r][-1] if running[-1] is bland_primal else table[-1][col]
             zero_ratio[running[-1].__name__, ratio == 0] += 1
             dtypes.add(tab.mat.dtype)
         pivot(tab, r, c)
@@ -426,15 +435,15 @@ def test_certificate_rejects_any_changed_entry():
     # wrong numerator or denominator anywhere, the objective row included.
     rows, objective = MIXED
     tab = solve_lp(2, rows, objective)[1]
-    mat, dens = tab.mat[:, :-1].tolist(), tab.mat[:, -1].tolist()
-    assert tableau_certificate(2, rows, objective, tab.basis, mat, dens) == (OPTIMAL, 5)
+    _, basis, mat, dens = full_tableau(tab)
+    assert tableau_certificate(2, rows, objective, basis, mat, dens) == (OPTIMAL, 5)
     for i, row in enumerate(mat):
         for k in range(len(row)):
             bad = [r[:] for r in mat]
             bad[i][k] += 1
             with pytest.raises(AssertionError):
-                tableau_certificate(2, rows, objective, tab.basis, bad, dens)
+                tableau_certificate(2, rows, objective, basis, bad, dens)
         bad = dens[:]
         bad[i] += 1
         with pytest.raises(AssertionError):
-            tableau_certificate(2, rows, objective, tab.basis, mat, bad)
+            tableau_certificate(2, rows, objective, basis, mat, bad)
