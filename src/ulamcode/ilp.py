@@ -14,11 +14,12 @@ deterministic best-bound branch-and-bound, so returned bounds are
 certificates, never float artifacts.  Only the root relaxation is solved
 from scratch, by the primal simplex from x = 0, which meets every row; a
 time cap stops it between pivots.  Every child is re-optimized from its
-parent's tableau by the dual simplex, and open nodes keep their tableaux
-up to a byte bound (see solve_ilp).  Integrality and the branching
-variable are read off the last two columns of the condensed tableau's
-matrix, the right-hand sides and the row denominators (int64, or object
-dtype past 2**30; see simplex.py), and values leave as Python ints.
+parent's tableau by the dual simplex, and every open node keeps its
+tableau; a byte bound on those tableaux is part of the budget (see
+solve_ilp).  Integrality and the branching variable are read off the
+last two columns of the condensed tableau's matrix, the right-hand sides
+and the row denominators (int64, or object dtype past 2**30; see
+simplex.py), and values leave as Python ints.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ BOUND_ONLY = "bound_only"
 # The integer program's node cap without a budget, and in every cell of
 # search and tables: its nodes cost orders of magnitude more than clique nodes.
 IP_NODE_CAP = 500
-# Byte bound on the tableaux that solve_ilp keeps for its open nodes
+# Byte bound on the tableaux that solve_ilp's open nodes keep
 # (_Tableau.nbytes, read once per pushed node; a bound row adds a row and no
-# column).  A node pushed while the kept ones would pass it keeps only its
-# path of bound rows, which the dual simplex replays from the root's tableau
-# when it is popped.  Same pivots: the bound changes time and memory only.
+# column).  Like the node and time caps, it ends the run as bound_only once
+# passed, by at most the two children of the last node popped.
 IP_TABLEAU_BYTES = 16 << 20
 
 
@@ -122,13 +122,11 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     reads the budget's time cap between pivots; stopped there, the result
     is the relaxation's value, the Singleton bound, after one node.  A node
     cap counts the root as one node and cannot stop it.  Each child is its
-    parent's tableau plus one bound row, re-optimized by the dual simplex.
-    An open node keeps that tableau while the kept ones stay within
-    IP_TABLEAU_BYTES: its bytes are charged once, when it is pushed, and
-    its entry holds the charge that its pop refunds.  Past the bound, a node
-    keeps only its path of bound rows, at a charge of 0, and when it is
-    popped the dual simplex re-solves it from the root's tableau one bound
-    row at a time, as it was first solved.
+    parent's tableau plus one bound row, re-optimized by the dual simplex,
+    and each open node keeps that tableau: its bytes are charged once, when
+    it is pushed, and its entry holds the charge that its pop refunds.  Once
+    the charges pass IP_TABLEAU_BYTES, the run stops as bound_only, as it
+    does on the node or time cap.
     """
     n = params.n
     num_vars = n * n
@@ -142,11 +140,11 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     cover, rhs = _cover(params)
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
     counter = held = 0
-    # (-value, counter, path, (k, floor of x_k), bytes charged, tableau or
-    # None); counters are unique, so heap order never compares past them.
-    heap: list[tuple[Fraction, int, tuple, tuple[int, int], int, Optional[_Tableau]]] = []
+    # (-value, counter, (k, floor of x_k), bytes charged, tableau); counters
+    # are unique, so heap order never compares past them.
+    heap: list[tuple[Fraction, int, tuple[int, int], int, _Tableau]] = []
 
-    def consider(tab, path: tuple) -> None:
+    def consider(tab) -> None:
         nonlocal best_value, best_x, counter, held
         value = tab.objective_value()
         branch = tab.most_fractional(num_vars)
@@ -159,11 +157,8 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
         if math.floor(value) > best_value:
             counter += 1
             size = tab.nbytes
-            if held + size <= IP_TABLEAU_BYTES:
-                held += size
-            else:
-                size, tab = 0, None  # replayed from the root's when popped
-            heapq.heappush(heap, (-value, counter, path, branch, size, tab))
+            held += size
+            heapq.heappush(heap, (-value, counter, branch, size, tab))
 
     # Feasible warm start: the constant matrix X[b][a] = m with the largest
     # m every covering row allows.
@@ -176,26 +171,18 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
     assert root_status == OPTIMAL
     status, nodes = OPTIMAL, 1
-    # A copy, so that the root's own tableau stays intact for replays.
-    consider(root.copy(), ())
+    consider(root)
 
     while heap:
-        if clock.exhausted(nodes):
+        if clock.exhausted(nodes) or held > IP_TABLEAU_BYTES:
             status = BOUND_ONLY
             break
-        neg, _, path, (k, fl), charge, tab = heapq.heappop(heap)
+        neg, _, (k, fl), charge, tab = heapq.heappop(heap)
         held -= charge
         if math.floor(-neg) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
             heap.clear()
             break
-        if tab is None:
-            tab = root.copy()
-            for bound in path:
-                tab.add_bound(*bound)
-                # The same pivots as the first solve, which was feasible.
-                if tab.dual_optimize() != OPTIMAL:
-                    raise AssertionError(f"replaying {path} turned infeasible")
         # The node is done after its two children, so the second takes
         # its tableau; the first gets a copy made before either changes.
         for bound, child in (((k, LE, fl), tab.copy()), ((k, GE, fl + 1), tab)):
@@ -203,7 +190,7 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
             nodes += 1
             if child.dual_optimize() == INFEASIBLE:
                 continue
-            consider(child, path + (bound,))
+            consider(child)
 
     if status == BOUND_ONLY:
         # The heap top's floor is the largest open node's, still a candidate.

@@ -29,8 +29,8 @@ Each pivot checks the 2**30 limit on the rows it has just computed.
 ``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
 restores optimality in a few pivots: this is how branch-and-bound children
-are solved, and how it re-solves from the root's tableau a node whose
-tableau it did not keep, past its byte bound (``nbytes``).
+are solved.  ``nbytes`` measures a tableau, for the integer program's byte
+bound on the tableaux of its open nodes.
 """
 
 from __future__ import annotations
@@ -147,9 +147,11 @@ class _Tableau:
     def nbytes(self) -> int:
         """Bytes this tableau holds: the object, its attributes (the matrix
         with its data, the basis and label lists) and, in object dtype, the
-        Python ints the matrix points to."""
+        Python ints the matrix points to.  The attribute dict is measured by
+        a copy: the size CPython reports for the live one depends on how
+        many instances have shared its keys."""
         attrs = vars(self)
-        size = sys.getsizeof(self) + sum(map(sys.getsizeof, (attrs, *attrs.values())))
+        size = sys.getsizeof(self) + sum(map(sys.getsizeof, (dict(attrs), *attrs.values())))
         if self.mat.dtype == object:
             size += sum(map(sys.getsizeof, self.mat.flat))
         return size

@@ -42,6 +42,8 @@ COMMANDS = {
     "bounds_8_6_ip_max_nodes": ["bounds", "--n", "8", "--d", "6", "--with-ip", "--max-nodes", "8"],
     "bounds_11_9_ip_max_nodes": ["bounds", "--n", "11", "--d", "9", "--with-ip",
                                  "--max-nodes", "10"],
+    # Its open tableaux pass IP_TABLEAU_BYTES within the default node cap.
+    "bounds_10_7_ip": ["bounds", "--n", "10", "--d", "7", "--with-ip"],
     "ball_7": ["ball", "--n", "7"],
     "lisdist_7": ["lisdist", "--n", "7"],
     "distance": ["distance", "2 3 1 5 4", "1 2 3 4 5"],

@@ -225,9 +225,8 @@ class TestSolveIlp:
 
 class _Recorder:
     """Records what solve_ilp asks of the simplex: the bound path,
-    dual-simplex status and final tableau of each child, and of each step
-    of a popped node's replay from the root.  A tableau's path rides along
-    as an attribute that add_bound extends and copies inherit."""
+    dual-simplex status and final tableau of each child.  A tableau's path
+    rides along as an attribute that add_bound extends and copies inherit."""
 
     def __init__(self, monkeypatch):
         self.children = []  # (path, status, snapshot)
@@ -299,31 +298,6 @@ class TestWarmStart:
             statuses.add(status)
         assert statuses == {OPTIMAL, INFEASIBLE}  # the oracle checks both kinds
 
-    def test_replayed_nodes_equal_dual_simplex_tableaux(self, monkeypatch):
-        # With no bytes for kept tableaux, every popped node is replayed
-        # from the root's tableau, whose copy is the root node's.  A path
-        # solved a second time is a replay step, and its tableau must
-        # equal, entry for entry, the one its first solve made.
-        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
-        params = CodeParams(5, 3)
-        root = _snapshot(ilp._root_lp(params)[1])
-        assert _certificate(params, (), root) == (OPTIMAL, 6)
-        rec = _Recorder(monkeypatch)
-        spy = _HeapSpy()
-        monkeypatch.setattr(ilp, "heapq", spy)
-        solve_ilp(params)
-        first, replayed = {}, set()
-        for path, status, snapshot in rec.children:
-            if path in first:
-                assert (status, snapshot) == first[path]
-                replayed.add(path)
-            else:
-                first[path] = (status, snapshot)
-        # Every popped node past the root was replayed, more than 50 of them.
-        popped = [path for path in spy.popped if path]
-        assert len(popped) > 50
-        assert set(popped) <= replayed
-
 
 def _solve(cell, max_nodes=None):
     budget = SearchBudget(max_nodes=max_nodes) if max_nodes else None
@@ -332,124 +306,151 @@ def _solve(cell, max_nodes=None):
 
 
 class _HeapSpy:
-    """Stands in for solve_ilp's heapq.  It records the most bytes that the
-    open nodes' kept tableaux (the last field of a heap entry) held, the
-    most that their charges (the field before it) summed to, how many nodes
-    were pushed without a tableau, and the path of each node popped without
-    one, which solve_ilp replays.  Each entry's charge must be its
-    tableau's nbytes, or 0 without one, when it is pushed and popped."""
+    """Stands in for solve_ilp's heapq.  Each entry's charge (the field
+    before its tableau) must be its tableau's nbytes when it is pushed and
+    when it is popped.  The spy keeps the heap, the sum of its charges
+    (held), the most that sum reached, its value at each pop, and the
+    entries pushed since the last pop."""
 
     def __init__(self):
-        self.most = self.most_charged = self.refused = 0
-        self.popped = []
+        self.held = self.most = 0
+        self.at_pops, self.since_pop, self.heap = [], [], []
 
     @staticmethod
-    def check_charge(entry):
+    def checked_charge(entry):
         *_, charge, tab = entry
-        assert charge == (0 if tab is None else tab.nbytes)
+        assert charge == tab.nbytes
+        return charge
 
     def heappop(self, heap):
+        self.at_pops.append(self.held)
+        self.since_pop = []
         entry = heapq.heappop(heap)
-        self.check_charge(entry)
-        if entry[-1] is None:
-            self.popped.append(entry[2])
+        self.held -= self.checked_charge(entry)
         return entry
 
     def heappush(self, heap, entry):
         heapq.heappush(heap, entry)
-        self.check_charge(entry)
-        self.refused += entry[-1] is None
-        held = sum(e[-1].nbytes for e in heap if e[-1] is not None)
-        self.most = max(self.most, held)
-        self.most_charged = max(self.most_charged, sum(e[-2] for e in heap))
+        self.heap = heap
+        self.since_pop.append(entry)
+        self.held += self.checked_charge(entry)
+        self.most = max(self.most, self.held)
+
+    def open_bytes(self):
+        """What the open nodes' tableaux hold, measured again."""
+        return sum(e[-1].nbytes for e in self.heap)
 
 
 class TestTableauMemo:
-    """Open nodes keep their tableaux up to IP_TABLEAU_BYTES; the rest are
-    replayed from the root.  Which one a node gets must never show."""
+    """Every open node keeps its tableau.  Once their bytes pass
+    IP_TABLEAU_BYTES, the run ends as bound_only, as it does on its node
+    cap: the bound cuts the run short and changes nothing before that."""
+
+    @pytest.mark.parametrize("cell, max_nodes, value", [((8, 6), 300, 6), ((10, 7), 150, 24)],
+                             ids=["8-6-300", "10-7-150"])
+    def test_a_small_bound_ends_the_run(self, monkeypatch, cell, max_nodes, value):
+        # (10,7) runs in object dtype.
+        bound = 1 << 20
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
+        spy = _HeapSpy()
+        monkeypatch.setattr(ilp, "heapq", spy)
+        stopped = _solve(cell, max_nodes)
+        status, got, _, nodes = stopped
+        assert (status, got) == ("bound_only", value)
+        assert nodes < max_nodes
+        # The charges held at each pop were within the bound, and the last
+        # pop's one or two children passed it.  They sum to what the open
+        # tableaux hold.
+        assert max(spy.at_pops) <= bound
+        assert 1 <= len(spy.since_pop) <= 2
+        assert spy.held - sum(e[-2] for e in spy.since_pop) <= bound < spy.held
+        assert spy.most == spy.held == spy.open_bytes()
+        # Without the bound, a node cap at the same node ends the run alike.
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", math.inf)
+        assert _solve(cell, nodes) == stopped
 
     @pytest.mark.parametrize(
         "cell, max_nodes",
         [(cell, None) for cell in FROZEN_GRID] + [((8, 6), IP_NODE_CAP)]
-        # The default bound is passed here, so some nodes are replayed.
+        # The default bound is passed here, in object dtype.
         + [pytest.param((10, 7), None, marks=pytest.mark.slow)],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_results_do_not_depend_on_the_memo(self, monkeypatch, cell, max_nodes):
-        kept = _solve(cell, max_nodes)
-        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
-        assert _solve(cell, max_nodes) == kept
-        pins = {(8, 6): ("bound_only", 6, 501), (10, 7): ("bound_only", 24, 501)}
-        if cell in pins:
-            assert (kept[0], kept[1], kept[3]) == pins[cell]
-
-    def test_kept_tableaux_stay_within_the_bound(self, monkeypatch):
-        bound = 1 << 20
-        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 0)
-        replay_only = _solve((8, 6), 300)
-        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
-        spy = _HeapSpy()
-        monkeypatch.setattr(ilp, "heapq", spy)
-        assert _solve((8, 6), 300) == replay_only
-        # The bound is reached, never passed, and the nodes past it are
-        # replayed.  The charges sum to what the kept tableaux hold.
-        assert bound - (64 << 10) < spy.most <= bound
-        assert spy.most_charged == spy.most
-        assert spy.popped
+        # Under bound 0, which ends every run after its root, and under the
+        # default bound, a run equals the one without the bound that a node
+        # cap stops at the same node, or the same run when it is optimal.
+        runs = []
+        for bound in (0, ilp.IP_TABLEAU_BYTES):
+            monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
+            runs.append(_solve(cell, max_nodes))
+        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", math.inf)
+        for run in runs:
+            assert _solve(cell, run[3] if run[0] == "bound_only" else max_nodes) == run
+        assert runs[0][3] == 1
+        if cell == (8, 6):
+            assert (runs[1][0], runs[1][1], runs[1][3]) == ("bound_only", 6, 501)
+        if cell == (10, 7):
+            assert runs[1][:2] == ("bound_only", 24) and runs[1][3] < 501
 
     def test_one_nbytes_read_per_pushed_node(self, monkeypatch):
-        # A node's tableau is measured once, when it is pushed; its pop
-        # refunds the charge its entry holds without measuring it again.
+        # A node's tableau is measured once, when it is pushed, and the
+        # size read is its entry's charge; its pop refunds that charge
+        # without measuring it again.
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 1 << 20)
         reads, pushed, popped = [], [], []
         nbytes = simplex._Tableau.nbytes
-        monkeypatch.setattr(simplex._Tableau, "nbytes",
-                            property(lambda tab: reads.append(tab) or nbytes.fget(tab)))
+
+        def read(tab):
+            reads.append((tab, nbytes.fget(tab)))
+            return reads[-1][1]
+
+        monkeypatch.setattr(simplex._Tableau, "nbytes", property(read))
         monkeypatch.setattr(ilp, "heapq", SimpleNamespace(
             heappush=lambda heap, entry: (pushed.append(entry), heapq.heappush(heap, entry)),
             heappop=lambda heap: popped.append(heapq.heappop(heap)) or popped[-1],
         ))
-        _solve((8, 6), 300)
-        assert len(reads) == len(pushed)
-        # Both kinds of node are pushed and popped.
-        assert {e[-1] is None for e in pushed} == {e[-1] is None for e in popped} == {False, True}
-
-    def test_replays_at_10_7(self, monkeypatch):
-        # (10,7) passes the default bound within the default cap, in object
-        # dtype; under a 1 MiB bound its first 150 nodes replay already.
-        kept = _solve((10, 7), 150)
-        monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 1 << 20)
-        spy = _HeapSpy()
-        monkeypatch.setattr(ilp, "heapq", spy)
-        assert _solve((10, 7), 150) == kept
-        assert spy.popped
+        status, _, _, nodes = _solve((8, 6), 300)
+        assert status == "bound_only" and nodes < 300  # stopped on bytes
+        assert len(reads) == len(pushed) > len(popped) > 20
+        assert all(tab is e[-1] and size == e[-2] for (tab, size), e in zip(reads, pushed))
 
     def test_default_bound_fits_the_default_cap(self, monkeypatch):
-        for n in range(4, 9):
+        # No run that search or tables can make (n <= 9, IP_NODE_CAP nodes)
+        # stops on bytes.
+        for n in range(4, 10):
             for d in range(2, n):
                 spy = _HeapSpy()
                 monkeypatch.setattr(ilp, "heapq", spy)
-                _solve((n, d), IP_NODE_CAP)
-                assert spy.refused == 0
-                assert spy.most_charged == spy.most <= ilp.IP_TABLEAU_BYTES
+                status, _, _, nodes = _solve((n, d), IP_NODE_CAP)
+                assert spy.most <= ilp.IP_TABLEAU_BYTES
+                if status == "bound_only":
+                    # Stopped on the node cap, its open tableaux charged in full.
+                    assert nodes == IP_NODE_CAP + 1
+                    assert spy.held == spy.open_bytes()
 
     @pytest.mark.slow
     def test_memory_beyond_the_default_cap(self, monkeypatch):
-        # 3,000 nodes at (8,6) would keep about 50 MB of tableaux without
-        # the bound; with it, the traced peak exceeds the replay-only
-        # run's by at most the bound.
+        # 3,000 nodes at (8,6) would keep about 50 MB of tableaux.  The run
+        # stops once they pass the bound, and its traced peak exceeds a
+        # root-only run's by at most the bound and the tableaux of its last
+        # step: the node popped and its two children.
         peaks, results = [], []
-        for bound in (0, ilp.IP_TABLEAU_BYTES):
-            monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", bound)
+        for max_nodes in (1, 3000):
             tracemalloc.start()
             try:
-                results.append(_solve((8, 6), 3000))
+                results.append(_solve((8, 6), max_nodes))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert results[0] == results[1]
-        assert (results[1][0], results[1][1], results[1][3]) == ("bound_only", 6, 3001)
-        assert peaks[1] <= peaks[0] + ilp.IP_TABLEAU_BYTES
+        status, value, _, nodes = results[1]
+        assert (status, value) == ("bound_only", 6)
+        assert IP_NODE_CAP < nodes < 3000
+        spy = _HeapSpy()
+        monkeypatch.setattr(ilp, "heapq", spy)
+        assert _solve((8, 6), 3000) == results[1]
+        largest = max(e[-2] for e in spy.heap)
+        assert peaks[1] <= peaks[0] + ilp.IP_TABLEAU_BYTES + 3 * largest
 
 
 # The ten cells of the benchmark's ipbound workload, with its node caps, and
