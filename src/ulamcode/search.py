@@ -23,11 +23,11 @@ far row, lies below the level's field, and the number of classes it still
 reaches is three bigint operations (add, AND, popcount) on per-field masks
 that the search space cuts once.  The DFS keeps each level in flat
 per-depth slots and tries a level's members in an inner loop.  The
-distance-at-least-d row of a permutation sigma is computed on demand and
-memoized, so the full pairwise graph is never materialized.  One vectorized LIS sweep over S_n
-per cell finds the identity's far set; by left-invariance the row of sigma
-is that set relabeled by sigma, ranked back into bit positions by one
-float32 matrix-vector product.
+distance-at-least-d row of sigma is computed on demand, cut below sigma's
+field, and memoized, so the pairwise graph is never materialized.  One LIS
+sweep over S_n per cell, in blocks, finds the identity's far set; by
+left-invariance the row of sigma is that set relabeled by sigma, ranked
+back into bit positions by one float32 matrix-vector product.
 
 max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
 S_n, the Singleton phase, then, if it finds no code, the maximum phase
@@ -68,19 +68,22 @@ from .perm import (
 )
 
 # Largest n a search accepts, checked before S_n is built: S_9 has 362,880
-# words, and one far row of it is 45 KB.  far_row's float32 ranks are exact
-# while n! <= 2^24.
+# words, and one far row of it is at most 45 KB.  far_row's float32 ranks are
+# exact while n! <= 2^24; the (n-d+1)! <= (n-1)! classes (d >= 2) fit uint16.
 SEARCH_LIMIT = 9
-assert math.factorial(SEARCH_LIMIT) < 2**24
+assert math.factorial(SEARCH_LIMIT) < 2**24 and math.factorial(SEARCH_LIMIT - 1) <= 2**16
+# Rows per call of the far-set LIS sweep: the kernel's temporaries take
+# 17 MB on all of S_9 at once, 0.44 MB on 8,192 rows.
+SWEEP_BLOCK = 1 << 13
 # Node cap of each phase of a search given no budget.  Only the cells with
 # no desk-scale proof (n >= 7 and d <= n - 3) reach it; every other cell
 # settles each phase within 2,860 nodes ((8,6) takes 567 in all, (9,7)
 # 3,289).  Any budget replaces it: --max-nodes or --max-seconds on the
 # command line, SearchBudget() for no cap at all.
 HARD_CELL_NODE_CAP = 200_000
-# Byte bound on a search's memo of far rows (about n!/8 bytes each, beside
-# one list slot per bit); a row that would push the memo past it empties
-# the memo first.  Rows are pure, so this changes time, never results.
+# Byte bound on the packed far rows in a search's memo (each cut below its
+# word's field, at most n!/8 bytes); a row that would push the memo past it
+# empties the memo first.  Rows are pure, so this changes time, never results.
 ROW_CACHE_BYTES = 256 << 20
 
 FOUND = "found"
@@ -248,15 +251,16 @@ class _SearchSpace:
     member 0 of its own class, at bit ``identity``.
 
     Rows come from left-invariance, d(sigma, sigma*pi) = d(e, pi): one LIS
-    sweep over S_n finds the identity's far set F = {pi : LIS(pi) <= n - d},
+    sweep over S_n, in blocks, finds the far set F = {pi : LIS(pi) <= n - d},
     and the row of sigma is F relabeled by sigma.  Only the smaller of F and
     its complement is kept, as an (n, k) array with one word per column.
     Construction turns it into (k, n^2) float32 rank weights, so a row is
     the n^2 compares of sigma's symbols with each other, one matrix-vector
     product for the k lex ranks, and a scatter of k bits.  A row never
     meets its own class: two words of one class share the order of symbols
-    1..n-d+1, so they are within d-1 of each other.  ``rows`` memoizes far
-    rows, one slot per bit, and ``field_lows`` and ``field_guards`` are the
+    1..n-d+1, so they are within d-1 of each other.  A level on field f
+    reads its members' rows below f only, so ``rows`` memoizes rows cut
+    there, one slot per bit.  ``field_lows`` and ``field_guards`` are the
     clique search's per-field masks (_field_masks): entry f is cut at field
     f's first bit, and the last entry covers every field.
     """
@@ -272,30 +276,32 @@ class _SearchSpace:
         n, m = params.n, params.n - params.d + 1
         size = math.factorial(n)
         lex = _lex_permutations(n)
-        # A word's class is the lex rank of its symbols < m in order; a
-        # stable sort by descending class keeps each class's members in lex
-        # order.
-        classes = _lex_ranks(np.ascontiguousarray(lex[lex < m].reshape(size, m).T))
-        order = np.argsort(-classes, kind="stable")
-        self.words = lex[order]
-        del lex
         self.classes = math.factorial(m)
         self.width = size // self.classes
         self.stride = self.width + 1
+        # A word's class is the lex rank of its symbols < m in order; a
+        # stable sort (a radix sort) of the uint16 key classes - 1 - class
+        # keeps each class's members in lex order.
+        key = _lex_ranks(np.ascontiguousarray(lex[lex < m].reshape(size, m).T))
+        key = (self.classes - 1 - key).astype(np.uint16)
+        order = np.argsort(key, kind="stable")
+        self.words = lex[order]
+        del lex, key
         # lex rank -> bit; int32 holds the bits of S_n up to n = 12.
         row_ids = np.arange(size, dtype=np.int32)
         self._position = np.empty(size, dtype=np.int32)
         self._position[order] = row_ids + row_ids // self.width
         self.identity = int(self._position[0])
-        far = _lis_lengths_batch(self.words) <= n - params.d
+        del order, row_ids
+        far = np.concatenate([_lis_lengths_batch(self.words[i : i + SWEEP_BLOCK]) <= n - params.d
+                              for i in range(0, size, SWEEP_BLOCK)])
         self._complement = 2 * int(np.count_nonzero(far)) > size
         kept = ~far if self._complement else far
         self._base = np.ascontiguousarray(self.words[kept].T)
         self._weights = _rank_weights(self._base)
         self._nbits = self.classes * self.stride
-        self._row_nbytes = (self._nbits + 7) // 8
         self.rows: list[Optional[int]] = [None] * self._nbits
-        self._cached = 0  # rows in the memo
+        self._cached = 0  # bytes of the rows in the memo
         span, lows, guards = _field_masks(self.width, self.classes)
         cuts = [-(-f * self.stride // span) for f in range(self.classes + 1)]
         self.field_lows, self.field_guards = [lows[c] for c in cuts], [guards[c] for c in cuts]
@@ -305,7 +311,7 @@ class _SearchSpace:
         return bit - bit // self.stride
 
     def far_row(self, bit: int) -> int:
-        """Bitmask of every permutation at distance >= d from the word at bit."""
+        """Bitmask of the words at distance >= d from the word at bit, below its field."""
         rows = self.rows
         row = rows[bit]
         if row is None:
@@ -313,17 +319,17 @@ class _SearchSpace:
             ranks = self._weights @ (w[:, None] < w).ravel().astype(np.float32)
             bits = np.zeros(self._nbits, dtype=bool)
             bits[self._position[ranks.astype(np.intp)]] = True
+            bits = bits[: bit - bit % self.stride]
             if self._complement:
                 np.logical_not(bits, out=bits)
                 bits[self.width :: self.stride] = False
-            row = int.from_bytes(
-                np.packbits(bits, bitorder="little").tobytes(), "little"
-            )
-            if (self._cached + 1) * self._row_nbytes > ROW_CACHE_BYTES:
+            packed = np.packbits(bits, bitorder="little")
+            row = int.from_bytes(packed.tobytes(), "little")
+            if self._cached + packed.nbytes > ROW_CACHE_BYTES:
                 rows[:] = [None] * self._nbits
                 self._cached = 0
             rows[bit] = row
-            self._cached += 1
+            self._cached += packed.nbytes
         return row
 
 

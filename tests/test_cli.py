@@ -3,8 +3,12 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -797,3 +801,10 @@ class TestParserPerCommand:
 
     def test_version(self, capsys):
         assert run_cli(capsys, "--version") == (0, f"ulamcode {__version__}\n", "")
+
+    def test_python_dash_m_runs_main(self):
+        # From a checkout that is not installed, as from an installed one.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "ulamcode", "--version"],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, f"ulamcode {__version__}\n")

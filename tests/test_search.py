@@ -186,17 +186,30 @@ def brute_force_row(space, gi):
     return row
 
 
+def below_field(space, gi, row):
+    """A whole far row of the word at gi cut below the word's field, as
+    far_row keeps it; the whole row must have no bit in that field."""
+    base = gi - gi % space.stride
+    assert row >> base & ((1 << space.stride) - 1) == 0
+    return row & ((1 << base) - 1)
+
+
+def cut_rows(space, bits):
+    """lehmer_far_rows at some bits, each cut below its word's field."""
+    return [below_field(space, b, row) for b, row in zip(bits, lehmer_far_rows(space, bits))]
+
+
 class TestFarRow:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_every_row_of_s5(self, d):
         space = search._SearchSpace(CodeParams(5, d))
         for gi in word_bits(space):
-            assert space.far_row(gi) == brute_force_row(space, gi)
+            assert space.far_row(gi) == below_field(space, gi, brute_force_row(space, gi))
 
     def test_every_row_of_s6_at_d3(self):
         space = search._SearchSpace(CodeParams(6, 3))
         for gi in word_bits(space):
-            assert space.far_row(gi) == brute_force_row(space, gi)
+            assert space.far_row(gi) == below_field(space, gi, brute_force_row(space, gi))
 
     @pytest.mark.parametrize("d, complement", [(3, True), (5, False)])
     def test_sampled_rows_of_s7(self, d, complement):
@@ -204,11 +217,18 @@ class TestFarRow:
         space = search._SearchSpace(CodeParams(7, d))
         assert space._complement is complement
         for gi in random.Random(d).sample(word_bits(space), 6):
-            assert space.far_row(gi) == brute_force_row(space, gi)
+            assert space.far_row(gi) == below_field(space, gi, brute_force_row(space, gi))
+
+    def test_identity_row_is_whole(self):
+        space = search._SearchSpace(CodeParams(6, 3))
+        assert space.identity // space.stride == space.classes - 1
+        assert space.far_row(space.identity) == brute_force_row(space, space.identity)
 
     def test_bounded_memo_changes_nothing(self, monkeypatch):
+        # A (6,3) row is cut below its field, at most 23 fields of 31
+        # bits, so it packs into at most 90 bytes; the memo counts those
+        # bytes against the bound.
         params = CodeParams(6, 3)
-        free = find_singleton_optimal(params)
         spaces = []
 
         class Recording(search._SearchSpace):
@@ -216,14 +236,46 @@ class TestFarRow:
                 super().__init__(params)
                 spaces.append(self)
 
-        row_bytes = search._SearchSpace(params)._row_nbytes
         monkeypatch.setattr(search, "_SearchSpace", Recording)
-        monkeypatch.setattr(search, "ROW_CACHE_BYTES", 3 * row_bytes)
+        free = find_singleton_optimal(params)
+        monkeypatch.setattr(search, "ROW_CACHE_BYTES", 3 * 90)
         bounded = find_singleton_optimal(params)
         assert bounded.code.words == free.code.words
         assert bounded.nodes_explored == free.nodes_explored > 3
-        (space,) = spaces
-        assert 1 <= sum(row is not None for row in space.rows) <= 3
+        for space in spaces:
+            held = [b for b, row in enumerate(space.rows) if row is not None]
+            assert space._cached == sum((b - b % space.stride + 7) // 8 for b in held)
+        assert spaces[0]._cached > 3 * 90 >= spaces[1]._cached > 0
+
+
+@pytest.mark.parametrize("n, d, both", [(6, 3, True), (7, 4, False), (8, 6, True)])
+def test_whole_rows_search_the_same_tree(monkeypatch, n, d, both):
+    # The bits far_row drops are never read: on whole rows (lehmer_far_rows)
+    # the Singleton phase, and the maximum phase where asked, return the
+    # same clique, node count and exhaustion as on cut rows.
+    params = CodeParams(n, d)
+    singleton = singleton_upper(params)
+    phases = [(singleton - 1, singleton)] + [(1, singleton)] * both
+
+    def run(space):
+        # Each phase settles within 2,623 nodes; the cap only stops a
+        # broken row early.
+        start = space.far_row(space.identity)
+        return [search._clique_search(space, SearchBudget(max_nodes=20_000).start(),
+                                      [space.identity], start, floor, ceiling)
+                for floor, ceiling in phases]
+
+    cut, whole = search._SearchSpace(params), search._SearchSpace(params)
+    memo = {}
+
+    def whole_row(bit):
+        if bit not in memo:
+            memo[bit] = lehmer_far_rows(whole, [bit])[0]
+        return memo[bit]
+
+    monkeypatch.setattr(whole, "far_row", whole_row)
+    assert run(whole) == run(cut)
+    assert any(row != cut.far_row(bit) for bit, row in memo.items())
 
 
 class TestLexRanks:
@@ -268,13 +320,13 @@ class TestRankWeights:
         bits = word_bits(space)
         for i in range(0, len(bits), 512):
             chunk = bits[i : i + 512]
-            assert [space.far_row(b) for b in chunk] == lehmer_far_rows(space, chunk)
+            assert [space.far_row(b) for b in chunk] == cut_rows(space, chunk)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_sampled_rows_at_n9(self, d):
         space = search._SearchSpace(CodeParams(9, d))
         bits = random.Random(d).sample(word_bits(space), 24)
-        assert [space.far_row(b) for b in bits] == lehmer_far_rows(space, bits)
+        assert [space.far_row(b) for b in bits] == cut_rows(space, bits)
 
     def test_first_row_holds_memo_and_weights(self):
         # At (8,6) construction allocates the memo (one 8-byte slot per
@@ -324,6 +376,20 @@ class TestOneCopyOfSn:
         assert retained - sys.getsizeof(space.rows) - space._weights.nbytes < 0.6e6
         assert space.words.dtype == np.int8
         assert space.words.shape == (math.factorial(8), 8)
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_build_peak_stays_small(self, d):
+        # The far-set sweep runs in blocks, the class order sorts uint16
+        # keys, and the int64 sort order is freed before the sweep: the
+        # build's peak at n = 8 is about 1.3 MB, against 3 MB for one sweep
+        # of all of S_8 beside the int64 class ranks and their negation.
+        tracemalloc.start()
+        try:
+            search._SearchSpace(CodeParams(8, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
 
     def test_bit_positions_are_int32(self):
         space = search._SearchSpace(CodeParams(6, 3))
