@@ -54,6 +54,8 @@ from .errors import CapacityError, DistanceViolation
 from .ilp import BOUND_ONLY, export_lp, solve_ilp
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
+    BUDGET_EXHAUSTED,
+    LOWER_BOUND_ONLY,
     find_singleton_optimal,
     max_code_search,
     read_code_file,
@@ -319,7 +321,7 @@ def _cmd_search(run: _Run) -> int:
     params = CodeParams(args.n, args.d)
     if args.singleton_only:
         res = find_singleton_optimal(params, run.budget)
-        code, bounded = res.code, res.status == "budget_exhausted"
+        code, bounded = res.code, res.status == BUDGET_EXHAUSTED
         result = {
             "n": params.n,
             "d": params.d,
@@ -330,7 +332,7 @@ def _cmd_search(run: _Run) -> int:
         lines = [f"singleton_status {res.status}"]
     else:
         res = max_code_search(params, run.budget, args.with_ip)
-        code, bounded = res.code, res.optimality == "lower_bound_only"
+        code, bounded = res.code, res.optimality == LOWER_BOUND_ONLY
         result = {
             "n": params.n,
             "d": params.d,

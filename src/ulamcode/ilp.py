@@ -7,7 +7,8 @@ middle can occur across all codewords: a code with minimum distance d
 repeats no such pattern, and only (n-1)!/(d-1)! patterns exist, which
 caps a weighted sum of the position counts X[b][a] (see _cover).
 Maximizing the number of codewords subject to those caps yields an upper
-bound on the code size.
+bound on the code size, and that bound is all solve_ilp returns: no
+primal point leaves the solver.
 
 The solver is exact end to end: rational simplex relaxations drive a
 deterministic best-bound branch-and-bound, so returned bounds are
@@ -34,8 +35,6 @@ from .bounds import CodeParams, singleton_upper
 from .budget import BudgetClock, SearchBudget
 from .simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, STOPPED, _Tableau, solve_lp
 
-Var = tuple[int, int]  # (b, a): position b holds symbol a
-
 BOUND_ONLY = "bound_only"
 # The integer program's node cap without a budget, and in every cell of
 # search and tables: its nodes cost orders of magnitude more than clique nodes.
@@ -51,7 +50,6 @@ IP_TABLEAU_BYTES = 16 << 20
 class IlpSolution:
     status: str  # "optimal" | "bound_only"
     objective_value: int
-    assignment: dict[Var, int]
     nodes_explored: int = 0
 
 
@@ -61,6 +59,10 @@ def _cover(params: CodeParams) -> tuple[tuple[tuple[int, ...], ...], int]:
 
         sum_b cover[l][b-1] X[b][a]  <=  rhs,
         cover[l][b-1] = C(b-1, l) C(n-b, n-d-l),  rhs = (n-1)!/(d-1)!.
+
+    Every row sums to C(n, d-1) (the Chu-Vandermonde sum over b of
+    C(b-1, l) C(n-b, n-d-l)), so the constant X[b][a] = m meets it exactly
+    when m <= rhs / C(n, d-1) = (n-d+1)!/n, the Singleton bound over n.
 
     Requires d >= 2 (at d = 1 every pattern is a whole permutation and the
     program is vacuous; solve_ilp answers n! itself).
@@ -114,30 +116,26 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     is a proven upper bound (status "bound_only"), never a silent guess;
     without a budget, the program gets IP_NODE_CAP nodes.  The value never
     exceeds the Singleton bound: the root relaxation equals it, and no
-    node's value exceeds the root's.  At d = 1, where the program is
-    vacuous, the answer is n! after 0 nodes, with every X[b][a] = (n-1)!,
-    the position counts of S_n.
+    node's value exceeds the root's.  The incumbent starts at the warm
+    start n * (S // n), S the Singleton bound: the constant matrix X[b][a]
+    = S // n is the largest one every covering row allows (see _cover).  An
+    integral node only raises it.  At d = 1, where the program is vacuous,
+    the answer is n! after 0 nodes.
 
     The root relaxation is solved from x = 0 by the primal simplex, which
     reads the budget's time cap between pivots; stopped there, the result
     is the relaxation's value, the Singleton bound, after one node.  A node
     cap counts the root as one node and cannot stop it.  Each child is its
-    parent's tableau plus one bound row, re-optimized by the dual simplex,
+    parent's tableau plus one bound row on the branching variable, which
+    most_fractional takes from the basis, re-optimized by the dual simplex,
     and each open node keeps that tableau: its bytes are charged once, when
     it is pushed, and its entry holds the charge that its pop refunds.  Once
     the charges pass IP_TABLEAU_BYTES, the run stops as bound_only, as it
     does on the node or time cap.
     """
     n = params.n
-    num_vars = n * n
-
-    def assignment(x) -> dict[Var, int]:
-        return {(k // n + 1, k % n + 1): int(v) for k, v in enumerate(x)}
-
     if params.d == 1:
-        return IlpSolution(OPTIMAL, math.factorial(n),
-                           assignment([math.factorial(n - 1)] * num_vars))
-    cover, rhs = _cover(params)
+        return IlpSolution(OPTIMAL, math.factorial(n))
     clock = (budget or SearchBudget(max_nodes=IP_NODE_CAP)).start()
     counter = held = 0
     # (-value, counter, (k, floor of x_k), bytes charged, tableau); counters
@@ -145,14 +143,11 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     heap: list[tuple[Fraction, int, tuple[int, int], int, _Tableau]] = []
 
     def consider(tab) -> None:
-        nonlocal best_value, best_x, counter, held
+        nonlocal best_value, counter, held
         value = tab.objective_value()
-        branch = tab.most_fractional(num_vars)
+        branch = tab.most_fractional(n * n)
         if branch is None:
-            iv = math.floor(value)
-            if iv > best_value:
-                best_value = iv
-                best_x = assignment(tab.point(num_vars))
+            best_value = max(best_value, math.floor(value))
             return
         if math.floor(value) > best_value:
             counter += 1
@@ -160,14 +155,12 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
             held += size
             heapq.heappush(heap, (-value, counter, branch, size, tab))
 
-    # Feasible warm start: the constant matrix X[b][a] = m with the largest
-    # m every covering row allows.
-    mstar = min(rhs // sum(row) for row in cover)
-    best_value, best_x = n * mstar, assignment([mstar] * num_vars)
+    singleton = singleton_upper(params)
+    best_value = n * (singleton // n)  # the warm start
     root_status, root = _root_lp(params, clock)
     if root_status == STOPPED:
         # The relaxation's value is the Singleton bound.
-        return IlpSolution(BOUND_ONLY, singleton_upper(params), best_x, 1)
+        return IlpSolution(BOUND_ONLY, singleton, 1)
     # X = 0 meets every row: rhs >= 0, and the link rows are homogeneous.
     assert root_status == OPTIMAL
     status, nodes = OPTIMAL, 1
@@ -195,7 +188,7 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     if status == BOUND_ONLY:
         # The heap top's floor is the largest open node's, still a candidate.
         best_value = max(best_value, math.floor(-heap[0][0]))
-    return IlpSolution(status, best_value, best_x, nodes)
+    return IlpSolution(status, best_value, nodes)
 
 
 def export_lp(params: CodeParams) -> str:

@@ -25,8 +25,8 @@ pivot that moves no right-hand side.  The primal simplex runs from there.
 Each pivot checks the 2**30 limit on the rows it has just computed.
 
 ``solve_lp`` returns its status and the optimal tableau, whose
-``objective_value`` and ``point`` are the result.  A bound
-``x_v <= u`` or ``x_v >= l`` added to it (``add_bound``) keeps it dual
+``objective_value`` is the result.  A bound ``x_v <= u`` or ``x_v >= l``
+on a basic variable x_v, added to it (``add_bound``), keeps it dual
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
 restores optimality in a few pivots: this is how branch-and-bound children
 are solved.  ``nbytes`` measures a tableau, for the integer program's byte
@@ -54,7 +54,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 STOPPED = "stopped"
 
-_ZERO = Fraction(0)
 # int64 entries, denominators included, stay below this; past it, object dtype.
 _INT64_LIMIT = 1 << 30
 
@@ -113,24 +112,14 @@ class _Tableau:
         if self.mat.dtype != object and not _fits(a):
             self.mat = self.mat.astype(object)
 
-    def rhs(self, i: int) -> Fraction:
-        return Fraction(int(self.mat[i, -2]), int(self.mat[i, -1]))
-
     def objective_value(self) -> Fraction:
-        return self.rhs(-1)
-
-    def point(self, num_vars: int) -> list[Fraction]:
-        """The basic solution's first num_vars coordinates."""
-        x = [_ZERO] * num_vars
-        for i, b in enumerate(self.basis):
-            if b < num_vars:
-                x[b] = self.rhs(i)
-        return x
+        return Fraction(int(self.mat[-1, -2]), int(self.mat[-1, -1]))
 
     def most_fractional(self, num_vars: int) -> Optional[tuple[int, int]]:
         """(k, floor of x_k) for the most-fractional x_k with k < num_vars,
         ties to the smallest k; None when all are integral.  Basic x_k =
-        rhs / den has fractional part (rhs mod den) / den; the rest are 0.
+        rhs / den has fractional part (rhs mod den) / den; the rest are 0,
+        so k is basic, as add_bound needs.
         """
         m = len(self.basis)
         nums, dens = self.mat[:m, -2], self.mat[:m, -1]
@@ -215,23 +204,20 @@ class _Tableau:
             self.pivot(min(ties, key=self.basis.__getitem__), enter)
 
     def add_bound(self, var: int, sense: str, bound: int) -> None:
-        """Add x_var <= bound (LE) or x_var >= bound (GE) as a new row whose
-        new slack column is basic, written in the current basis.
+        """Add x_var <= bound (LE) or x_var >= bound (GE) on the basic
+        variable x_var as a new row whose new slack column is basic, written
+        in the current basis.
 
         Reduced costs do not change, so an optimal tableau stays dual
         feasible; only the new row's right-hand side may turn negative.
         """
         m = len(self.basis)
-        # LE reads x_var + s = bound, GE reads -x_var + s = -bound.
+        # LE reads x_var + s = bound, GE reads -x_var + s = -bound.  Substitute
+        # the basic row x_var = (b - sum a_j x_j) / den: the new row is 0 at
+        # x_var and den at s, basic columns both.
         sign = 1 if sense == LE else -1
-        if var in self.basis:
-            # Substitute the basic row x_var = (b - sum a_j x_j) / den; the
-            # new row is 0 at x_var and den at s, basic columns both.
-            *src, b, den = self.mat[self.basis.index(var)].tolist()
-            row = [-sign * v for v in src] + [sign * (bound * den - b), den]
-        else:
-            row = [0] * (len(self.labels) + 2)
-            row[self.labels.index(var)], row[-2], row[-1] = sign, sign * bound, 1
+        *src, b, den = self.mat[self.basis.index(var)].tolist()
+        row = [-sign * v for v in src] + [sign * (bound * den - b), den]
         g = math.gcd(*row)
         row = np.array([v // g for v in row], dtype=object)
         self._widen_past_limit(row)

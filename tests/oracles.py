@@ -263,6 +263,18 @@ def full_tableau(tab):
     return ncols, basis, numerators, denominators
 
 
+def basic_point(tab, num_vars):
+    """The first num_vars coordinates of a simplex tableau's basic solution,
+    as Fractions, from full_tableau: basic column basis[i] takes row i's
+    right-hand side over its denominator, and every other column is 0."""
+    ncols, basis, numerators, denominators = full_tableau(tab)
+    x = [Fraction(0)] * num_vars
+    for i, col in enumerate(basis):
+        if 0 <= col < num_vars:
+            x[col] = Fraction(numerators[i][ncols], denominators[i])
+    return x
+
+
 def tableau_certificate(num_vars, rows, objective, basis, mat, dens):
     """(status, value) that a simplex tableau proves for max objective . x
     over x >= 0 and rows, each (integer coefficients by variable, "<=" |

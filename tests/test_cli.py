@@ -233,7 +233,7 @@ class TestSearchAndVerify:
     def test_ip_bound_below_the_code_exits_3(self, capsys, monkeypatch):
         # The search keeps a verified 5-word code; a bound of 1 contradicts it.
         monkeypatch.setattr(search, "solve_ilp",
-                            lambda params, budget: IlpSolution("optimal", 1, {}))
+                            lambda params, budget: IlpSolution("optimal", 1))
         code, out, err = run_cli(
             capsys, "search", "--n", "6", "--d", "3", "--max-nodes", "5", "--with-ip"
         )

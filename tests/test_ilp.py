@@ -87,7 +87,7 @@ class TestBuildModel:
 
     def test_d1_rejected(self):
         # The program is vacuous at d = 1, so building it is an error;
-        # solve_ilp answers n! itself, with the position counts of S_n.
+        # solve_ilp answers n! itself.
         for build in (ilp._cover, export_lp):
             with pytest.raises(ValueError, match="d >= 2"):
                 build(CodeParams(4, 1))
@@ -95,8 +95,6 @@ class TestBuildModel:
             sol = solve_ilp(CodeParams(n, 1))
             assert (sol.status, sol.objective_value, sol.nodes_explored) == (
                 "optimal", math.factorial(n), 0)
-            cells = [(b, a) for b in range(1, n + 1) for a in range(1, n + 1)]
-            assert sol.assignment == dict.fromkeys(cells, math.factorial(n - 1))
 
     def test_var_upper_from_tightest_row(self):
         text = export_lp(CodeParams(5, 3))
@@ -111,6 +109,17 @@ class TestBuildModel:
             for d in range(2, n):
                 cover, _ = ilp._cover(CodeParams(n, d))
                 assert all(any(column) for column in zip(*cover)), (n, d)
+
+    def test_every_row_sums_to_the_same(self):
+        # Every covering row sums to C(n, d-1), so the largest constant
+        # matrix the rows allow is X[b][a] = S // n, S the Singleton bound:
+        # solve_ilp's warm start n * (S // n).
+        for n in range(3, 31):
+            for d in range(2, n):
+                p = CodeParams(n, d)
+                cover, rhs = ilp._cover(p)
+                assert {sum(row) for row in cover} == {math.comb(n, d - 1)}, (n, d)
+                assert rhs // math.comb(n, d - 1) == singleton_upper(p) // n, (n, d)
 
 
 def relaxation(params):
@@ -178,13 +187,6 @@ class TestSolveIlp:
 
     def test_all_ones_point_is_feasible_at_5_3(self):
         assert satisfies(CodeParams(5, 3), {(b, a): 1 for b in range(1, 6) for a in range(1, 6)})
-
-    def test_optimal_assignment_satisfies_model(self):
-        p = CodeParams(5, 3)
-        sol = solve_ilp(p)
-        x = sol.assignment
-        assert sum(x[(1, a)] for a in range(1, 6)) == sol.objective_value
-        assert satisfies(p, x)
 
     def test_frozen_small_grid(self):
         for (n, d), (value, nodes) in FROZEN_GRID.items():
@@ -302,7 +304,7 @@ class TestWarmStart:
 def _solve(cell, max_nodes=None):
     budget = SearchBudget(max_nodes=max_nodes) if max_nodes else None
     sol = solve_ilp(CodeParams(*cell), budget)
-    return sol.status, sol.objective_value, sol.assignment, sol.nodes_explored
+    return sol.status, sol.objective_value, sol.nodes_explored
 
 
 class _HeapSpy:
@@ -355,7 +357,7 @@ class TestTableauMemo:
         spy = _HeapSpy()
         monkeypatch.setattr(ilp, "heapq", spy)
         stopped = _solve(cell, max_nodes)
-        status, got, _, nodes = stopped
+        status, got, nodes = stopped
         assert (status, got) == ("bound_only", value)
         assert nodes < max_nodes
         # The charges held at each pop were within the bound, and the last
@@ -386,12 +388,12 @@ class TestTableauMemo:
             runs.append(_solve(cell, max_nodes))
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", math.inf)
         for run in runs:
-            assert _solve(cell, run[3] if run[0] == "bound_only" else max_nodes) == run
-        assert runs[0][3] == 1
+            assert _solve(cell, run[2] if run[0] == "bound_only" else max_nodes) == run
+        assert runs[0][2] == 1
         if cell == (8, 6):
-            assert (runs[1][0], runs[1][1], runs[1][3]) == ("bound_only", 6, 501)
+            assert runs[1] == ("bound_only", 6, 501)
         if cell == (10, 7):
-            assert runs[1][:2] == ("bound_only", 24) and runs[1][3] < 501
+            assert runs[1][:2] == ("bound_only", 24) and runs[1][2] < 501
 
     def test_one_nbytes_read_per_pushed_node(self, monkeypatch):
         # A node's tableau is measured once, when it is pushed, and the
@@ -410,7 +412,7 @@ class TestTableauMemo:
             heappush=lambda heap, entry: (pushed.append(entry), heapq.heappush(heap, entry)),
             heappop=lambda heap: popped.append(heapq.heappop(heap)) or popped[-1],
         ))
-        status, _, _, nodes = _solve((8, 6), 300)
+        status, _, nodes = _solve((8, 6), 300)
         assert status == "bound_only" and nodes < 300  # stopped on bytes
         assert len(reads) == len(pushed) > len(popped) > 20
         assert all(tab is e[-1] and size == e[-2] for (tab, size), e in zip(reads, pushed))
@@ -422,7 +424,7 @@ class TestTableauMemo:
             for d in range(2, n):
                 spy = _HeapSpy()
                 monkeypatch.setattr(ilp, "heapq", spy)
-                status, _, _, nodes = _solve((n, d), IP_NODE_CAP)
+                status, _, nodes = _solve((n, d), IP_NODE_CAP)
                 assert spy.most <= ilp.IP_TABLEAU_BYTES
                 if status == "bound_only":
                     # Stopped on the node cap, its open tableaux charged in full.
@@ -443,7 +445,7 @@ class TestTableauMemo:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        status, value, _, nodes = results[1]
+        status, value, nodes = results[1]
         assert (status, value) == ("bound_only", 6)
         assert IP_NODE_CAP < nodes < 3000
         spy = _HeapSpy()
@@ -611,6 +613,26 @@ class TestRootTableaux:
         assert set(dtypes[first:]) == {np.dtype(object)}
 
 
+def test_bounds_name_basic_columns(monkeypatch):
+    # solve_ilp branches only on basic columns, so add_bound needs no row
+    # for a nonbasic one: on the frozen grid, the ipbound programs at their
+    # caps and (11,9) in object dtype, every bound names a basic column.
+    calls, add_bound = [], simplex._Tableau.add_bound
+
+    def spy(tab, var, sense, bound):
+        calls.append((var in tab.basis, tab.mat.dtype))
+        add_bound(tab, var, sense, bound)
+
+    monkeypatch.setattr(simplex._Tableau, "add_bound", spy)
+    runs = [(cell, None) for cell in FROZEN_GRID] + list(IPBOUND_CAPS.items()) + [((11, 9), 10)]
+    nodes = sum(solve_ilp(CodeParams(*cell), SearchBudget(max_nodes=cap) if cap else None)
+                .nodes_explored for cell, cap in runs)
+    # Every node but a root is a child with one bound.
+    assert len(calls) == nodes - len(runs) > 600
+    assert {basic for basic, _ in calls} == {True}
+    assert {dtype for _, dtype in calls} == {np.dtype(np.int64), np.dtype(object)}
+
+
 def ip_record(params, budget=None):
     """(value, status) of solve_ilp's record."""
     sol = solve_ilp(params, budget)
@@ -679,7 +701,6 @@ class TestRootDeadline:
     def test_solve_ilp_gives_the_singleton_bound(self):
         sol = solve_ilp(self.CELL, SearchBudget(max_seconds=3))
         assert (sol.status, sol.objective_value, sol.nodes_explored) == ("bound_only", 24, 1)
-        assert satisfies(self.CELL, sol.assignment)  # the warm start
         assert ip_record(self.CELL, SearchBudget(max_seconds=3)) == (24, "bound_only")
         assert singleton_upper(self.CELL) == 24
 
@@ -702,7 +723,6 @@ class TestTypesAtTheBoundary:
         sol = solve_ilp(CodeParams(5, 3), budget)
         assert sol.status == ("optimal" if budget is None else "bound_only")
         assert type(sol.objective_value) is int
-        assert all(type(v) is int for v in sol.assignment.values())
         value = relaxation(CodeParams(5, 3))
         assert type(value) is Fraction and type(value.numerator) is int
         assert type(value.denominator) is int
@@ -715,7 +735,6 @@ class TestTypesAtTheBoundary:
         sol = solve_ilp(CodeParams(5, 3))
         assert (sol.status, sol.objective_value, sol.nodes_explored) == ("optimal", 5, 131)
         assert type(sol.objective_value) is int
-        assert all(type(v) is int for v in sol.assignment.values())
         assert rec.dtypes == {np.dtype(object)}
 
     def test_ip_upper_bound(self):

@@ -8,7 +8,6 @@ import math
 import random
 import sys
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -812,7 +811,7 @@ class TestTables:
 
         def ip(params, budget=None):
             calls.append(params)
-            return IlpSolution("optimal", singleton_upper(params), {})
+            return IlpSolution("optimal", singleton_upper(params))
 
         monkeypatch.setattr(search, "solve_ilp", ip)
         cells = reproduce_tables([n], ds, with_ip=True)
@@ -860,7 +859,7 @@ def test_one_search_space_per_cell(monkeypatch, n, d, max_nodes, with_ip):
             spaces.append(params)
 
     def ip(params, budget=None):
-        return IlpSolution("bound_only", singleton_upper(params), {})
+        return IlpSolution("bound_only", singleton_upper(params))
 
     monkeypatch.setattr(search, "_SearchSpace", Counting)
     monkeypatch.setattr(search, "solve_ilp", ip)
@@ -951,7 +950,7 @@ class TestBudgetRule:
         def solve(model, budget=None):
             calls.append((model.n, "ip", budget))
             value = singleton_upper(CodeParams(model.n, model.d))
-            return IlpSolution("optimal", value, None, Fraction(value))
+            return IlpSolution("optimal", value)
 
         monkeypatch.setattr(search, "_clique_search", engine)
         # bounds reaches the program from cli, search and tables from search.
@@ -1075,7 +1074,7 @@ class TestBudgetRule:
 
         def ip_bound(params, budget):
             given.append(budget)
-            return IlpSolution("optimal", singleton_upper(params) - 1, {})
+            return IlpSolution("optimal", singleton_upper(params) - 1)
 
         monkeypatch.setattr(search, "_clique_search", engine)
         monkeypatch.setattr(search, "solve_ilp", ip_bound)

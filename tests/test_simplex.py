@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    basic_point,
     bland_dual,
     bland_primal,
     full_tableau,
@@ -38,8 +39,8 @@ def test_two_variable_optimum_is_exact():
     )
     assert status == OPTIMAL
     assert tab.objective_value() == Fraction(14, 5)
-    assert tab.point(2) == [Fraction(8, 5), Fraction(6, 5)]
-    assert all(_exact(v) for v in [tab.objective_value(), *tab.point(2)])
+    assert basic_point(tab, 2) == [Fraction(8, 5), Fraction(6, 5)]
+    assert all(_exact(v) for v in [tab.objective_value(), *basic_point(tab, 2)])
 
 
 def test_unbounded():
@@ -123,6 +124,23 @@ def _warm(num_vars, rows, objective, *bounds):
     return OPTIMAL, tab
 
 
+def _random_warm(rng, num_vars, rows, objective):
+    """One or two random bounds, each on a basic structural column of the
+    tableau it is added to (the only bounds solve_ilp adds), by _warm's
+    steps: (status, tableau, the bounds added), stopping at the first bound
+    that leaves no feasible point."""
+    tab, status, bounds = solve_lp(num_vars, rows, objective)[1], OPTIMAL, []
+    for _ in range(rng.randint(1, 2)):
+        basic = sorted(k for k in tab.basis if k < num_vars)
+        if status != OPTIMAL or not basic:
+            break
+        bounds.append((rng.choice(basic), rng.choice((LE, GE)), rng.randint(0, 3)))
+        tab = tab.copy()
+        tab.add_bound(*bounds[-1])
+        status = tab.dual_optimize()
+    return status, tab, bounds
+
+
 def _vertices(num_vars, rows, objective, *bounds):
     """(status, value) of the program plus bounds, by vertex enumeration."""
     return lp_by_vertices(num_vars, rows + [({v: 1}, s, b) for v, s, b in bounds], objective)
@@ -145,23 +163,12 @@ def test_bound_on_a_basic_variable():
     status, tab = _warm(2, rows, objective, (0, LE, 1))
     assert status == OPTIMAL
     assert tab.objective_value() == Fraction(5, 2)
-    assert tab.point(2) == [1, Fraction(3, 2)]
+    assert basic_point(tab, 2) == [1, Fraction(3, 2)]
     assert _vertices(2, rows, objective, (0, LE, 1)) == (OPTIMAL, Fraction(5, 2))
-
-
-def test_bound_on_a_nonbasic_variable():
-    # max 2x + y  s.t.  x + y <= 2 ends at (2, 0) with y nonbasic.  y >= 1
-    # is the bare row -y + s = -1, and one dual pivot gives (1, 1), value 3.
-    rows, objective = [({0: 1, 1: 1}, LE, 2)], {0: 2, 1: 1}
-    root = solve_lp(2, rows, objective)[1]
-    assert 1 not in root.basis
-    status, tab = _warm(2, rows, objective, (1, GE, 1))
-    assert status == OPTIMAL
-    assert tab.objective_value() == 3
-    assert tab.point(2) == [1, 1]
     # A bound the vertex already meets costs no pivot.
-    status, tab = _warm(2, rows, objective, (1, LE, 5))
-    assert (status, tab.objective_value(), tab.point(2)) == (OPTIMAL, 4, [2, 0])
+    status, tab = _warm(2, rows, objective, (0, LE, 5))
+    assert (status, tab.objective_value(), basic_point(tab, 2)) == (
+        OPTIMAL, Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)])
 
 
 def test_dual_ratio_tie_enters_the_smallest_column():
@@ -172,7 +179,7 @@ def test_dual_ratio_tie_enters_the_smallest_column():
     status, tab = _warm(3, rows, objective, (0, LE, 1))
     assert status == OPTIMAL
     assert tab.objective_value() == 3
-    assert tab.point(3) == [1, 2, 0]
+    assert basic_point(tab, 3) == [1, 2, 0]
 
 
 def test_infeasible_rows_leave_smallest_basic_index_first():
@@ -192,7 +199,7 @@ def test_infeasible_rows_leave_smallest_basic_index_first():
     tab.pivot = lambda r, c: (pivots.append((r, tab.labels[c])), pivot(r, c))
     assert tab.dual_optimize() == OPTIMAL
     assert pivots == [(2, 2), (3, 3)]
-    assert (tab.objective_value(), tab.point(2)) == (3, [2, 1])
+    assert (tab.objective_value(), basic_point(tab, 2)) == (3, [2, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +240,10 @@ def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
         lambda tab, r, c: (dtypes.append(tab.mat.dtype), pivot(tab, r, c)),
     )
     wide_status, wide = solve_lp(2, _scale_rows(rows, factors), objective)
-    assert (wide_status, wide.objective_value(), wide.point(2)) == (
-        small_status, small.objective_value(), small.point(2))
-    assert (wide_status, wide.objective_value(), wide.point(2)) == (OPTIMAL, value, x)
-    assert all(_exact(v) for v in [wide.objective_value(), *wide.point(2)])
+    assert (wide_status, wide.objective_value(), basic_point(wide, 2)) == (
+        small_status, small.objective_value(), basic_point(small, 2))
+    assert (wide_status, wide.objective_value(), basic_point(wide, 2)) == (OPTIMAL, value, x)
+    assert all(_exact(v) for v in [wide.objective_value(), *basic_point(wide, 2)])
     assert small.mat.dtype == np.int64
     assert dtypes[0] == first_dtype
     assert wide.mat.dtype == object
@@ -245,7 +252,7 @@ def test_wide_entries_give_the_unscaled_answer(monkeypatch, program, value, x,
         tab.add_bound(1, LE, 1)
         assert tab.dual_optimize() == OPTIMAL
     assert small.objective_value() == wide.objective_value()
-    assert small.point(2) == wide.point(2)
+    assert basic_point(small, 2) == basic_point(wide, 2)
     assert wide.mat.dtype == object
 
 
@@ -260,7 +267,7 @@ def test_a_denominator_alone_widens(monkeypatch):
         lambda tab, r, c: (dtypes.append(tab.mat.dtype), pivot(tab, r, c)),
     )
     status, tab = solve_lp(2, [({0: 65521}, LE, 1), ({1: 65519}, LE, 1)], {0: 1, 1: 1})
-    assert (status, tab.point(2)) == (OPTIMAL, [Fraction(1, 65521), Fraction(1, 65519)])
+    assert (status, basic_point(tab, 2)) == (OPTIMAL, [Fraction(1, 65521), Fraction(1, 65519)])
     _, _, nums, dens = full_tableau(tab)
     assert nums[-1] + dens[-1:] == [0, 0, 65519, 65521, 131040, 65521 * 65519]
     assert dtypes == [np.int64, np.int64]
@@ -336,7 +343,7 @@ def test_agrees_with_vertex_enumeration():
         if status == OPTIMAL:
             # The returned point is feasible and attains the value, and the
             # tableau proves it.
-            x = tab.point(num_vars)
+            x = basic_point(tab, num_vars)
             assert all(_exact(v) for v in [value, *x])
             assert min(x) >= 0
             for coeffs, sense, b in rows:
@@ -352,22 +359,20 @@ def test_agrees_with_vertex_enumeration():
 
 
 def test_warm_starts_agree_with_vertex_enumeration():
-    # Random bound rows on the bounded programs, re-optimized from the
-    # root's tableau by the dual simplex.
+    # Random bound rows on basic structural columns of the bounded
+    # programs, re-optimized from the root's tableau by the dual simplex.
     rng = random.Random(2016)
     statuses = Counter()
     for _ in range(80):
         num_vars, rows, objective = _random_lp(rng)
         if not _independent(num_vars, rows) or solve_lp(num_vars, rows, objective)[0] != OPTIMAL:
             continue
-        bounds = [(rng.randrange(num_vars), rng.choice((LE, GE)), rng.randint(0, 3))
-                  for _ in range(rng.randint(1, 2))]
-        status, tab = _warm(num_vars, rows, objective, *bounds)
+        status, tab, bounds = _random_warm(rng, num_vars, rows, objective)
+        if not bounds:  # no structural column is basic
+            continue
         value = tab.objective_value() if status == OPTIMAL else None
         assert (status, value) == _vertices(num_vars, rows, objective, *bounds)
-        # _warm stops at the first bound that leaves no feasible point.
-        added = bounds[: len(tab.basis) - len(rows)]
-        assert _certified(num_vars, rows, objective, tab, added) == (status, value)
+        assert _certified(num_vars, rows, objective, tab, bounds) == (status, value)
         statuses[status] += 1
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE)) >= 15
 
@@ -418,9 +423,7 @@ def test_ratio_tests_make_blands_pivots(monkeypatch, limit):
             if not _independent(num_vars, rows):
                 continue
             if solve_lp(num_vars, rows, objective)[0] == OPTIMAL and warm:
-                bounds = [(rng.randrange(num_vars), rng.choice((LE, GE)), rng.randint(0, 3))
-                          for _ in range(rng.randint(1, 2))]
-                _warm(num_vars, rows, objective, *bounds)
+                _random_warm(rng, num_vars, rows, objective)
     # Random programs seldom tie at a zero dual ratio; the integer
     # program's branch-and-bound mostly does.
     solve_ilp(CodeParams(5, 3), SearchBudget(max_nodes=40))
