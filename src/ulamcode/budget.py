@@ -1,8 +1,14 @@
-"""Node/time budgets shared by the exact solvers."""
+"""Node/time budgets shared by the exact solvers.
+
+A SearchBudget, a node cap and a time cap, is started once into the
+BudgetClock that every engine runs on; an engine may get a copy with a
+field replaced, but none restarts a budget.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -16,34 +22,34 @@ class SearchBudget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if self.max_nodes is not None:
+            try:
+                operator.index(self.max_nodes)
+            except TypeError:
+                raise ValueError(f"max_nodes must be an integer, got {self.max_nodes!r}") from None
+            if self.max_nodes < 1:
+                raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
         # No time limit is max_seconds=None; an infinite one is refused,
         # because JSON (RFC 8259) has no way to write it.
         if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
             raise ValueError(f"max_seconds must be > 0 and finite, got {self.max_seconds}")
 
     def start(self) -> "BudgetClock":
-        return BudgetClock(self, time.monotonic())
+        deadline = None if self.max_seconds is None else time.monotonic() + self.max_seconds
+        return BudgetClock(self.max_nodes, deadline)
 
 
 @dataclass(frozen=True)
 class BudgetClock:
-    """A budget started at monotonic time t0; its time cap counts from t0."""
+    """A started budget: a node cap and a time.monotonic() deadline; None is unlimited."""
 
-    budget: SearchBudget
-    t0: float
+    max_nodes: Optional[int] = None
+    deadline: Optional[float] = None
 
-    def exhausted(self, nodes: int) -> bool:
-        b = self.budget
-        if b.max_nodes is not None and nodes >= b.max_nodes:
-            return True
-        if b.max_seconds is not None and time.monotonic() - self.t0 >= b.max_seconds:
-            return True
-        return False
+    def start(self) -> "BudgetClock":
+        return self
 
-    def seconds_left(self) -> Optional[float]:
-        """Seconds of the time cap still unspent (<= 0 once past); None without one."""
-        if self.budget.max_seconds is None:
-            return None
-        return self.budget.max_seconds - (time.monotonic() - self.t0)
+    def exhausted(self, nodes: int = 0) -> bool:
+        """Whether ``nodes`` meets the node cap or the deadline has passed."""
+        return (self.max_nodes is not None and nodes >= self.max_nodes
+                or self.deadline is not None and time.monotonic() >= self.deadline)

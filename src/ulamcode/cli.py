@@ -507,7 +507,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as exc:
         print(f"ulamcode: internal invariant violation: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -101,18 +101,19 @@ def _program(
 
 
 def _root_lp(
-    params: CodeParams, clock: Optional[BudgetClock] = None
+    params: CodeParams, clock: BudgetClock = BudgetClock()
 ) -> tuple[str, Optional[_Tableau]]:
     rows, objective = _program(params)
     return solve_lp(params.n**2, [row[1:] for row in rows], objective, clock)
 
 
-def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpSolution:
+def solve_ilp(params: CodeParams, budget: SearchBudget | BudgetClock | None = None) -> IlpSolution:
     """Exact integer optimum by best-bound branch-and-bound.
 
     Branches on the most-fractional variable (ties to the smallest (b, a)),
     explores nodes best-bound-first with FIFO tie-break, and prunes with
-    exact rational relaxation values.  With an exhausted budget the result
+    exact rational relaxation values.  ``budget`` is a SearchBudget or a
+    running clock, such as a cell's.  With an exhausted budget the result
     is a proven upper bound (status "bound_only"), never a silent guess;
     without a budget, the program gets IP_NODE_CAP nodes.  The value never
     exceeds the Singleton bound: the root relaxation equals it, and no
@@ -123,7 +124,7 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
     the answer is n! after 0 nodes.
 
     The root relaxation is solved from x = 0 by the primal simplex, which
-    reads the budget's time cap between pivots; stopped there, the result
+    reads the budget's deadline between pivots; stopped there, the result
     is the relaxation's value, the Singleton bound, after one node.  A node
     cap counts the root as one node and cannot stop it.  Each child is its
     parent's tableau plus one bound row on the branching variable, which
@@ -174,7 +175,6 @@ def solve_ilp(params: CodeParams, budget: Optional[SearchBudget] = None) -> IlpS
         held -= charge
         if math.floor(-neg) <= best_value:
             # Best-bound order: nothing left can beat the incumbent.
-            heap.clear()
             break
         # The node is done after its two children, so the second takes
         # its tableau; the first gets a copy made before either changes.

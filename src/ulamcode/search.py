@@ -33,10 +33,10 @@ max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
 S_n, the Singleton phase, then, if it finds no code, the maximum phase
 under the Singleton bound, or one below it once the Singleton tree is
 exhausted; then, if asked for and still needed, the integer-program bound;
-and the Singleton-optimality verdict.  Every engine of a cell reads one
-clock: each search phase gets the budget's node cap (HARD_CELL_NODE_CAP
-without one) and the Singleton phase half the time cap; the integer
-program gets IP_NODE_CAP nodes and the time left.
+and the Singleton-optimality verdict.  A cell starts one clock and every
+engine runs on it or a copy: each search phase gets the budget's node cap
+(HARD_CELL_NODE_CAP without one), the Singleton phase a deadline half the
+time cap earlier, and the integer program IP_NODE_CAP nodes.
 
 Everything returned is certified: codes re-verify by exact pairwise
 distance, "proven maximum" means the tree was exhausted or the code meets
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -356,8 +356,8 @@ def _clique_search(
     # A level on field f counts its children on the masks cut at f's first bit.
     field_lows, field_guards = space.field_lows, space.field_guards
     # A node budget is at least 1 and nodes count from 1: cap 0 never hits.
-    cap = clock.budget.max_nodes or 0
-    timed = clock.budget.max_seconds is not None
+    cap = clock.max_nodes or 0
+    timed = clock.deadline is not None
     exhausted = clock.exhausted
     best = list(chosen)
     # Level t fills the top class of rest, the candidates it was opened on,
@@ -485,19 +485,19 @@ def max_code_search(
     verdict is "yes" for a code of Singleton size, "no" for a proven
     maximum or a ceiling below the Singleton bound, else "unknown".
 
-    Once S_n is built, the cell runs on one clock: the Singleton phase
-    stops at half of ``budget.max_seconds``, leaving a hard cell's maximum
-    phase at least the other half, and the program gets what is left, or
-    is skipped if nothing is.  ``budget.max_nodes`` (HARD_CELL_NODE_CAP
-    without a budget) caps each search phase, and ``nodes_explored`` counts
-    both; the program gets IP_NODE_CAP nodes.
+    Once S_n is built, the cell starts one clock.  The Singleton phase runs
+    on a copy with a deadline half of ``budget.max_seconds`` earlier, so a
+    hard cell's maximum phase, on the clock itself, gets at least the other
+    half; the program runs on a copy with IP_NODE_CAP nodes, or not at all
+    once the deadline has passed.  ``budget.max_nodes`` (HARD_CELL_NODE_CAP
+    without a budget) caps each search phase; ``nodes_explored`` counts both.
     """
     space = _SearchSpace(params)
     singleton = singleton_upper(params)
     clock = _start_clock(budget)
-    cap = clock.budget.max_seconds
-    half = SearchBudget(clock.budget.max_nodes, cap / 2) if cap else clock.budget
-    first = _singleton_phase(space, BudgetClock(half, clock.t0))
+    cap = budget and budget.max_seconds
+    half = replace(clock, deadline=clock.deadline - cap / 2) if cap else clock
+    first = _singleton_phase(space, half)
     nodes = first.nodes_explored
     if first.status == FOUND:
         code, exhausted, ceiling = first.code, False, singleton
@@ -506,15 +506,13 @@ def max_code_search(
         code, phase_nodes, exhausted = _search_from_identity(space, clock, 1, ceiling)
         nodes += phase_nodes
     size = len(code.words)
-    if with_ip and exhausted and size < ceiling:
-        left = clock.seconds_left()
-        if left is None or left > 0:
-            ip = solve_ilp(params, SearchBudget(IP_NODE_CAP, left)).objective_value
-            if ip < size:
-                raise AssertionError(
-                    f"integer-program bound {ip} is below the verified code's size {size}"
-                )
-            ceiling = min(ceiling, ip)
+    if with_ip and exhausted and size < ceiling and not clock.exhausted():
+        ip = solve_ilp(params, replace(clock, max_nodes=IP_NODE_CAP)).objective_value
+        if ip < size:
+            raise AssertionError(
+                f"integer-program bound {ip} is below the verified code's size {size}"
+            )
+        ceiling = min(ceiling, ip)
     proven = not exhausted or size == ceiling
     if size == singleton:
         verdict = "yes"

@@ -183,16 +183,15 @@ class _Tableau:
             self.mat = np.delete(self.mat, c, axis=1)
             del self.labels[c]
 
-    def optimize(self, clock: Optional[BudgetClock] = None) -> str:
-        """Pivot until no reduced cost is negative, or until the time cap of
-        ``clock`` runs out (STOPPED).  Bland's rule throughout."""
+    def optimize(self, clock: BudgetClock = BudgetClock()) -> str:
+        """Pivot until no reduced cost is negative, or until the deadline of
+        ``clock`` passes (STOPPED).  Bland's rule throughout."""
         m = len(self.basis)
         while True:
             negative = (self.mat[-1, :-2] < 0).nonzero()[0].tolist()
             if not negative:
                 return OPTIMAL
-            # Zero nodes never meet a node cap, so only the time cap stops.
-            if clock is not None and clock.exhausted(0):
+            if clock.exhausted():
                 return STOPPED
             enter = min(negative, key=self.labels.__getitem__)
             # The ratio is b / a over a > 0 (within a row the denominator
@@ -250,7 +249,7 @@ def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[dict[int, int], str, int]],
     objective: dict[int, int],
-    clock: Optional[BudgetClock] = None,
+    clock: BudgetClock = BudgetClock(),
 ) -> tuple[str, Optional[_Tableau]]:
     """Maximize objective . x subject to rows and x >= 0: (status, the
     optimal tableau), the tableau None unless the status is OPTIMAL.
@@ -259,8 +258,8 @@ def solve_lp(
     "<=" with rhs >= 0, or "=" with rhs 0 and independent of the "=" rows
     before it; any other row raises ValueError.  x = 0 is then feasible:
     the "<=" rows' slacks start basic, and each "=" row enters the basis by
-    one pivot on its first nonzero column.  A time cap of ``clock`` that
-    runs out before a pivot stops the solve: status STOPPED.
+    one pivot on its first nonzero column.  A deadline of ``clock`` that
+    passes before a pivot stops the solve: status STOPPED.
     """
     for j in objective:
         if not 0 <= j < num_vars:
@@ -290,7 +289,7 @@ def solve_lp(
         nonzero = tab.mat[i, :-2].nonzero()[0]
         if not nonzero.size:
             raise ValueError(f"row {i}: '=' row depends on the '=' rows before it")
-        if clock is not None and clock.exhausted(0):
+        if clock.exhausted():
             return STOPPED, None
         # The right-hand side is 0, so no other right-hand side moves.
         tab.pivot(i, int(nonzero[0]))

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import full_tableau, tableau_certificate
 from ulamcode.bounds import CodeParams, singleton_upper
-from ulamcode.budget import SearchBudget
+from ulamcode.budget import BudgetClock, SearchBudget
 from ulamcode.ilp import IP_NODE_CAP, export_lp, solve_ilp
 from ulamcode import budget as budget_module
 from ulamcode import cli, ilp, simplex
@@ -664,6 +664,14 @@ class TestIpUpperBound:
         value, status = ip_record(CodeParams(5, 3), SearchBudget(max_nodes=10))
         assert status == "bound_only"
         assert 5 <= value <= singleton_upper(CodeParams(5, 3))
+
+    def test_a_running_clock_is_a_budget(self):
+        # A cell hands the program a copy of its clock, which solve_ilp
+        # runs on as it is.
+        p = CodeParams(5, 3)
+        on_clock = solve_ilp(p, BudgetClock(max_nodes=10))
+        assert on_clock == solve_ilp(p, SearchBudget(max_nodes=10))
+        assert on_clock.nodes_explored == 11  # the root and ten children
 
 
 class TestRootDeadline:

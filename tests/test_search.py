@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from ulamcode import budget as budget_module
 from ulamcode import ball, cli, ilp, search
 from ulamcode.ball import _lis_lengths_batch, ball_table, sphere_packing_bounds
 from ulamcode.bounds import CodeParams, bound_report, gv_lower, singleton_upper
-from ulamcode.budget import SearchBudget
+from ulamcode.budget import BudgetClock, SearchBudget
 from ulamcode.errors import CapacityError, DistanceViolation
 from ulamcode.ilp import IlpSolution
 from ulamcode.perm import ulam_distance
@@ -929,14 +930,61 @@ def test_singleton_phase_stops_at_half_the_time_cap(monkeypatch):
     assert next(ticks) == 6  # the start and one reading per node
 
 
+def test_singleton_only_search_runs_on_the_whole_time_cap(monkeypatch):
+    # The clock of test_singleton_phase_stops_at_half_the_time_cap.
+    # find_singleton_optimal (search --singleton-only) has no maximum phase
+    # to leave time for, so under the same 5-second cap at (6,3) it stops
+    # on its 5th node, at second 5, not on its 3rd.
+    ticks = iter(range(1_000))
+    monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    res = find_singleton_optimal(CodeParams(6, 3), SearchBudget(max_seconds=5))
+    assert (res.status, res.nodes_explored) == ("budget_exhausted", 5)
+    assert next(ticks) == 6  # the start and one reading per node
+
+
+class TestBudget:
+    @pytest.mark.parametrize("value", [3.5, 3.0, "3"])
+    def test_node_cap_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"max_nodes must be an integer, got {value!r}")):
+            SearchBudget(max_nodes=value)
+
+    def test_numpy_node_cap_stops_the_search(self):
+        # Uncapped, the (7,4) Singleton tree takes 2,623 nodes.
+        res = find_singleton_optimal(CodeParams(7, 4), SearchBudget(max_nodes=np.int64(3)))
+        assert (res.status, res.nodes_explored) == ("budget_exhausted", 3)
+
+    def test_start_sets_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: 100.0))
+        clock = SearchBudget(max_nodes=7, max_seconds=2.5).start()
+        assert clock == BudgetClock(max_nodes=7, deadline=102.5)
+        assert clock.start() is clock
+        assert SearchBudget().start() == BudgetClock()
+        assert [f.name for f in dataclasses.fields(BudgetClock)] == ["max_nodes", "deadline"]
+
+    def test_exhausted(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        clock = BudgetClock(max_nodes=3, deadline=5.0)
+        assert [clock.exhausted(k) for k in (0, 2, 3, 4)] == [False, False, True, True]
+        now[0] = 5.0
+        assert clock.exhausted() and clock.exhausted(1)
+        assert not BudgetClock(max_nodes=3).exhausted()
+        assert not BudgetClock().exhausted(10**9)
+
+
 class TestBudgetRule:
-    """The budget each search and the integer program receive in tables,
-    and the integer program's budget in every command that runs it.
+    """The clock each search phase and the integer program run on in
+    search and tables, and the integer program's budget in every command
+    that runs it.
 
     The ``calls`` fixture replaces the search engine and the
     integer-program solver by recording fakes, so no search runs, bounded
     or not; the pin of the default budget's per-phase nodes runs real ones.
+    A time cap is read on a fake clock frozen at ``NOW``, so each deadline
+    is exact.
     """
+
+    NOW = 100.0
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -944,7 +992,7 @@ class TestBudgetRule:
 
         def engine(space, clock, chosen, cand, floor, ceiling):
             kind = "singleton" if floor == singleton_upper(space.params) - 1 else "max"
-            calls.append((space.params.n, kind, clock.budget))
+            calls.append((space.params.n, kind, clock))
             return list(chosen), 1, True
 
         def solve(model, budget=None):
@@ -956,18 +1004,20 @@ class TestBudgetRule:
         # bounds reaches the program from cli, search and tables from search.
         monkeypatch.setattr(cli, "solve_ilp", solve)
         monkeypatch.setattr(search, "solve_ilp", solve)
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: self.NOW))
         return calls
 
-    def budgets(self, calls, n):
-        return {kind: budget for m, kind, budget in calls if m == n}
+    def clocks(self, calls, n):
+        return {kind: clock for m, kind, clock in calls if m == n}
 
     def test_default_caps_every_phase(self, calls):
         reproduce_tables([5, 6, 7], [3], with_ip=True)
-        capped = SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP)
+        capped = BudgetClock(max_nodes=search.HARD_CELL_NODE_CAP)
         assert search.HARD_CELL_NODE_CAP == 200_000
+        assert len(calls) == 9
         for n in (5, 6, 7):
-            assert self.budgets(calls, n) == {
-                "ip": SearchBudget(max_nodes=500), "singleton": capped, "max": capped,
+            assert self.clocks(calls, n) == {
+                "ip": BudgetClock(max_nodes=500), "singleton": capped, "max": capped,
             }
 
     def test_default_cap_binds_no_cell_outside_the_hard_ones(self, monkeypatch):
@@ -999,54 +1049,53 @@ class TestBudgetRule:
         # SearchBudget() runs both search phases uncapped; the program
         # keeps its own cap.
         reproduce_tables([7], [3], cell_budget=SearchBudget(), with_ip=True)
-        assert self.budgets(calls, 7) == {
-            "ip": SearchBudget(max_nodes=500),
-            "singleton": SearchBudget(),
-            "max": SearchBudget(),
+        assert len(calls) == 3
+        assert self.clocks(calls, 7) == {
+            "ip": BudgetClock(max_nodes=500),
+            "singleton": BudgetClock(),
+            "max": BudgetClock(),
         }
 
     def test_explicit_budget_arrives_unchanged(self, calls):
-        # At both search phases, except that the Singleton phase stops at
-        # half the time cap.  The program gets its own node cap and at most
-        # the time left on the cell's clock.
+        # Both search phases get the node cap.  The maximum phase runs on
+        # the cell's clock, whose deadline is the time cap after the start;
+        # the Singleton phase's comes half the time cap earlier.  The
+        # program gets its own node cap and the cell's deadline.
         given = SearchBudget(max_nodes=250_000, max_seconds=60.0)
-        half = SearchBudget(max_nodes=250_000, max_seconds=30.0)
         reproduce_tables([6, 7], [3], cell_budget=given, with_ip=True)
         assert len(calls) == 6
         for n in (6, 7):
-            budgets = self.budgets(calls, n)
-            assert (budgets["singleton"], budgets["max"]) == (half, given)
-            assert budgets["ip"].max_nodes == ilp.IP_NODE_CAP
-            assert 0 < budgets["ip"].max_seconds <= 60.0
-        assert all(budget is given for _, kind, budget in calls if kind == "max")
+            assert self.clocks(calls, n) == {
+                "singleton": BudgetClock(max_nodes=250_000, deadline=self.NOW + 30.0),
+                "max": BudgetClock(max_nodes=250_000, deadline=self.NOW + 60.0),
+                "ip": BudgetClock(max_nodes=ilp.IP_NODE_CAP, deadline=self.NOW + 60.0),
+            }
 
     @pytest.mark.parametrize(
         "budget_args, expected",
         [
-            ((), {"bounds": None, "ip": SearchBudget(max_nodes=500),
-                  "singleton": SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP),
-                  "max": SearchBudget(max_nodes=search.HARD_CELL_NODE_CAP)}),
+            ((), {"bounds": None, "ip": BudgetClock(max_nodes=500),
+                  "singleton": BudgetClock(max_nodes=search.HARD_CELL_NODE_CAP),
+                  "max": BudgetClock(max_nodes=search.HARD_CELL_NODE_CAP)}),
             (("--max-nodes", "8"), {"bounds": SearchBudget(max_nodes=8),
-                                    "ip": SearchBudget(max_nodes=500),
-                                    "singleton": SearchBudget(max_nodes=8),
-                                    "max": SearchBudget(max_nodes=8)}),
+                                    "ip": BudgetClock(max_nodes=500),
+                                    "singleton": BudgetClock(max_nodes=8),
+                                    "max": BudgetClock(max_nodes=8)}),
             # A time cap alone also replaces the default node cap: no phase
-            # has one, and the Singleton phase stops at half the time.
+            # has one, and the Singleton phase's deadline is half the time
+            # cap earlier.  Deadlines are 100 + seconds on the fake clock.
             (("--max-seconds", "30"), {"bounds": SearchBudget(max_seconds=30.0),
-                                       "ip": SearchBudget(max_nodes=500, max_seconds=30.0),
-                                       "singleton": SearchBudget(max_seconds=15.0),
-                                       "max": SearchBudget(max_seconds=30.0)}),
+                                       "ip": BudgetClock(max_nodes=500, deadline=130.0),
+                                       "singleton": BudgetClock(deadline=115.0),
+                                       "max": BudgetClock(deadline=130.0)}),
         ],
     )
-    def test_one_ip_budget_rule_in_every_command(
-        self, calls, capsys, monkeypatch, budget_args, expected
-    ):
-        # bounds runs only the program, so the budget is the program's
-        # (None: solve_ilp's own IP_NODE_CAP).  search and tables give it
-        # IP_NODE_CAP nodes and the time left on the cell's clock, which is
-        # stopped here; each search phase gets the budget or, without one,
-        # the default node cap.
-        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    def test_one_ip_budget_rule_in_every_command(self, calls, capsys, budget_args, expected):
+        # bounds runs only the program, so the budget is the program's, not
+        # yet started (None: solve_ilp's own IP_NODE_CAP).  search and
+        # tables run it on the cell's clock with IP_NODE_CAP nodes; each
+        # search phase gets the budget's node cap or, without a budget, the
+        # default one.
         assert ilp.IP_NODE_CAP == 500
         for command in ("bounds", "search", "tables"):
             calls.clear()
@@ -1060,9 +1109,11 @@ class TestBudgetRule:
 
     def test_ip_gets_the_time_left_on_the_cell_clock(self, monkeypatch):
         # A fake clock that each search phase moves on 3 seconds.  Under a
-        # 10-second cap the program gets the 4 seconds left; under a
-        # 5-second cap nothing is left after the phases, so it is skipped
-        # and the Singleton bound stays the ceiling.
+        # 10- or 7-second cap, the program runs on the cell's own deadline,
+        # the cap after the start, with 4 or 1 seconds left on it.  Under a
+        # 6- or 5-second cap the clock has reached the deadline after the
+        # phases, so the program is skipped and the Singleton bound stays
+        # the ceiling.
         now = [0.0]
         monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
 
@@ -1078,12 +1129,14 @@ class TestBudgetRule:
 
         monkeypatch.setattr(search, "_clique_search", engine)
         monkeypatch.setattr(search, "solve_ilp", ip_bound)
-        res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=10), with_ip=True)
-        assert given == [SearchBudget(max_nodes=ilp.IP_NODE_CAP, max_seconds=4)]
-        assert res.upper_bound_used == 23
-        given.clear()
-        now[0] = 0.0
-        res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=5), with_ip=True)
-        assert given == []
-        assert (res.optimality, res.upper_bound_used) == ("lower_bound_only", 24)
-        assert res.singleton_optimal == "unknown"
+        for cap, ceiling in ((10, 23), (7, 23), (6, 24), (5, 24)):
+            given.clear()
+            now[0] = 0.0
+            res = max_code_search(CodeParams(6, 3), SearchBudget(max_seconds=cap), with_ip=True)
+            assert now[0] == 6
+            assert res.upper_bound_used == ceiling
+            if ceiling == 23:
+                assert given == [BudgetClock(max_nodes=ilp.IP_NODE_CAP, deadline=cap)]
+            else:
+                assert given == []
+                assert (res.optimality, res.singleton_optimal) == ("lower_bound_only", "unknown")
