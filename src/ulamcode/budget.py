@@ -1,8 +1,8 @@
 """Node/time budgets shared by the exact solvers.
 
-A SearchBudget, a node cap and a time cap, is started once into the
-BudgetClock that every engine runs on; an engine may get a copy with a
-field replaced, but none restarts a budget.
+A SearchBudget (node cap, time cap) starts once into the BudgetClock
+that every engine runs on and stops by, one exhausted() rule per cap; an
+engine may get a copy with a field replaced, but none restarts a budget.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class BudgetClock:
     def start(self) -> "BudgetClock":
         return self
 
-    def exhausted(self, nodes: int = 0) -> bool:
-        """Whether ``nodes`` meets the node cap or the deadline has passed."""
-        return (self.max_nodes is not None and nodes >= self.max_nodes
+    def exhausted(self, nodes: Optional[int] = None) -> bool:
+        """Whether the deadline has passed, or ``nodes``, if given, meet the node cap."""
+        return (nodes is not None and self.max_nodes is not None and nodes >= self.max_nodes
                 or self.deadline is not None and time.monotonic() >= self.deadline)

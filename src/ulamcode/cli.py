@@ -8,9 +8,9 @@ identical configurations produce byte-identical JSON apart from the
 elapsed-seconds field.
 
 A subcommand takes only the common options it reads (--seed on mc and
-clt, --max-nodes and --max-seconds on bounds, search and tables); header
-fields it has no option for are null, and option combinations that would
-drop an option exit 1.
+clt, --max-nodes and --max-seconds on bounds, search and tables) and
+--threads, which perfbench/run.py passes to all ten; header fields it has
+no option for are null, and option combinations that would drop one exit 1.
 
 main builds the argument parser of the subcommand it runs only, because
 most of a run's fixed cost is in building parsers; a first argument that

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -355,8 +356,7 @@ def _clique_search(
     stride, far_row, rows = space.stride, space.far_row, space.rows
     # A level on field f counts its children on the masks cut at f's first bit.
     field_lows, field_guards = space.field_lows, space.field_guards
-    # A node budget is at least 1 and nodes count from 1: cap 0 never hits.
-    cap = clock.max_nodes or 0
+    cap = sys.maxsize if clock.max_nodes is None else clock.max_nodes
     timed = clock.deadline is not None
     exhausted = clock.exhausted
     best = list(chosen)
@@ -384,7 +384,7 @@ def _clique_search(
                 bit = todo & -todo
                 todo ^= bit
                 nodes += 1
-                if nodes == cap or timed and exhausted(nodes):
+                if nodes >= cap or timed and exhausted():
                     return best, nodes, True
                 b = base + bit.bit_length() - 1
                 row = rows[b]

@@ -415,6 +415,18 @@ class TestWorkerPools:
         assert (lengths == sample_lis_lengths(4, 2 * ball.MC_BLOCK + 1, 0)).all()
 
 
+def test_a_pool_that_cannot_start_samples_in_process(monkeypatch):
+    # Where the OS refuses the worker processes, the samples are the
+    # one-worker samples.
+    def refused(max_workers):
+        raise OSError("no processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    samples = 2 * ball.MC_BLOCK + 1
+    lengths = sample_lis_lengths(4, samples, 0, workers=2)
+    assert (lengths == sample_lis_lengths(4, samples, 0)).all()
+
+
 def test_import_loads_no_pool():
     # The process pool's modules load only where a pool starts.
     code = (

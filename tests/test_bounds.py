@@ -73,6 +73,15 @@ class TestAsymptoticForm:
     def test_c1_n100(self):
         assert asymptotic_lower_log(1.0, 100) == -20.0
 
+    @pytest.mark.parametrize("c, n, message", [
+        (0.0, 100, "c must be positive"),
+        (-1.0, 100, "c must be positive"),
+        (2.0, 0, "n must be >= 1"),
+    ])
+    def test_domain(self, c, n, message):
+        with pytest.raises(ValueError, match=message):
+            asymptotic_lower_log(c, n)
+
     def test_positive_increasing_past_e(self):
         for c in (3.0, 5.0):
             vals = [asymptotic_lower_log(c, n) for n in (100, 400, 1600)]

@@ -159,6 +159,16 @@ class TestBounds:
         assert code == 0
         assert "rate_function" in out  # c = 3 here, inside the c >= 2 branch
 
+    def test_kim_line_just_above_c_2(self, capsys):
+        # c = (2500 - 2399) / 50 = 2.02, inside Kim's 2 < c <= 2.05 window.
+        argv = ("bounds", "--n", "2500", "--d", "2400", "--show-asymptotics")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert re.search(r"^kim_rate_log \S+ \(approximate\)$", out, re.M)
+        asym = run_json(capsys, *argv)["result"]["asymptotics"]
+        assert asym["c"] == pytest.approx(2.02)
+        assert asym["kim_rate_log_approximate"] > 0
+
 
 class TestSearchAndVerify:
     def test_search_write_verify_round_trip(self, capsys, tmp_path):
@@ -210,6 +220,13 @@ class TestSearchAndVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out) == (1, "")
         assert f"error: {path}:{message}\n" in err
+
+    def test_verify_rejects_a_file_of_blank_lines(self, capsys, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("\n  \n\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert f"error: empty code file {path}\n" in err
 
     def test_verify_cross_check_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(search, "ulam_distance", lambda u, w: 0)
@@ -670,6 +687,16 @@ class TestEnvelope:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("mc", "--n", "5", "--k", "2", "--threads", "0"), "--threads must be >= 1"),
+        (("lisdist", "--n", "0"), "n must be >= 1"),
+        (("search", "--n", "5", "--d", "1"), "search needs d >= 2"),
+    ])
+    def test_out_of_range_values_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"ulamcode: error: {message}" in err
 
     def test_usage_error_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--n", "5")  # missing --d

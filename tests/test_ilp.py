@@ -706,6 +706,20 @@ class TestRootDeadline:
         assert len(pivots) == 2
         assert next(ticks) == 4  # the start and three readings
 
+    def test_primal_simplex_stops(self, pivots, ticks):
+        # A 9-second cap lets the six link rows and two primal pivots
+        # through; the third primal pivot is stopped.
+        res = ilp._root_lp(self.CELL, SearchBudget(max_seconds=9).start())
+        assert res == (simplex.STOPPED, None)
+        assert len(pivots) == 6 + 2
+        assert next(ticks) == 10  # the start and nine readings
+
+    def test_a_node_cap_does_not_stop_the_root(self):
+        # Not even a cap of 0: the root reads only the clock's deadline.
+        status, tab = ilp._root_lp(CodeParams(5, 3), BudgetClock(max_nodes=0))
+        assert status == OPTIMAL
+        assert tab.objective_value() == 6
+
     def test_solve_ilp_gives_the_singleton_bound(self):
         sol = solve_ilp(self.CELL, SearchBudget(max_seconds=3))
         assert (sol.status, sol.objective_value, sol.nodes_explored) == ("bound_only", 24, 1)

@@ -28,11 +28,15 @@ class TestBasics:
         assert check_permutation([1]) == (1,)
 
     @pytest.mark.parametrize(
-        "bad", [[], [0, 1], [1, 1], [1, 3], [2, 2, 2], [1, 2, 4]]
+        "bad", [[], [0, 1], [1, 1], [1, 3], [2, 2, 2], [1, 2, 4], [1, True], [2.0, 1]]
     )
     def test_check_permutation_rejects(self, bad):
         with pytest.raises(ValueError):
             check_permutation(bad)
+
+    def test_parse_rejects_blank_text(self):
+        with pytest.raises(ValueError, match="empty permutation"):
+            parse_permutation("  \t ")
 
     def test_parse_format_round_trip(self):
         assert parse_permutation("2 3 1 5 4") == (2, 3, 1, 5, 4)

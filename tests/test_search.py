@@ -89,6 +89,10 @@ class TestVerifyCode:
         assert err.value.distance == 1
         assert {err.value.sigma, err.value.tau} == {(1, 2, 3), (1, 3, 2)}
 
+    def test_rejects_no_words(self):
+        with pytest.raises(ValueError, match="at least one word"):
+            verify_code([], CodeParams(5, 3))
+
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             verify_code([(1, 2, 3), (1, 2, 3, 4)], CodeParams(3, 2))
@@ -712,6 +716,18 @@ class TestReferenceSearch:
         assert found == oracle.run([], oracle.words, 0, 6, SearchBudget().start())
 
 
+def test_a_root_that_cannot_beat_the_floor_is_not_searched():
+    # The identity's far row reaches at most the 23 classes but its own of
+    # (7,4), so 1 + 23 cannot beat a floor of 24; nor can an empty
+    # candidate set beat 1.
+    params = CodeParams(7, 4)
+    space = search._SearchSpace(params)
+    singleton = singleton_upper(params)
+    for cand, floor in [(space.far_row(space.identity), singleton), (0, 1)]:
+        found = search._clique_search(space, BudgetClock(), [space.identity], cand, floor, singleton)
+        assert found == ([space.identity], 0, False)
+
+
 @pytest.mark.parametrize("searcher", [find_singleton_optimal, max_code_search])
 def test_deep_search_leaves_recursion_limit(searcher):
     # (8,2) has 5,040 classes, so a DFS level per class runs far deeper
@@ -970,6 +986,41 @@ class TestBudget:
         assert clock.exhausted() and clock.exhausted(1)
         assert not BudgetClock(max_nodes=3).exhausted()
         assert not BudgetClock().exhausted(10**9)
+
+
+class TestOneRulePerCap:
+    """The clique search stops on the node where BudgetClock.exhausted
+    says the cap is met, for any cap a clock holds; with no node count,
+    exhausted() reads the deadline alone."""
+
+    def singleton_phase(self, clock):
+        # The (7,4) Singleton phase as max_code_search starts it.
+        params = CodeParams(7, 4)
+        space = search._SearchSpace(params)
+        singleton = singleton_upper(params)
+        return search._clique_search(
+            space, clock, [space.identity], space.far_row(space.identity),
+            singleton - 1, singleton,
+        )[1:]
+
+    @pytest.mark.parametrize("cap, stop", [(0, 1), (1, 1), (3, 3), (3.5, 4), (10, 10), (None, None)])
+    def test_stops_where_exhausted_says(self, cap, stop):
+        # Uncapped, the tree takes 2,623 nodes.  Node 1 is the first that
+        # can meet a cap, so caps 0 and 3.5 stop on nodes 1 and 4.
+        clock = BudgetClock(max_nodes=cap)
+        assert next((k for k in range(1, 2_624) if clock.exhausted(k)), None) == stop
+        expected = (2_623, False) if stop is None else (stop, True)
+        assert self.singleton_phase(clock) == expected
+
+    def test_no_count_reads_only_the_deadline(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        assert not BudgetClock(max_nodes=0).exhausted()
+        assert BudgetClock(max_nodes=0).exhausted(0)
+        clock = BudgetClock(max_nodes=0, deadline=5.0)
+        assert not clock.exhausted()
+        now[0] = 5.0
+        assert clock.exhausted()
 
 
 class TestBudgetRule:

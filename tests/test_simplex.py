@@ -94,6 +94,13 @@ def test_rejected_rows_are_named(row, message):
         solve_lp(2, rows, {0: 1})
 
 
+@pytest.mark.parametrize("index", [2, -1])
+def test_objective_index_out_of_range(index):
+    rows, _ = TWO_VARIABLES
+    with pytest.raises(ValueError, match=f"^objective index {index} out of range"):
+        solve_lp(2, rows, {0: 1, index: 1})
+
+
 def test_rows_take_integers():
     with pytest.raises(TypeError):
         solve_lp(1, [({0: Fraction(1, 3)}, LE, 1)], {0: 1})
