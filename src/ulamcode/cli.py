@@ -50,7 +50,7 @@ from .bounds import (
     singleton_upper,
 )
 from .budget import SearchBudget
-from .errors import CapacityError, DistanceViolation
+from .errors import CapacityError
 from .ilp import BOUND_ONLY, export_lp, solve_ilp
 from .perm import format_permutation, lcs_length, parse_permutation
 from .search import (
@@ -501,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"ulamcode: capacity error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, DistanceViolation, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ulamcode: error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

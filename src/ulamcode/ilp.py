@@ -16,17 +16,18 @@ certificates, never float artifacts.  Only the root relaxation is solved
 from scratch, by the primal simplex from x = 0, which meets every row; a
 time cap stops it between pivots.  Every child is re-optimized from its
 parent's tableau by the dual simplex, and every open node keeps its
-tableau; a byte bound on those tableaux is part of the budget (see
-solve_ilp).  Integrality and the branching variable are read off the
-last two columns of the condensed tableau's matrix, the right-hand sides
-and the row denominators (int64, or object dtype past 2**30; see
-simplex.py), and values leave as Python ints.
+tableau; a byte bound on those tableaux and their heap entries is part of
+the budget (see solve_ilp).  Integrality and the branching variable are
+read off the last two columns of the condensed tableau's matrix, the
+right-hand sides and the row denominators (int64, or object dtype past
+2**30; see simplex.py), and values leave as Python ints.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -39,10 +40,11 @@ BOUND_ONLY = "bound_only"
 # The integer program's node cap without a budget, and in every cell of
 # search and tables: its nodes cost orders of magnitude more than clique nodes.
 IP_NODE_CAP = 500
-# Byte bound on the tableaux that solve_ilp's open nodes keep
+# Byte bound on what solve_ilp's open nodes keep: each one's tableau
 # (_Tableau.nbytes, read once per pushed node; a bound row adds a row and no
-# column).  Like the node and time caps, it ends the run as bound_only once
-# passed, by at most the two children of the last node popped.
+# column) and its heap entry.  Like the node and time caps, it ends the run
+# as bound_only once passed, by at most the two children of the last node
+# popped.
 IP_TABLEAU_BYTES = 16 << 20
 
 
@@ -129,10 +131,10 @@ def solve_ilp(params: CodeParams, budget: SearchBudget | BudgetClock | None = No
     cap counts the root as one node and cannot stop it.  Each child is its
     parent's tableau plus one bound row on the branching variable, which
     most_fractional takes from the basis, re-optimized by the dual simplex,
-    and each open node keeps that tableau: its bytes are charged once, when
-    it is pushed, and its entry holds the charge that its pop refunds.  Once
-    the charges pass IP_TABLEAU_BYTES, the run stops as bound_only, as it
-    does on the node or time cap.
+    and each open node keeps that tableau.  A node is charged once, when it
+    is pushed, for its tableau and its heap entry, and the entry holds the
+    charge that its pop refunds.  Once the charges pass IP_TABLEAU_BYTES,
+    the run stops as bound_only, as it does on the node or time cap.
     """
     n = params.n
     if params.d == 1:
@@ -151,10 +153,12 @@ def solve_ilp(params: CodeParams, budget: SearchBudget | BudgetClock | None = No
             best_value = max(best_value, math.floor(value))
             return
         if math.floor(value) > best_value:
-            counter += 1
-            size = tab.nbytes
+            counter, key = counter + 1, -value
+            # The entry (any 5-tuple has its size), its key and branch pair.
+            size = tab.nbytes + sum(map(sys.getsizeof, (
+                (key, counter, branch, 0, tab), key, key.numerator, key.denominator, branch)))
             held += size
-            heapq.heappush(heap, (-value, counter, branch, size, tab))
+            heapq.heappush(heap, (key, counter, branch, size, tab))
 
     singleton = singleton_upper(params)
     best_value = n * (singleton // n)  # the warm start

@@ -18,10 +18,10 @@ loop.
 
 ``solve_lp`` takes the one program shape the integer program has: integer
 ``<=`` rows with right-hand sides >= 0 and ``=`` rows with right-hand side
-0.  x = 0 meets them all, so no phase 1 is needed: the tableau starts as
-the integer rows with every denominator 1 and -costs as the objective row,
-each ``<=`` row's slack basic, and each ``=`` row enters the basis by one
-pivot that moves no right-hand side.  The primal simplex runs from there.
+0.  x = 0 meets them all, so no phase 1 is needed: ``solve_lp`` writes the
+integer rows and then -costs straight into one matrix, every denominator 1
+and each ``<=`` row's slack basic, and each ``=`` row enters the basis by
+one pivot that moves no right-hand side.  The primal simplex runs from there.
 Each pivot checks the 2**30 limit on the rows it has just computed.
 
 ``solve_lp`` returns its status and the optimal tableau, whose
@@ -29,14 +29,12 @@ Each pivot checks the 2**30 limit on the rows it has just computed.
 on a basic variable x_v, added to it (``add_bound``), keeps it dual
 feasible, so the dual simplex (``dual_optimize``, Bland's rule again)
 restores optimality in a few pivots: this is how branch-and-bound children
-are solved.  ``nbytes`` measures a tableau, for the integer program's byte
-bound on the tableaux of its open nodes.
+are solved.  A tableau is four slots and no instance dict, and ``nbytes``
+measures it, for the integer program's byte bound on its open nodes.
 """
 
 from __future__ import annotations
 
-import copy
-import itertools
 import math
 import operator
 import sys
@@ -92,20 +90,16 @@ class _Tableau:
     pivots are those of one Fraction per entry of the full tableau.
     """
 
-    def __init__(self, rows: Sequence[dict[int, int]], costs: dict[int, int],
-                 basis: list[int], labels: list[int], ncols: int):
-        """``rows`` map slots to the integer entries of each constraint row,
-        the right-hand side at slot len(labels); a slot left out holds 0.
-        The objective row is -costs, by slot too, and every denominator is 1."""
-        self.ncols = ncols
+    __slots__ = ("mat", "basis", "labels", "ncols")
+
+    def __init__(self, mat: np.ndarray, basis: list[int], ncols: int):
+        """A tableau of a copy of the integer matrix ``mat``, in int64 when
+        its entries fit and in object dtype otherwise, with slot j at column
+        j until the pivots move them."""
+        self.mat = mat.astype(np.int64 if _fits(mat) else object)
         self.basis = basis        # basic column per constraint row
-        self.labels = labels      # nonbasic column per slot
-        rows = [*rows, {s: -c for s, c in costs.items()}]
-        self.mat = np.zeros((len(rows), len(labels) + 2), dtype=object)
-        self.mat[:, -1] = 1
-        for i, row in enumerate(rows):
-            self.mat[i, list(row)] = list(map(operator.index, row.values()))
-        self.mat = self.mat.astype(np.int64 if _fits(self.mat) else object)
+        self.labels = list(range(mat.shape[1] - 2))  # nonbasic column per slot
+        self.ncols = ncols
 
     def _widen_past_limit(self, a: np.ndarray) -> None:
         """Switch to object dtype for good once entries reach the limit."""
@@ -134,20 +128,18 @@ class _Tableau:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this tableau holds: the object, its attributes (the matrix
-        with its data, the basis and label lists) and, in object dtype, the
-        Python ints the matrix points to.  The attribute dict is measured by
-        a copy: the size CPython reports for the live one depends on how
-        many instances have shared its keys."""
-        attrs = vars(self)
-        size = sys.getsizeof(self) + sum(map(sys.getsizeof, (dict(attrs), *attrs.values())))
+        """Bytes this tableau holds: the object, its four slots' values (the
+        matrix with its data, the basis and label lists, ncols) and, in
+        object dtype, the Python ints the matrix points to."""
+        size = sum(map(sys.getsizeof, (self, self.mat, self.basis, self.labels, self.ncols)))
         if self.mat.dtype == object:
             size += sum(map(sys.getsizeof, self.mat.flat))
         return size
 
     def copy(self) -> "_Tableau":
-        tab = copy.copy(self)
+        tab = _Tableau.__new__(_Tableau)
         tab.mat, tab.basis, tab.labels = self.mat.copy(), self.basis[:], self.labels[:]
+        tab.ncols = self.ncols
         return tab
 
     def pivot(self, r: int, c: int) -> None:
@@ -264,10 +256,12 @@ def solve_lp(
     for j in objective:
         if not 0 <= j < num_vars:
             raise ValueError(f"objective index {j} out of range")
-    ncols = num_vars + sum(sense == LE for _, sense, _ in rows)
-    slacks = itertools.count(num_vars)
-    table: list[dict[int, int]] = []
-    basis: list[int] = []  # -1 for an "=" row until it enters
+    # Slot j holds x_j, and the slots stay in order until the primal
+    # simplex: the first nonzero slot holds the smallest variable.
+    mat = np.zeros((len(rows) + 1, num_vars + 2), dtype=object)
+    mat[:, -1] = 1
+    mat[-1, list(objective)] = [-operator.index(c) for c in objective.values()]
+    ncols, basis = num_vars, []  # basis: -1 for an "=" row until it enters
     for i, (coeffs, sense, b) in enumerate(rows):
         for j in coeffs:
             if not 0 <= j < num_vars:
@@ -277,12 +271,12 @@ def solve_lp(
                 f"row {i}: {sense!r} with right-hand side {b}; only '<=' rows "
                 "with right-hand side >= 0 and '=' rows with 0 are accepted"
             )
-        basis.append(next(slacks) if sense == LE else -1)
-        table.append({**coeffs, num_vars: b})
+        mat[i, [*coeffs, num_vars]] = [*map(operator.index, coeffs.values()), operator.index(b)]
+        basis.append(ncols if sense == LE else -1)
+        ncols += sense == LE
 
-    # Slot j holds x_j, and the slots stay in order until the primal
-    # simplex: the first nonzero slot holds the smallest variable.
-    tab = _Tableau(table, objective, basis, list(range(num_vars)), ncols)
+    tab = _Tableau(mat, basis, ncols)
+    del mat  # the tableau holds its own copy
     for i, col in enumerate(basis):
         if col >= 0:
             continue

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -227,27 +228,36 @@ class TestSolveIlp:
 
 class _Recorder:
     """Records what solve_ilp asks of the simplex: the bound path,
-    dual-simplex status and final tableau of each child.  A tableau's path
-    rides along as an attribute that add_bound extends and copies inherit."""
+    dual-simplex status and final tableau of each child.  ``paths`` maps
+    each tableau copied or bounded to its path of bound rows, which
+    add_bound extends and copies inherit.  The dict keeps those tableaux
+    alive, so no key is a freed tableau whose memory a later one reuses."""
 
     def __init__(self, monkeypatch):
         self.children = []  # (path, status, snapshot)
         self.dtypes = set()  # of every child's matrix
+        self.paths = {}  # tableau -> its bound rows
         tab_cls = simplex._Tableau
-        add_bound, dual_optimize = tab_cls.add_bound, tab_cls.dual_optimize
+        add_bound, dual_optimize, copy = tab_cls.add_bound, tab_cls.dual_optimize, tab_cls.copy
 
         def add_bound_spy(tab, var, sense, bound):
             add_bound(tab, var, sense, bound)
-            tab.path = getattr(tab, "path", ()) + ((var, sense, bound),)
+            self.paths[tab] = self.paths.get(tab, ()) + ((var, sense, bound),)
 
         def dual_optimize_spy(tab):
             status = dual_optimize(tab)
             self.dtypes.add(tab.mat.dtype)
-            self.children.append((tab.path, status, _snapshot(tab)))
+            self.children.append((self.paths[tab], status, _snapshot(tab)))
             return status
+
+        def copy_spy(tab):
+            child = copy(tab)
+            self.paths[child] = self.paths.get(tab, ())
+            return child
 
         monkeypatch.setattr(tab_cls, "add_bound", add_bound_spy)
         monkeypatch.setattr(tab_cls, "dual_optimize", dual_optimize_spy)
+        monkeypatch.setattr(tab_cls, "copy", copy_spy)
 
 
 def _snapshot(tab):
@@ -307,12 +317,20 @@ def _solve(cell, max_nodes=None):
     return sol.status, sol.objective_value, sol.nodes_explored
 
 
+def _entry_bytes(entry):
+    """What a heap entry holds besides its tableau: the 5-tuple, its
+    Fraction key with the key's numerator and denominator, and the branch
+    pair."""
+    key, _, branch, _, _ = entry
+    return sum(map(sys.getsizeof, (entry, key, key.numerator, key.denominator, branch)))
+
+
 class _HeapSpy:
     """Stands in for solve_ilp's heapq.  Each entry's charge (the field
-    before its tableau) must be its tableau's nbytes when it is pushed and
-    when it is popped.  The spy keeps the heap, the sum of its charges
-    (held), the most that sum reached, its value at each pop, and the
-    entries pushed since the last pop."""
+    before its tableau) must be its tableau's nbytes plus _entry_bytes when
+    it is pushed and when it is popped.  The spy keeps the heap, the sum
+    of its charges (held), the most that sum reached, its value at each
+    pop, and the entries pushed since the last pop."""
 
     def __init__(self):
         self.held = self.most = 0
@@ -321,7 +339,7 @@ class _HeapSpy:
     @staticmethod
     def checked_charge(entry):
         *_, charge, tab = entry
-        assert charge == tab.nbytes
+        assert charge == tab.nbytes + _entry_bytes(entry)
         return charge
 
     def heappop(self, heap):
@@ -339,8 +357,8 @@ class _HeapSpy:
         self.most = max(self.most, self.held)
 
     def open_bytes(self):
-        """What the open nodes' tableaux hold, measured again."""
-        return sum(e[-1].nbytes for e in self.heap)
+        """What the open nodes' tableaux and entries hold, measured again."""
+        return sum(e[-1].nbytes + _entry_bytes(e) for e in self.heap)
 
 
 class TestTableauMemo:
@@ -397,8 +415,8 @@ class TestTableauMemo:
 
     def test_one_nbytes_read_per_pushed_node(self, monkeypatch):
         # A node's tableau is measured once, when it is pushed, and the
-        # size read is its entry's charge; its pop refunds that charge
-        # without measuring it again.
+        # size read plus the entry's own bytes is its entry's charge; its
+        # pop refunds that charge without measuring it again.
         monkeypatch.setattr(ilp, "IP_TABLEAU_BYTES", 1 << 20)
         reads, pushed, popped = [], [], []
         nbytes = simplex._Tableau.nbytes
@@ -415,7 +433,22 @@ class TestTableauMemo:
         status, _, nodes = _solve((8, 6), 300)
         assert status == "bound_only" and nodes < 300  # stopped on bytes
         assert len(reads) == len(pushed) > len(popped) > 20
-        assert all(tab is e[-1] and size == e[-2] for (tab, size), e in zip(reads, pushed))
+        assert all(tab is e[-1] and size + _entry_bytes(e) == e[-2]
+                   for (tab, size), e in zip(reads, pushed))
+
+    def test_a_push_is_charged_its_tableau_and_entry(self, monkeypatch):
+        # Each pushed node is charged exactly its tableau's nbytes and the
+        # bytes of its heap entry, measured as it is pushed.
+        pushed = []
+        monkeypatch.setattr(ilp, "heapq", SimpleNamespace(
+            heappush=lambda heap, entry: (
+                pushed.append((entry, entry[-1].nbytes + _entry_bytes(entry))),
+                heapq.heappush(heap, entry)),
+            heappop=heapq.heappop,
+        ))
+        assert _solve((5, 3)) == ("optimal", 5, 131)
+        assert len(pushed) > 20
+        assert all(entry[-2] == charge for entry, charge in pushed)
 
     def test_default_bound_fits_the_default_cap(self, monkeypatch):
         # No run that search or tables can make (n <= 9, IP_NODE_CAP nodes)
@@ -580,13 +613,13 @@ class TestRootTableaux:
         # exact certificate B T = [A | b] for the program plus the node's
         # bound rows (about 8 s of oracle arithmetic).  Until the root's
         # last "=" row enters, some row has no basic column and no B exists.
-        _Recorder(monkeypatch)  # gives each tableau its path of bound rows
+        rec = _Recorder(monkeypatch)  # keeps each tableau's path of bound rows
         checked, pivot = [], simplex._Tableau.pivot  # bound rows per check
 
         def certified(tab, r, c):
             pivot(tab, r, c)
             if -1 not in tab.basis:
-                path = getattr(tab, "path", ())
+                path = rec.paths.get(tab, ())
                 _certificate(params, path, _snapshot(tab))
                 checked.append(len(path))
 

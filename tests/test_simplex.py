@@ -2,6 +2,7 @@
 simplex that re-optimizes them under added bounds."""
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,7 @@ from oracles import (
     rank,
     tableau_certificate,
 )
-from ulamcode import simplex
+from ulamcode import ilp, simplex
 from ulamcode.bounds import CodeParams
 from ulamcode.budget import SearchBudget
 from ulamcode.ilp import solve_ilp
@@ -189,7 +190,7 @@ def test_dual_ratio_tie_enters_the_smallest_column():
     assert basic_point(tab, 3) == [1, 2, 0]
 
 
-def test_infeasible_rows_leave_smallest_basic_index_first():
+def test_infeasible_rows_leave_smallest_basic_index_first(monkeypatch):
     # max x + y over the box x <= 3, y <= 3 ends at (3, 3).  x <= 2 and
     # y <= 1, added together, give the rows s4 - s2 = -1 and s5 - s3 = -2.
     # Bland's rule takes the row of s4 first, although s5's is more
@@ -202,8 +203,9 @@ def test_infeasible_rows_leave_smallest_basic_index_first():
     assert basis == [0, 1, 4, 5]
     assert [row[ncols] for row in nums[:-1]] == [3, 3, -1, -2]
     pivots = []  # (row, entering column)
-    pivot = tab.pivot
-    tab.pivot = lambda r, c: (pivots.append((r, tab.labels[c])), pivot(r, c))
+    pivot = simplex._Tableau.pivot
+    monkeypatch.setattr(simplex._Tableau, "pivot", lambda tab, r, c: (
+        pivots.append((r, tab.labels[c])), pivot(tab, r, c)))
     assert tab.dual_optimize() == OPTIMAL
     assert pivots == [(2, 2), (3, 3)]
     assert (tab.objective_value(), basic_point(tab, 2)) == (3, [2, 1])
@@ -296,6 +298,23 @@ def test_nbytes_covers_what_the_tableau_holds(factors, dtype):
     finally:
         tracemalloc.stop()
     assert 0 < freed <= nbytes
+
+
+def test_a_tableau_has_no_instance_dict():
+    # A tableau and its copies hold their four slots and nothing else.
+    _, tab = solve_lp(2, *TWO_VARIABLES)
+    for held in (tab, tab.copy()):
+        assert not hasattr(held, "__dict__")
+        with pytest.raises(AttributeError):
+            held.path = ()
+
+
+def test_nbytes_of_an_int64_root():
+    # An int64 matrix holds its entries itself, so nbytes is the tableau
+    # and its four slot values.
+    _, tab = ilp._root_lp(CodeParams(5, 3))
+    assert tab.mat.dtype == np.int64
+    assert tab.nbytes == sum(map(sys.getsizeof, (tab, tab.mat, tab.basis, tab.labels, tab.ncols)))
 
 
 # ---------------------------------------------------------------------------
