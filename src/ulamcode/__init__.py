@@ -1,7 +1,6 @@
 """Permutation codes under the Ulam metric: distances, bounds, searches."""
 
 from .ball import (
-    BallTable,
     LisDistribution,
     ball_table,
     clt_samples,

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,24 +56,6 @@ class LisDistribution:
     def __post_init__(self):
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
-
-    def prob_at_least(self, k: int) -> Fraction:
-        """P(LIS >= k) as an exact fraction of the recorded total."""
-        hits = sum(c for length, c in self.counts.items() if length >= k)
-        return Fraction(hits, self.total)
-
-
-@dataclass(frozen=True)
-class BallTable:
-    """|B(r)| for every radius r in 0..n-1."""
-
-    n: int
-    sizes: dict[int, int]
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Worker processes worth starting: no more than tasks or CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _partitions(n: int, largest: int):
@@ -111,27 +92,28 @@ def lis_distribution_exact(n: int) -> LisDistribution:
     return LisDistribution(n=n, counts=counts, total=nfact)
 
 
-def ball_table(n: int) -> BallTable:
-    """All ball sizes for radii 0..n-1."""
+def ball_table(n: int) -> dict[int, int]:
+    """|B(r)|, the number of permutations with LIS >= n - r, by radius r in 0..n-1."""
     dist = lis_distribution_exact(n)
     sizes: dict[int, int] = {}
     running = 0
     for r in range(n):
         running += dist.counts[n - r]
         sizes[r] = running
-    return BallTable(n=n, sizes=sizes)
+    return sizes
 
 
-def sphere_packing_bounds(table: BallTable, d: int) -> tuple[int, int]:
+def sphere_packing_bounds(table: dict[int, int], d: int) -> tuple[int, int]:
     """(lower, upper) sphere bounds on the maximum size of a code of length
-    table.n and minimum distance d, which CodeParams checks.
+    n = len(table) and minimum distance d, which CodeParams checks; table is
+    the radius -> size dict of ball_table(n).
 
     lower = ceil(n! / |B(d-1)|) (covering), upper = floor(n! / |B(floor((d-1)/2))|)
     (packing with the usual half-distance radius; exact for even d - 1).
     """
-    delta = CodeParams(table.n, d).delta
-    nfact = math.factorial(table.n)
-    return -(-nfact // table.sizes[delta]), nfact // table.sizes[delta // 2]
+    delta = CodeParams(len(table), d).delta
+    nfact = math.factorial(len(table))
+    return -(-nfact // table[delta]), nfact // table[delta // 2]
 
 
 def _kernel_dtype(n: int) -> np.dtype:
@@ -235,12 +217,12 @@ def sample_lis_lengths(
             lengths[start : start + len(block)] = block
 
     if workers > 1 and nblocks > 1:
-        # Imported here, so that a process that starts no pool does not
-        # load multiprocessing.
+        # Imported here: a process that starts no pool never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
+        cpus = os.cpu_count() or 1
         try:
-            with ProcessPoolExecutor(max_workers=_pool_size(workers, nblocks)) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, nblocks, cpus)) as pool:
                 fill(pool.map(_sample_block, *columns))
         except OSError:
             fill(map(_sample_block, *columns))
@@ -257,10 +239,6 @@ def lis_prob_mc(
         raise ValueError("n must be >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if k == 1:
-        return 1.0, 0.0
     lengths = sample_lis_lengths(n, samples, seed, workers=workers)
     hits = int(np.count_nonzero(lengths >= k))
     p = hits / samples

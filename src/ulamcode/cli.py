@@ -419,8 +419,7 @@ def _render_tables_text(cells) -> str:
 
 def _cmd_ball(run: _Run) -> int:
     args = run.args
-    table = ball_table(args.n)
-    sizes = sorted(table.sizes.items())
+    sizes = sorted(ball_table(args.n).items())
     result = {"n": args.n, "sizes": {str(r): s for r, s in sizes}}
     return run.emit(result, columns=("r", "size"), rows=sizes)
 
@@ -489,6 +488,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # (n - d + 1)! passes CPython's 4,300-digit int-to-str limit from
+    # n - d + 1 = 1,559 on, so a command runs without the limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         # An output path that cannot be written fails before any work.
         for path in filter(None, (args.out, getattr(args, "save_code", None))):
@@ -497,6 +499,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"cannot write {path}: no directory {os.path.dirname(path)}")
         run = _Run(args)
+        if limit:
+            sys.set_int_max_str_digits(0)
         return _DISPATCH[args.command](run)
     except CapacityError as exc:
         print(f"ulamcode: capacity error: {exc}", file=sys.stderr)
@@ -507,3 +511,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as exc:
         print(f"ulamcode: internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

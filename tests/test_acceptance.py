@@ -126,17 +126,18 @@ def test_06_ball_lis_identity():
             oracle = bfs_ball_sizes(n)
             for r in range(n):
                 from_dist = sum(c for k, c in dist.counts.items() if k >= n - r)
-                assert table.sizes[r] == from_dist == oracle[r], (n, r)
+                assert table[r] == from_dist == oracle[r], (n, r)
 
 
 def test_07_probability_inequalities():
     with criterion(7, "tail-bound inequalities hold exactly for n<=8"):
         for n in range(2, 9):
             dist = lis_distribution_exact(n)
+            sizes = ball_table(n)
             nfact = math.factorial(n)
             for delta in range(0, n - 1):
                 simple = Fraction(math.comb(n, delta), math.factorial(n - delta))
-                exact = dist.prob_at_least(n - delta)
+                exact = Fraction(sizes[delta], nfact)
                 assert exact <= simple
                 if 1 <= delta <= n - 2:
                     assert exact < simple
@@ -147,7 +148,7 @@ def test_07_probability_inequalities():
                     ball = sum(c for k, c in dist.counts.items() if k >= n - delta)
                     assert gv_ratio < Fraction(nfact, ball)
                 if delta % 2 == 0:
-                    assert dist.prob_at_least(n - delta // 2) <= simple
+                    assert Fraction(sizes[delta // 2], nfact) <= simple
                     assert exact >= Fraction(1, math.factorial(n - delta))
 
 
@@ -166,7 +167,7 @@ def test_08_rate_function():
 
 def test_09_monte_carlo_calibration():
     with criterion(9, "MC estimate of P(LIS_6 >= 4) within 4 sigma for 5 seeds"):
-        exact = float(lis_distribution_exact(6).prob_at_least(4))
+        exact = float(Fraction(ball_table(6)[2], math.factorial(6)))
         for seed in range(5):
             estimate, stderr = lis_prob_mc(6, 4, 1_000_000, seed)
             assert abs(estimate - exact) <= 4 * stderr, seed

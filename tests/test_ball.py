@@ -76,31 +76,31 @@ class TestExactDistribution:
 class TestBallSizes:
     def test_radius_zero_and_diameter(self):
         for n in range(2, 8):
-            assert ball_table(n).sizes[0] == 1
-            assert ball_table(n).sizes[n - 1] == math.factorial(n)
+            assert ball_table(n)[0] == 1
+            assert ball_table(n)[n - 1] == math.factorial(n)
 
     def test_small_example(self):
         # BFS over S_3: everything except the reversal is within one move.
-        assert ball_table(3).sizes[1] == 5
+        assert ball_table(3)[1] == 5
 
     def test_matches_bfs_oracle(self):
         for n in range(2, 7):
-            assert ball_table(n).sizes == bfs_ball_sizes(n)
+            assert ball_table(n) == bfs_ball_sizes(n)
 
     def test_radius_one_shell_formula(self):
         for n in range(2, EXACT_LIMIT + 1):
-            assert ball_table(n).sizes[1] == 1 + (n - 1) ** 2
+            assert ball_table(n)[1] == 1 + (n - 1) ** 2
 
     def test_identity_with_distribution(self):
         for n in range(2, 8):
             dist = lis_distribution_exact(n)
             for r in range(n):
                 expected = sum(c for k, c in dist.counts.items() if k >= n - r)
-                assert ball_table(n).sizes[r] == expected
+                assert ball_table(n)[r] == expected
 
     def test_strictly_increasing(self):
         for n in range(2, 8):
-            sizes = ball_table(n).sizes
+            sizes = ball_table(n)
             for r in range(1, n):
                 assert sizes[r] > sizes[r - 1]
 
@@ -115,7 +115,7 @@ class TestSpherePacking:
 
     def test_5_3_frozen(self):
         lo, hi = sphere_packing_bounds(ball_table(5), 3)
-        assert ball_table(5).sizes[1] == 17  # cross-checked against BFS above
+        assert ball_table(5)[1] == 17  # cross-checked against BFS above
         assert (lo, hi) == (2, 120 // 17)
 
     def test_dominates_gv_strictly(self):
@@ -127,7 +127,7 @@ class TestSpherePacking:
                 if not 0 < delta < n - 1:
                     continue
                 gv_ratio = Fraction(math.factorial(n - delta), math.comb(n, delta))
-                sphere_ratio = Fraction(nfact, ball_table(n).sizes[delta])
+                sphere_ratio = Fraction(nfact, ball_table(n)[delta])
                 assert gv_ratio < sphere_ratio
 
     def test_integer_bounds_dominate_gv(self):
@@ -149,11 +149,11 @@ class TestProbabilityEstimates:
     def test_l2a_even_delta(self):
         # Both halves of the even-radius sandwich, exactly, for n <= 8.
         for n in range(2, 9):
-            dist = lis_distribution_exact(n)
+            sizes, nfact = ball_table(n), math.factorial(n)
             for delta in range(0, n - 1, 2):
                 bound = Fraction(math.comb(n, delta), math.factorial(n - delta))
-                assert dist.prob_at_least(n - delta // 2) <= bound
-                assert dist.prob_at_least(n - delta) >= Fraction(
+                assert Fraction(sizes[delta // 2], nfact) <= bound
+                assert Fraction(sizes[delta], nfact) >= Fraction(
                     1, math.factorial(n - delta)
                 )
 
@@ -174,12 +174,12 @@ class TestMonteCarlo:
         assert a != b
 
     def test_calibration_n6_k4(self):
-        exact = float(lis_distribution_exact(6).prob_at_least(4))
+        exact = float(Fraction(ball_table(6)[2], math.factorial(6)))
         est, err = lis_prob_mc(6, 4, 1_000_000, 0)
         assert abs(est - exact) <= 4 * err
 
     def test_pooled_over_disjoint_seeds(self):
-        exact = float(lis_distribution_exact(6).prob_at_least(4))
+        exact = float(Fraction(ball_table(6)[2], math.factorial(6)))
         per_seed = 100_000
         hits = 0.0
         for seed in range(10):

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, schema, determinism, exit codes."""
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -168,6 +169,52 @@ class TestBounds:
         asym = run_json(capsys, *argv)["result"]["asymptotics"]
         assert asym["c"] == pytest.approx(2.02)
         assert asym["kim_rate_log_approximate"] > 0
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift CPython's int-to-str digit limit, where it has one, for parsing
+    and printing the test's own copies of huge values."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestDigitLimit:
+    """1559! has 4,303 digits, past CPython's default limit of 4,300 on
+    int-to-str conversion; main prints it exactly and leaves the limit as
+    it found it."""
+
+    def run(self, capsys, *argv):
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, *argv)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+        assert code == 0, err
+        return out
+
+    def test_bounds_json(self, capsys):
+        out = self.run(capsys, "bounds", "--n", "1560", "--d", "2", "--format", "json")
+        with unlimited_digits():
+            result = json.loads(out)["result"]
+        assert result["singleton_upper"] == math.factorial(1559)
+
+    def test_bounds_text(self, capsys):
+        out = self.run(capsys, "bounds", "--n", "1560", "--d", "2")
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("singleton_upper ")]
+        with unlimited_digits():
+            assert line.split()[1] == str(math.factorial(1559))
+
+    def test_tables_construction_cell(self, capsys):
+        out = self.run(capsys, "tables", "--n", "1560", "--d", "2", "--format", "json")
+        with unlimited_digits():
+            (cell,) = json.loads(out)["result"]["cells"]
+        assert cell["lower"] == cell["upper"] == math.factorial(1559)
+        assert cell["method"] == "construction"
 
 
 class TestSearchAndVerify:
@@ -488,7 +535,7 @@ class TestBoundsCalledByName:
         tables = self.spy(monkeypatch, search, "ball_table")
         cells = run_json(capsys, "tables", "--n", "10", "--d", "3..4")["result"]["cells"]
         assert [cell["status"] for cell in cells] == ["skipped"] * 2
-        assert [(table.n, d) for table, d in spheres] == [(10, 3), (10, 4)]
+        assert [(len(table), d) for table, d in spheres] == [(10, 3), (10, 4)]
         assert tables == [(10,)]  # one LIS distribution per n
 
 
@@ -515,7 +562,8 @@ class TestMcAndClt:
     @pytest.mark.parametrize("cmd", [("mc", "--k", "1", "--seed", "-1"),
                                      ("clt", "--seed", "-2")])
     def test_negative_seed_exits_1(self, capsys, cmd):
-        # mc with k = 1 draws nothing, so only the seed check can refuse it.
+        # The seed check refuses the run before any draw, even where every
+        # sampled length passes k = 1.
         code, out, err = run_cli(capsys, cmd[0], "--n", "5", "--samples", "3", *cmd[1:])
         assert (code, out) == (1, "")
         assert "error: --seed must be >= 0" in err

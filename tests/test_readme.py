@@ -25,7 +25,7 @@ def _library_values():
 
 def test_library_example():
     values = _library_values()
-    assert values["ball_table(5).sizes[1]"] == 17
+    assert values["ball_table(5)[1]"] == 17
     assert values["sphere_packing_bounds(ball_table(5), 3)"] == (2, 7)
     assert values["solve_ilp(params).objective_value"] == 5
     assert values["solve_ilp(params, SearchBudget(max_nodes=10)).status"] == "bound_only"
