@@ -93,8 +93,8 @@ class BoundReport:
     """Everything known about A(n, d) for one parameter pair.
 
     best_lower folds in the trivial two-word code {identity, reversal}
-    (valid whenever d <= n - 1); best_upper is the min of the populated
-    upper bounds.
+    (valid whenever d <= n - 1) and, at d = 2, the known construction of
+    size (n-1)! (no field); best_upper is the min of the populated upper bounds.
     """
 
     params: CodeParams
@@ -129,11 +129,14 @@ def bound_report(
 
     ``sphere`` is the pair of ``ball.sphere_packing_bounds(table, d)`` and
     ``ip_upper`` the value of ``ilp.solve_ilp``, each already computed.
+    At d = 2 best_lower is the known construction's (n-1)!, with no field.
     """
     singleton, gv = singleton_upper(params), gv_lower(params)
     sphere_lower, sphere_upper = sphere if sphere is not None else (None, None)
-    # {e, reversal} has distance n - 1 >= d.
-    best_lower = max(b for b in (gv, 2, sphere_lower) if b is not None)
+    # {e, reversal} has distance n - 1 >= d; at d = 2 a known construction
+    # meets the Singleton bound (n-1)!.
+    known = (gv, 2, sphere_lower, singleton if params.d == 2 else None)
+    best_lower = max(b for b in known if b is not None)
     best_upper = min(b for b in (singleton, ip_upper, sphere_upper) if b is not None)
     if best_lower > best_upper:
         raise AssertionError(f"bound inversion at {params}: {best_lower} > {best_upper}")

@@ -400,14 +400,13 @@ def _render_tables_text(cells) -> str:
     ns = sorted({c.n for c in cells})
     ds = sorted({c.d for c in cells})
     by_pos = {(c.n, c.d): c for c in cells}
-    width = max(
-        [len(_cell_label(c)) for c in cells] + [len(str(d)) for d in ds] + [3]
-    )
-    head = "  n\\d " + " ".join(f"{d:>{width}}" for d in ds)
     lines = []
     for title, label in (("maximum code sizes", _cell_label),
                          ("singleton-optimal codes", lambda c: c.singleton_optimal)):
-        lines += [title, head]
+        # Each grid's columns fit its own labels; the heading column is as
+        # wide as the row labels f"{n:>5} ".
+        width = max([len(label(c)) for c in cells] + [len(str(d)) for d in ds] + [3])
+        lines += [title, " ".join(["  n\\d ", *(f"{d:>{width}}" for d in ds)])]
         for n in ns:
             row = [f"{n:>5} "]
             for d in ds:

@@ -29,11 +29,12 @@ sweep over S_n per cell, in blocks, finds the identity's far set; by
 left-invariance the row of sigma is that set relabeled by sigma, ranked
 back into bit positions by one float32 matrix-vector product.
 
-max_code_search answers a cell, for ``search`` and ``tables`` alike: on one
-S_n, the Singleton phase, then, if it finds no code, the maximum phase
-under the Singleton bound, or one below it once the Singleton tree is
-exhausted; then, if asked for and still needed, the integer-program bound;
-and the Singleton-optimality verdict.  A cell starts one clock and every
+max_code_search answers a searched cell, for ``search`` and ``tables``
+alike: on one S_n, the Singleton phase, then, if it finds no code, the
+maximum phase under the Singleton bound, or one below it once the
+Singleton tree is exhausted; then, if asked for and still needed, the
+integer-program bound; and the verdict, which _verdict reads from bounds
+as it does for every ``tables`` cell.  A cell starts one clock and every
 engine runs on it or a copy: each search phase gets the budget's node cap
 (HARD_CELL_NODE_CAP without one), the Singleton phase a deadline half the
 time cap earlier, and the integer program IP_NODE_CAP nodes.
@@ -440,17 +441,13 @@ def _search_from_identity(
     return verify_code(words, space.params), nodes, exhausted
 
 
-def _singleton_phase(space: _SearchSpace, clock: BudgetClock) -> SingletonSearchResult:
+def _singleton_phase(space: _SearchSpace, clock: BudgetClock) -> tuple[Optional[Code], int, bool]:
+    """(code, nodes, exhausted), the code None unless it meets the Singleton bound."""
     # With floor one below the class count, a child is kept only while
     # every class still to fill has a candidate.
     singleton = singleton_upper(space.params)
-    code, nodes, exhausted = _search_from_identity(
-        space, clock, singleton - 1, singleton
-    )
-    if exhausted or len(code.words) < singleton:
-        status = BUDGET_EXHAUSTED if exhausted else NONE_EXISTS
-        return SingletonSearchResult(status, None, nodes)
-    return SingletonSearchResult(FOUND, code, nodes)
+    code, nodes, exhausted = _search_from_identity(space, clock, singleton - 1, singleton)
+    return (code if len(code.words) == singleton else None), nodes, exhausted
 
 
 def find_singleton_optimal(
@@ -463,7 +460,16 @@ def find_singleton_optimal(
     distinct status "budget_exhausted".  Without an explicit budget, the
     search gets HARD_CELL_NODE_CAP nodes.
     """
-    return _singleton_phase(_SearchSpace(params), _start_clock(budget))
+    code, nodes, exhausted = _singleton_phase(_SearchSpace(params), _start_clock(budget))
+    status = FOUND if code else BUDGET_EXHAUSTED if exhausted else NONE_EXISTS
+    return SingletonSearchResult(status, code, nodes)
+
+
+def _verdict(params: CodeParams, lower: int, upper: int) -> str:
+    """Whether a code meets the Singleton bound S, from certified bounds
+    lower <= A(n, d) <= upper: "yes" if lower = S, "no" if upper < S."""
+    singleton = singleton_upper(params)
+    return "yes" if lower == singleton else "no" if upper < singleton else "unknown"
 
 
 def max_code_search(
@@ -482,8 +488,8 @@ def max_code_search(
     ceiling if lower; a bound below the verified code's size is an
     AssertionError.  Optimality is "proven_maximum" when the tree is
     exhausted or the code meets the ceiling, else "lower_bound_only".  The
-    verdict is "yes" for a code of Singleton size, "no" for a proven
-    maximum or a ceiling below the Singleton bound, else "unknown".
+    verdict is _verdict's reading of the code's size and, for a proven
+    maximum, that size again, else the ceiling.
 
     Once S_n is built, the cell starts one clock.  The Singleton phase runs
     on a copy with a deadline half of ``budget.max_seconds`` earlier, so a
@@ -497,12 +503,9 @@ def max_code_search(
     clock = _start_clock(budget)
     cap = budget and budget.max_seconds
     half = replace(clock, deadline=clock.deadline - cap / 2) if cap else clock
-    first = _singleton_phase(space, half)
-    nodes = first.nodes_explored
-    if first.status == FOUND:
-        code, exhausted, ceiling = first.code, False, singleton
-    else:
-        ceiling = singleton - 1 if first.status == NONE_EXISTS else singleton
+    code, nodes, exhausted = _singleton_phase(space, half)
+    ceiling = singleton if code or exhausted else singleton - 1
+    if code is None:
         code, phase_nodes, exhausted = _search_from_identity(space, clock, 1, ceiling)
         nodes += phase_nodes
     size = len(code.words)
@@ -514,11 +517,8 @@ def max_code_search(
             )
         ceiling = min(ceiling, ip)
     proven = not exhausted or size == ceiling
-    if size == singleton:
-        verdict = "yes"
-    else:
-        verdict = "no" if proven or ceiling < singleton else "unknown"
     optimality = PROVEN_MAXIMUM if proven else LOWER_BOUND_ONLY
+    verdict = _verdict(params, size, size if proven else ceiling)
     return SearchResult(code, optimality, ceiling, nodes, verdict)
 
 
@@ -577,14 +577,14 @@ def reproduce_tables(
 
     The cells are the pairs with 2 <= d <= n-1, d from ``d_values`` or
     every such d; a value of either list that selects no cell is a
-    ValueError.  d = 2 cells come from the known construction (size
-    (n-1)!, always Singleton-optimal), cells past SEARCH_LIMIT report their
-    bounds as "skipped", and every other cell is max_code_search's answer
-    under ``cell_budget``, which replaces the default node cap
-    (SearchBudget() runs uncapped).  Cells whose budget runs out are
-    explicitly "bounded", never silently wrong.
-    ``with_ip`` and ``cell_budget`` reach searched cells only, so setting
-    either when no requested cell is searched is a ValueError.
+    ValueError.  A cell with d >= 3 and n <= SEARCH_LIMIT is searched,
+    with ``with_ip`` and under ``cell_budget`` (which replaces the default
+    node cap; SearchBudget() runs uncapped), setting either with no such
+    cell being a ValueError.  Its bounds are the code's size and, for a
+    proven maximum, that size again, else the ceiling; every other cell's
+    are bound_report's, with sphere bounds up to EXACT_LIMIT.  A cell is
+    "proven" when its bounds meet, else "bounded" if searched and
+    "skipped" if not; _verdict reads its verdict from them.
     """
     ns = sorted(set(n_values))
     ds = sorted(set(d_values)) if d_values is not None else range(2, max(ns, default=0))
@@ -593,7 +593,8 @@ def reproduce_tables(
         for value in values:
             if all(pair[k] != value for pair in pairs):
                 raise ValueError(f"{name} = {value} selects no cell with 2 <= d <= n-1")
-    if (with_ip or cell_budget is not None) and all(d == 2 or n > SEARCH_LIMIT for n, d in pairs):
+    searched = {(n, d) for n, d in pairs if d > 2 and n <= SEARCH_LIMIT}
+    if (with_ip or cell_budget is not None) and not searched:
         raise ValueError(
             f"no requested cell is searched (d = 2 is a construction, n > {SEARCH_LIMIT} is "
             "skipped), so with_ip and cell_budget (--with-ip, --max-nodes, --max-seconds) "
@@ -603,29 +604,16 @@ def reproduce_tables(
     ball_tables = functools.cache(ball_table)  # one LIS distribution per n
     for n, d in pairs:
         params = CodeParams(n, d)
-        if d == 2:
-            size = math.factorial(n - 1)
-            cells.append(
-                TableCell(n=n, d=d, lower=size, upper=size, status="proven",
-                          singleton_optimal="yes", method="construction")
-            )
-        elif n > SEARCH_LIMIT:
+        if (n, d) in searched:
+            res = max_code_search(params, cell_budget, with_ip)
+            lower, nodes, method = len(res.code.words), res.nodes_explored, "search"
+            upper = lower if res.optimality == PROVEN_MAXIMUM else res.upper_bound_used
+        else:
             sphere = sphere_packing_bounds(ball_tables(n), d) if n <= EXACT_LIMIT else None
             report = bound_report(params, sphere)
-            cells.append(
-                TableCell(n=n, d=d, lower=report.best_lower,
-                          upper=report.best_upper, status="skipped",
-                          singleton_optimal="unknown", method="bounds")
-            )
-        else:
-            res = max_code_search(params, cell_budget, with_ip)
-            size = len(res.code.words)
-            proven = res.optimality == PROVEN_MAXIMUM
-            cells.append(
-                TableCell(n=n, d=d, lower=size,
-                          upper=size if proven else res.upper_bound_used,
-                          status="proven" if proven else "bounded",
-                          singleton_optimal=res.singleton_optimal,
-                          method="search", nodes=res.nodes_explored)
-            )
+            lower, upper, nodes = report.best_lower, report.best_upper, 0
+            method = "construction" if d == 2 else "bounds"
+        status = "proven" if lower == upper else "bounded" if method == "search" else "skipped"
+        cells.append(TableCell(n, d, lower, upper, status, _verdict(params, lower, upper),
+                               method, nodes))
     return cells

@@ -136,6 +136,20 @@ class TestBounds:
         assert data["result"]["gv_lower"] == 2
         assert data["result"]["singleton_upper"] == 24
 
+    def test_d2_construction_meets_the_singleton_bound(self, capsys):
+        result = run_json(capsys, "bounds", "--n", "7", "--d", "2")["result"]
+        assert (result["best_lower"], result["best_upper"]) == (720, 720)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_d2_program_agrees_with_the_construction(self, capsys, n):
+        data = run_json(capsys, "bounds", "--n", str(n), "--d", "2", "--with-ip",
+                        "--with-sphere")
+        result = data["result"]
+        assert data["status"] == "ok"
+        assert result["best_lower"] == result["best_upper"] == result["ip_upper"] == (
+            math.factorial(n - 1)
+        )
+
     def test_d1_degenerate(self, capsys):
         data = run_json(capsys, "bounds", "--n", "4", "--d", "1")
         assert data["result"]["best_lower"] == 24
@@ -375,9 +389,12 @@ class TestTables:
 
     def test_skipped_cells_report_the_bounds(self, capsys):
         data = run_json(capsys, "tables", "--n", "10..12")
-        skipped = [c for c in data["result"]["cells"] if c["status"] == "skipped"]
-        assert len(skipped) == 7 + 8 + 9  # d = 3..n-1
-        for cell in skipped:
+        from_bounds = [c for c in data["result"]["cells"] if c["method"] == "bounds"]
+        assert len(from_bounds) == 7 + 8 + 9  # d = 3..n-1
+        # The (n, n-1) cells' bounds meet at the Singleton bound 2.
+        corner = [c for c in from_bounds if c["d"] == c["n"] - 1]
+        assert [(c["status"], c["singleton_optimal"]) for c in corner] == [("proven", "yes")] * 3
+        for cell in from_bounds:
             report = run_json(
                 capsys, "bounds", "--n", str(cell["n"]), "--d", str(cell["d"]),
                 "--with-sphere",
@@ -385,8 +402,26 @@ class TestTables:
             assert (cell["lower"], cell["upper"]) == (
                 report["best_lower"], report["best_upper"]
             )
-        (cell,) = [c for c in skipped if (c["n"], c["d"]) == (10, 3)]
+        (cell,) = [c for c in from_bounds if (c["n"], c["d"]) == (10, 3)]
         assert cell["lower"] == 1_395  # the covering bound
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "4..5"),
+        ("--n", "6..7", "--d", "3..6", "--max-nodes", "2000"),
+        ("--n", "9..10", "--d", "8..9"),
+    ])
+    def test_text_grids_align(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "tables", *argv)
+        assert code == 0
+        body = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        titles = [i for i, ln in enumerate(body) if not ln[:1].isspace()]
+        assert [body[i] for i in titles] == ["maximum code sizes", "singleton-optimal codes"]
+        for start, stop in zip(titles, titles[1:] + [len(body)]):
+            grid = body[start + 1 : stop]
+            assert len({len(ln) for ln in grid}) == 1
+            # Each heading ends where its column's labels end.
+            ends = [[m.end() for m in re.finditer(r"\S+", ln)] for ln in grid]
+            assert all(row == ends[0] for row in ends)
 
     # Each request, and the first value in it that selects no cell; the
     # last three fail beside values that do select one.

@@ -30,6 +30,9 @@ COMMANDS = {
     "tables_n7_d5-6": ["tables", "--n", "7", "--d", "5..6"],
     "tables_n7_d3-4": ["tables", "--n", "7", "--d", "3..4"],
     "tables_n10_d3-4": ["tables", "--n", "10", "--d", "3..4"],
+    # A searched cell, a skipped one, and one whose bounds meet past the
+    # search limit.
+    "tables_n9-10_d8-9": ["tables", "--n", "9..10", "--d", "8..9"],
     "tables_n5-6_with_ip": ["tables", "--n", "5..6", "--with-ip"],
     "search_7_4_max_nodes": ["search", "--n", "7", "--d", "4", "--max-nodes", "20000"],
     "search_6_3_singleton_only": ["search", "--n", "6", "--d", "3", "--singleton-only"],

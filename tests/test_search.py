@@ -807,15 +807,18 @@ class TestTables:
         assert cell.lower <= cell.upper
 
     def test_one_exact_distribution_per_n(self, monkeypatch):
-        # Every skipped cell of an n reads one ball table, and its bounds
-        # are those of sphere_packing_bounds, cell by cell.
+        # The cells of an n, d = 2 included, share one ball table, and each
+        # bounds cell's bounds are those of sphere_packing_bounds.
         seen, exact = [], ball.lis_distribution_exact
         monkeypatch.setattr(ball, "lis_distribution_exact", lambda n: seen.append(n) or exact(n))
         cells = reproduce_tables([10, 11])
         assert seen == [10, 11]
-        skipped = [cell for cell in cells if cell.status == "skipped"]
-        assert len(skipped) == 7 + 8  # d = 3..9 and 3..10
-        for cell in skipped:
+        from_bounds = [cell for cell in cells if cell.method == "bounds"]
+        assert len(from_bounds) == 7 + 8  # d = 3..9 and 3..10
+        # The (n, n-1) cells' bounds meet at the Singleton bound 2.
+        corner = [cell for cell in from_bounds if cell.d == cell.n - 1]
+        assert [(c.status, c.singleton_optimal) for c in corner] == [("proven", "yes")] * 2
+        for cell in from_bounds:
             params = CodeParams(cell.n, cell.d)
             report = bound_report(params, sphere_packing_bounds(ball_table(cell.n), cell.d))
             assert (cell.lower, cell.upper) == (report.best_lower, report.best_upper)
